@@ -9,7 +9,7 @@
 //	             [-shuffle-budget N] [-shuffle-compress none|flate|lz4]
 //	             [-bench-json out.json] [-apps PR,WC,...]
 //	             [-obs-addr 127.0.0.1:9477] [-obs-hold 30s]
-//	             [-flame out.folded] [-profiles profiles.json]
+//	             [-flame out.folded]
 //
 // Experiment ids: fig4 fig5 table1 table2 fig6a fig6b fig7a fig7b table3
 // fig8a fig8b fig9 fig10a fig10b static. Default runs everything.
@@ -59,8 +59,7 @@
 // The observability flags mirror gerenukrun: -obs-addr serves /metrics,
 // /healthz, /statusz, /flamez and /debug/pprof/ for the duration of the
 // suite (-obs-hold lingers for a scrape), -flame writes collapsed-stack
-// flame graph text, -profiles accumulates the per-(app,mode,stage)
-// store, and any of them arms the GC-pause attribution sampler.
+// flame graph text, and either arms the GC-pause attribution sampler.
 package main
 
 import (
@@ -68,13 +67,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
-	"repro/internal/engine"
-	"repro/internal/metrics"
-	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 func fatal(err error) {
@@ -83,141 +77,33 @@ func fatal(err error) {
 }
 
 func main() {
-	scale := flag.Int("scale", 2, "workload scale multiplier")
-	workers := flag.Int("workers", 4, "executor pool size")
-	partitions := flag.Int("partitions", 4, "RDD/shuffle partitions")
-	iters := flag.Int("iters", 3, "iterations for iterative apps")
-	engineName := flag.String("engine", "compiled", "native execution backend: compiled (closure-compiled SERs) or interp (tree-walking interpreter)")
+	def := bench.Config{Scale: 2, Partitions: 4, Iters: 3}
+	def.Workers = 4
+	shared := bench.BindFlags(flag.CommandLine, "gerenukbench", "workers", def, bench.TuningFlags|bench.ObsFlags)
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	faultSeed := flag.Int64("faults", 0, "run chaos mode with this fault-injection seed (0 = off)")
 	shuffleCheck := flag.Bool("shuffle-check", false, "run the shuffle verification pass (spill/compressed vs in-memory, all apps)")
 	recoveryCheck := flag.Bool("recovery-check", false, "run the recovery verification pass (replica loss, reduce kills, checkpoint corruption vs fault-free, all apps)")
 	streamCheck := flag.Bool("stream-check", false, "run the streaming verification pass (micro-batched windows vs one-shot batch, chaos + kill/resume)")
 	streamRun := flag.Bool("stream", false, "run the streaming throughput pass (with -bench-json: write the streaming report instead)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge straggling native attempts with the heap path after this delay (0 = off)")
-	hedgeMult := flag.Float64("hedge-mult", 0, "hedge after this multiple of the observed median task latency (0 = off)")
-	shufBudget := flag.Int64("shuffle-budget", 0, "map-side shuffle memory budget in bytes (0 = in-memory, >0 spills sorted runs)")
-	shufCompress := flag.String("shuffle-compress", "", "shuffle block codec: none|flate|lz4")
-	shufLatency := flag.Duration("shuffle-latency", 0, "simulated per-block fetch latency")
-	shufBW := flag.Int64("shuffle-bw", 0, "simulated fetch bandwidth in bytes/sec (0 = infinite)")
-	replicas := flag.Int("replicas", 0, "shuffle block replica count (0/1 = no replication)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint task fold state every N invocations (0 = off)")
-	stageDeadline := flag.Duration("stage-deadline", 0, "watchdog deadline per stage; hangs become retryable timeouts (0 = off)")
-	traceOut := flag.String("trace", "", "stream Chrome trace_event JSON of all runs to this file")
-	metricsOut := flag.String("metrics-json", "", "write metrics-registry JSON to this file")
 	benchJSON := flag.String("bench-json", "", "run every app in both modes and write the machine-readable report to this file (replaces the figure pass)")
 	benchApps := flag.String("apps", "", "comma-separated app subset for -bench-json (default: all apps)")
-	obsAddr := flag.String("obs-addr", "", "serve the observability plane (/metrics /healthz /statusz /flamez /debug/pprof) on this address")
-	obsHold := flag.Duration("obs-hold", 0, "after the suite, wait up to this long for at least one /metrics scrape before exiting (needs -obs-addr)")
-	flameOut := flag.String("flame", "", "write the span stream as collapsed-stack flame graph text to this file")
-	profilesPath := flag.String("profiles", "", "accumulate per-(app,mode,stage) profiles into this JSON store")
 	flag.Parse()
 
-	backend, err := engine.ParseBackend(*engineName)
+	sess, err := shared.Open()
 	if err != nil {
 		fatal(err)
 	}
-
-	obsOn := *obsAddr != "" || *flameOut != "" || *profilesPath != ""
-	var tr *trace.Tracer
-	if *traceOut != "" || *metricsOut != "" || obsOn {
-		tr = trace.New()
-	}
-	var traceFile *os.File
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		traceFile = f
-		if err := tr.StreamTo(f); err != nil {
-			fatal(err)
-		}
-	}
-
-	var server *obs.Server
-	var flame *obs.Flame
-	var gcAttr *obs.GCAttributor
-	var profiles *obs.ProfileStore
-	if *obsAddr != "" {
-		server = obs.NewServer(tr)
-		server.AddStatus("bench", func() any {
-			return map[string]any{"scale": *scale, "workers": *workers}
-		})
-		if err := server.Start(*obsAddr); err != nil {
-			fatal(err)
-		}
-		flame = server.Flame()
-		fmt.Printf("obs: serving http://%s/{metrics,healthz,statusz,flamez,debug/pprof}\n", server.Addr())
-	} else if *flameOut != "" {
-		flame = obs.NewFlame()
-		tr.Subscribe(flame.Observe)
-	}
-	if obsOn {
-		gcAttr = obs.NewGCAttributor(tr)
-	}
-	if *profilesPath != "" {
-		ps, err := obs.OpenProfileStore(*profilesPath)
-		if err != nil {
-			fatal(err)
-		}
-		profiles = ps
-	}
-
-	cfg := bench.Config{Scale: *scale, Workers: *workers, Partitions: *partitions, Iters: *iters, Trace: tr,
-		Backend:       backend,
-		Hedge:         engine.HedgeConfig{After: *hedgeAfter, MedianMult: *hedgeMult},
-		ShuffleBudget: *shufBudget, ShuffleCompression: *shufCompress,
-		ShuffleLatency: *shufLatency, ShuffleBytesPerSec: *shufBW,
-		Replicas: *replicas, CheckpointEvery: *ckptEvery, StageDeadline: *stageDeadline}
-	if obsOn {
-		cfg.StageHook = func(app string, mode engine.Mode, stage string, stats *metrics.Breakdown, wall time.Duration) {
-			stats.GCAttributed += gcAttr.StageEnd(app, mode.String(), stage)
-			profiles.Record(app, mode.String(), stage, stats, wall)
-		}
+	cfg := sess.Config
+	sess.Server.AddStatus("bench", func() any {
+		return map[string]any{"scale": cfg.Scale, "workers": cfg.Workers}
+	})
+	if err := sess.Listen(); err != nil {
+		fatal(err)
 	}
 	defer func() {
-		if server != nil && *obsHold > 0 {
-			if server.Scrapes() == 0 {
-				fmt.Printf("obs: holding up to %v for a /metrics scrape\n", *obsHold)
-			}
-			if !server.WaitScraped(*obsHold) {
-				fmt.Fprintln(os.Stderr, "gerenukbench: obs-hold expired with no scrape")
-			}
-		}
-		if *flameOut != "" {
-			tr.Instant("obs", "flame-export",
-				trace.Str("path", *flameOut), trace.I64("spans", flame.Spans()))
-			if err := flame.WriteFoldedFile(*flameOut); err != nil {
-				fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-			} else {
-				fmt.Printf("flame: wrote %s (%d spans folded)\n", *flameOut, flame.Spans())
-			}
-		}
-		if profiles != nil {
-			if err := profiles.Save(); err != nil {
-				fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-			} else {
-				fmt.Printf("profiles: %s now holds %d (app,mode,stage) records\n",
-					*profilesPath, profiles.Len())
-			}
-		}
-		if traceFile != nil {
-			if err := tr.CloseStream(); err != nil {
-				fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-			}
-			if err := traceFile.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-			}
-		}
-		if *metricsOut != "" {
-			extra := map[string]any{"scale": *scale, "workers": *workers}
-			if err := tr.WriteMetricsJSONFile(*metricsOut, extra); err != nil {
-				fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-			}
-		}
-		if server != nil {
-			server.Close()
+		if err := sess.Close(map[string]any{"scale": cfg.Scale, "workers": cfg.Workers}); err != nil {
+			fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
 		}
 	}()
 

@@ -8,7 +8,9 @@
 // Usage:
 //
 //	gerenukd -addr 127.0.0.1:9478 [-workers 4] [-queue-depth 64]
-//	         [-quota N] [-scale N] [-engine compiled|interp]
+//	         [-quota N] [-scale N] [-job-workers N] [-partitions N]
+//	         [-iters N] [-heap 10GB] [-engine compiled|interp]
+//	         [-breaker-threshold N]
 //	         [-checkpoint-dir dir] [-trace out.json] [-metrics-json out.json]
 //
 // -checkpoint-dir persists job checkpoints (atomic write, checksummed
@@ -61,8 +63,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/recovery"
-	"repro/internal/trace"
 )
 
 func fatal(err error) {
@@ -239,73 +239,45 @@ func (d *daemon) handleQuitz(w http.ResponseWriter, r *http.Request) {
 }
 
 func main() {
+	def := bench.Config{Scale: 1, Partitions: 2, Iters: 2, HeapName: "10GB"}
+	def.Workers = 2
+	shared := bench.BindFlags(flag.CommandLine, "gerenukd", "job-workers", def, bench.HeapFlag|bench.CheckpointDirFlag)
 	addr := flag.String("addr", "127.0.0.1:9478", "serve the submission API and observability plane on this address")
 	workers := flag.Int("workers", 4, "bounded worker-pool size (concurrent jobs)")
 	queueDepth := flag.Int("queue-depth", 64, "default per-tenant queued-job cap")
 	quota := flag.Int64("quota", 0, "default per-tenant memory quota in bytes (0 = unlimited)")
-	scale := flag.Int("scale", 1, "workload scale for submitted apps")
-	workersPerJob := flag.Int("job-workers", 2, "executor pool size per job")
-	partitions := flag.Int("partitions", 2, "RDD/shuffle partitions per job")
-	iters := flag.Int("iters", 2, "iterations for iterative apps")
-	heapName := flag.String("heap", "10GB", "executor heap size for Spark apps (10GB|15GB|20GB)")
-	engineName := flag.String("engine", "compiled", "native execution backend: compiled or interp")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "de-speculate a (tenant,driver) after this many aborts (0 = off)")
-	ckptDir := flag.String("checkpoint-dir", "", "persist job checkpoints to this directory so a restarted service resumes them (\"\" = in-memory only)")
-	traceOut := flag.String("trace", "", "stream Chrome trace_event JSON to this file")
-	metricsOut := flag.String("metrics-json", "", "write metrics-registry JSON on shutdown")
 	flag.Parse()
 
-	backend, err := engine.ParseBackend(*engineName)
+	// The daemon's observability plane is always on, on the API address.
+	shared.ObsAddr = *addr
+	sess, err := shared.Open()
 	if err != nil {
 		fatal(err)
-	}
-
-	tr := trace.New()
-	var traceFile *os.File
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		traceFile = f
-		if err := tr.StreamTo(f); err != nil {
-			fatal(err)
-		}
 	}
 
 	var breaker *engine.Breaker
 	if *breakerThreshold > 0 {
 		breaker = engine.NewBreaker(*breakerThreshold)
 	}
-	var ckpts *recovery.CheckpointStore
-	if *ckptDir != "" {
-		ckpts, err = recovery.OpenDiskCheckpointStore(*ckptDir)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("gerenukd: checkpoints persist to %s (%d recovered)\n", *ckptDir, ckpts.Len())
-	}
 	svc := cluster.New(cluster.Config{
-		Workers:     *workers,
-		QueueDepth:  *queueDepth,
-		QuotaBytes:  *quota,
-		Breaker:     breaker,
-		Trace:       tr,
-		Checkpoints: ckpts,
+		Workers:    *workers,
+		QueueDepth: *queueDepth,
+		QuotaBytes: *quota,
+		Breaker:    breaker,
+		Trace:      sess.Trace,
+		// The service hands every job a scoped view of the -checkpoint-dir
+		// store through its JobContext.
+		Checkpoints: sess.Config.Checkpoints,
 	})
 
 	d := &daemon{
-		svc: svc,
-		base: bench.Config{
-			Scale: *scale, Workers: *workersPerJob, Partitions: *partitions,
-			Iters: *iters, HeapName: *heapName, Backend: backend, Trace: tr,
-		},
-		gcAttr: obs.NewGCAttributor(tr),
-		jobs:   make(map[string]*cluster.Job),
-		quit:   make(chan struct{}),
+		svc: svc, base: sess.Config, gcAttr: sess.GC,
+		jobs: make(map[string]*cluster.Job),
+		quit: make(chan struct{}),
 	}
 
-	server := obs.NewServer(tr)
+	server := sess.Server
 	server.AddStatus("cluster", func() any { return svc.Status() })
 	server.Handle("/submit", http.HandlerFunc(d.handleSubmit))
 	server.Handle("/await", http.HandlerFunc(d.handleAwait))
@@ -313,31 +285,17 @@ func main() {
 	server.Handle("/jobs", http.HandlerFunc(d.handleJobs))
 	server.Handle("/tenant", http.HandlerFunc(d.handleTenant))
 	server.Handle("/quitz", http.HandlerFunc(d.handleQuitz))
-	if err := server.Start(*addr); err != nil {
+	if err := sess.Listen(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("gerenukd: serving http://%s/{submit,await,jobs,tenant,quitz} + obs plane (workers=%d)\n",
+	fmt.Printf("gerenukd: serving http://%s/{submit,await,jobs,tenant,quitz} (workers=%d)\n",
 		server.Addr(), *workers)
 
 	<-d.quit
 	fmt.Println("gerenukd: draining")
 	svc.Close()
-
-	if traceFile != nil {
-		if err := tr.CloseStream(); err != nil {
-			fatal(err)
-		}
-		if err := traceFile.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("gerenukd: trace streamed to %s\n", *traceOut)
+	if err := sess.Close(map[string]any{"service": "gerenukd"}); err != nil {
+		fatal(err)
 	}
-	if *metricsOut != "" {
-		if err := tr.WriteMetricsJSONFile(*metricsOut, map[string]any{"service": "gerenukd"}); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("gerenukd: metrics written to %s\n", *metricsOut)
-	}
-	server.Close()
 	fmt.Println("gerenukd: bye")
 }

@@ -12,7 +12,7 @@
 //	           [-shuffle-bw N] [-replicas 2] [-checkpoint-every N]
 //	           [-stage-deadline 5s] [-recovery-faults seed]
 //	           [-obs-addr 127.0.0.1:9477] [-obs-hold 30s]
-//	           [-flame out.folded] [-profiles profiles.json]
+//	           [-flame out.folded]
 //	gerenukrun -stream -app wordcount|streamrank [-stream-windows N]
 //	           [-stream-rate 1ms] [-stream-window 8ms] [-stream-slide 4ms]
 //	           [-stream-cut N] [-stream-cut-slice 3ms]
@@ -57,9 +57,7 @@
 // (or the duration expires), so an external scraper can always observe
 // a short run. -flame writes the span stream folded into Brendan
 // Gregg collapsed-stack text (feed it to flamegraph.pl or speedscope).
-// -profiles accumulates per-(app,mode,stage) cost profiles into a
-// versioned JSON store, merging with any previous runs' records. Any
-// of these flags also arms the GC-pause attribution sampler, which
+// Either of -obs-addr/-flame also arms the GC-pause attribution sampler, which
 // charges real runtime GC pauses to the active job at each stage
 // boundary (the gcAttr column and the gc_pause_ns{job,mode} histogram
 // family).
@@ -71,16 +69,12 @@ import (
 	"fmt"
 	"os"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/obs"
-	"repro/internal/recovery"
 	"repro/internal/stream"
-	"repro/internal/trace"
 )
 
 func fatal(err error) {
@@ -89,22 +83,11 @@ func fatal(err error) {
 }
 
 func main() {
+	def := bench.Config{Scale: 2, Partitions: 4, Iters: 3, HeapName: "10GB"}
+	def.Workers = 4
+	shared := bench.BindFlags(flag.CommandLine, "gerenukrun", "workers", def,
+		bench.HeapFlag|bench.TuningFlags|bench.CheckpointDirFlag|bench.ObsFlags)
 	app := flag.String("app", "PR", "application name")
-	scale := flag.Int("scale", 2, "workload scale")
-	workers := flag.Int("workers", 4, "executor pool size")
-	partitions := flag.Int("partitions", 4, "RDD/shuffle partitions (fewer = more heap pressure per task)")
-	iters := flag.Int("iters", 3, "iterations for iterative apps")
-	heapName := flag.String("heap", "10GB", "executor heap size for Spark apps (10GB|15GB|20GB)")
-	engineName := flag.String("engine", "compiled", "native execution backend: compiled (closure-compiled SERs) or interp (tree-walking interpreter)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge straggling native attempts with the heap path after this delay (0 = off)")
-	hedgeMult := flag.Float64("hedge-mult", 0, "hedge after this multiple of the observed median task latency (0 = off; needs -trace or -metrics-json)")
-	shufBudget := flag.Int64("shuffle-budget", 0, "map-side shuffle memory budget in bytes (0 = in-memory, >0 spills sorted runs)")
-	shufCompress := flag.String("shuffle-compress", "", "shuffle block codec: none|flate|lz4")
-	shufLatency := flag.Duration("shuffle-latency", 0, "simulated per-block fetch latency")
-	shufBW := flag.Int64("shuffle-bw", 0, "simulated fetch bandwidth in bytes/sec (0 = infinite)")
-	replicas := flag.Int("replicas", 0, "shuffle block replica count (0/1 = no replication)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint task fold state every N invocations (0 = off)")
-	stageDeadline := flag.Duration("stage-deadline", 0, "watchdog deadline per stage; hangs become retryable timeouts (0 = off)")
 	recoveryFaults := flag.Int64("recovery-faults", 0, "inject recovery chaos (replica loss, kills, checkpoint corruption) with this seed (0 = off)")
 	streamMode := flag.Bool("stream", false, "run the micro-batch streaming pipeline instead of a one-shot job (-app wordcount|streamrank)")
 	streamWindows := flag.Int("stream-windows", 0, "number of aggregation windows to run to completion (0 = scale default)")
@@ -114,107 +97,31 @@ func main() {
 	streamCut := flag.Int("stream-cut", 0, "cut a micro-batch every N records (0 = default)")
 	streamCutSlice := flag.Duration("stream-cut-slice", 0, "cut a micro-batch every slice of arrival time (0 = off)")
 	streamResume := flag.Bool("stream-resume", false, "resume the stream from checkpointed window state (needs -checkpoint-dir)")
-	ckptDir := flag.String("checkpoint-dir", "", "persist checkpoints to this directory so a killed run can resume (\"\" = in-memory)")
-	traceOut := flag.String("trace", "", "stream Chrome trace_event JSON to this file")
-	metricsOut := flag.String("metrics-json", "", "write metrics-registry JSON to this file")
-	obsAddr := flag.String("obs-addr", "", "serve the observability plane (/metrics /healthz /statusz /flamez /debug/pprof) on this address")
-	obsHold := flag.Duration("obs-hold", 0, "after the run, wait up to this long for at least one /metrics scrape before exiting (needs -obs-addr)")
-	flameOut := flag.String("flame", "", "write the span stream as collapsed-stack flame graph text to this file")
-	profilesPath := flag.String("profiles", "", "accumulate per-(app,mode,stage) profiles into this JSON store")
 	flag.Parse()
 
-	backend, err := engine.ParseBackend(*engineName)
+	sess, err := shared.Open()
 	if err != nil {
 		fatal(err)
 	}
-
-	// The observability plane is strictly opt-in: with none of its flags
-	// set, no tracer subscriber exists, no runtime/metrics read happens,
-	// and no server goroutine starts.
-	obsOn := *obsAddr != "" || *flameOut != "" || *profilesPath != ""
+	cfg := sess.Config
 	var streamStatus atomic.Value
 	streamStatus.Store(map[string]any{"state": "idle"})
-	var tr *trace.Tracer
-	if *traceOut != "" || *metricsOut != "" || obsOn {
-		tr = trace.New()
+	sess.Server.AddStatus("run", func() any {
+		return map[string]any{"app": *app, "scale": cfg.Scale}
+	})
+	if *streamMode {
+		sess.Server.AddStatus("stream", func() any { return streamStatus.Load() })
 	}
-	var traceFile *os.File
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		traceFile = f
-		// Stream events as they are emitted so long runs never hold the
-		// whole trace in memory.
-		if err := tr.StreamTo(f); err != nil {
-			fatal(err)
-		}
+	if err := sess.Listen(); err != nil {
+		fatal(err)
 	}
-
-	var server *obs.Server
-	var flame *obs.Flame
-	var gcAttr *obs.GCAttributor
-	var profiles *obs.ProfileStore
-	if *obsAddr != "" {
-		server = obs.NewServer(tr)
-		server.AddStatus("run", func() any {
-			return map[string]any{"app": *app, "scale": *scale}
-		})
-		if *streamMode {
-			server.AddStatus("stream", func() any { return streamStatus.Load() })
-		}
-		if err := server.Start(*obsAddr); err != nil {
-			fatal(err)
-		}
-		flame = server.Flame()
-		fmt.Printf("obs: serving http://%s/{metrics,healthz,statusz,flamez,debug/pprof}\n", server.Addr())
-	} else if *flameOut != "" {
-		flame = obs.NewFlame()
-		tr.Subscribe(flame.Observe)
-	}
-	if obsOn {
-		gcAttr = obs.NewGCAttributor(tr)
-	}
-	if *profilesPath != "" {
-		ps, err := obs.OpenProfileStore(*profilesPath)
-		if err != nil {
-			fatal(err)
-		}
-		profiles = ps
-	}
-
-	cfg := bench.Config{Scale: *scale, Workers: *workers, Partitions: *partitions, Iters: *iters,
-		Trace: tr, HeapName: *heapName, Backend: backend,
-		Hedge:         engine.HedgeConfig{After: *hedgeAfter, MedianMult: *hedgeMult},
-		ShuffleBudget: *shufBudget, ShuffleCompression: *shufCompress,
-		ShuffleLatency: *shufLatency, ShuffleBytesPerSec: *shufBW,
-		Replicas: *replicas, CheckpointEvery: *ckptEvery, StageDeadline: *stageDeadline}
 	if *recoveryFaults != 0 {
 		cfg.Injector = faults.RecoveryChaos(*recoveryFaults)
-		if cfg.Replicas == 0 {
-			cfg.Replicas = 2
+		if cfg.Shuffle.Replicas == 0 {
+			cfg.Shuffle.Replicas = 2
 		}
 		if cfg.CheckpointEvery == 0 {
 			cfg.CheckpointEvery = 1
-		}
-	}
-	if *ckptDir != "" {
-		ckpts, err := recovery.OpenDiskCheckpointStore(*ckptDir)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Checkpoints = ckpts
-		fmt.Printf("checkpoints: persisting to %s (%d recovered)\n", *ckptDir, ckpts.Len())
-	}
-	if obsOn {
-		// At every stage boundary: charge the GC pauses that landed in
-		// the stage's window to the active (app, mode), fold the charge
-		// into the stage's breakdown (it propagates into job totals),
-		// and feed the enriched stats to the profile store.
-		cfg.StageHook = func(app string, mode engine.Mode, stage string, stats *metrics.Breakdown, wall time.Duration) {
-			stats.GCAttributed += gcAttr.StageEnd(app, mode.String(), stage)
-			profiles.Record(app, mode.String(), stage, stats, wall)
 		}
 	}
 
@@ -227,7 +134,7 @@ func main() {
 				*app, appName, stream.AppNames)
 		}
 		t := &metrics.Table{
-			Title: fmt.Sprintf("%s streamed at scale %d", appName, *scale),
+			Title: fmt.Sprintf("%s streamed at scale %d", appName, cfg.Scale),
 			Header: []string{"mode", "records", "batches", "windows", "rec/s",
 				"batch p50", "batch p99", "resumed", "total", "gc", "peak mem"},
 		}
@@ -291,7 +198,7 @@ func main() {
 		}
 	} else {
 		t := &metrics.Table{
-			Title: fmt.Sprintf("%s at scale %d", *app, *scale),
+			Title: fmt.Sprintf("%s at scale %d", *app, cfg.Scale),
 			Header: []string{"mode", "total", "compute", "gc", "gcAttr", "ser", "deser",
 				"shufW", "shufR", "spills", "native", "onheap", "peak mem",
 				"aborts", "attempts", "retries", "panics", "skips", "hedges"},
@@ -321,54 +228,7 @@ func main() {
 			metrics.Ratio(float64(order[1].PeakBytes()), float64(order[0].PeakBytes())))
 	}
 
-	if server != nil && *obsHold > 0 {
-		if server.Scrapes() == 0 {
-			fmt.Printf("obs: holding up to %v for a /metrics scrape\n", *obsHold)
-		}
-		if !server.WaitScraped(*obsHold) {
-			fmt.Fprintln(os.Stderr, "gerenukrun: obs-hold expired with no scrape")
-		}
-	}
-	if *flameOut != "" {
-		// Export before CloseStream so the flame-export instant is part
-		// of the streamed trace.
-		tr.Instant("obs", "flame-export",
-			trace.Str("path", *flameOut), trace.I64("spans", flame.Spans()))
-		if err := flame.WriteFoldedFile(*flameOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("flame: wrote %s (%d spans folded; render with flamegraph.pl)\n",
-			*flameOut, flame.Spans())
-	}
-	if profiles != nil {
-		if err := profiles.Save(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("profiles: %s now holds %d (app,mode,stage) records\n",
-			*profilesPath, profiles.Len())
-	}
-
-	if traceFile != nil {
-		if err := tr.CloseStream(); err != nil {
-			fatal(err)
-		}
-		if err := traceFile.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace: streamed %s (load in Perfetto or chrome://tracing)\n", *traceOut)
-	}
-	if *metricsOut != "" {
-		extra := map[string]any{
-			"app":   *app,
-			"scale": *scale,
-			"modes": rows,
-		}
-		if err := tr.WriteMetricsJSONFile(*metricsOut, extra); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics: wrote %s\n", *metricsOut)
-	}
-	if server != nil {
-		server.Close()
+	if err := sess.Close(map[string]any{"app": *app, "scale": cfg.Scale, "modes": rows}); err != nil {
+		fatal(err)
 	}
 }

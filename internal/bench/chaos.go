@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps/sparkapps"
 	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/job"
 	"repro/internal/spark"
 	"repro/internal/workload"
 )
@@ -32,15 +33,12 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 		prog := sparkapps.NewProgram(sparkapps.ClsDoc, sparkapps.ClsWordCount)
 		comp := engine.Compile(prog)
 		ctx := spark.NewContext(comp, mode)
-		ctx.Workers = cfg.Workers
+		// Only these knobs of cfg reach the chaos passes: each pass sets
+		// its own injector, breaker and hedge policy.
+		ctx.Env = armed(job.Env{Identity: job.Identity{Breaker: breaker},
+			Mode: mode, Workers: cfg.Workers, Backend: cfg.Backend, Trace: cfg.Trace,
+			Injector: inj, Hedge: hedge})
 		ctx.Partitions = cfg.Partitions
-		ctx.Backend = cfg.Backend
-		ctx.Trace = cfg.Trace
-		ctx.Injector = inj
-		ctx.Breaker = breaker
-		ctx.Hedge = hedge
-		ctx.VerifyInputs = inj != nil
-		ctx.MaxAttempts = 4
 		wc := sparkapps.WordCount{}
 		wc.Register(prog)
 		parts, err := workload.Encode(comp.Codec, sparkapps.ClsDoc, docs, cfg.Partitions)

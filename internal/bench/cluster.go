@@ -62,12 +62,7 @@ func ClusterJob(app string, cfg Config, mode engine.Mode) (cluster.JobSpec, erro
 		MemoryBytes: AppMemoryEstimate(app, cfg),
 		Run: func(jc *cluster.JobContext) ([]byte, error) {
 			run := cfg
-			run.Tenant = jc.Tenant
-			run.JobID = jc.JobID
-			run.Breaker = jc.Breaker
-			run.Checkpoints = jc.Checkpoints
-			run.Lineage = jc.Lineage
-			run.Canceled = jc.Canceled
+			run.Identity = jc.Identity
 			if run.Trace == nil {
 				run.Trace = jc.Trace
 			}

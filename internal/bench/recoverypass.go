@@ -24,11 +24,11 @@ type recoveryVariant struct {
 // discard, restart).
 var recoveryVariants = []recoveryVariant{
 	{name: "replica-failover", mutate: func(c *Config) {
-		c.Replicas = 2
+		c.Shuffle.Replicas = 2
 		c.Injector = &faults.Injector{Seed: 101, ReplicaLossRate: 1, ReplicaLosses: 1}
 	}},
 	{name: "replica-loss-reexec", mutate: func(c *Config) {
-		c.Replicas = 2
+		c.Shuffle.Replicas = 2
 		c.Injector = &faults.Injector{Seed: 102, ReplicaLossRate: 1, ReplicaLosses: 99}
 	}},
 	{name: "reduce-kill", mutate: func(c *Config) {
@@ -61,7 +61,7 @@ func RecoveryCheck(cfg Config) (*Result, error) {
 			base := cfg
 			base.Trace = nil
 			base.Injector = nil
-			base.Replicas = 0
+			base.Shuffle.Replicas = 0
 			base.CheckpointEvery = 0
 			ref, err := AppOutput(app, base, mode)
 			if err != nil {

@@ -17,7 +17,7 @@ import (
 // times, engine classification, and counters isolated per run by
 // snapshot deltas.
 func TestBuildBenchReport(t *testing.T) {
-	cfg := Config{Scale: 1, Workers: 2, Partitions: 2, Iters: 1}
+	cfg := sized(1, 2, 2, 1)
 	rep, err := BuildBenchReport(cfg, []string{"PR", "IUF"})
 	if err != nil {
 		t.Fatalf("BuildBenchReport: %v", err)
@@ -76,16 +76,16 @@ func TestStageHookObservesEveryRun(t *testing.T) {
 		mode       engine.Mode
 	}
 	var calls []call
-	cfg := Config{Scale: 1, Workers: 2, Partitions: 2, Iters: 1,
-		StageHook: func(app string, mode engine.Mode, stage string, stats *metrics.Breakdown, wall time.Duration) {
-			mu.Lock()
-			calls = append(calls, call{app, stage, mode})
-			mu.Unlock()
-			if wall <= 0 {
-				t.Errorf("%s/%s: wall = %v, want > 0", app, stage, wall)
-			}
-			stats.GCAttributed += time.Microsecond
-		}}
+	cfg := sized(1, 2, 2, 1)
+	cfg.StageHook = func(app string, mode engine.Mode, stage string, stats *metrics.Breakdown, wall time.Duration) {
+		mu.Lock()
+		calls = append(calls, call{app, stage, mode})
+		mu.Unlock()
+		if wall <= 0 {
+			t.Errorf("%s/%s: wall = %v, want > 0", app, stage, wall)
+		}
+		stats.GCAttributed += time.Microsecond
+	}
 
 	stats, err := RunApp("PR", cfg, engine.Gerenuk)
 	if err != nil {

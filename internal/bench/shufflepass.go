@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/apps/hadoopapps"
 	"repro/internal/engine"
+	"repro/internal/shuffle"
 	"repro/internal/trace"
 )
 
@@ -14,7 +15,7 @@ import (
 type shuffleVariant struct {
 	name     string
 	budget   int64
-	compress string
+	compress shuffle.Compression
 }
 
 // shuffleVariants covers the storage matrix: an unbounded in-memory
@@ -23,8 +24,8 @@ type shuffleVariant struct {
 var shuffleVariants = []shuffleVariant{
 	{name: "inmem", budget: 0},
 	{name: "spill", budget: 1},
-	{name: "spill+flate", budget: 1, compress: "flate"},
-	{name: "spill+lz4", budget: 1, compress: "lz4"},
+	{name: "spill+flate", budget: 1, compress: shuffle.Flate},
+	{name: "spill+lz4", budget: 1, compress: shuffle.LZ4},
 }
 
 // ShuffleCheck proves the exchange's end-to-end contract across every
@@ -107,8 +108,8 @@ func ShuffleCheck(cfg Config) (*Result, error) {
 func runShuffleVariant(app string, cfg Config, mode engine.Mode, v shuffleVariant) ([]byte, *trace.Registry, error) {
 	tr := trace.New()
 	cfg.Trace = tr
-	cfg.ShuffleBudget = v.budget
-	cfg.ShuffleCompression = v.compress
+	cfg.Shuffle.MemoryBudget = v.budget
+	cfg.Shuffle.Compression = v.compress
 	out, err := AppOutput(app, cfg, mode)
 	return out, tr.Registry(), err
 }

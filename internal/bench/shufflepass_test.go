@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"flag"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ func TestShuffleCheckQuick(t *testing.T) {
 		t.Skip("shuffle check runs the whole app matrix")
 	}
 	cfg := Quick()
-	cfg.ShuffleSpillDir = t.TempDir()
+	cfg.Shuffle.SpillDir = t.TempDir()
 	r, err := ShuffleCheck(cfg)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, r.Render())
@@ -27,16 +28,30 @@ func TestShuffleCheckQuick(t *testing.T) {
 	}
 }
 
+// TestShuffleConfigParsing drives the shuffle knobs through the shared
+// flag binder: they land in the Config's exchange configuration, and an
+// unknown codec is rejected when the flags are resolved.
 func TestShuffleConfigParsing(t *testing.T) {
-	c := Config{ShuffleCompression: "lz4", ShuffleBudget: 9}
-	scfg, err := c.shuffleConfig()
+	parse := func(args ...string) (*Session, error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := BindFlags(fs, "test", "workers", Quick(), TuningFlags)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return f.Open()
+	}
+	sess, err := parse("-shuffle-compress", "lz4", "-shuffle-budget", "9")
 	if err != nil {
 		t.Fatal(err)
 	}
+	scfg := sess.Config.Shuffle
 	if scfg.MemoryBudget != 9 || scfg.Compression.String() != "lz4" {
 		t.Errorf("shuffle config = %+v", scfg)
 	}
-	if _, err := (Config{ShuffleCompression: "zstd"}).shuffleConfig(); err == nil {
+	if sess.Trace != nil || sess.Server != nil {
+		t.Error("tracing or the obs plane started without their flags")
+	}
+	if _, err := parse("-shuffle-compress", "zstd"); err == nil {
 		t.Error("unknown codec accepted")
 	}
 }

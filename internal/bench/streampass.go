@@ -16,30 +16,17 @@ import (
 )
 
 // StreamRunConfig maps the bench configuration onto one streaming run
-// of the named app: pool size, shuffle knobs, resilience machinery and
-// identity flow through; the simulated clock and window policy scale
-// with cfg.Scale (more windows, same cadence).
+// of the named app: the run environment flows through; the simulated
+// clock and window policy scale with cfg.Scale (more windows, same
+// cadence).
 func StreamRunConfig(cfg Config, app string, mode engine.Mode) (stream.Config, error) {
 	cfg = cfg.withDefaults()
 	spec, err := stream.App(app)
 	if err != nil {
 		return stream.Config{}, err
 	}
-	scfg, err := cfg.shuffleConfig()
-	if err != nil {
-		return stream.Config{}, err
-	}
-	// Injected faults make first attempts fail by design; match the
-	// batch drivers' retry budget.
-	attempts := 0
-	if cfg.Injector != nil {
-		attempts = 4
-	}
 	return stream.Config{
 		App:      spec,
-		Mode:     mode,
-		Backend:  cfg.Backend,
-		Workers:  cfg.Workers,
 		MapSlots: 2,
 		Reducers: cfg.Partitions,
 		HeapCfg:  appHeap(cfg),
@@ -49,22 +36,7 @@ func StreamRunConfig(cfg Config, app string, mode engine.Mode) (stream.Config, e
 		CutBy:    stream.Cut{Count: 5},
 		WindowBy: stream.Window{Size: 8 * time.Millisecond},
 		Windows:  2 + cfg.Scale,
-
-		MaxAttempts:     attempts,
-		Breaker:         cfg.Breaker,
-		Hedge:           cfg.Hedge,
-		CheckpointEvery: cfg.CheckpointEvery,
-		StageDeadline:   cfg.StageDeadline,
-		Injector:        cfg.Injector,
-		VerifyInputs:    cfg.Injector != nil,
-		Trace:           cfg.Trace,
-		Shuffle:         scfg,
-		Checkpoints:     cfg.Checkpoints,
-		Lineage:         cfg.Lineage,
-		JobID:           cfg.JobID,
-		Tenant:          cfg.Tenant,
-		Canceled:        cfg.Canceled,
-	}, nil
+	}.WithEnv(cfg.env(app, mode)), nil
 }
 
 // batchReference turns a streaming config into its one-giant-batch

@@ -16,120 +16,51 @@ import (
 	"repro/internal/apps/hadoopapps"
 	"repro/internal/apps/sparkapps"
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/hadoop"
 	"repro/internal/heap"
+	"repro/internal/job"
 	"repro/internal/metrics"
-	"repro/internal/recovery"
 	"repro/internal/serde"
-	"repro/internal/shuffle"
 	"repro/internal/spark"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// Config scales the experiments.
+// Config scales the experiments and carries the run environment every
+// job they start runs under. The embedded job.Env is where each
+// cross-cutting knob (workers, backend, hedging, checkpointing, watchdog,
+// fault injection, tracing, shuffle, job identity) is declared and
+// documented; Mode is set per run and OnStage is derived from StageHook.
 type Config struct {
+	job.Env
 	// Scale multiplies workload sizes; 1 is the quick/test size.
 	Scale int
-	// Workers is the executor pool size per job.
-	Workers int
 	// Partitions is the RDD/shuffle partition count.
 	Partitions int
 	// Iters is the iteration count for iterative apps.
 	Iters int
-	// Trace, when set, threads a tracer through every job the experiments
-	// run (job/stage spans in the drivers, task/attempt/phase spans and
-	// GC instants in the engine). nil disables tracing.
-	Trace *trace.Tracer
 	// HeapName selects the HeapSizes configuration RunApp uses for Spark
 	// apps: "10GB", "15GB" or "20GB" (default "20GB", the least
 	// pressured; pick "10GB" to see GC activity in traces).
 	HeapName string
-	// Backend selects the native execution strategy every job uses:
-	// closure-compiled chains (zero value, -engine=compiled) or the
-	// tree-walking interpreter (-engine=interp).
-	Backend engine.Backend
-	// Hedge enables straggler hedging in every executor the experiments
-	// create (engine.HedgeConfig); the zero value keeps the paper's
-	// serial recovery semantics.
-	Hedge engine.HedgeConfig
-	// ShuffleBudget bounds map-side shuffle buffering per writer in
-	// bytes; 0 keeps the exchange fully in memory, any positive value
-	// forces sorted spill runs once exceeded.
-	ShuffleBudget int64
-	// ShuffleCompression names the shuffle block codec: "" or "none",
-	// "flate", "lz4".
-	ShuffleCompression string
-	// ShuffleSpillDir is where spill run files go ("" = os.TempDir()).
-	ShuffleSpillDir string
-	// ShuffleLatency and ShuffleBytesPerSec model the fetch transport;
-	// zero values fetch instantly.
-	ShuffleLatency     time.Duration
-	ShuffleBytesPerSec int64
-	// Replicas is the shuffle block replica count every exchange
-	// registers (default 1 = no replication).
-	Replicas int
-	// CheckpointEvery persists each task's fold state every N completed
-	// invocations so killed attempts resume instead of restarting
-	// (0 = off).
-	CheckpointEvery int
-	// StageDeadline runs every stage under the recovery watchdog,
-	// converting hangs into retryable timeouts (0 = off).
-	StageDeadline time.Duration
-	// Injector threads a deterministic fault plan through every job the
-	// experiments run; setting it also arms the mutate-input canary and
-	// widens the retry budget.
-	Injector *faults.Injector
 	// StageHook, when set, observes every stage boundary of every job the
 	// experiments run, before the stage's stats fold into job totals.
 	// The observability plane uses it to charge real GC pause time to
-	// the active (app, mode) and to feed the persistent profile store.
+	// the active (app, mode).
 	StageHook func(app string, mode engine.Mode, stage string, stats *metrics.Breakdown, wall time.Duration)
-	// Tenant and JobID label the run for multi-tenant attribution: the
-	// tenant flows into per-tenant task-latency series and the JobID
-	// scopes checkpoint/lineage keys so concurrent jobs sharing one
-	// store cannot collide. The cluster service sets both; standalone
-	// runs leave them empty.
-	Tenant string
-	JobID  string
-	// Breaker, when set, is the de-speculation breaker the run's driver
-	// uses (the cluster service passes each tenant's scoped view); nil
-	// lets each job construct its own.
-	Breaker *engine.Breaker
-	// Checkpoints and Lineage, when set, are the shared recovery stores
-	// the run uses (scoped by JobID inside the drivers); nil lets each
-	// job construct private ones.
-	Checkpoints *recovery.CheckpointStore
-	Lineage     *recovery.Lineage
-	// Canceled, when set, is polled by the drivers at stage/batch
-	// boundaries: once closed, the run stops cooperatively with
-	// engine.ErrCanceled. The cluster adapter wires JobContext.Canceled
-	// here so cluster.Job.Cancel stops in-flight work.
-	Canceled <-chan struct{}
-}
-
-// shuffleConfig resolves the Config's shuffle knobs into the exchange
-// configuration the drivers thread through every job.
-func (c Config) shuffleConfig() (shuffle.Config, error) {
-	comp, err := shuffle.ParseCompression(c.ShuffleCompression)
-	if err != nil {
-		return shuffle.Config{}, err
-	}
-	return shuffle.Config{
-		MemoryBudget: c.ShuffleBudget,
-		SpillDir:     c.ShuffleSpillDir,
-		Compression:  comp,
-		Transport:    shuffle.Transport{Latency: c.ShuffleLatency, BytesPerSec: c.ShuffleBytesPerSec},
-		Replicas:     c.Replicas,
-	}, nil
 }
 
 // Quick returns the configuration used by `go test`.
-func Quick() Config { return Config{Scale: 1, Workers: 2, Partitions: 2, Iters: 2} }
+func Quick() Config { return sized(1, 2, 2, 2) }
 
 // Full returns the default harness configuration.
-func Full() Config { return Config{Scale: 6, Workers: 4, Partitions: 4, Iters: 5} }
+func Full() Config { return sized(6, 4, 4, 5) }
+
+func sized(scale, workers, partitions, iters int) Config {
+	c := Config{Scale: scale, Partitions: partitions, Iters: iters}
+	c.Workers = workers
+	return c
+}
 
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
@@ -145,6 +76,29 @@ func (c Config) withDefaults() Config {
 		c.Iters = 2
 	}
 	return c
+}
+
+// env is the run environment one job of app runs under in mode.
+func (c Config) env(app string, mode engine.Mode) job.Env {
+	e := c.Env
+	e.Mode = mode
+	if c.StageHook != nil {
+		e.OnStage = func(stage string, stats *metrics.Breakdown, wall time.Duration) {
+			c.StageHook(app, mode, stage, stats, wall)
+		}
+	}
+	return armed(e)
+}
+
+// armed applies the chaos rule: injected faults make first attempts fail
+// by design, so a run with an Injector also arms the mutate-input canary
+// and widens the retry budget.
+func armed(e job.Env) job.Env {
+	if e.Injector != nil {
+		e.VerifyInputs = true
+		e.MaxAttempts = 4
+	}
+	return e
 }
 
 // Result is one regenerated table/figure.
@@ -234,43 +188,15 @@ type sparkAppResult struct {
 // runSparkApp executes one Table 1 program end to end.
 func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (sparkAppResult, error) {
 	cfg = cfg.withDefaults()
-	scfg, err := cfg.shuffleConfig()
-	if err != nil {
-		return sparkAppResult{}, err
-	}
-	job := cfg.Trace.StartSpan("job", app, trace.Str("mode", mode.String()))
-	defer job.End()
+	span := cfg.Trace.StartSpan("job", app, trace.Str("mode", mode.String()))
+	defer span.End()
 	mk := func(topTypes ...string) (*spark.Context, *engine.Compiled) {
 		prog := sparkapps.NewProgram(topTypes...)
 		comp := engine.Compile(prog)
 		ctx := spark.NewContext(comp, mode)
-		ctx.Workers = cfg.Workers
+		ctx.Env = cfg.env(app, mode)
 		ctx.Partitions = cfg.Partitions
 		ctx.HeapCfg = hc
-		ctx.Backend = cfg.Backend
-		ctx.Hedge = cfg.Hedge
-		ctx.Trace = cfg.Trace
-		ctx.Shuffle = scfg
-		ctx.CheckpointEvery = cfg.CheckpointEvery
-		ctx.StageDeadline = cfg.StageDeadline
-		ctx.Tenant = cfg.Tenant
-		ctx.JobID = cfg.JobID
-		ctx.Canceled = cfg.Canceled
-		if cfg.Breaker != nil {
-			ctx.Breaker = cfg.Breaker
-		}
-		ctx.Checkpoints = cfg.Checkpoints
-		ctx.Lineage = cfg.Lineage
-		if cfg.StageHook != nil {
-			ctx.OnStage = func(stage string, stats *metrics.Breakdown, wall time.Duration) {
-				cfg.StageHook(app, mode, stage, stats, wall)
-			}
-		}
-		if cfg.Injector != nil {
-			ctx.Injector = cfg.Injector
-			ctx.VerifyInputs = true
-			ctx.MaxAttempts = 4
-		}
 		return ctx, comp
 	}
 	done := func(ctx *spark.Context, out []byte) (sparkAppResult, error) {
@@ -502,41 +428,12 @@ func runHadoopApp(app string, cfg Config, mode engine.Mode, yak bool) (*hadoop.R
 
 func runHadoopAppHeaps(app string, cfg Config, mode engine.Mode, yak bool, mapHeap, reduceHeap heap.Config) (*hadoop.Result, *engine.Compiled, error) {
 	cfg = cfg.withDefaults()
-	scfg, err := cfg.shuffleConfig()
-	if err != nil {
-		return nil, nil, err
-	}
 	prog, conf := hadoopapps.NewProgram(app)
-	conf.Mode = mode
-	conf.Backend = cfg.Backend
-	conf.Workers = cfg.Workers
+	conf.Env = cfg.env(app, mode)
 	conf.Reducers = cfg.Partitions
 	conf.EpochPerTask = yak
 	conf.MapHeap = mapHeap
 	conf.ReduceHeap = reduceHeap
-	conf.Hedge = cfg.Hedge
-	conf.Trace = cfg.Trace
-	conf.Shuffle = scfg
-	conf.CheckpointEvery = cfg.CheckpointEvery
-	conf.StageDeadline = cfg.StageDeadline
-	conf.Tenant = cfg.Tenant
-	conf.JobID = cfg.JobID
-	conf.Canceled = cfg.Canceled
-	if cfg.Breaker != nil {
-		conf.Breaker = cfg.Breaker
-	}
-	conf.Checkpoints = cfg.Checkpoints
-	conf.Lineage = cfg.Lineage
-	if cfg.StageHook != nil {
-		conf.OnStage = func(stage string, stats *metrics.Breakdown, wall time.Duration) {
-			cfg.StageHook(app, mode, stage, stats, wall)
-		}
-	}
-	if cfg.Injector != nil {
-		conf.Injector = cfg.Injector
-		conf.VerifyInputs = true
-		conf.MaxAttempts = 4
-	}
 	comp := engine.Compile(prog)
 	splits, err := hadoopSplits(comp, app, cfg)
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 // smallest heap so the young generation actually fills).
 func TestTraceSmoke(t *testing.T) {
 	tr := trace.New()
-	cfg := Config{Scale: 2, Workers: 2, Partitions: 1, Iters: 2,
-		Trace: tr, HeapName: "10GB"}
+	cfg := sized(2, 2, 1, 2)
+	cfg.Trace, cfg.HeapName = tr, "10GB"
 	for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
 		if _, err := RunApp("PR", cfg, mode); err != nil {
 			t.Fatalf("%v run: %v", mode, err)

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/job"
 	"repro/internal/recovery"
 	"repro/internal/trace"
 )
@@ -126,23 +127,14 @@ type JobSpec struct {
 }
 
 // JobContext is what a running job sees of the service: its identity
-// plus tenant/job-scoped views of the shared state. Pass the fields
-// through to spark.Context / hadoop.JobConf (the bench.ClusterJob
-// adapter does exactly that).
+// — tenant, job ID, the tenant-scoped breaker view (this tenant's aborts
+// trip only this tenant's entries), job-scoped checkpoint and lineage
+// views, and the cancel channel closed when the job is canceled while
+// running — plus the service tracer. Assign Identity to the job's run
+// environment whole (the bench.ClusterJob adapter does exactly that).
 type JobContext struct {
-	Tenant string
-	JobID  string
-	Trace  *trace.Tracer
-	// Breaker is the tenant-scoped view of the service breaker: this
-	// tenant's aborts trip only this tenant's entries.
-	Breaker *engine.Breaker
-	// Checkpoints and Lineage are job-scoped views of the service-wide
-	// stores.
-	Checkpoints *recovery.CheckpointStore
-	Lineage     *recovery.Lineage
-	// Canceled is closed when the job is canceled while running;
-	// cooperative jobs may return ErrCanceled after observing it.
-	Canceled <-chan struct{}
+	job.Identity
+	Trace *trace.Tracer
 }
 
 // TenantConfig overrides the service defaults for one tenant.
@@ -473,15 +465,14 @@ func (s *Service) runJob(j *Job, t *tenantState) {
 	queued := j.started.Sub(j.submitted)
 	t.queueNs.Observe(float64(queued))
 
-	jc := &JobContext{
+	jc := &JobContext{Trace: s.cfg.Trace, Identity: job.Identity{
 		Tenant:      j.Tenant,
 		JobID:       j.ID,
-		Trace:       s.cfg.Trace,
 		Breaker:     t.breaker,
 		Checkpoints: s.checkpoints.Scope(j.ID),
 		Lineage:     s.lineage.Scope(j.ID),
 		Canceled:    j.cancel,
-	}
+	}}
 	out, err := func() (out []byte, err error) {
 		defer func() {
 			if r := recover(); r != nil {

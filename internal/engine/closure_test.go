@@ -131,3 +131,65 @@ func TestChecksumInputs(t *testing.T) {
 		t.Errorf("checksum insensitive to source binding")
 	}
 }
+
+// sharedBlockSpec is a reduce-shaped task: groups key groups all bound
+// to one block, plus one invocation over a second, distinct buffer.
+func sharedBlockSpec(groups, blockBytes int) (TaskSpec, []byte, []byte) {
+	block := make([]byte, blockBytes)
+	for i := range block {
+		block[i] = byte(i)
+	}
+	other := []byte{7, 7, 7, 7}
+	spec := TaskSpec{}
+	for g := 0; g < groups; g++ {
+		spec.Invocations = append(spec.Invocations,
+			map[string]Input{"in": {Buf: block, Offs: []int{g}}})
+	}
+	spec.Invocations = append(spec.Invocations, map[string]Input{"in": {Buf: other}})
+	return spec, block, other
+}
+
+// The canary hashes each distinct backing buffer once, however many key
+// groups point into it — and still sees a flipped byte anywhere in the
+// shared block or in any other buffer.
+func TestChecksumInputsSharedBuffers(t *testing.T) {
+	spec, block, other := sharedBlockSpec(64, 1<<10)
+	clean := checksumInputs(spec)
+	for _, at := range []int{0, len(block) / 2, len(block) - 1} {
+		block[at] ^= 1
+		if checksumInputs(spec) == clean {
+			t.Errorf("flip at byte %d of the shared block went undetected", at)
+		}
+		block[at] ^= 1
+	}
+	other[2] ^= 1
+	if checksumInputs(spec) == clean {
+		t.Error("flip in the second, distinct buffer went undetected")
+	}
+	other[2] ^= 1
+	if checksumInputs(spec) != clean {
+		t.Error("checksum did not restore after unflip")
+	}
+	// Sharing must not matter to the sum: one invocation per buffer
+	// hashes the same bytes in the same order.
+	once := TaskSpec{Invocations: []map[string]Input{
+		{"in": {Buf: block}}, {"in": {Buf: other}},
+	}}
+	if checksumInputs(once) != clean {
+		t.Error("sum depends on how many groups share a block")
+	}
+}
+
+// BenchmarkChecksumInputs is the canary's cost on a reduce-shaped task:
+// 256 key groups over one 64 KiB block (ns/op is per task, per call; a
+// task pays two calls).
+func BenchmarkChecksumInputs(b *testing.B) {
+	spec, block, _ := sharedBlockSpec(256, 64<<10)
+	b.SetBytes(int64(len(block)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkSum = checksumInputs(spec)
+	}
+}
+
+var sinkSum uint64

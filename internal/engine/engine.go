@@ -369,11 +369,19 @@ func (e *Executor) RunTask(spec TaskSpec) (TaskResult, error) {
 	return TaskResult{Out: out, Stats: bd}, nil
 }
 
-// checksumInputs hashes every input buffer of the task (FNV-1a over
-// invocation order and sorted source names), giving the mutate-input
-// canary a stable fingerprint of the bytes speculation must not touch.
+// checksumInputs fingerprints the bytes speculation must not touch, for
+// the mutate-input canary: FNV-1a over every distinct input buffer of
+// the task, in invocation order and sorted source-name order. A reduce
+// task's key groups all point into one fetched block, so buffers are
+// deduplicated by identity (first byte, length) and each is hashed once
+// — changing any byte of any input buffer still changes the sum.
 func checksumInputs(spec TaskSpec) uint64 {
+	type bufID struct {
+		first *byte
+		n     int
+	}
 	h := fnv.New64a()
+	seen := make(map[bufID]struct{}, 2)
 	names := make([]string, 0, 4)
 	for _, inv := range spec.Invocations {
 		names = names[:0]
@@ -382,8 +390,16 @@ func checksumInputs(spec TaskSpec) uint64 {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			h.Write([]byte(name))
-			h.Write(inv[name].Buf)
+			buf := inv[name].Buf
+			if len(buf) == 0 {
+				continue
+			}
+			id := bufID{&buf[0], len(buf)}
+			if _, dup := seen[id]; dup {
+				continue
+			}
+			seen[id] = struct{}{}
+			h.Write(buf)
 		}
 	}
 	return h.Sum64()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -186,6 +187,61 @@ func GroupByKey(layouts *dsa.Result, class, field string, buf []byte) (keys [][]
 		groups[i] = append(groups[i], off)
 	}
 	return keys, groups, nil
+}
+
+// FoldSpecs builds the reduce-side stage over shuffled blocks: one task
+// per non-empty block, running driver once per key group of that block
+// (source "in"). name(i) names block i's task and blockOf maps each spec
+// back to its block. owned marks the blocks as freshly assembled for
+// their task alone, letting the native attempt adopt them zero-copy.
+func FoldSpecs(layouts *dsa.Result, driver, class, field string, blocks [][]byte,
+	owned bool, name func(block int) string) (specs []TaskSpec, blockOf []int, err error) {
+	for i, block := range blocks {
+		if len(block) == 0 {
+			continue
+		}
+		_, groups, err := GroupByKey(layouts, class, field, block)
+		if err != nil {
+			return nil, nil, err
+		}
+		invocations := make([]map[string]Input, 0, len(groups))
+		for _, offs := range groups {
+			invocations = append(invocations, map[string]Input{
+				"in": {Class: class, Buf: block, Offs: offs, Owned: owned},
+			})
+		}
+		specs = append(specs, TaskSpec{Name: name(i), Driver: driver, Invocations: invocations})
+		blockOf = append(blockOf, i)
+	}
+	return specs, blockOf, nil
+}
+
+// SortByKey rebuilds buf with its records sorted by canonical key bytes —
+// the sort over serialized key-value pairs both modes pay identically.
+// The sort is stable, so same-key records keep their order and a fold
+// over the result is deterministic.
+func SortByKey(layouts *dsa.Result, class, field string, buf []byte) []byte {
+	offs := RecordOffsets(buf)
+	keys := make([]string, len(offs))
+	for i, off := range offs {
+		k, err := KeyOf(layouts, class, field, buf, off)
+		if err != nil {
+			// Sorting is engine machinery; schema errors here are bugs.
+			panic(fmt.Sprintf("engine: SortByKey: %v", err))
+		}
+		keys[i] = string(k)
+	}
+	idx := make([]int, len(offs))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+	out := make([]byte, 0, len(buf))
+	for _, i := range idx {
+		off := offs[i]
+		out = append(out, buf[off:off+serde.RecordSize(buf, off)]...)
+	}
+	return out
 }
 
 // Partition splits records of buf into n hash partitions by key field.

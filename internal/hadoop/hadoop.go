@@ -10,42 +10,22 @@
 package hadoop
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/heap"
+	"repro/internal/job"
 	"repro/internal/metrics"
-	"repro/internal/recovery"
-	"repro/internal/serde"
-	"repro/internal/shuffle"
 	"repro/internal/trace"
 )
 
-// JobConf configures one MapReduce job.
+// JobConf configures one MapReduce job: the run environment (mode,
+// workers, fault tolerance, tracing, shuffle, job identity — see
+// job.Env) plus the MapReduce dataflow shape.
 type JobConf struct {
+	job.Env
 	Name string
-	// JobID, when set, namespaces the job's durable recovery state
-	// (checkpoints, lineage) so concurrent jobs — which reuse app names
-	// and hence exchange names like "IUF-shuffle" — can never serve each
-	// other's bytes. The cluster service sets it to the submission ID.
-	JobID string
-	// Tenant, when set, labels the per-task latency series this job's
-	// executors emit into the trace registry.
-	Tenant string
-	// Checkpoints and Lineage, when set, are the shared stores recovery
-	// state persists to (scoped by JobID). nil keeps private per-job
-	// stores.
-	Checkpoints *recovery.CheckpointStore
-	Lineage     *recovery.Lineage
-	// Canceled, when set, is polled at every phase boundary: once it is
-	// closed (cluster.Job.Cancel) the next phase does not start and the
-	// job fails with engine.ErrCanceled. In-flight tasks drain;
-	// cancellation is cooperative, never mid-record.
-	Canceled <-chan struct{}
 	// MapDriver reads records of InClass from source "in" and emits
 	// MapOutClass records.
 	MapDriver string
@@ -63,11 +43,6 @@ type JobConf struct {
 	KeyField    string
 
 	Reducers int
-	Workers  int
-	Mode     engine.Mode
-	// Backend selects the native execution strategy (closure-compiled
-	// chains by default) for every executor the job creates.
-	Backend engine.Backend
 	// MapHeap and ReduceHeap size the per-task heaps (the paper gives
 	// mappers and reducers different heaps).
 	MapHeap    heap.Config
@@ -75,69 +50,17 @@ type JobConf struct {
 	// EpochPerTask wraps each task invocation in a Yak epoch (the
 	// epoch_start/epoch_end in setup()/cleanup() of section 4.3).
 	EpochPerTask bool
-	ClosureBytes int
-
-	// MaxAttempts and RetryBackoff configure the pool's task retry
-	// policy (0 = engine defaults: 3 attempts, no backoff).
-	MaxAttempts  int
-	RetryBackoff time.Duration
-	// Breaker, when set, adaptively de-speculates drivers that keep
-	// aborting, shared by map and reduce executors alike.
-	Breaker *engine.Breaker
-	// Hedge, when enabled, races the untransformed heap attempt against
-	// straggling native attempts in every phase (map, combine, reduce).
-	Hedge engine.HedgeConfig
-	// CheckpointEvery persists each task's fold state every N completed
-	// invocations so a killed attempt resumes from its last checkpoint
-	// instead of restarting (0 = off).
-	CheckpointEvery int
-	// StageDeadline runs each phase (map, combine, reduce, shuffle fetch)
-	// under a watchdog that converts a hang into a retryable timeout;
-	// timed-out pool phases are re-executed once (0 = no watchdog).
-	StageDeadline time.Duration
-	// Jitter randomizes task-retry and shuffle-fetch backoff with full
-	// jitter; nil keeps the deterministic delay schedule.
-	Jitter *engine.Jitter
-	// Injector, when set, derives a deterministic fault plan for every
-	// task (chaos testing); VerifyInputs arms the mutate-input canary.
-	Injector     *faults.Injector
-	VerifyInputs bool
-	// Trace, when set, receives a job span with map/sort/combine/
-	// shuffle/merge/reduce phase spans plus the per-task spans every
-	// executor emits.
-	Trace *trace.Tracer
-	// OnStage, when set, observes each pooled phase (map, combine,
-	// reduce) as it completes: it runs before the phase's stats fold
-	// into the job result, so the hook may enrich stats (the
-	// observability plane charges real GC pause time here) and the
-	// enrichment lands in the job totals.
-	OnStage func(stage string, stats *metrics.Breakdown, wall time.Duration)
-	// Shuffle configures the exchange between mappers and reducers:
-	// memory budget (spill threshold), block compression, simulated
-	// transport, fetch retry/breaker policy, block replication. Reducers,
-	// Trace and (when unset) Injector are filled from the job conf.
-	Shuffle shuffle.Config
-
-	// ckpts is the per-job checkpoint store, created in Run when
-	// CheckpointEvery is on and threaded to every phase's specs.
-	ckpts *recovery.CheckpointStore
 }
 
 func (c JobConf) withDefaults() JobConf {
 	if c.Reducers <= 0 {
 		c.Reducers = 4
 	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
 	if c.MapHeap.YoungSize == 0 {
 		c.MapHeap = heap.Config{YoungSize: 128 << 10, OldSize: 2 << 20}
 	}
 	if c.ReduceHeap.YoungSize == 0 {
 		c.ReduceHeap = heap.Config{YoungSize: 128 << 10, OldSize: 3 << 20}
-	}
-	if c.ClosureBytes == 0 {
-		c.ClosureBytes = 4 << 10
 	}
 	if c.EpochPerTask {
 		c.MapHeap.Policy = heap.PolicyRegion
@@ -158,37 +81,37 @@ type Result struct {
 	ShuffleBytes int64
 }
 
-// Run executes the job over the given input splits.
+// Run executes the job over the given input splits. Even a failed job
+// returns its partial accounting.
 func Run(c *engine.Compiled, conf JobConf, splits [][]byte) (*Result, error) {
 	conf = conf.withDefaults()
-	if conf.CheckpointEvery > 0 {
-		store := conf.Checkpoints
-		if store == nil {
-			store = recovery.NewCheckpointStore()
-		}
-		if conf.JobID != "" {
-			store = store.Scope(conf.JobID)
-		}
-		conf.ckpts = store
-	}
-	res := &Result{}
+	return run(&job.Runtime{Env: conf.Env, C: c}, conf, splits)
+}
+
+func run(rt *job.Runtime, conf JobConf, splits [][]byte) (res *Result, err error) {
+	c := rt.C
+	res = &Result{}
 	start := time.Now()
-
-	// EnsureTrace is mutex-guarded: jobs sharing one breaker may reach
-	// this line concurrently (a bare check-then-set here was a data race
-	// under multi-tenant load).
-	conf.Breaker.EnsureTrace(conf.Trace)
-	job := conf.Trace.StartSpan("job", conf.Name, trace.Str("mode", conf.Mode.String()))
-	jobOutcome := "error"
-	defer func() { job.End(trace.Str("outcome", jobOutcome)) }()
-
-	for _, d := range []string{conf.MapDriver, conf.CombineDriver, conf.ReduceDriver} {
-		if d == "" {
-			continue
+	span := conf.Trace.StartSpan("job", conf.Name, trace.Str("mode", conf.Mode.String()))
+	defer func() {
+		res.Stats, res.Wall = rt.Stats, time.Since(start)
+		outcome := "ok"
+		if err != nil {
+			outcome = "error"
 		}
-		if err := c.CompileDriver(d); err != nil {
-			return nil, fmt.Errorf("hadoop: compiling %s: %w", d, err)
+		span.End(trace.Str("outcome", outcome))
+	}()
+	// sortAll is the sort of serialized key-value pairs — framework work
+	// both modes pay identically (Gerenuk does not change Hadoop's
+	// byte-level sort), measured into the total like any computation.
+	sortAll := func(stage string, bufs [][]byte) {
+		t0 := time.Now()
+		sp := span.Child("stage", stage)
+		for i, buf := range bufs {
+			bufs[i] = engine.SortByKey(c.Layouts, conf.MapOutClass, conf.KeyField, buf)
 		}
+		sp.End()
+		rt.Stats.Total += time.Since(t0)
 	}
 
 	// ---- map phase ----
@@ -200,286 +123,69 @@ func Run(c *engine.Compiled, conf JobConf, splits [][]byte) (*Result, error) {
 			Invocations: []map[string]engine.Input{
 				{"in": {Class: conf.InClass, Buf: split}},
 			},
-			ClosureBytes:       conf.ClosureBytes,
 			EpochPerInvocation: conf.EpochPerTask,
-			Faults:             conf.Injector.ForTask(fmt.Sprintf("%s-map%d", conf.Name, i)),
-			CheckpointEvery:    conf.CheckpointEvery,
-			Checkpoints:        conf.ckpts,
 		}
 	}
-	pool := &engine.Pool{Workers: conf.Workers, MaxAttempts: conf.MaxAttempts,
-		Backoff: conf.RetryBackoff, Jitter: conf.Jitter}
-	mapExec := func() *engine.Executor {
-		return &engine.Executor{C: c, Mode: conf.Mode, HeapCfg: conf.MapHeap,
-			Backend: conf.Backend,
-			Breaker: conf.Breaker, VerifyInputs: conf.VerifyInputs,
-			Hedge: conf.Hedge, Trace: conf.Trace, Tenant: conf.Tenant}
-	}
-	mapStage := job.Child("stage", "map", trace.I64("tasks", int64(len(mapSpecs))))
-	mapStart := time.Now()
-	mapJob, err := runPhase(conf, pool, mapExec, conf.Name+"/map", mapSpecs)
-	mapWall := time.Since(mapStart)
-	mapStage.End()
-	if mapJob != nil {
-		if conf.OnStage != nil {
-			conf.OnStage("map", &mapJob.Stats, mapWall)
-		}
-		// Partial accounting: even a failed phase's completed tasks count.
-		res.Stats.Add(mapJob.Stats)
-	}
+	mapOuts, err := rt.RunStage("map", span, conf.MapHeap, mapSpecs)
 	if err != nil {
-		res.Wall = time.Since(start)
 		return res, fmt.Errorf("hadoop: map phase: %w", err)
 	}
 	res.MapTasks = len(mapSpecs)
 
 	// ---- map-side sort (+ optional combine) ----
-	// Sorting serialized key-value pairs is framework work both modes
-	// pay identically (Gerenuk does not change Hadoop's byte-level
-	// sort); it is measured into the total like any other computation.
-	sortStart := time.Now()
-	sortSpan := job.Child("stage", "map-sort")
-	mapOuts := mapJob.Outputs
-	for i, out := range mapOuts {
-		sorted := SortByKey(c, conf.MapOutClass, conf.KeyField, out)
-		mapOuts[i] = sorted
-	}
-	sortSpan.End()
-	res.Stats.Total += time.Since(sortStart)
+	sortAll("map-sort", mapOuts)
 	if conf.CombineDriver != "" {
-		combStart := time.Now()
-		combined, cjob, err := foldGroups(c, conf, pool, conf.CombineDriver,
-			conf.MapOutClass, mapOuts, conf.MapHeap, "combine", job, false)
-		if cjob != nil {
-			if conf.OnStage != nil {
-				conf.OnStage("combine", &cjob.Stats, time.Since(combStart))
-			}
-			res.Stats.Add(cjob.Stats)
-		}
+		mapOuts, err = foldGroups(rt, conf, conf.CombineDriver, mapOuts, conf.MapHeap, "combine", span, false)
 		if err != nil {
-			res.Wall = time.Since(start)
 			return res, err
 		}
-		mapOuts = combined
 	}
 
 	// ---- shuffle: route map outputs through the exchange ----
 	shufStart := time.Now()
-	shufSpan := job.Child("stage", "shuffle")
-	scfg := conf.Shuffle
-	scfg.Partitions = conf.Reducers
-	scfg.Trace = conf.Trace
-	if scfg.Injector == nil {
-		scfg.Injector = conf.Injector
-	}
-	if scfg.Jitter == nil {
-		scfg.Jitter = conf.Jitter
-	}
-	if scfg.Lineage == nil {
-		// The shared registry scoped by JobID when both were provided,
-		// else a private one. Exchange names repeat across jobs running
-		// the same app ("IUF-shuffle"), so an unscoped shared registry
-		// would alias their producers.
-		base := conf.Lineage
-		if base == nil {
-			base = recovery.NewLineage()
-		}
-		if conf.JobID != "" {
-			base = base.Scope(conf.JobID)
-		}
-		scfg.Lineage = base
-	}
-	var codec *serde.Codec
-	if conf.Mode == engine.Baseline {
-		codec = c.Codec
-	}
-	exName := conf.Name + "-shuffle"
-	ex, err := shuffle.NewExchange(shuffle.NewStore(), scfg, exName,
-		c.Layouts, conf.MapOutClass, conf.KeyField, codec)
+	shufSpan := span.Child("stage", "shuffle")
+	blocks, shuf, err := rt.ShuffleBy(conf.Name+"-shuffle", conf.MapOutClass, conf.KeyField, conf.Reducers, mapOuts)
 	if err != nil {
-		res.Wall = time.Since(start)
 		return res, fmt.Errorf("hadoop: shuffle: %w", err)
 	}
-	for i, out := range mapOuts {
-		w := ex.Writer(i)
-		if err := w.Add(out); err != nil {
-			res.Wall = time.Since(start)
-			return res, fmt.Errorf("hadoop: shuffle: %w", err)
-		}
-		if err := w.Close(); err != nil {
-			res.Wall = time.Since(start)
-			return res, fmt.Errorf("hadoop: shuffle: %w", err)
-		}
-		// Block lineage: losing every replica of this map output re-runs
-		// just this writer over the retained (sorted, combined) bytes.
-		part := out
-		mapTask := i
-		scfg.Lineage.Register(exName, mapTask, func() error {
-			rw := ex.RecoveryWriter(mapTask)
-			if err := rw.Add(part); err != nil {
-				return err
-			}
-			return rw.Close()
-		})
-	}
-	blocks, err := guardedFetch(conf, exName, ex)
-	if err != nil {
-		res.Wall = time.Since(start)
-		return res, fmt.Errorf("hadoop: shuffle: %w", err)
-	}
-	shufStats := ex.Stats()
-	shufStats.AddTo(&res.Stats)
-	res.Stats.Total += time.Since(shufStart)
-	res.ShuffleBytes = shufStats.BytesFetched
-	shufSpan.End(trace.I64("shuffle_bytes", res.ShuffleBytes),
-		trace.I64("spills", shufStats.Spills))
+	rt.Stats.Total += time.Since(shufStart)
+	res.ShuffleBytes = shuf.BytesFetched
+	shufSpan.End(trace.I64("shuffle_bytes", res.ShuffleBytes), trace.I64("spills", shuf.Spills))
 
 	// ---- reduce phase: merge-sort each reducer's blocks and fold ----
-	mergeStart := time.Now()
-	mergeSpan := job.Child("stage", "merge-sort")
-	for i := range blocks {
-		blocks[i] = SortByKey(c, conf.MapOutClass, conf.KeyField, blocks[i])
-	}
-	mergeSpan.End()
-	res.Stats.Total += time.Since(mergeStart)
-	reduceStart := time.Now()
-	outs, rjob, err := foldGroups(c, conf, pool, conf.ReduceDriver,
-		conf.MapOutClass, blocks, conf.ReduceHeap, "reduce", job, true)
-	if rjob != nil {
-		if conf.OnStage != nil {
-			conf.OnStage("reduce", &rjob.Stats, time.Since(reduceStart))
-		}
-		res.Stats.Add(rjob.Stats)
-	}
+	sortAll("merge-sort", blocks)
+	outs, err := foldGroups(rt, conf, conf.ReduceDriver, blocks, conf.ReduceHeap, "reduce", span, true)
 	if err != nil {
-		res.Wall = time.Since(start)
 		return res, err
 	}
 	res.ReduceTasks = len(blocks)
 	for _, o := range outs {
 		res.Out = append(res.Out, o...)
 	}
-	res.Wall = time.Since(start)
-	jobOutcome = "ok"
 	return res, nil
 }
 
-// foldGroups runs a reduce-style driver once per key group of each block.
-// owned marks the blocks as freshly assembled for their task alone (the
-// reduce side's fetched-and-merge-sorted buffers), letting the native
-// attempt adopt them into its arena zero-copy.
-func foldGroups(c *engine.Compiled, conf JobConf, pool *engine.Pool, driver, class string,
-	blocks [][]byte, heapCfg heap.Config, phase string, job *trace.Span, owned bool) ([][]byte, *engine.JobResult, error) {
-	var specs []engine.TaskSpec
-	var blockOf []int
-	for i, block := range blocks {
-		if len(block) == 0 {
-			continue
-		}
-		_, groups, err := engine.GroupByKey(c.Layouts, class, conf.KeyField, block)
-		if err != nil {
-			return nil, nil, fmt.Errorf("hadoop: %s grouping: %w", phase, err)
-		}
-		invocations := make([]map[string]engine.Input, 0, len(groups))
-		for _, offs := range groups {
-			invocations = append(invocations, map[string]engine.Input{
-				"in": {Class: class, Buf: block, Offs: offs, Owned: owned},
-			})
-		}
-		specs = append(specs, engine.TaskSpec{
-			Name:               fmt.Sprintf("%s-%s%d", conf.Name, phase, i),
-			Driver:             driver,
-			Invocations:        invocations,
-			ClosureBytes:       conf.ClosureBytes,
-			EpochPerInvocation: conf.EpochPerTask,
-			Faults:             conf.Injector.ForTask(fmt.Sprintf("%s-%s%d", conf.Name, phase, i)),
-			CheckpointEvery:    conf.CheckpointEvery,
-			Checkpoints:        conf.ckpts,
-		})
-		blockOf = append(blockOf, i)
+// foldGroups runs a reduce-style driver once per key group of each
+// block; outputs stay aligned with blocks. owned marks the blocks as
+// freshly assembled for their task alone (the reduce side's
+// fetched-and-merge-sorted buffers).
+func foldGroups(rt *job.Runtime, conf JobConf, driver string, blocks [][]byte,
+	hc heap.Config, phase string, span *trace.Span, owned bool) ([][]byte, error) {
+	specs, blockOf, err := engine.FoldSpecs(rt.C.Layouts, driver, conf.MapOutClass, conf.KeyField, blocks, owned,
+		func(i int) string { return fmt.Sprintf("%s-%s%d", conf.Name, phase, i) })
+	if err != nil {
+		return nil, fmt.Errorf("hadoop: %s grouping: %w", phase, err)
+	}
+	for i := range specs {
+		specs[i].EpochPerInvocation = conf.EpochPerTask
+	}
+	results, err := rt.RunStage(phase, span, hc, specs)
+	if err != nil {
+		return nil, fmt.Errorf("hadoop: %s phase: %w", phase, err)
 	}
 	outs := make([][]byte, len(blocks))
-	if len(specs) == 0 {
-		return outs, &engine.JobResult{}, nil
-	}
-	exec := func() *engine.Executor {
-		return &engine.Executor{C: c, Mode: conf.Mode, HeapCfg: heapCfg,
-			Backend: conf.Backend,
-			Breaker: conf.Breaker, VerifyInputs: conf.VerifyInputs,
-			Hedge: conf.Hedge, Trace: conf.Trace, Tenant: conf.Tenant}
-	}
-	stage := job.Child("stage", phase, trace.I64("tasks", int64(len(specs))))
-	result, err := runPhase(conf, pool, exec, conf.Name+"/"+phase, specs)
-	stage.End()
-	if err != nil {
-		// result carries the partial accounting; the caller folds it in.
-		return nil, result, fmt.Errorf("hadoop: %s phase: %w", phase, err)
-	}
-	for k, out := range result.Outputs {
+	for k, out := range results {
 		outs[blockOf[k]] = out
 	}
-	return outs, result, nil
-}
-
-// runPhase executes one phase's pool under the stage watchdog; a phase
-// whose deadline expires is presumed hung and re-executed once, with
-// checkpointed tasks resuming from their last persisted fold state.
-func runPhase(conf JobConf, pool *engine.Pool, exec func() *engine.Executor,
-	name string, specs []engine.TaskSpec) (*engine.JobResult, error) {
-	if err := engine.Canceled(conf.Canceled); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if conf.StageDeadline <= 0 {
-		return pool.Run(exec, specs)
-	}
-	wd := recovery.Watchdog{Deadline: conf.StageDeadline, Trace: conf.Trace}
-	run := func() (any, error) { return pool.Run(exec, specs) }
-	res, err := wd.Guard(name, run)
-	if err != nil && errors.Is(err, recovery.ErrStageTimeout) {
-		res, err = wd.Guard(name+"#retry", run)
-	}
-	job, _ := res.(*engine.JobResult)
-	return job, err
-}
-
-// guardedFetch bounds the reduce-side fetch with the stage watchdog;
-// the exchange is terminal, so a timeout surfaces as the job error.
-func guardedFetch(conf JobConf, name string, ex *shuffle.Exchange) ([][]byte, error) {
-	if err := engine.Canceled(conf.Canceled); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if conf.StageDeadline <= 0 {
-		return ex.FetchAll()
-	}
-	wd := recovery.Watchdog{Deadline: conf.StageDeadline, Trace: conf.Trace}
-	res, err := wd.Guard(name+"/fetch", func() (any, error) { return ex.FetchAll() })
-	blocks, _ := res.([][]byte)
-	return blocks, err
-}
-
-// SortByKey rebuilds buf with its records sorted by canonical key bytes —
-// the map-side sort both modes pay, mirroring Hadoop's in-memory sort of
-// serialized key-value pairs.
-func SortByKey(c *engine.Compiled, class, field string, buf []byte) []byte {
-	offs := engine.RecordOffsets(buf)
-	keys := make([]string, len(offs))
-	for i, off := range offs {
-		k, err := engine.KeyOf(c.Layouts, class, field, buf, off)
-		if err != nil {
-			// Sorting is engine machinery; schema errors here are bugs.
-			panic(fmt.Sprintf("hadoop: SortByKey: %v", err))
-		}
-		keys[i] = string(k)
-	}
-	idx := make([]int, len(offs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	out := make([]byte, 0, len(buf))
-	for _, i := range idx {
-		off := offs[i]
-		out = append(out, buf[off:off+serde.RecordSize(buf, off)]...)
-	}
-	return out
+	return outs, nil
 }

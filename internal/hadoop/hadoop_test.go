@@ -1,11 +1,14 @@
 package hadoop
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/ir"
+	"repro/internal/job"
 	"repro/internal/model"
 	"repro/internal/serde"
 	"repro/internal/spark"
@@ -135,9 +138,10 @@ func runWordCount(t *testing.T, mode engine.Mode, combine bool, epochs bool) (ma
 	conf := JobConf{
 		Name: "wc", MapDriver: "wcMap", ReduceDriver: "wcReduce",
 		InClass: "Doc", MapOutClass: "WordCount", OutClass: "WordCount",
-		KeyField: "word", Reducers: 2, Workers: 2, Mode: mode,
+		KeyField: "word", Reducers: 2,
 		EpochPerTask: epochs,
 	}
+	conf.Workers, conf.Mode = 2, mode
 	if combine {
 		conf.CombineDriver = "wcReduce"
 	}
@@ -205,7 +209,7 @@ func TestSortByKeyOrdersRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sorted := SortByKey(comp, "WordCount", "word", buf)
+	sorted := engine.SortByKey(comp.Layouts, "WordCount", "word", buf)
 	var order []string
 	for off := 0; off < len(sorted); {
 		v, next, err := comp.Codec.Decode("WordCount", sorted, off)
@@ -219,5 +223,45 @@ func TestSortByKeyOrdersRecords(t *testing.T) {
 	// sort lexicographically.
 	if !reflect.DeepEqual(order, []string{"apple", "mango", "zebra"}) {
 		t.Errorf("order = %v", order)
+	}
+}
+
+// A job whose shuffle fetch exhausts its retries fails without leaving
+// spill runs in SpillDir or blocks in the store. (A corrupt record
+// cannot reach this exchange — its input is map-task output — so the
+// write-side failure is covered on the shared path in internal/job and
+// through spark.)
+func TestFailedShuffleLeaksNothing(t *testing.T) {
+	comp := engine.Compile(wordCountProgram(t))
+	conf := JobConf{
+		Name: "wc", MapDriver: "wcMap", ReduceDriver: "wcReduce",
+		InClass: "Doc", MapOutClass: "WordCount", OutClass: "WordCount",
+		KeyField: "word", Reducers: 2,
+	}.withDefaults()
+	dir := t.TempDir()
+	conf.Mode = engine.Gerenuk
+	conf.Shuffle.MemoryBudget, conf.Shuffle.SpillDir = 1, dir // every record spills
+	conf.Injector = &faults.Injector{Seed: 1, FetchFailRate: 1, FetchFails: 99}
+	rt := &job.Runtime{Env: conf.Env, C: comp}
+	splits := [][]byte{
+		encodeDocs(t, comp.Codec, []string{"the cat sat", "on the mat"}),
+		encodeDocs(t, comp.Codec, []string{"the dog sat on the log", "cat and dog"}),
+	}
+	res, err := run(rt, conf, splits)
+	if err == nil {
+		t.Fatal("job succeeded with every fetch failing")
+	}
+	if res.Stats.Attempts == 0 {
+		t.Error("failed job returned no partial accounting")
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("%d spill files left in SpillDir", len(left))
+	}
+	if n := rt.LiveBlocks(); n != 0 {
+		t.Errorf("%d blocks left in the store", n)
 	}
 }

@@ -3,8 +3,7 @@
 // exposition (/metrics), liveness and run-state JSON (/healthz,
 // /statusz), collapsed-stack flame graphs folded live from the span
 // stream (/flamez), and the standard net/http/pprof handlers — plus the
-// GC-pause attribution sampler (gcattr.go) and the persistent stage
-// profile store (profile.go).
+// GC-pause attribution sampler (gcattr.go).
 //
 // The plane is strictly opt-in. Binaries only construct a Server when
 // the user passes -obs-addr; with the flag unset no goroutine starts,

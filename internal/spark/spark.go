@@ -13,31 +13,23 @@
 package spark
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/heap"
 	"repro/internal/ir"
-	"repro/internal/metrics"
+	"repro/internal/job"
 	"repro/internal/model"
-	"repro/internal/recovery"
-	"repro/internal/serde"
-	"repro/internal/shuffle"
-	"repro/internal/trace"
 )
 
-// Context is a "SparkContext": configuration plus accumulated job stats.
+// Context is a "SparkContext": the job runtime (run environment,
+// compiled program, accumulated Stats/Wall/Stages/Tasks — see
+// internal/job) plus the Spark-shaped knobs.
 type Context struct {
-	C          *engine.Compiled
-	Mode       engine.Mode
-	Workers    int
+	job.Runtime
 	Partitions int
 	HeapCfg    heap.Config
-	// ClosureBytes is the simulated per-task closure shipping size.
-	ClosureBytes int
 	// AbortAfterRecords forces speculative aborts in every Gerenuk task
 	// (Figure 10(b)); 0 disables.
 	AbortAfterRecords int64
@@ -45,112 +37,17 @@ type Context struct {
 	// task) and then stops — the Figure 10(b) "k forced aborts" knob.
 	ForcedAbortBudget int
 
-	// Canceled, when set, is polled at every stage boundary: once it is
-	// closed (cluster.Job.Cancel, a stream shutdown) the next stage does
-	// not start and the job fails with engine.ErrCanceled. In-flight
-	// tasks drain; cancellation is cooperative, never mid-record.
-	Canceled <-chan struct{}
-
-	// JobID, when set, namespaces this context's durable recovery state
-	// (checkpoints, lineage): all keys derived from task and exchange
-	// names are scoped by it, so concurrent jobs sharing the stores
-	// below — or merely same-named exchanges in one service process —
-	// can never serve each other's bytes. The cluster service sets it to
-	// the submission ID; standalone contexts may leave it empty (their
-	// stores are private anyway).
-	JobID string
-	// Tenant, when set, labels the per-task latency series this
-	// context's executors emit into the trace registry.
-	Tenant string
-	// Checkpoints and Lineage, when set, are the shared stores recovery
-	// state persists to (scoped by JobID). nil keeps private per-context
-	// stores, created lazily.
-	Checkpoints *recovery.CheckpointStore
-	Lineage     *recovery.Lineage
-
-	// MaxAttempts and RetryBackoff configure the pool's task retry
-	// policy (0 = engine defaults: 3 attempts, no backoff).
-	MaxAttempts  int
-	RetryBackoff time.Duration
-	// Breaker, when set, adaptively de-speculates drivers that keep
-	// aborting; it is shared by every stage's executors. nil keeps the
-	// paper's always-speculate semantics (Figure 10).
-	Breaker *engine.Breaker
-	// Hedge, when enabled, races the untransformed heap attempt against
-	// any native attempt that outlives the hedge delay (straggler
-	// mitigation); the zero value keeps serial recovery.
-	Hedge engine.HedgeConfig
-	// CheckpointEvery persists each task's fold state every N completed
-	// invocations, so a killed attempt resumes from its last checkpoint
-	// instead of restarting (0 = off).
-	CheckpointEvery int
-	// StageDeadline runs every stage under a watchdog: a stage exceeding
-	// it is presumed hung, converted into a retryable timeout, and
-	// re-executed once — checkpointed tasks resume where they were
-	// (0 = no watchdog).
-	StageDeadline time.Duration
-	// Jitter randomizes task-retry and shuffle-fetch backoff with full
-	// jitter; nil keeps the deterministic delay schedule.
-	Jitter *engine.Jitter
-	// Injector, when set, derives a deterministic fault plan for every
-	// task (chaos testing); VerifyInputs arms the mutate-input canary.
-	Injector     *faults.Injector
-	VerifyInputs bool
-	// Backend selects the native execution strategy for every executor
-	// this context creates: closure-compiled chains (zero value) or the
-	// interpreter.
-	Backend engine.Backend
-	// Trace, when set, receives stage spans from the context and
-	// task/attempt/phase spans from every executor it creates.
-	Trace *trace.Tracer
-	// OnStage, when set, observes every stage boundary: it runs after
-	// the stage's pool drains but before its stats fold into the
-	// context, so the hook may enrich stats (the observability plane
-	// charges real GC pause time here) and the enrichment lands in the
-	// job totals. stats is the stage's own breakdown, wall its
-	// wall-clock time.
-	OnStage func(stage string, stats *metrics.Breakdown, wall time.Duration)
-	// Shuffle configures the exchange every wide operation routes
-	// through: memory budget (spill threshold), block compression,
-	// simulated transport, fetch retry/breaker policy. Partitions, Trace
-	// and (when unset) Injector are filled from the context per shuffle.
-	Shuffle shuffle.Config
-
-	Stats  metrics.Breakdown
-	Wall   time.Duration
-	Stages int
-	Tasks  int
-
-	shuffleStore *shuffle.Store
-	shuffleSeq   int
-	checkpoints  *recovery.CheckpointStore
-	lineage      *recovery.Lineage
-}
-
-// ckpts lazily resolves the context's checkpoint store — the shared
-// store scoped by JobID when one was provided, else a private one; nil
-// when checkpointing is off.
-func (ctx *Context) ckpts() *recovery.CheckpointStore {
-	if ctx.CheckpointEvery > 0 && ctx.checkpoints == nil {
-		store := ctx.Checkpoints
-		if store == nil {
-			store = recovery.NewCheckpointStore()
-		}
-		if ctx.JobID != "" {
-			store = store.Scope(ctx.JobID)
-		}
-		ctx.checkpoints = store
-	}
-	return ctx.checkpoints
+	shuffleSeq int
 }
 
 // NewContext creates a context with sane defaults.
 func NewContext(c *engine.Compiled, mode engine.Mode) *Context {
-	return &Context{
-		C: c, Mode: mode, Workers: 4, Partitions: 4,
-		HeapCfg:      heap.Config{YoungSize: 128 << 10, OldSize: 2 << 20},
-		ClosureBytes: 4 << 10,
+	ctx := &Context{
+		Partitions: 4,
+		HeapCfg:    heap.Config{YoungSize: 128 << 10, OldSize: 2 << 20},
 	}
+	ctx.C, ctx.Mode = c, mode
+	return ctx
 }
 
 // RDD is a materialized distributed dataset: wire-record partitions.
@@ -196,80 +93,17 @@ func (ctx *Context) abortKnob() int64 {
 	return 0
 }
 
-func (ctx *Context) executor() *engine.Executor {
-	return &engine.Executor{
-		C: ctx.C, Mode: ctx.Mode, HeapCfg: ctx.HeapCfg, Backend: ctx.Backend,
-		Breaker: ctx.Breaker, VerifyInputs: ctx.VerifyInputs,
-		Hedge: ctx.Hedge, Trace: ctx.Trace, Tenant: ctx.Tenant,
+// runStage runs specs as the stage named after their driver and wraps
+// the outputs as an RDD of outClass. A stage nothing feeds is empty.
+func (ctx *Context) runStage(driver, outClass string, specs []engine.TaskSpec) (*RDD, error) {
+	for i := range specs {
+		specs[i].AbortAfterRecords = ctx.abortKnob()
 	}
-}
-
-func (ctx *Context) runStage(name string, specs []engine.TaskSpec) ([][]byte, error) {
-	if err := engine.Canceled(ctx.Canceled); err != nil {
-		return nil, fmt.Errorf("spark: stage %s: %w", name, err)
-	}
-	if err := ctx.C.CompileDriver(specs[0].Driver); err != nil {
-		return nil, fmt.Errorf("spark: compiling %s: %w", specs[0].Driver, err)
-	}
-	if ctx.Injector != nil {
-		for i := range specs {
-			specs[i].Faults = ctx.Injector.ForTask(specs[i].Name)
-		}
-	}
-	if ctx.CheckpointEvery > 0 {
-		store := ctx.ckpts()
-		for i := range specs {
-			specs[i].CheckpointEvery = ctx.CheckpointEvery
-			specs[i].Checkpoints = store
-		}
-	}
-	// EnsureTrace is mutex-guarded: contexts sharing one breaker may
-	// reach this line concurrently (a bare check-then-set here was a
-	// data race under multi-tenant load).
-	ctx.Breaker.EnsureTrace(ctx.Trace)
-	stage := ctx.Trace.StartSpan("stage", name,
-		trace.Str("mode", ctx.Mode.String()), trace.I64("tasks", int64(len(specs))))
-	start := time.Now()
-	pool := &engine.Pool{Workers: ctx.Workers, MaxAttempts: ctx.MaxAttempts,
-		Backoff: ctx.RetryBackoff, Jitter: ctx.Jitter}
-	job, err := ctx.guarded(name, pool, specs)
-	// The pool returns partial results alongside a job error; fold them
-	// into the context either way so a failed stage's completed tasks
-	// still show up in the accounting.
-	if job != nil {
-		wall := time.Since(start)
-		ctx.Wall += wall
-		if ctx.OnStage != nil {
-			ctx.OnStage(name, &job.Stats, wall)
-		}
-		ctx.Stats.Add(job.Stats)
-		ctx.Stages++
-		ctx.Tasks += len(specs)
-	}
+	outs, err := ctx.RunStage(driver, nil, ctx.HeapCfg, specs)
 	if err != nil {
-		stage.End(trace.Str("outcome", "error"))
-		return nil, fmt.Errorf("spark: stage %s: %w", name, err)
+		return nil, fmt.Errorf("spark: %w", err)
 	}
-	stage.End(trace.Str("outcome", "ok"))
-	return job.Outputs, nil
-}
-
-// guarded runs the stage's pool under the stage watchdog. A stage whose
-// deadline expires is presumed hung, not wrong: it is re-executed once
-// from scratch, and checkpointed tasks resume from their last persisted
-// fold state instead of repeating finished work.
-func (ctx *Context) guarded(name string, pool *engine.Pool, specs []engine.TaskSpec) (*engine.JobResult, error) {
-	if ctx.StageDeadline <= 0 {
-		return pool.Run(ctx.executor, specs)
-	}
-	wd := recovery.Watchdog{Deadline: ctx.StageDeadline, Trace: ctx.Trace}
-	run := func() (any, error) { return pool.Run(ctx.executor, specs) }
-	res, err := wd.Guard(name, run)
-	if err != nil && errors.Is(err, recovery.ErrStageTimeout) {
-		res, err = wd.Guard(name+"#retry", run)
-	}
-	job, _ := res.(*engine.JobResult)
-	return job, err
+	return &RDD{ctx: ctx, Class: outClass, Parts: outs}, nil
 }
 
 // MapPartitions runs the named stage driver once per partition. The
@@ -284,109 +118,27 @@ func (r *RDD) MapPartitions(driver, outClass string) (*RDD, error) {
 			Invocations: []map[string]engine.Input{
 				{"in": {Class: r.Class, Buf: p}},
 			},
-			ClosureBytes:      r.ctx.ClosureBytes,
-			AbortAfterRecords: r.ctx.abortKnob(),
 		}
 	}
-	outs, err := r.ctx.runStage(driver, specs)
-	if err != nil {
-		return nil, err
-	}
-	return &RDD{ctx: r.ctx, Class: outClass, Parts: outs}, nil
+	return r.ctx.runStage(driver, outClass, specs)
 }
 
-// shuffle routes every wide operation through the exchange subsystem:
-// one map-side writer per input partition (hash-partitioning, budgeted
-// buffering with sorted spills, optional compression) and a fetch pass
-// assembling the Partitions reduce-side blocks over the simulated
-// transport. In Baseline mode the exchange pays real serde per record
-// crossing it; in Gerenuk mode native bytes cross untouched and the
-// fetched blocks are Owned — adopted zero-copy by the reduce tasks.
-// The exchange validates the key field up front, so a missing key field
-// errors even when every partition is empty.
+// shuffle routes every wide operation through the job's exchange: one
+// map-side writer per input partition and a fetch pass assembling the
+// Partitions reduce-side blocks, which come back Owned — adopted
+// zero-copy by the reduce tasks. The driver-side time counts toward the
+// job total.
 func (r *RDD) shuffle(keyField string) ([][]byte, error) {
 	ctx := r.ctx
 	start := time.Now()
 	defer func() { ctx.Stats.Total += time.Since(start) }()
-	cfg := ctx.Shuffle
-	cfg.Partitions = ctx.Partitions
-	cfg.Trace = ctx.Trace
-	if cfg.Injector == nil {
-		cfg.Injector = ctx.Injector
-	}
-	if cfg.Jitter == nil {
-		cfg.Jitter = ctx.Jitter
-	}
-	if cfg.Lineage == nil {
-		if ctx.lineage == nil {
-			// The shared registry scoped by JobID when both were
-			// provided, else a private one. Exchange names are
-			// context-local ("shuffle-1-…"), so sharing an unscoped
-			// registry across jobs would alias their producers.
-			base := ctx.Lineage
-			if base == nil {
-				base = recovery.NewLineage()
-			}
-			if ctx.JobID != "" {
-				base = base.Scope(ctx.JobID)
-			}
-			ctx.lineage = base
-		}
-		cfg.Lineage = ctx.lineage
-	}
-	var codec *serde.Codec
-	if ctx.Mode == engine.Baseline {
-		codec = ctx.C.Codec
-	}
-	if ctx.shuffleStore == nil {
-		ctx.shuffleStore = shuffle.NewStore()
-	}
 	ctx.shuffleSeq++
 	name := fmt.Sprintf("shuffle-%d-%s.%s", ctx.shuffleSeq, r.Class, keyField)
-	ex, err := shuffle.NewExchange(ctx.shuffleStore, cfg, name, ctx.C.Layouts, r.Class, keyField, codec)
+	blocks, _, err := ctx.ShuffleBy(name, r.Class, keyField, ctx.Partitions, r.Parts)
 	if err != nil {
 		return nil, fmt.Errorf("spark: %w", err)
 	}
-	for i, p := range r.Parts {
-		w := ex.Writer(i)
-		if err := w.Add(p); err != nil {
-			return nil, fmt.Errorf("spark: %w", err)
-		}
-		if err := w.Close(); err != nil {
-			return nil, fmt.Errorf("spark: %w", err)
-		}
-		// Record the block lineage: losing every replica of this map
-		// task's output re-runs exactly this writer, whose determinism
-		// makes the rebuilt blocks byte-identical to the lost ones.
-		part := p
-		mapTask := i
-		cfg.Lineage.Register(name, mapTask, func() error {
-			rw := ex.RecoveryWriter(mapTask)
-			if err := rw.Add(part); err != nil {
-				return err
-			}
-			return rw.Close()
-		})
-	}
-	blocks, err := ctx.guardedFetch(name, ex)
-	if err != nil {
-		return nil, fmt.Errorf("spark: %w", err)
-	}
-	ex.Stats().AddTo(&ctx.Stats)
 	return blocks, nil
-}
-
-// guardedFetch bounds the reduce-side fetch with the stage watchdog. A
-// fetch has no second act (the exchange is terminal), so a timeout here
-// surfaces as a retryable stage error to the caller.
-func (ctx *Context) guardedFetch(name string, ex *shuffle.Exchange) ([][]byte, error) {
-	if ctx.StageDeadline <= 0 {
-		return ex.FetchAll()
-	}
-	wd := recovery.Watchdog{Deadline: ctx.StageDeadline, Trace: ctx.Trace}
-	res, err := wd.Guard(name+"/fetch", func() (any, error) { return ex.FetchAll() })
-	blocks, _ := res.([][]byte)
-	return blocks, err
 }
 
 // ReduceByKey shuffles by keyField and folds each key group through the
@@ -397,37 +149,12 @@ func (r *RDD) ReduceByKey(combineDriver, keyField string) (*RDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	var specs []engine.TaskSpec
-	for i, block := range blocks {
-		_, groups, err := engine.GroupByKey(r.ctx.C.Layouts, r.Class, keyField, block)
-		if err != nil {
-			return nil, err
-		}
-		invocations := make([]map[string]engine.Input, 0, len(groups))
-		for _, offs := range groups {
-			invocations = append(invocations, map[string]engine.Input{
-				"in": {Class: r.Class, Buf: block, Offs: offs, Owned: true},
-			})
-		}
-		if len(invocations) == 0 {
-			continue
-		}
-		specs = append(specs, engine.TaskSpec{
-			Name:              fmt.Sprintf("%s-r%d", combineDriver, i),
-			Driver:            combineDriver,
-			Invocations:       invocations,
-			ClosureBytes:      r.ctx.ClosureBytes,
-			AbortAfterRecords: r.ctx.abortKnob(),
-		})
-	}
-	if len(specs) == 0 {
-		return &RDD{ctx: r.ctx, Class: r.Class, Parts: nil}, nil
-	}
-	outs, err := r.ctx.runStage(combineDriver, specs)
+	specs, _, err := engine.FoldSpecs(r.ctx.C.Layouts, combineDriver, r.Class, keyField, blocks, true,
+		func(i int) string { return fmt.Sprintf("%s-r%d", combineDriver, i) })
 	if err != nil {
 		return nil, err
 	}
-	return &RDD{ctx: r.ctx, Class: r.Class, Parts: outs}, nil
+	return r.ctx.runStage(combineDriver, r.Class, specs)
 }
 
 // Union concatenates two RDDs of the same class partition-wise.
@@ -457,62 +184,7 @@ func (r *RDD) Union(other *RDD) (*RDD, error) {
 // one from "right" and emits outputs. leftKey/rightKey name the key
 // field on each side.
 func (r *RDD) JoinPairs(other *RDD, joinDriver, leftKey, rightKey, outClass string) (*RDD, error) {
-	lBlocks, err := r.shuffle(leftKey)
-	if err != nil {
-		return nil, err
-	}
-	rBlocks, err := other.shuffle(rightKey)
-	if err != nil {
-		return nil, err
-	}
-	var specs []engine.TaskSpec
-	for i := range lBlocks {
-		lKeys, lGroups, err := engine.GroupByKey(r.ctx.C.Layouts, r.Class, leftKey, lBlocks[i])
-		if err != nil {
-			return nil, err
-		}
-		rIndex := make(map[string][]int)
-		rKeys, rGroups, err := engine.GroupByKey(other.ctx.C.Layouts, other.Class, rightKey, rBlocks[i])
-		if err != nil {
-			return nil, err
-		}
-		for k, key := range rKeys {
-			rIndex[string(key)] = rGroups[k]
-		}
-		var invocations []map[string]engine.Input
-		for k, key := range lKeys {
-			ro, ok := rIndex[string(key)]
-			if !ok {
-				continue
-			}
-			if len(lGroups[k]) != 1 || len(ro) != 1 {
-				return nil, fmt.Errorf("spark: JoinPairs requires unique keys (key has %d left, %d right)",
-					len(lGroups[k]), len(ro))
-			}
-			invocations = append(invocations, map[string]engine.Input{
-				"left":  {Class: r.Class, Buf: lBlocks[i], Offs: lGroups[k], Owned: true},
-				"right": {Class: other.Class, Buf: rBlocks[i], Offs: ro, Owned: true},
-			})
-		}
-		if len(invocations) == 0 {
-			continue
-		}
-		specs = append(specs, engine.TaskSpec{
-			Name:              fmt.Sprintf("%s-j%d", joinDriver, i),
-			Driver:            joinDriver,
-			Invocations:       invocations,
-			ClosureBytes:      r.ctx.ClosureBytes,
-			AbortAfterRecords: r.ctx.abortKnob(),
-		})
-	}
-	if len(specs) == 0 {
-		return &RDD{ctx: r.ctx, Class: outClass, Parts: nil}, nil
-	}
-	outs, err := r.ctx.runStage(joinDriver, specs)
-	if err != nil {
-		return nil, err
-	}
-	return &RDD{ctx: r.ctx, Class: outClass, Parts: outs}, nil
+	return r.join(other, joinDriver, leftKey, rightKey, outClass, "j", true)
 }
 
 // JoinMany hash-joins a unique-keyed left RDD against a right RDD with
@@ -520,6 +192,14 @@ func (r *RDD) JoinPairs(other *RDD, joinDriver, leftKey, rightKey, outClass stri
 // per key, the driver reads the single left record and streams all right
 // records through the UDF.
 func (r *RDD) JoinMany(other *RDD, joinDriver, leftKey, rightKey, outClass string) (*RDD, error) {
+	return r.join(other, joinDriver, leftKey, rightKey, outClass, "jm", false)
+}
+
+// join is the shared hash-join body: shuffle both sides by their key,
+// then per reducer run the driver once per key present on both sides.
+// Left keys must be unique; uniqueRight demands the same of the right
+// side (JoinPairs). tag distinguishes the two operators' task names.
+func (r *RDD) join(other *RDD, joinDriver, leftKey, rightKey, outClass, tag string, uniqueRight bool) (*RDD, error) {
 	lBlocks, err := r.shuffle(leftKey)
 	if err != nil {
 		return nil, err
@@ -548,8 +228,9 @@ func (r *RDD) JoinMany(other *RDD, joinDriver, leftKey, rightKey, outClass strin
 			if !ok {
 				continue
 			}
-			if len(lGroups[k]) != 1 {
-				return nil, fmt.Errorf("spark: JoinMany requires unique left keys (%d found)", len(lGroups[k]))
+			if len(lGroups[k]) != 1 || (uniqueRight && len(ro) != 1) {
+				return nil, fmt.Errorf("spark: join %s requires unique keys (key has %d left, %d right)",
+					joinDriver, len(lGroups[k]), len(ro))
 			}
 			invocations = append(invocations, map[string]engine.Input{
 				"left":  {Class: r.Class, Buf: lBlocks[i], Offs: lGroups[k], Owned: true},
@@ -560,21 +241,12 @@ func (r *RDD) JoinMany(other *RDD, joinDriver, leftKey, rightKey, outClass strin
 			continue
 		}
 		specs = append(specs, engine.TaskSpec{
-			Name:              fmt.Sprintf("%s-jm%d", joinDriver, i),
-			Driver:            joinDriver,
-			Invocations:       invocations,
-			ClosureBytes:      r.ctx.ClosureBytes,
-			AbortAfterRecords: r.ctx.abortKnob(),
+			Name:        fmt.Sprintf("%s-%s%d", joinDriver, tag, i),
+			Driver:      joinDriver,
+			Invocations: invocations,
 		})
 	}
-	if len(specs) == 0 {
-		return &RDD{ctx: r.ctx, Class: outClass, Parts: nil}, nil
-	}
-	outs, err := r.ctx.runStage(joinDriver, specs)
-	if err != nil {
-		return nil, err
-	}
-	return &RDD{ctx: r.ctx, Class: outClass, Parts: outs}, nil
+	return r.ctx.runStage(joinDriver, outClass, specs)
 }
 
 // ---- driver templates (the "system code" of each stage) ----

@@ -1,10 +1,12 @@
 package spark
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/ir"
 	"repro/internal/model"
 	"repro/internal/serde"
@@ -276,5 +278,48 @@ func TestShuffleSpillCompressedJobMatchesInMemory(t *testing.T) {
 				t.Errorf("%v/%v: shuffle time accounting empty", mode, comp)
 			}
 		}
+	}
+}
+
+// A shuffle that fails — a corrupt record on the write side, fetch
+// retries exhausted on the read side — must abandon its exchange: no
+// spill run left in SpillDir, no block left in the store.
+func TestShuffleFailureLeaksNothing(t *testing.T) {
+	cases := map[string]func(ctx *Context, parts [][]byte){
+		"truncated-record": func(ctx *Context, parts [][]byte) {
+			last := len(parts) - 1
+			parts[last] = parts[last][:len(parts[last])-3]
+		},
+		"fetch-failures-exhausted": func(ctx *Context, parts [][]byte) {
+			ctx.Injector = &faults.Injector{Seed: 1, FetchFailRate: 1, FetchFails: 99}
+		},
+	}
+	for name, arrange := range cases {
+		t.Run(name, func(t *testing.T) {
+			comp := engine.Compile(buildPairProgram(t))
+			ctx := NewContext(comp, engine.Gerenuk)
+			ctx.Partitions = 2
+			dir := t.TempDir()
+			ctx.Shuffle = shuffle.Config{MemoryBudget: 1, SpillDir: dir} // every record spills
+			var pairs [][2]float64
+			for i := 0; i < 40; i++ {
+				pairs = append(pairs, [2]float64{float64(i % 5), float64(i)})
+			}
+			parts := encodePairs(t, comp.Codec, pairs, 3)
+			arrange(ctx, parts)
+			if _, err := ctx.Parallelize("Pair", parts).ReduceByKey("sumStage", "key"); err == nil {
+				t.Fatal("shuffle succeeded")
+			}
+			left, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(left) != 0 {
+				t.Errorf("%d spill files left in SpillDir", len(left))
+			}
+			if n := ctx.LiveBlocks(); n != 0 {
+				t.Errorf("%d blocks left in the store", n)
+			}
+		})
 	}
 }

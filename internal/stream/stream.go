@@ -31,9 +31,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/heap"
+	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/recovery"
-	"repro/internal/serde"
 	"repro/internal/shuffle"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -59,7 +59,13 @@ type Window struct {
 // run mid-window, leaving checkpointed state behind for a Resume run.
 var ErrCrashed = errors.New("stream: crashed by test hook")
 
-// Config configures one streaming run.
+// Config configures one streaming run. The run-environment knobs (Mode
+// through Canceled, minus the stream-shaped ones) mean exactly what the
+// same-named job.Env fields document. They stay a flat list here, not an
+// embedded job.Env, only because the repo benchmark builds this struct
+// with a composite literal (perfbench/workloads.go) and a benchmark file
+// may change only in a benchmark PR; env and WithEnv below are the one
+// place that maps them, and embedding is the next benchmark PR's to do.
 type Config struct {
 	App     AppSpec
 	Mode    engine.Mode
@@ -67,11 +73,10 @@ type Config struct {
 	// Workers sizes the task pool; MapSlots is the number of live map
 	// writers (shuffle producers) per window; Reducers the number of
 	// shuffle partitions (= reduce tasks) per window.
-	Workers  int
-	MapSlots int
-	Reducers int
-	HeapCfg  heap.Config
-	// ClosureBytes is the simulated per-task closure shipping size.
+	Workers      int
+	MapSlots     int
+	Reducers     int
+	HeapCfg      heap.Config
 	ClosureBytes int
 
 	// Seed drives the record source and the arrival jitter.
@@ -83,38 +88,25 @@ type Config struct {
 	// Windows is how many windows to run to completion.
 	Windows int
 
-	// MaxAttempts and RetryBackoff configure the pool's task retry
-	// policy (0 = engine defaults).
-	MaxAttempts  int
-	RetryBackoff time.Duration
-	Breaker      *engine.Breaker
-	Hedge        engine.HedgeConfig
-	// CheckpointEvery persists each task's fold state every N completed
-	// invocations (the per-task resume knob; window-state checkpointing
-	// is always on). 0 = off.
+	MaxAttempts int
+	Breaker     *engine.Breaker
+	Hedge       engine.HedgeConfig
+	// CheckpointEvery is the per-task resume knob; window-state
+	// checkpointing is always on.
 	CheckpointEvery int
-	// StageDeadline runs every map/reduce phase and shuffle fetch under
-	// a watchdog; a timed-out pooled phase is re-executed once.
-	StageDeadline time.Duration
-	Jitter        *engine.Jitter
-	// Injector derives a deterministic fault plan for every task and
-	// fetch (chaos testing); VerifyInputs arms the mutate-input canary.
-	Injector     *faults.Injector
-	VerifyInputs bool
-	Trace        *trace.Tracer
-	// Shuffle configures each window's exchange; Partitions, Trace,
-	// Lineage and (when unset) Injector are filled per window.
-	Shuffle shuffle.Config
-	// Checkpoints, when set, is the durable store window state persists
-	// to (scoped by JobID) — pass a disk-backed store to survive process
-	// restarts. nil keeps a private in-memory store.
+	StageDeadline   time.Duration
+	Injector        *faults.Injector
+	VerifyInputs    bool
+	Trace           *trace.Tracer
+	Shuffle         shuffle.Config
+	// Checkpoints is also where window state persists — pass a
+	// disk-backed store to survive process restarts.
 	Checkpoints *recovery.CheckpointStore
 	Lineage     *recovery.Lineage
 	JobID       string
 	Tenant      string
-	// Canceled, when set, is polled at every batch and phase boundary:
-	// once closed, open windows are abandoned (no spill or block leaks)
-	// and the run fails with engine.ErrCanceled.
+	// Canceled is additionally polled at every batch boundary; a canceled
+	// run abandons its open windows like any failed one.
 	Canceled <-chan struct{}
 
 	// CrashAfterBatches > 0 stops the run with ErrCrashed after that
@@ -127,10 +119,33 @@ type Config struct {
 	Resume            bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 4
+// env maps the flat run-environment fields onto the job runtime's value.
+func (c Config) env() job.Env {
+	return job.Env{
+		Identity: job.Identity{
+			Tenant: c.Tenant, JobID: c.JobID, Breaker: c.Breaker,
+			Checkpoints: c.Checkpoints, Lineage: c.Lineage, Canceled: c.Canceled,
+		},
+		Mode: c.Mode, Backend: c.Backend, Workers: c.Workers, ClosureBytes: c.ClosureBytes,
+		MaxAttempts: c.MaxAttempts, Hedge: c.Hedge, CheckpointEvery: c.CheckpointEvery,
+		StageDeadline: c.StageDeadline, Injector: c.Injector, VerifyInputs: c.VerifyInputs,
+		Trace: c.Trace, Shuffle: c.Shuffle,
 	}
+}
+
+// WithEnv is env's inverse: c with its run-environment fields set from e
+// (OnStage has no flat counterpart; streaming runs have no stage hook).
+func (c Config) WithEnv(e job.Env) Config {
+	c.Tenant, c.JobID, c.Breaker = e.Tenant, e.JobID, e.Breaker
+	c.Checkpoints, c.Lineage, c.Canceled = e.Checkpoints, e.Lineage, e.Canceled
+	c.Mode, c.Backend, c.Workers, c.ClosureBytes = e.Mode, e.Backend, e.Workers, e.ClosureBytes
+	c.MaxAttempts, c.Hedge, c.CheckpointEvery = e.MaxAttempts, e.Hedge, e.CheckpointEvery
+	c.StageDeadline, c.Injector, c.VerifyInputs = e.StageDeadline, e.Injector, e.VerifyInputs
+	c.Trace, c.Shuffle = e.Trace, e.Shuffle
+	return c
+}
+
+func (c Config) withDefaults() Config {
 	if c.MapSlots <= 0 {
 		c.MapSlots = 2
 	}
@@ -139,9 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HeapCfg.YoungSize == 0 {
 		c.HeapCfg = heap.Config{YoungSize: 128 << 10, OldSize: 2 << 20}
-	}
-	if c.ClosureBytes == 0 {
-		c.ClosureBytes = 4 << 10
 	}
 	if c.Interval <= 0 {
 		c.Interval = time.Millisecond
@@ -187,13 +199,12 @@ type Result struct {
 }
 
 // windowState is one open window's live aggregation state: its private
-// exchange, the per-slot incremental writers, and the per-slot
+// exchange (one incremental writer per map slot) and the per-slot
 // accumulated map-output bytes (the lineage/checkpoint payload).
 type windowState struct {
-	idx     int
-	ex      *shuffle.Exchange
-	writers []*shuffle.Writer
-	acc     [][]byte
+	idx int
+	ex  *job.Exchange
+	acc [][]byte
 	// records counts records folded into this window (drives the
 	// round-robin slot assignment); flushes counts incremental syncs
 	// (the checkpoint sequence number).
@@ -203,10 +214,9 @@ type windowState struct {
 
 type runner struct {
 	cfg    Config
-	comp   *engine.Compiled
+	rt     *job.Runtime
 	src    *workload.Unbounded
 	ckpts  *recovery.CheckpointStore
-	lin    *recovery.Lineage
 	res    *Result
 	span   *trace.Span
 	hist   *trace.Histogram
@@ -220,52 +230,47 @@ type runner struct {
 
 // Run executes one streaming run to completion (cfg.Windows windows).
 func Run(cfg Config) (*Result, error) {
+	r := newRunner(cfg)
+	err := r.run()
+	return r.res, err
+}
+
+func newRunner(cfg Config) *runner {
 	cfg = cfg.withDefaults()
-	comp := cfg.App.NewProgram()
-	for _, d := range []string{cfg.App.MapDriver, cfg.App.ReduceDriver} {
-		if err := comp.CompileDriver(d); err != nil {
-			return nil, fmt.Errorf("stream: compiling %s: %w", d, err)
-		}
+	rt := &job.Runtime{Env: cfg.env(), C: cfg.App.NewProgram()}
+	return &runner{
+		cfg: cfg, rt: rt, src: cfg.App.Source(cfg.Seed),
+		ckpts: rt.CheckpointStore(), res: &Result{}, open: map[int]*windowState{},
 	}
-	ckpts := cfg.Checkpoints
-	if ckpts == nil {
-		ckpts = recovery.NewCheckpointStore()
-	}
-	lin := cfg.Lineage
-	if lin == nil {
-		lin = recovery.NewLineage()
-	}
-	if cfg.JobID != "" {
-		ckpts = ckpts.Scope(cfg.JobID)
-		lin = lin.Scope(cfg.JobID)
-	}
-	cfg.Breaker.EnsureTrace(cfg.Trace)
-	r := &runner{
-		cfg: cfg, comp: comp, src: cfg.App.Source(cfg.Seed),
-		ckpts: ckpts, lin: lin, res: &Result{}, open: map[int]*windowState{},
-	}
+}
+
+func (r *runner) run() error {
+	cfg := r.cfg
 	r.hist = cfg.Trace.Registry().Histogram(
 		trace.Name("stream_batch_latency_ns", "app", cfg.App.Name, "mode", cfg.Mode.String()),
 		trace.LatencyBuckets()...)
 	r.span = cfg.Trace.StartSpan("stream", "run-"+cfg.App.Name,
 		trace.Str("mode", cfg.Mode.String()), trace.I64("windows", int64(cfg.Windows)))
-	outcome := "error"
-	defer func() { r.span.End(trace.Str("outcome", outcome)) }()
 
 	start := time.Now()
 	err := r.loop()
+	// Whatever stopped the run — cancel, crash hook, a failed phase or
+	// sync — the windows still open must not leak spill runs or blocks.
+	r.abandonOpen()
 	r.res.Wall = time.Since(start)
+	r.res.Stats = r.rt.Stats
 	r.finishStats()
-	if err != nil {
-		if errors.Is(err, ErrCrashed) {
-			outcome = "crashed"
-		} else if errors.Is(err, engine.ErrCanceled) {
-			outcome = "canceled"
-		}
-		return r.res, err
+	outcome := "ok"
+	switch {
+	case errors.Is(err, ErrCrashed):
+		outcome = "crashed"
+	case errors.Is(err, engine.ErrCanceled):
+		outcome = "canceled"
+	case err != nil:
+		outcome = "error"
 	}
-	outcome = "ok"
-	return r.res, nil
+	r.span.End(trace.Str("outcome", outcome))
+	return err
 }
 
 // loop is the streaming driver: resume, then cut/process/checkpoint/
@@ -280,14 +285,13 @@ func (r *runner) loop() error {
 	crashed := 0
 	for r.closed < r.cfg.Windows {
 		if err := engine.Canceled(r.cfg.Canceled); err != nil {
-			r.abandonOpen()
 			return fmt.Errorf("stream: %s: %w", r.cfg.App.Name, err)
 		}
 		lo, hi := r.cutBatch(stopT)
 		if hi > lo {
 			bspan := r.span.Child("stream", "batch", trace.I64("records", hi-lo))
 			bstart := time.Now()
-			if err := r.processBatch(lo, hi); err != nil {
+			if err := r.processBatch(bspan, lo, hi); err != nil {
 				bspan.End(trace.Str("outcome", "error"))
 				return err
 			}
@@ -385,31 +389,14 @@ func (r *runner) window(w int) (*windowState, error) {
 	if st, ok := r.open[w]; ok {
 		return st, nil
 	}
-	scfg := r.cfg.Shuffle
-	scfg.Partitions = r.cfg.Reducers
-	scfg.Trace = r.cfg.Trace
-	scfg.Lineage = r.lin
-	if scfg.Injector == nil {
-		scfg.Injector = r.cfg.Injector
-	}
-	if scfg.Jitter == nil {
-		scfg.Jitter = r.cfg.Jitter
-	}
-	var codec *serde.Codec
-	if r.cfg.Mode == engine.Baseline {
-		codec = r.comp.Codec
-	}
-	ex, err := shuffle.NewExchange(shuffle.NewStore(), scfg, r.exName(w),
-		r.comp.Layouts, r.cfg.App.MapOutClass, r.cfg.App.KeyField, codec)
+	ex, err := r.rt.OpenExchange(r.exName(w), r.cfg.App.MapOutClass, r.cfg.App.KeyField, r.cfg.Reducers)
 	if err != nil {
 		return nil, fmt.Errorf("stream: window %d: %w", w, err)
 	}
-	st := &windowState{idx: w, ex: ex,
-		writers: make([]*shuffle.Writer, r.cfg.MapSlots),
-		acc:     make([][]byte, r.cfg.MapSlots)}
 	for m := 0; m < r.cfg.MapSlots; m++ {
-		st.writers[m] = ex.Writer(m)
+		ex.Writer(m)
 	}
+	st := &windowState{idx: w, ex: ex, acc: make([][]byte, r.cfg.MapSlots)}
 	r.open[w] = st
 	return st, nil
 }
@@ -453,7 +440,7 @@ func leU64(b []byte) int64 {
 // input buffers, runs the map driver over every staged buffer in one
 // pooled phase, and appends the outputs into each window's live
 // exchange via an incremental sync.
-func (r *runner) processBatch(lo, hi int64) error {
+func (r *runner) processBatch(span *trace.Span, lo, hi int64) error {
 	staged := map[int][][]byte{}
 	var order []int
 	for i := lo; i < hi; i++ {
@@ -476,7 +463,7 @@ func (r *runner) processBatch(lo, hi int64) error {
 				order = append(order, w)
 			}
 			slot := int(st.records % int64(r.cfg.MapSlots))
-			bufs[slot], err = r.comp.Codec.Encode(r.cfg.App.InClass, obj, bufs[slot])
+			bufs[slot], err = r.rt.C.Codec.Encode(r.cfg.App.InClass, obj, bufs[slot])
 			if err != nil {
 				return fmt.Errorf("stream: encoding record %d: %w", i, err)
 			}
@@ -494,36 +481,23 @@ func (r *runner) processBatch(lo, hi int64) error {
 			if len(buf) == 0 {
 				continue
 			}
-			name := fmt.Sprintf("stream-%s-w%d-b%d-m%d", r.cfg.App.Name, w, st.flushes, m)
-			specs = append(specs, engine.TaskSpec{
-				Name:   name,
-				Driver: r.cfg.App.MapDriver,
-				Invocations: []map[string]engine.Input{
-					{"in": {Class: r.cfg.App.InClass, Buf: buf}},
-				},
-				ClosureBytes:    r.cfg.ClosureBytes,
-				Faults:          r.cfg.Injector.ForTask(name),
-				CheckpointEvery: r.cfg.CheckpointEvery,
-				Checkpoints:     r.ckpts,
-			})
+			specs = append(specs, r.mapSpec(
+				fmt.Sprintf("stream-%s-w%d-b%d-m%d", r.cfg.App.Name, w, st.flushes, m), buf))
 			targets = append(targets, target{w, m})
 		}
 	}
 	if len(specs) == 0 {
 		return nil
 	}
-	job, err := r.phase(fmt.Sprintf("stream-%s-map", r.cfg.App.Name), specs)
-	if job != nil {
-		r.res.Stats.Add(job.Stats)
-	}
+	outs, err := r.rt.RunStage(fmt.Sprintf("stream-%s-map", r.cfg.App.Name), span, r.cfg.HeapCfg, specs)
 	if err != nil {
 		return fmt.Errorf("stream: map phase: %w", err)
 	}
-	for k, out := range job.Outputs {
+	for k, out := range outs {
 		tg := targets[k]
 		st := r.open[tg.w]
 		st.acc[tg.m] = append(st.acc[tg.m], out...)
-		if err := st.writers[tg.m].Add(out); err != nil {
+		if err := st.ex.Writer(tg.m).Add(out); err != nil {
 			return fmt.Errorf("stream: window %d shuffle: %w", tg.w, err)
 		}
 	}
@@ -533,13 +507,24 @@ func (r *runner) processBatch(lo, hi int64) error {
 			if len(buf) == 0 {
 				continue
 			}
-			if err := st.writers[m].Sync(); err != nil {
+			if err := st.ex.Writer(m).Sync(); err != nil {
 				return fmt.Errorf("stream: window %d sync: %w", w, err)
 			}
 		}
 		st.flushes++
 	}
 	return nil
+}
+
+// mapSpec is one map task over one staged slot buffer.
+func (r *runner) mapSpec(name string, buf []byte) engine.TaskSpec {
+	return engine.TaskSpec{
+		Name:   name,
+		Driver: r.cfg.App.MapDriver,
+		Invocations: []map[string]engine.Input{
+			{"in": {Class: r.cfg.App.InClass, Buf: buf}},
+		},
+	}
 }
 
 // checkpoint persists the cursor and every open window's slot state, so
@@ -563,7 +548,7 @@ func (r *runner) closeWindow(w int) error {
 	var out []byte
 	if st != nil {
 		var err error
-		out, err = r.foldWindow(st)
+		out, err = r.foldWindow(wspan, st)
 		if err != nil {
 			wspan.End(trace.Str("outcome", "error"))
 			return fmt.Errorf("stream: window %d: %w", w, err)
@@ -583,153 +568,35 @@ func (r *runner) closeWindow(w int) error {
 }
 
 // foldWindow drains a window's exchange and folds each key group.
-func (r *runner) foldWindow(st *windowState) ([]byte, error) {
-	exName := r.exName(st.idx)
-	for m, wr := range st.writers {
-		if err := wr.Close(); err != nil {
-			return nil, fmt.Errorf("shuffle close: %w", err)
-		}
-		// Block lineage: losing every replica of this slot's blocks
-		// re-runs just this writer over the retained map-output bytes.
-		part := st.acc[m]
-		slot := m
-		r.lin.Register(exName, slot, func() error {
-			rw := st.ex.RecoveryWriter(slot)
-			if err := rw.Add(part); err != nil {
-				return err
-			}
-			return rw.Close()
-		})
-	}
-	blocks, err := r.guardedFetch(exName, st.ex)
+func (r *runner) foldWindow(span *trace.Span, st *windowState) ([]byte, error) {
+	app := r.cfg.App
+	blocks, shuf, err := st.ex.Finish(st.acc)
 	if err != nil {
-		return nil, fmt.Errorf("shuffle fetch: %w", err)
+		return nil, fmt.Errorf("shuffle: %w", err)
 	}
-	shufStats := st.ex.Stats()
-	shufStats.AddTo(&r.res.Stats)
-	r.res.ShuffleBytes += shufStats.BytesFetched
-
-	var specs []engine.TaskSpec
-	var blockOf []int
+	r.res.ShuffleBytes += shuf.BytesFetched
+	// Canonical reduce order: merge-sort each fetched block by key
+	// (map-side blocks are each key-sorted; this is the reduce-side
+	// merge), then fold groups. The sort is stable, so same-key records
+	// stay in shuffle (key, seq) order and fold order is deterministic.
 	for i, block := range blocks {
-		if len(block) == 0 {
-			continue
-		}
-		// Canonical reduce order: merge-sort the fetched block by key
-		// (map-side blocks are each key-sorted; this is the reduce-side
-		// merge), then fold groups. Stable sort keeps same-key records
-		// in shuffle (key, seq) order, so fold order is deterministic.
-		block = r.sortByKey(block)
-		blocks[i] = block
-		_, groups, err := engine.GroupByKey(r.comp.Layouts, r.cfg.App.MapOutClass,
-			r.cfg.App.KeyField, block)
-		if err != nil {
-			return nil, fmt.Errorf("grouping: %w", err)
-		}
-		invocations := make([]map[string]engine.Input, 0, len(groups))
-		for _, offs := range groups {
-			invocations = append(invocations, map[string]engine.Input{
-				"in": {Class: r.cfg.App.MapOutClass, Buf: block, Offs: offs, Owned: true},
-			})
-		}
-		name := fmt.Sprintf("stream-%s-w%d-red%d", r.cfg.App.Name, st.idx, i)
-		specs = append(specs, engine.TaskSpec{
-			Name:            name,
-			Driver:          r.cfg.App.ReduceDriver,
-			Invocations:     invocations,
-			ClosureBytes:    r.cfg.ClosureBytes,
-			Faults:          r.cfg.Injector.ForTask(name),
-			CheckpointEvery: r.cfg.CheckpointEvery,
-			Checkpoints:     r.ckpts,
-		})
-		blockOf = append(blockOf, i)
+		blocks[i] = engine.SortByKey(r.rt.C.Layouts, app.MapOutClass, app.KeyField, block)
 	}
-	outs := make([][]byte, len(blocks))
-	if len(specs) > 0 {
-		job, err := r.phase(fmt.Sprintf("stream-%s-w%d-reduce", r.cfg.App.Name, st.idx), specs)
-		if job != nil {
-			r.res.Stats.Add(job.Stats)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("reduce phase: %w", err)
-		}
-		for k, o := range job.Outputs {
-			outs[blockOf[k]] = o
-		}
+	specs, _, err := engine.FoldSpecs(r.rt.C.Layouts, app.ReduceDriver, app.MapOutClass, app.KeyField, blocks, true,
+		func(i int) string { return fmt.Sprintf("stream-%s-w%d-red%d", app.Name, st.idx, i) })
+	if err != nil {
+		return nil, fmt.Errorf("grouping: %w", err)
 	}
+	results, err := r.rt.RunStage(fmt.Sprintf("stream-%s-w%d-reduce", app.Name, st.idx), span, r.cfg.HeapCfg, specs)
+	if err != nil {
+		return nil, fmt.Errorf("reduce phase: %w", err)
+	}
+	// Specs, hence results, are in reducer order.
 	var out []byte
-	for _, o := range outs {
+	for _, o := range results {
 		out = append(out, o...)
 	}
 	return out, nil
-}
-
-// sortByKey rebuilds buf with records sorted by canonical key bytes
-// (stable, so same-key order is preserved) — the reduce-side merge.
-func (r *runner) sortByKey(buf []byte) []byte {
-	offs := engine.RecordOffsets(buf)
-	keys := make([]string, len(offs))
-	for i, off := range offs {
-		k, err := engine.KeyOf(r.comp.Layouts, r.cfg.App.MapOutClass,
-			r.cfg.App.KeyField, buf, off)
-		if err != nil {
-			panic(fmt.Sprintf("stream: sortByKey: %v", err))
-		}
-		keys[i] = string(k)
-	}
-	idx := make([]int, len(offs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	out := make([]byte, 0, len(buf))
-	for _, i := range idx {
-		off := offs[i]
-		out = append(out, buf[off:off+serde.RecordSize(buf, off)]...)
-	}
-	return out
-}
-
-// phase runs one pooled phase under the stage watchdog, mirroring the
-// batch engines: a timed-out phase is presumed hung and re-executed
-// once, with checkpointed tasks resuming from persisted fold state.
-func (r *runner) phase(name string, specs []engine.TaskSpec) (*engine.JobResult, error) {
-	if err := engine.Canceled(r.cfg.Canceled); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	pool := &engine.Pool{Workers: r.cfg.Workers, MaxAttempts: r.cfg.MaxAttempts,
-		Backoff: r.cfg.RetryBackoff, Jitter: r.cfg.Jitter}
-	exec := func() *engine.Executor {
-		return &engine.Executor{C: r.comp, Mode: r.cfg.Mode, HeapCfg: r.cfg.HeapCfg,
-			Backend: r.cfg.Backend,
-			Breaker: r.cfg.Breaker, VerifyInputs: r.cfg.VerifyInputs,
-			Hedge: r.cfg.Hedge, Trace: r.cfg.Trace, Tenant: r.cfg.Tenant}
-	}
-	if r.cfg.StageDeadline <= 0 {
-		return pool.Run(exec, specs)
-	}
-	wd := recovery.Watchdog{Deadline: r.cfg.StageDeadline, Trace: r.cfg.Trace}
-	run := func() (any, error) { return pool.Run(exec, specs) }
-	res, err := wd.Guard(name, run)
-	if err != nil && errors.Is(err, recovery.ErrStageTimeout) {
-		res, err = wd.Guard(name+"#retry", run)
-	}
-	job, _ := res.(*engine.JobResult)
-	return job, err
-}
-
-// guardedFetch bounds a window's terminal fetch with the watchdog.
-func (r *runner) guardedFetch(name string, ex *shuffle.Exchange) ([][]byte, error) {
-	if err := engine.Canceled(r.cfg.Canceled); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if r.cfg.StageDeadline <= 0 {
-		return ex.FetchAll()
-	}
-	wd := recovery.Watchdog{Deadline: r.cfg.StageDeadline, Trace: r.cfg.Trace}
-	res, err := wd.Guard(name+"/fetch", func() (any, error) { return ex.FetchAll() })
-	blocks, _ := res.([][]byte)
-	return blocks, err
 }
 
 // resume restores a prior run's progress from the checkpoint store:
@@ -791,10 +658,7 @@ func (r *runner) resume() error {
 		}
 		if !intact {
 			// Tear down the half-restored state and recompute.
-			for _, wr := range st.writers {
-				wr.Abandon()
-			}
-			st.ex.Discard()
+			st.ex.Abandon()
 			delete(r.open, w)
 			if err := r.rebuildFromSource(w); err != nil {
 				return err
@@ -808,10 +672,10 @@ func (r *runner) resume() error {
 			if len(st.acc[m]) == 0 {
 				continue
 			}
-			if err := st.writers[m].Add(st.acc[m]); err != nil {
+			if err := st.ex.Writer(m).Add(st.acc[m]); err != nil {
 				return fmt.Errorf("stream: resume window %d: %w", w, err)
 			}
-			if err := st.writers[m].Sync(); err != nil {
+			if err := st.ex.Writer(m).Sync(); err != nil {
 				return fmt.Errorf("stream: resume window %d: %w", w, err)
 			}
 		}
@@ -857,7 +721,7 @@ func (r *runner) rebuildFromSource(w int) error {
 			continue
 		}
 		slot := int(st.records % int64(r.cfg.MapSlots))
-		bufs[slot], err = r.comp.Codec.Encode(r.cfg.App.InClass, r.src.At(i), bufs[slot])
+		bufs[slot], err = r.rt.C.Codec.Encode(r.cfg.App.InClass, r.src.At(i), bufs[slot])
 		if err != nil {
 			return fmt.Errorf("stream: rebuild window %d: %w", w, err)
 		}
@@ -869,37 +733,21 @@ func (r *runner) rebuildFromSource(w int) error {
 		if len(buf) == 0 {
 			continue
 		}
-		name := fmt.Sprintf("stream-%s-w%d-rb-m%d", r.cfg.App.Name, w, m)
-		specs = append(specs, engine.TaskSpec{
-			Name:   name,
-			Driver: r.cfg.App.MapDriver,
-			Invocations: []map[string]engine.Input{
-				{"in": {Class: r.cfg.App.InClass, Buf: buf}},
-			},
-			ClosureBytes:    r.cfg.ClosureBytes,
-			Faults:          r.cfg.Injector.ForTask(name),
-			CheckpointEvery: r.cfg.CheckpointEvery,
-			Checkpoints:     r.ckpts,
-		})
+		specs = append(specs, r.mapSpec(fmt.Sprintf("stream-%s-w%d-rb-m%d", r.cfg.App.Name, w, m), buf))
 		slots = append(slots, m)
 	}
-	if len(specs) > 0 {
-		job, err := r.phase(fmt.Sprintf("stream-%s-w%d-rebuild", r.cfg.App.Name, w), specs)
-		if job != nil {
-			r.res.Stats.Add(job.Stats)
-		}
-		if err != nil {
+	outs, err := r.rt.RunStage(fmt.Sprintf("stream-%s-w%d-rebuild", r.cfg.App.Name, w), r.span, r.cfg.HeapCfg, specs)
+	if err != nil {
+		return fmt.Errorf("stream: rebuild window %d: %w", w, err)
+	}
+	for k, out := range outs {
+		m := slots[k]
+		st.acc[m] = out
+		if err := st.ex.Writer(m).Add(out); err != nil {
 			return fmt.Errorf("stream: rebuild window %d: %w", w, err)
 		}
-		for k, out := range job.Outputs {
-			m := slots[k]
-			st.acc[m] = out
-			if err := st.writers[m].Add(out); err != nil {
-				return fmt.Errorf("stream: rebuild window %d: %w", w, err)
-			}
-			if err := st.writers[m].Sync(); err != nil {
-				return fmt.Errorf("stream: rebuild window %d: %w", w, err)
-			}
+		if err := st.ex.Writer(m).Sync(); err != nil {
+			return fmt.Errorf("stream: rebuild window %d: %w", w, err)
 		}
 	}
 	st.flushes = 1
@@ -910,17 +758,14 @@ func (r *runner) rebuildFromSource(w int) error {
 	return nil
 }
 
-// abandonOpen tears down every open window on cancellation: writers
-// abandon their spill runs, exchanges discard their published blocks —
-// nothing leaks.
+// abandonOpen tears down every window still open when the run stops:
+// writers abandon their spill runs, exchanges discard their published
+// blocks — nothing leaks.
 func (r *runner) abandonOpen() {
-	for _, st := range r.open {
-		for _, wr := range st.writers {
-			wr.Abandon()
-		}
-		st.ex.Discard()
+	for w, st := range r.open {
+		st.ex.Abandon()
+		delete(r.open, w)
 	}
-	r.open = map[int]*windowState{}
 }
 
 // finishStats computes throughput and batch latency quantiles.
