@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -155,6 +156,33 @@ func BenchmarkAblationGCPolicy(b *testing.B) {
 
 // ---- Shape assertions (the paper's qualitative claims) ----
 
+// timedShape asserts shapes derived from wall-clock or GC time. Load from
+// a neighbouring process can push any one measurement out of its band, so
+// such a shape fails only when three independent measurements all
+// violate it; no band is widened to make room for noise. violation says
+// what a result gets wrong ("" = in shape). The result returned is the
+// one that passed, or the last one measured: checks derived from counts
+// or bytes are deterministic and assert on it once, with no retry.
+func timedShape(t *testing.T, measure func() (*bench.Result, error),
+	violation func(*bench.Result) string) *bench.Result {
+	t.Helper()
+	const measurements = 3
+	var r *bench.Result
+	var bad string
+	for i := 1; i <= measurements; i++ {
+		var err error
+		if r, err = measure(); err != nil {
+			t.Fatal(err)
+		}
+		if bad = violation(r); bad == "" {
+			return r
+		}
+		t.Logf("measurement %d of %d out of shape: %s", i, measurements, bad)
+	}
+	t.Errorf("out of shape in all %d measurements; the last: %s", measurements, bad)
+	return r
+}
+
 func TestShapeFigure4(t *testing.T) {
 	r, err := bench.Figure4()
 	if err != nil {
@@ -179,13 +207,20 @@ func TestShapeSparkSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run")
 	}
-	s, err := bench.RunSparkSuite(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := bench.Figure6a(s)
-	if sp := r.Checks["overall_speedup"]; sp < 1.2 {
-		t.Errorf("Spark overall speedup = %.2f, want > 1.2 (paper 1.96)", sp)
+	var s *bench.SparkSuite
+	timedShape(t, func() (r *bench.Result, err error) {
+		if s, err = bench.RunSparkSuite(quickCfg()); err != nil {
+			return nil, err
+		}
+		return bench.Figure6a(s), nil
+	}, func(r *bench.Result) string {
+		if sp := r.Checks["overall_speedup"]; sp < 1.2 {
+			return fmt.Sprintf("Spark overall speedup = %.2f, want > 1.2 (paper 1.96)", sp)
+		}
+		return ""
+	})
+	if s == nil {
+		return
 	}
 	mem := bench.Figure7a(s)
 	if ratio := mem.Checks["overall_ratio"]; ratio > 1.0 {
@@ -197,43 +232,49 @@ func TestShapeHadoopSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run")
 	}
-	s, err := bench.RunHadoopSuite(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := bench.Figure6b(s)
-	if sp := r.Checks["overall_speedup"]; sp < 1.1 {
-		t.Errorf("Hadoop overall speedup = %.2f, want > 1.1 (paper 1.4)", sp)
-	}
+	timedShape(t, func() (*bench.Result, error) {
+		s, err := bench.RunHadoopSuite(quickCfg())
+		if err != nil {
+			return nil, err
+		}
+		return bench.Figure6b(s), nil
+	}, func(r *bench.Result) string {
+		if sp := r.Checks["overall_speedup"]; sp < 1.1 {
+			return fmt.Sprintf("Hadoop overall speedup = %.2f, want > 1.1 (paper 1.4)", sp)
+		}
+		return ""
+	})
 }
 
 func TestShapeFigure9(t *testing.T) {
-	r, err := bench.Figure9(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp := r.Checks["speedup_vs_ps"]; sp < 1.05 {
-		t.Errorf("Gerenuk vs Parallel Scavenge = %.2f, want > 1.05 (paper 2.4)", sp)
-	}
-	if gc := r.Checks["gc_reduction_vs_ps"]; gc < 2 {
-		t.Errorf("GC reduction = %.2f, want large (paper 13.7)", gc)
-	}
+	timedShape(t, func() (*bench.Result, error) { return bench.Figure9(quickCfg()) },
+		func(r *bench.Result) string {
+			if sp := r.Checks["speedup_vs_ps"]; sp < 1.05 {
+				return fmt.Sprintf("Gerenuk vs Parallel Scavenge = %.2f, want > 1.05 (paper 2.4)", sp)
+			}
+			// A ratio of GC times, not of GC counts: as load-sensitive as
+			// the speedup.
+			if gc := r.Checks["gc_reduction_vs_ps"]; gc < 2 {
+				return fmt.Sprintf("GC reduction = %.2f, want large (paper 13.7)", gc)
+			}
+			return ""
+		})
 }
 
 func TestShapeFigure10a(t *testing.T) {
-	r, err := bench.Figure10a(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := timedShape(t, func() (*bench.Result, error) { return bench.Figure10a(quickCfg()) },
+		func(r *bench.Result) string {
+			// Aborts erase the usual ~2x win: the transformed version lands
+			// near (paper: 7% above) the baseline. At test scale, whether
+			// every reduce partition contains a resizing vector varies, so
+			// accept a band around parity rather than a point.
+			if slow := r.Checks["slowdown"]; slow < 0.7 || slow > 2.0 {
+				return fmt.Sprintf("SOA slowdown = %.2f, want ~1.07 (paper)", slow)
+			}
+			return ""
+		})
 	if r.Checks["aborts"] == 0 {
-		t.Fatalf("SOA triggered no aborts")
-	}
-	// Aborts erase the usual ~2x win: the transformed version lands
-	// near (paper: 7% above) the baseline. At test scale, whether every
-	// reduce partition contains a resizing vector varies, so accept a
-	// band around parity rather than a point.
-	if slow := r.Checks["slowdown"]; slow < 0.7 || slow > 2.0 {
-		t.Errorf("SOA slowdown = %.2f, want ~1.07 (paper)", slow)
+		t.Errorf("SOA triggered no aborts")
 	}
 }
 
@@ -241,15 +282,15 @@ func TestShapeFigure10b(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep run")
 	}
-	r, err := bench.Figure10b(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// More forced aborts must cost more (compare the extremes; small
-	// counts are noise-dominated at test scale).
-	if r.Checks["rel_20"] <= 1.0 {
-		t.Errorf("20 forced aborts not slower than 0: rel=%.2f", r.Checks["rel_20"])
-	}
+	r := timedShape(t, func() (*bench.Result, error) { return bench.Figure10b(quickCfg()) },
+		func(r *bench.Result) string {
+			// More forced aborts must cost more (compare the extremes;
+			// small counts are noise-dominated at test scale).
+			if rel := r.Checks["rel_20"]; rel <= 1.0 {
+				return fmt.Sprintf("20 forced aborts not slower than 0: rel=%.2f", rel)
+			}
+			return ""
+		})
 	if r.Checks["aborts_20"] != 20 {
 		t.Errorf("forced abort budget delivered %v aborts, want 20", r.Checks["aborts_20"])
 	}
@@ -259,20 +300,20 @@ func TestShapeFigure8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison run")
 	}
-	a, err := bench.Figure8a(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := a.Checks["gerenuk_vs_tungsten"]; v < 0.95 {
-		t.Errorf("PageRank: Gerenuk/Tungsten = %.2f, want >= ~1 (paper 2.2)", v)
-	}
-	b, err := bench.Figure8b(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := b.Checks["tungsten_vs_gerenuk"]; v < 1.0 {
-		t.Errorf("WordCount: Tungsten should win (paper ~1.2x), got %.2f", v)
-	}
+	timedShape(t, func() (*bench.Result, error) { return bench.Figure8a(quickCfg()) },
+		func(r *bench.Result) string {
+			if v := r.Checks["gerenuk_vs_tungsten"]; v < 0.95 {
+				return fmt.Sprintf("PageRank: Gerenuk/Tungsten = %.2f, want >= ~1 (paper 2.2)", v)
+			}
+			return ""
+		})
+	timedShape(t, func() (*bench.Result, error) { return bench.Figure8b(quickCfg()) },
+		func(r *bench.Result) string {
+			if v := r.Checks["tungsten_vs_gerenuk"]; v < 1.0 {
+				return fmt.Sprintf("WordCount: Tungsten should win (paper ~1.2x), got %.2f", v)
+			}
+			return ""
+		})
 }
 
 func TestStaticStatsReport(t *testing.T) {

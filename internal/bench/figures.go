@@ -2,13 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/apps/hadoopapps"
 	"repro/internal/apps/sparkapps"
 	"repro/internal/engine"
 	"repro/internal/heap"
+	"repro/internal/ir"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/serde"
@@ -370,44 +370,81 @@ func Table3(sp *SparkSuite, hd *HadoopSuite) *Result {
 	return r
 }
 
-// medianDuration runs f reps times (with the Go collector quiesced
-// before each run, so measurements are not cross-polluted) and returns
-// the median result.
-func medianDuration(reps int, f func() (time.Duration, error)) (time.Duration, error) {
-	var vals []time.Duration
-	for i := 0; i < reps; i++ {
-		runtime.GC()
-		v, err := f()
-		if err != nil {
-			return 0, err
-		}
-		vals = append(vals, v)
+// sparkJob builds what one measured Spark run starts from, all of it
+// fresh so no run inherits another's compilation caches: a program over
+// topTypes with the app's drivers registered, compiled; a context in the
+// given mode; and objs encoded into the context's partitions.
+func sparkJob(cfg Config, mode engine.Mode, register func(*ir.Program),
+	class string, objs []serde.Obj, topTypes ...string) (*spark.Context, *spark.RDD, error) {
+	prog := sparkapps.NewProgram(topTypes...)
+	comp := engine.Compile(prog)
+	ctx := spark.NewContext(comp, mode)
+	ctx.Workers = cfg.Workers
+	ctx.Partitions = cfg.Partitions
+	register(prog)
+	parts, err := workload.Encode(comp.Codec, class, objs, cfg.Partitions)
+	if err != nil {
+		return nil, nil, err
 	}
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
-	return vals[len(vals)/2], nil
+	return ctx, ctx.Parallelize(class, parts), nil
 }
 
-// medianBreakdown is medianDuration over full breakdowns, keyed by Total.
-func medianBreakdown(reps int, f func() (metrics.Breakdown, error)) (metrics.Breakdown, error) {
-	var vals []metrics.Breakdown
-	for i := 0; i < reps; i++ {
-		runtime.GC()
-		v, err := f()
+// figure8 is the comparison Figures 8(a) and 8(b) both make: one input
+// through the RDD program under the baseline and under Gerenuk, and
+// through its Tungsten/DataFrame port, which runs on the same native
+// substrate but with flat exploded schemas, per-iteration re-planning
+// and extra materializations (see sparkapps/tungsten.go).
+type figure8 struct {
+	id, title string
+	class     string // input record class
+	objs      []serde.Obj
+	app       interface {
+		Register(*ir.Program)
+		Run(*spark.Context, *spark.RDD) (*spark.RDD, error)
+	}
+	appTypes []string
+	tungsten interface {
+		Register(*ir.Program)
+		Run(*spark.Context, *spark.RDD, *tungsten.Session) (*spark.RDD, error)
+	}
+	tungstenTypes []string
+}
+
+// run measures the three systems and tabulates them against the
+// baseline; Checks carries each system's median as <system>_ns.
+func (f figure8) run(cfg Config) (*Result, error) {
+	r := newResult(f.id, f.title, "system", "time", "vs baseline")
+	rdd := func(mode engine.Mode) func() (AppRun, error) {
+		return func() (AppRun, error) {
+			ctx, in, err := sparkJob(cfg, mode, f.app.Register, f.class, f.objs, f.appTypes...)
+			if err != nil {
+				return AppRun{}, err
+			}
+			_, err = f.app.Run(ctx, in)
+			return AppRun{Stats: ctx.Stats}, err
+		}
+	}
+	names := []string{"baseline", "gerenuk", "tungsten"}
+	runs, err := medianRuns(rdd(engine.Baseline), rdd(engine.Gerenuk), func() (AppRun, error) {
+		ctx, in, err := sparkJob(cfg, engine.Gerenuk, f.tungsten.Register, f.class, f.objs, f.tungstenTypes...)
 		if err != nil {
-			return metrics.Breakdown{}, err
+			return AppRun{}, err
 		}
-		vals = append(vals, v)
+		s := tungsten.NewSession()
+		_, err = f.tungsten.Run(ctx, in, s)
+		run := AppRun{Stats: ctx.Stats}
+		run.Stats.Total += s.Stats.PlanTime
+		return run, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j].Total < vals[j-1].Total; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
+	for i, name := range names {
+		r.Table.AddRow(name, metrics.D(runs[i].Stats.Total),
+			metrics.F(metrics.Ratio(float64(runs[i].Stats.Total), float64(runs[0].Stats.Total))))
+		r.Checks[name+"_ns"] = float64(runs[i].Stats.Total)
 	}
-	return vals[len(vals)/2], nil
+	return r, nil
 }
 
 // Figure8a compares PageRank across vanilla Spark, Tungsten/DataFrame,
@@ -415,73 +452,22 @@ func medianBreakdown(reps int, f func() (metrics.Breakdown, error)) (metrics.Bre
 // PR because of plan growth).
 func Figure8a(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	iters := 10
-	r := newResult("Figure 8(a)", "PageRank: baseline vs Tungsten vs Gerenuk (10 iters)",
-		"system", "time", "vs baseline")
+	const iters = 10
 	links := workload.GenGraph(workload.GraphSpec{
 		Name: "LiveJournal", Vertices: 100 * cfg.Scale, AvgDeg: 6, Alpha: 2.3, Seed: 11,
 	})
-
-	times := map[string]time.Duration{}
-	for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
-		mode := mode
-		med, err := medianDuration(Reps, func() (time.Duration, error) {
-			prog := sparkapps.NewProgram(sparkapps.ClsLinks, sparkapps.ClsRank, sparkapps.ClsContrib)
-			comp := engine.Compile(prog)
-			ctx := spark.NewContext(comp, mode)
-			ctx.Workers = cfg.Workers
-			ctx.Partitions = cfg.Partitions
-			pr := sparkapps.PageRank{Iters: iters}
-			pr.Register(prog)
-			parts, err := workload.Encode(comp.Codec, sparkapps.ClsLinks, workload.LinksObjs(links), cfg.Partitions)
-			if err != nil {
-				return 0, err
-			}
-			if _, err := pr.Run(ctx, ctx.Parallelize(sparkapps.ClsLinks, parts)); err != nil {
-				return 0, err
-			}
-			return ctx.Stats.Total, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		times[mode.String()] = med
-	}
-	// Tungsten/DataFrame runs on the same native substrate but with flat
-	// exploded schemas, per-iteration re-planning and extra
-	// materializations (see sparkapps.TungstenPageRank).
-	med, err := medianDuration(Reps, func() (time.Duration, error) {
-		prog := sparkapps.NewProgram(sparkapps.ClsLinks, sparkapps.ClsEdge,
-			sparkapps.ClsRank, sparkapps.ClsContrib)
-		comp := engine.Compile(prog)
-		ctx := spark.NewContext(comp, engine.Gerenuk)
-		ctx.Workers = cfg.Workers
-		ctx.Partitions = cfg.Partitions
-		tp := sparkapps.TungstenPageRank{Iters: iters}
-		tp.Register(prog)
-		parts, err := workload.Encode(comp.Codec, sparkapps.ClsLinks, workload.LinksObjs(links), cfg.Partitions)
-		if err != nil {
-			return 0, err
-		}
-		s := tungsten.NewSession()
-		if _, err := tp.Run(ctx, ctx.Parallelize(sparkapps.ClsLinks, parts), s); err != nil {
-			return 0, err
-		}
-		return ctx.Stats.Total + s.Stats.PlanTime, nil
-	})
+	r, err := figure8{
+		id: "Figure 8(a)", title: "PageRank: baseline vs Tungsten vs Gerenuk (10 iters)",
+		class: sparkapps.ClsLinks, objs: workload.LinksObjs(links),
+		app:           sparkapps.PageRank{Iters: iters},
+		appTypes:      []string{sparkapps.ClsLinks, sparkapps.ClsRank, sparkapps.ClsContrib},
+		tungsten:      sparkapps.TungstenPageRank{Iters: iters},
+		tungstenTypes: []string{sparkapps.ClsLinks, sparkapps.ClsEdge, sparkapps.ClsRank, sparkapps.ClsContrib},
+	}.run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	times["tungsten"] = med
-
-	base := times["baseline"]
-	for _, name := range []string{"baseline", "tungsten", "gerenuk"} {
-		r.Table.AddRow(name, metrics.D(times[name]),
-			metrics.F(metrics.Ratio(float64(times[name]), float64(base))))
-		r.Checks[name+"_ns"] = float64(times[name])
-	}
-	r.Checks["gerenuk_vs_tungsten"] =
-		metrics.Ratio(float64(times["tungsten"]), float64(times["gerenuk"]))
+	r.Checks["gerenuk_vs_tungsten"] = metrics.Ratio(r.Checks["tungsten_ns"], r.Checks["gerenuk_ns"])
 	r.Notes = append(r.Notes, fmt.Sprintf(
 		"Gerenuk is %sx faster than Tungsten (paper: 2.2x)",
 		metrics.F(r.Checks["gerenuk_vs_tungsten"])))
@@ -492,66 +478,17 @@ func Figure8a(cfg Config) (*Result, error) {
 // string optimizations win here (paper: by ~20%).
 func Figure8b(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	r := newResult("Figure 8(b)", "WordCount: baseline vs Tungsten vs Gerenuk",
-		"system", "time", "vs baseline")
-	docs := workload.GenDocs(30*cfg.Scale, 30, 3)
-
-	times := map[string]time.Duration{}
-	for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
-		mode := mode
-		med, err := medianDuration(Reps, func() (time.Duration, error) {
-			prog := sparkapps.NewProgram(sparkapps.ClsDoc, sparkapps.ClsWordCount)
-			comp := engine.Compile(prog)
-			ctx := spark.NewContext(comp, mode)
-			ctx.Workers = cfg.Workers
-			ctx.Partitions = cfg.Partitions
-			wc := sparkapps.WordCount{}
-			wc.Register(prog)
-			parts, err := workload.Encode(comp.Codec, sparkapps.ClsDoc, docs, cfg.Partitions)
-			if err != nil {
-				return 0, err
-			}
-			if _, err := wc.Run(ctx, ctx.Parallelize(sparkapps.ClsDoc, parts)); err != nil {
-				return 0, err
-			}
-			return ctx.Stats.Total, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		times[mode.String()] = med
-	}
-	med, err := medianDuration(Reps, func() (time.Duration, error) {
-		prog := sparkapps.NewProgram(sparkapps.ClsDoc, sparkapps.ClsWordCount)
-		comp := engine.Compile(prog)
-		ctx := spark.NewContext(comp, engine.Gerenuk)
-		ctx.Workers = cfg.Workers
-		ctx.Partitions = cfg.Partitions
-		twc := sparkapps.TungstenWordCount{}
-		twc.Register(prog)
-		parts, err := workload.Encode(comp.Codec, sparkapps.ClsDoc, docs, cfg.Partitions)
-		if err != nil {
-			return 0, err
-		}
-		s := tungsten.NewSession()
-		if _, err := twc.Run(ctx, ctx.Parallelize(sparkapps.ClsDoc, parts), s); err != nil {
-			return 0, err
-		}
-		return ctx.Stats.Total + s.Stats.PlanTime, nil
-	})
+	types := []string{sparkapps.ClsDoc, sparkapps.ClsWordCount}
+	r, err := figure8{
+		id: "Figure 8(b)", title: "WordCount: baseline vs Tungsten vs Gerenuk",
+		class: sparkapps.ClsDoc, objs: workload.GenDocs(30*cfg.Scale, 30, 3),
+		app: sparkapps.WordCount{}, appTypes: types,
+		tungsten: sparkapps.TungstenWordCount{}, tungstenTypes: types,
+	}.run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	times["tungsten"] = med
-
-	base := times["baseline"]
-	for _, name := range []string{"baseline", "tungsten", "gerenuk"} {
-		r.Table.AddRow(name, metrics.D(times[name]),
-			metrics.F(metrics.Ratio(float64(times[name]), float64(base))))
-		r.Checks[name+"_ns"] = float64(times[name])
-	}
-	r.Checks["tungsten_vs_gerenuk"] =
-		metrics.Ratio(float64(times["gerenuk"]), float64(times["tungsten"]))
+	r.Checks["tungsten_vs_gerenuk"] = metrics.Ratio(r.Checks["gerenuk_ns"], r.Checks["tungsten_ns"])
 	r.Notes = append(r.Notes, fmt.Sprintf(
 		"Tungsten is %sx faster than Gerenuk on WordCount (paper: ~1.2x)",
 		metrics.F(r.Checks["tungsten_vs_gerenuk"])))
@@ -575,31 +512,33 @@ func Figure9(cfg Config) (*Result, error) {
 		{"yak", engine.Baseline, true},
 		{"gerenuk", engine.Gerenuk, false},
 	}
-	totals := map[string]metrics.Breakdown{}
 	// The paper's Yak comparison deliberately uses tight heaps (3GB map
 	// + 2GB reduce) so collection effort is visible; scale the workload
 	// up and the heaps down accordingly.
 	tight := cfg
 	tight.Scale = cfg.Scale * 4
-	for _, rw := range rows {
-		rw := rw
-		stats, err := medianBreakdown(Reps, func() (metrics.Breakdown, error) {
+	variants := make([]func() (AppRun, error), len(rows))
+	for i, rw := range rows {
+		variants[i] = func() (AppRun, error) {
 			res, _, err := runHadoopAppHeaps("IMC", tight, rw.mode, rw.yak,
 				heap.Config{YoungSize: 8 << 10, OldSize: 64 << 10, RegionSize: 512 << 10},
 				heap.Config{YoungSize: 8 << 10, OldSize: 96 << 10, RegionSize: 512 << 10})
 			if err != nil {
-				return metrics.Breakdown{}, err
+				return AppRun{}, fmt.Errorf("fig9 %s: %w", rw.name, err)
 			}
-			return res.Stats, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig9 %s: %w", rw.name, err)
+			return AppRun{Stats: res.Stats}, nil
 		}
-		totals[rw.name] = stats
+	}
+	runs, err := medianRuns(variants...)
+	if err != nil {
+		return nil, err
+	}
+	for i, rw := range rows {
+		stats := runs[i].Stats
 		r.Table.AddRow(rw.name, metrics.D(stats.Total), metrics.D(stats.Compute()),
 			metrics.D(stats.GC), metrics.D(stats.Ser+stats.Deser))
 	}
-	ps, yak, ger := totals["parallel-scavenge"], totals["yak"], totals["gerenuk"]
+	ps, yak, ger := runs[0].Stats, runs[1].Stats, runs[2].Stats
 	gerGC := float64(ger.GC)
 	if gerGC == 0 {
 		gerGC = float64(time.Microsecond) // Gerenuk eliminated GC entirely
@@ -627,37 +566,28 @@ func Figure10a(cfg Config) (*Result, error) {
 	// 10% of Vector instances resized.
 	posts := workload.GenPosts(64*cfg.Scale, 20, 17)
 
-	var results []metrics.Breakdown
-	for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
-		mode := mode
-		stats, err := medianBreakdown(Reps, func() (metrics.Breakdown, error) {
-			prog := sparkapps.NewProgram(sparkapps.ClsPost, sparkapps.ClsAccount)
-			comp := engine.Compile(prog)
-			ctx := spark.NewContext(comp, mode)
-			ctx.Workers = cfg.Workers
-			ctx.Partitions = cfg.Partitions
-			soa := sparkapps.StackOverflowAnalytics{InitialCap: 40}
-			soa.Register(prog)
-			parts, err := workload.Encode(comp.Codec, sparkapps.ClsPost, posts, cfg.Partitions)
+	soa := sparkapps.StackOverflowAnalytics{InitialCap: 40}
+	variant := func(mode engine.Mode) func() (AppRun, error) {
+		return func() (AppRun, error) {
+			ctx, in, err := sparkJob(cfg, mode, soa.Register, sparkapps.ClsPost, posts,
+				sparkapps.ClsPost, sparkapps.ClsAccount)
 			if err != nil {
-				return metrics.Breakdown{}, err
+				return AppRun{}, err
 			}
-			if _, err := soa.Run(ctx, ctx.Parallelize(sparkapps.ClsPost, parts)); err != nil {
-				return metrics.Breakdown{}, err
-			}
-			return ctx.Stats, nil
-		})
-		if err != nil {
-			return nil, err
+			_, err = soa.Run(ctx, in)
+			return AppRun{Stats: ctx.Stats}, err
 		}
-		results = append(results, stats)
 	}
-	slowdown := metrics.Ratio(float64(results[1].Total), float64(results[0].Total))
-	r.Table.AddRow("baseline", metrics.D(results[0].Total), "0", "1.00")
-	r.Table.AddRow("gerenuk", metrics.D(results[1].Total),
-		fmt.Sprint(results[1].Aborts), metrics.F(slowdown))
+	runs, err := medianRuns(variant(engine.Baseline), variant(engine.Gerenuk))
+	if err != nil {
+		return nil, err
+	}
+	base, ger := runs[0].Stats, runs[1].Stats
+	slowdown := metrics.Ratio(float64(ger.Total), float64(base.Total))
+	r.Table.AddRow("baseline", metrics.D(base.Total), "0", "1.00")
+	r.Table.AddRow("gerenuk", metrics.D(ger.Total), fmt.Sprint(ger.Aborts), metrics.F(slowdown))
 	r.Checks["slowdown"] = slowdown
-	r.Checks["aborts"] = float64(results[1].Aborts)
+	r.Checks["aborts"] = float64(ger.Aborts)
 	r.Notes = append(r.Notes,
 		"paper: transformed version 7% slower due to abort-and-re-execute waste")
 	return r, nil
@@ -674,73 +604,52 @@ func Figure10b(cfg Config) (*Result, error) {
 	})
 	iters := max(cfg.Iters, 4)
 
-	runOnce := func(mode engine.Mode, forced int) (metrics.Breakdown, error) {
-		prog := sparkapps.NewProgram(sparkapps.ClsLinks, sparkapps.ClsRank, sparkapps.ClsContrib)
-		comp := engine.Compile(prog)
-		ctx := spark.NewContext(comp, mode)
-		ctx.Workers = cfg.Workers
-		ctx.Partitions = cfg.Partitions
-		pr := sparkapps.PageRank{Iters: iters}
-		pr.Register(prog)
-		parts, err := workload.Encode(comp.Codec, sparkapps.ClsLinks, workload.LinksObjs(links), cfg.Partitions)
-		if err != nil {
-			return metrics.Breakdown{}, err
-		}
-		// The init stage runs unforced; the abort budget is armed for
-		// the iteration SERs, as in the paper's manual abort injection.
-		rdd := ctx.Parallelize(sparkapps.ClsLinks, parts)
-		ranks, err := rdd.MapPartitions("prInitStage", sparkapps.ClsRank)
-		if err != nil {
-			return metrics.Breakdown{}, err
-		}
-		ctx.ForcedAbortBudget = forced
-		for it := 0; it < iters; it++ {
-			contribs, err := rdd.JoinPairs(ranks, "prJoinStage", "src", "v", sparkapps.ClsContrib)
+	pr := sparkapps.PageRank{Iters: iters}
+	variant := func(mode engine.Mode, forced int) func() (AppRun, error) {
+		return func() (AppRun, error) {
+			ctx, rdd, err := sparkJob(cfg, mode, pr.Register, sparkapps.ClsLinks, workload.LinksObjs(links),
+				sparkapps.ClsLinks, sparkapps.ClsRank, sparkapps.ClsContrib)
 			if err != nil {
-				return metrics.Breakdown{}, err
+				return AppRun{}, err
 			}
-			summed, err := contribs.ReduceByKey("prCombineStage", "v")
+			// The init stage runs unforced; the abort budget is armed for
+			// the iteration SERs, as in the paper's manual abort injection.
+			ranks, err := rdd.MapPartitions("prInitStage", sparkapps.ClsRank)
 			if err != nil {
-				return metrics.Breakdown{}, err
+				return AppRun{}, err
 			}
-			ranks, err = summed.MapPartitions("prUpdateStage", sparkapps.ClsRank)
-			if err != nil {
-				return metrics.Breakdown{}, err
+			ctx.ForcedAbortBudget = forced
+			for it := 0; it < iters; it++ {
+				contribs, err := rdd.JoinPairs(ranks, "prJoinStage", "src", "v", sparkapps.ClsContrib)
+				if err != nil {
+					return AppRun{}, err
+				}
+				summed, err := contribs.ReduceByKey("prCombineStage", "v")
+				if err != nil {
+					return AppRun{}, err
+				}
+				ranks, err = summed.MapPartitions("prUpdateStage", sparkapps.ClsRank)
+				if err != nil {
+					return AppRun{}, err
+				}
 			}
+			return AppRun{Stats: ctx.Stats}, nil
 		}
-		return ctx.Stats, nil
-	}
-	run := func(mode engine.Mode, forced int) (metrics.Breakdown, error) {
-		var runs []metrics.Breakdown
-		for i := 0; i < Reps; i++ {
-			st, err := runOnce(mode, forced)
-			if err != nil {
-				return metrics.Breakdown{}, err
-			}
-			runs = append(runs, st)
-		}
-		for i := 1; i < len(runs); i++ {
-			for j := i; j > 0 && runs[j].Total < runs[j-1].Total; j-- {
-				runs[j], runs[j-1] = runs[j-1], runs[j]
-			}
-		}
-		return runs[len(runs)/2], nil
 	}
 
-	base, err := run(engine.Baseline, 0)
+	forced := []int{0, 1, 2, 5, 10, 15, 20}
+	variants := []func() (AppRun, error){variant(engine.Baseline, 0)}
+	for _, k := range forced {
+		variants = append(variants, variant(engine.Gerenuk, k))
+	}
+	runs, err := medianRuns(variants...)
 	if err != nil {
 		return nil, err
 	}
+	base, zero := runs[0].Stats, runs[1].Stats
 	r.Table.AddRow("baseline", metrics.D(base.Total), "0", "")
-	var zero metrics.Breakdown
-	for _, k := range []int{0, 1, 2, 5, 10, 15, 20} {
-		st, err := run(engine.Gerenuk, k)
-		if err != nil {
-			return nil, err
-		}
-		if k == 0 {
-			zero = st
-		}
+	for i, k := range forced {
+		st := runs[i+1].Stats
 		rel := metrics.Ratio(float64(st.Total), float64(zero.Total))
 		r.Table.AddRow(fmt.Sprintf("gerenuk-%d", k), metrics.D(st.Total),
 			fmt.Sprint(st.Aborts), metrics.F(rel))

@@ -10,6 +10,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -320,46 +321,50 @@ func RunSparkSuite(cfg Config) (*SparkSuite, error) {
 	suite := &SparkSuite{}
 	for _, hc := range HeapSizes(cfg.Scale) {
 		for _, app := range SparkAppNames {
-			for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
-				run, err := medianRun(Reps, func() (metrics.Breakdown, time.Duration, error) {
+			variant := func(mode engine.Mode) func() (AppRun, error) {
+				return func() (AppRun, error) {
 					res, err := runSparkApp(app, cfg, hc.Cfg, mode)
-					return res.Stats, res.Wall, err
-				})
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s/%v: %w", app, hc.Name, mode, err)
+					if err != nil {
+						return AppRun{}, fmt.Errorf("%s/%s/%v: %w", app, hc.Name, mode, err)
+					}
+					return AppRun{App: app, HeapName: hc.Name, Mode: mode, Stats: res.Stats, Wall: res.Wall}, nil
 				}
-				run.App, run.HeapName, run.Mode = app, hc.Name, mode
-				suite.Runs = append(suite.Runs, run)
 			}
+			runs, err := medianRuns(variant(engine.Baseline), variant(engine.Gerenuk))
+			if err != nil {
+				return nil, err
+			}
+			suite.Runs = append(suite.Runs, runs...)
 		}
 	}
 	return suite, nil
 }
 
-// medianRun executes f reps times and returns the run with the median
-// total time.
-func medianRun(reps int, f func() (metrics.Breakdown, time.Duration, error)) (AppRun, error) {
-	if reps <= 0 {
-		reps = 1
-	}
-	runs := make([]AppRun, 0, reps)
-	for i := 0; i < reps; i++ {
-		stats, wall, err := f()
-		if err != nil {
-			return AppRun{}, err
-		}
-		runs = append(runs, AppRun{Stats: stats, Wall: wall})
-	}
-	sortRunsByTotal(runs)
-	return runs[len(runs)/2], nil
-}
-
-func sortRunsByTotal(runs []AppRun) {
-	for i := 1; i < len(runs); i++ {
-		for j := i; j > 0 && runs[j].Stats.Total < runs[j-1].Stats.Total; j-- {
-			runs[j], runs[j-1] = runs[j-1], runs[j]
+// medianRuns measures each variant Reps times and returns, per variant,
+// the run with the median total time. The variants run interleaved —
+// A,B,C,A,B,C…, the Go collector quiesced before each run so none pays
+// for another's garbage — because every figure divides one variant's
+// total by another's: measure all of A before any of B and a burst of
+// machine load lands on one side of that ratio; interleaved, it lands
+// on both.
+func medianRuns(variants ...func() (AppRun, error)) ([]AppRun, error) {
+	runs := make([][]AppRun, len(variants))
+	for rep := 0; rep < Reps; rep++ {
+		for v, measure := range variants {
+			runtime.GC()
+			run, err := measure()
+			if err != nil {
+				return nil, err
+			}
+			runs[v] = append(runs[v], run)
 		}
 	}
+	medians := make([]AppRun, len(variants))
+	for v, rs := range runs {
+		sort.Slice(rs, func(i, j int) bool { return rs[i].Stats.Total < rs[j].Stats.Total })
+		medians[v] = rs[Reps/2]
+	}
+	return medians, nil
 }
 
 // HadoopSuite holds the Figure 6(b)/7(b) measurements.
@@ -400,20 +405,20 @@ func RunHadoopSuite(cfg Config) (*HadoopSuite, error) {
 	cfg = cfg.withDefaults()
 	suite := &HadoopSuite{}
 	for _, app := range hadoopapps.AllApps {
-		for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
-			run, err := medianRun(Reps, func() (metrics.Breakdown, time.Duration, error) {
+		variant := func(mode engine.Mode) func() (AppRun, error) {
+			return func() (AppRun, error) {
 				res, _, err := runHadoopApp(app, cfg, mode, false)
 				if err != nil {
-					return metrics.Breakdown{}, 0, err
+					return AppRun{}, fmt.Errorf("%s/%v: %w", app, mode, err)
 				}
-				return res.Stats, res.Wall, nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%v: %w", app, mode, err)
+				return AppRun{App: app, Mode: mode, Stats: res.Stats, Wall: res.Wall}, nil
 			}
-			run.App, run.Mode = app, mode
-			suite.Runs = append(suite.Runs, run)
 		}
+		runs, err := medianRuns(variant(engine.Baseline), variant(engine.Gerenuk))
+		if err != nil {
+			return nil, err
+		}
+		suite.Runs = append(suite.Runs, runs...)
 	}
 	return suite, nil
 }

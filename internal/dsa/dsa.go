@@ -224,10 +224,6 @@ func rebase(e *expr.Expr, delta *expr.Expr) *expr.Expr {
 	return out
 }
 
-// Rebase is the exported form used by the transformer when it folds a
-// sub-record's field offset into an enclosing record access.
-func Rebase(e *expr.Expr, delta *expr.Expr) *expr.Expr { return rebase(e, delta) }
-
 // FieldOffsetIn returns the offset expression of a field of class cls
 // relative to cls's own record base.
 func (r *Result) FieldOffsetIn(cls, field string) (*expr.Expr, bool) {

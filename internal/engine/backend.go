@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/compile"
+	"repro/internal/ir"
 	"repro/internal/trace"
 )
 
@@ -40,16 +41,6 @@ func ParseBackend(s string) (Backend, error) {
 	}
 }
 
-// CachedClosure returns the memoized closure-compilation result for a
-// driver: (prog, true) once compiled, (nil, true) once declined, and
-// (nil, false) before the first attempt touches it.
-func (c *Compiled) CachedClosure(entry string) (*compile.Prog, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, done := c.closures[entry]
-	return p, done
-}
-
 // Closure returns the closure-compiled form of the driver's transformed
 // SER, compiling on first use. fresh reports whether this call did the
 // compilation (vs. hitting the cache, including a concurrent winner's
@@ -62,62 +53,57 @@ func (c *Compiled) Closure(entry string) (p *compile.Prog, fresh bool) {
 	if p, done := c.closures[entry]; done {
 		return p, false
 	}
+	return c.compileClosureLocked(entry), true
+}
+
+// compileClosureLocked closure-compiles a driver the cache has not seen
+// and caches the result, with c.mu held. A failed compile caches nil:
+// the driver is interpreted forever after, without re-attempting
+// compilation per task.
+func (c *Compiled) compileClosureLocked(entry string) (p *compile.Prog) {
+	if fn := c.Natives[entry]; fn != nil {
+		p, _ = compile.Compile(c.Prog, fn)
+	}
 	if c.closures == nil {
 		c.closures = make(map[string]*compile.Prog)
 	}
-	fn := c.Natives[entry]
-	if fn != nil {
-		// A failed compile caches nil: the driver is interpreted forever
-		// after, without re-attempting compilation per task.
-		p, _ = compile.Compile(c.Prog, fn)
-	}
 	c.closures[entry] = p
-	return p, true
-}
-
-// closureFor resolves the compiled form of the driver for one native
-// attempt, emitting the compile span and compile_total/compile_declined
-// counters exactly once per driver (the compile happens once per task
-// pool, not per task). Returns nil when the interpreter should run —
-// either because the backend is interp or the driver declined.
-func (e *Executor) closureFor(driver string, att *trace.Span) *compile.Prog {
-	if e.Backend != BackendCompiled {
-		return nil
-	}
-	if p, done := e.C.CachedClosure(driver); done {
-		return p
-	}
-	t0 := time.Now()
-	sp := att.Child("compile", "closure-compile")
-	p, fresh := e.C.Closure(driver)
-	outcome := "cached"
-	if fresh {
-		if p != nil {
-			outcome = "ok"
-			e.Trace.Registry().Counter("compile_total").Add(1)
-		} else {
-			outcome = "declined"
-			e.Trace.Registry().Counter("compile_declined_total").Add(1)
-		}
-	}
-	attrs := []trace.Arg{trace.Str("outcome", outcome), trace.Str("driver", driver)}
-	if p != nil {
-		attrs = append(attrs, trace.I64("funcs", int64(p.Funcs)), trace.I64("steps", int64(p.Steps)))
-	}
-	sp.End(attrs...)
-	e.Trace.Registry().Histogram("compile_ns", trace.LatencyBuckets()...).
-		Observe(float64(time.Since(t0)))
 	return p
 }
 
-// recordDeopt counts an abort as a deoptimization when the aborted
-// attempt actually ran compiled code (compiled backend, driver has a
-// live closure). An abort of an interpreted attempt is not a deopt.
-func (e *Executor) recordDeopt(driver string) {
+// nativeCode resolves what one native attempt of the driver runs, under
+// a single acquisition of the Compiled lock: the transformed function
+// and, for the compiled backend, its closure chain — nil when the driver
+// declined and the interpreter should run fn instead. The attempt that
+// first touches a driver compiles it, emitting the compile span and the
+// compile_total/compile_declined_total counters exactly once per driver
+// (the compile happens once per task pool, not per task).
+func (e *Executor) nativeCode(driver string, att *trace.Span) (fn *ir.Func, cp *compile.Prog) {
+	c := e.C
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fn = c.Natives[driver]
 	if e.Backend != BackendCompiled {
-		return
+		return fn, nil
 	}
-	if p, done := e.C.CachedClosure(driver); done && p != nil {
-		e.Trace.Registry().Counter("deopt_total").Add(1)
+	if cp, done := c.closures[driver]; done {
+		return fn, cp
 	}
+	// First touch, and the lock is held from the miss to the fill, so
+	// this compile is never a concurrent winner's duplicate.
+	t0 := time.Now()
+	sp := att.Child("compile", "closure-compile")
+	cp = c.compileClosureLocked(driver)
+	reg := e.Trace.Registry()
+	attrs := []trace.Arg{trace.Str("outcome", "declined"), trace.Str("driver", driver)}
+	if cp == nil {
+		reg.Counter("compile_declined_total").Add(1)
+	} else {
+		attrs = []trace.Arg{trace.Str("outcome", "ok"), trace.Str("driver", driver),
+			trace.I64("funcs", int64(cp.Funcs)), trace.I64("steps", int64(cp.Steps))}
+		reg.Counter("compile_total").Add(1)
+	}
+	sp.End(attrs...)
+	reg.Histogram("compile_ns", trace.LatencyBuckets()...).Observe(float64(time.Since(t0)))
+	return fn, cp
 }

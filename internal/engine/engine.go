@@ -12,6 +12,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -58,7 +59,7 @@ func (m Mode) String() string {
 // The SERs/Natives/XStats maps stay exported for the offline consumers
 // (cmd/gerenukc, the figure drivers) that read them after compilation
 // finishes single-threaded; concurrent executors must go through the
-// locked accessors (CanRunNative, Native) instead. Compiling a driver
+// locked accessors (CanRunNative, Closure) instead. Compiling a driver
 // nobody has compiled yet mutates the shared IR program (resolution
 // caches, transformed-function registration), so callers sharing one
 // Compiled across concurrently running jobs must Precompile every
@@ -142,18 +143,14 @@ func (c *Compiled) Precompile(entries ...string) error {
 	return nil
 }
 
-// CanRunNative reports whether a compiled native version exists. Safe
-// against concurrent CompileDriver calls.
-func (c *Compiled) CanRunNative(entry string) bool { return c.Native(entry) != nil }
-
-// Native returns the transformed form of the driver, or nil if the
-// driver was not compiled or declined transformation. Safe against
-// concurrent CompileDriver calls (executors resolve their driver per
-// attempt while another job may still be compiling its own).
-func (c *Compiled) Native(entry string) *ir.Func {
+// CanRunNative reports whether a compiled native version exists: false
+// if the driver was not compiled or declined transformation. Safe
+// against concurrent CompileDriver calls (executors resolve their driver
+// per attempt while another job may still be compiling its own).
+func (c *Compiled) CanRunNative(entry string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.Natives[entry]
+	return c.Natives[entry] != nil
 }
 
 // Input is one bound source of a task invocation: wire records in Buf.
@@ -259,33 +256,15 @@ type Executor struct {
 // pool uses to decide on retries. Even on error the partial Stats are
 // returned, so failed attempts stay visible in the job accounting.
 func (e *Executor) RunTask(spec TaskSpec) (TaskResult, error) {
-	start := time.Now()
-	task := e.Trace.StartSpan("task", spec.Name,
+	t := taskRun{e: e, spec: &spec, start: time.Now()}
+	t.span = e.Trace.StartSpan("task", spec.Name,
 		trace.Str("driver", spec.Driver), trace.Str("mode", e.Mode.String()))
-	var bd metrics.Breakdown
-	bd.Attempts++
-	finish := func(outcome string) {
-		task.End(trace.Str("outcome", outcome),
-			trace.I64("attempts", bd.Attempts), trace.I64("aborts", bd.Aborts))
-		latency := "task_latency_ns"
-		if e.Tenant != "" {
-			latency = trace.Name(latency, "tenant", e.Tenant)
-		}
-		e.Trace.Registry().Histogram(latency, trace.LatencyBuckets()...).
-			Observe(float64(time.Since(start)))
-	}
-	fail := func(err error) (TaskResult, error) {
-		bd.Total = time.Since(start)
-		task.Instant("fault", "task-error",
-			trace.Str("class", Classify(err).String()), trace.Str("reason", err.Error()))
-		finish("error")
-		return TaskResult{Stats: bd}, taskErr(spec.Name, err)
-	}
+	t.bd.Attempts++
 
 	// Closure shipping: serialize on the "driver", deserialize here.
 	serT, deserT := simulateClosure(spec.ClosureBytes)
-	bd.Ser += serT
-	bd.Deser += deserT
+	t.bd.Ser += serT
+	t.bd.Deser += deserT
 
 	// Attempt-level injected faults (slow task, lost attempt, OOM).
 	if p := spec.Faults; p != nil {
@@ -294,79 +273,213 @@ func (e *Executor) RunTask(spec TaskSpec) (TaskResult, error) {
 		}
 		attempt := p.TakeAttempt()
 		if attempt <= int64(p.TransientFailures) {
-			task.Instant("fault", "injected-transient", trace.I64("attempt", attempt))
-			return fail(&TaskError{Task: spec.Name, Class: FaultTransient,
+			t.span.Instant("fault", "injected-transient", trace.I64("attempt", attempt))
+			return t.fail(&TaskError{Task: spec.Name, Class: FaultTransient,
 				Err: fmt.Errorf("injected transient failure (attempt %d)", attempt)})
 		}
 		if attempt <= int64(p.TransientFailures+p.OOMFailures) {
-			task.Instant("fault", "injected-oom", trace.I64("attempt", attempt))
-			return fail(&TaskError{Task: spec.Name, Class: FaultOOM,
+			t.span.Instant("fault", "injected-oom", trace.I64("attempt", attempt))
+			return t.fail(&TaskError{Task: spec.Name, Class: FaultOOM,
 				Err: fmt.Errorf("injected allocation failure (attempt %d): %w", attempt, heap.ErrOutOfMemory)})
 		}
 	}
 
-	var sum uint64
 	if e.VerifyInputs {
-		sum = checksumInputs(spec)
+		t.sum = checksumInputs(spec)
 	}
 
 	if e.Mode == Gerenuk && e.C.CanRunNative(spec.Driver) {
 		if e.Breaker.Allow(spec.Driver) {
-			if delay, hedged := e.hedgeDelay(); hedged {
-				return e.runTaskHedged(spec, task, start, &bd, sum, delay, finish, fail)
-			}
-			att := task.Child("attempt", "native-attempt")
-			out, attempt, err := e.runNativeAttempt(spec, att, nil)
-			bd.Add(attempt)
-			switch {
-			case err == nil:
-				att.End(trace.Str("outcome", "ok"))
-				e.Breaker.Record(spec.Driver, false)
-				if e.VerifyInputs && checksumInputs(spec) != sum {
-					return fail(&TaskError{Task: spec.Name, Class: FaultPermanent, Err: ErrInputMutated})
-				}
-				bd.Total = time.Since(start)
-				finish("ok")
-				return TaskResult{Out: out, Stats: bd}, nil
-			case Classify(err) == AbortSpeculation || Classify(err) == FaultOOM:
-				// Abort (or a native-side allocation failure, equally a
-				// failed speculation): discard the attempt — heap, arena
-				// and partial output all die with it — and fall through
-				// to the slow path over the pristine inputs.
-				att.End(trace.Str("outcome", "abort"))
-				e.Breaker.Record(spec.Driver, true)
-				bd.Aborts++
-				task.Instant("abort", "speculation-abort",
-					trace.Str("class", Classify(err).String()),
-					trace.Str("reason", err.Error()))
-				e.Trace.Registry().Counter("aborts_total").Add(1)
-				e.recordDeopt(spec.Driver)
-				if e.VerifyInputs && checksumInputs(spec) != sum {
-					return fail(&TaskError{Task: spec.Name, Class: FaultPermanent, Err: ErrInputMutated})
-				}
-			default:
-				att.End(trace.Str("outcome", "error"))
-				return fail(err)
-			}
-		} else {
-			// Open breaker: skip the doomed native attempt.
-			bd.NativeSkips++
-			task.Instant("breaker", "native-skip", trace.Str("driver", spec.Driver))
-			e.Trace.Registry().Counter("native_skips_total").Add(1)
+			return t.speculate(func(native bool, att *trace.Span) racer {
+				return e.launch(native, spec, att)
+			})
 		}
+		// Open breaker: skip the doomed native attempt.
+		t.bd.NativeSkips++
+		t.span.Instant("breaker", "native-skip", trace.Str("driver", spec.Driver))
+		e.Trace.Registry().Counter("native_skips_total").Add(1)
 	}
+	return t.heapOnly()
+}
 
-	att := task.Child("attempt", "heap-attempt")
-	out, slow, err := e.runHeapAttempt(spec, att, nil)
-	bd.Add(slow)
-	if err != nil {
+// taskRun is the state of one RunTask call: what every attempt of the
+// task folds its cost into and what the task's outcome is reported
+// through. It lives on RunTask's stack and holds the spec by pointer —
+// at a thousand-odd tasks per streaming job a heap-allocated copy shows
+// in the job's allocation volume.
+type taskRun struct {
+	e     *Executor
+	spec  *TaskSpec
+	span  *trace.Span
+	start time.Time
+	bd    metrics.Breakdown
+	sum   uint64 // input checksum before any attempt ran (VerifyInputs)
+}
+
+func (t *taskRun) finish(outcome string) {
+	t.bd.Total = time.Since(t.start)
+	t.span.End(trace.Str("outcome", outcome),
+		trace.I64("attempts", t.bd.Attempts), trace.I64("aborts", t.bd.Aborts))
+	latency := "task_latency_ns"
+	if t.e.Tenant != "" {
+		latency = trace.Name(latency, "tenant", t.e.Tenant)
+	}
+	t.e.Trace.Registry().Histogram(latency, trace.LatencyBuckets()...).Observe(float64(t.bd.Total))
+}
+
+func (t *taskRun) ok(out []byte) (TaskResult, error) {
+	t.finish("ok")
+	return TaskResult{Out: out, Stats: t.bd}, nil
+}
+
+func (t *taskRun) fail(err error) (TaskResult, error) {
+	t.span.Instant("fault", "task-error",
+		trace.Str("class", Classify(err).String()), trace.Str("reason", err.Error()))
+	t.finish("error")
+	return TaskResult{Stats: t.bd}, taskErr(t.spec.Name, err)
+}
+
+// attemptOutcome is what one attempt hands back to its task: racing
+// attempts send it over a channel, so the task goroutine aggregates
+// stats without shared state.
+type attemptOutcome struct {
+	out []byte
+	bd  metrics.Breakdown
+	err error
+	// compiled marks a native attempt that ran closure-compiled code: an
+	// abort of it is a deoptimization, an abort of an interpreted attempt
+	// is not.
+	compiled bool
+}
+
+// attemptState is where a settled attempt ended up. The zero value is an
+// attempt that never started.
+type attemptState int
+
+const (
+	notRun    attemptState = iota
+	succeeded              // ran to an answer
+	aborted                // native only: failed speculation, recover on the heap path
+	canceled               // stopped by the task after the other attempt won
+	failed                 // native: a non-speculation error; heap: any error
+)
+
+// run executes one attempt of the task on the calling goroutine: the
+// speculative native attempt or the untransformed heap one.
+func (e *Executor) run(native bool, spec TaskSpec, att *trace.Span, cancel *canceler) attemptOutcome {
+	if native {
+		return e.runNativeAttempt(spec, att, cancel)
+	}
+	return e.runHeapAttempt(spec, att, cancel)
+}
+
+// settleNative is the one place a finished native attempt is accounted:
+// its cost folds into the task, its span ends, the breaker learns how
+// the speculation went, and a failed speculation is counted as an abort
+// (and, when compiled code ran, a deoptimization). stopped says the task
+// canceled the attempt because the hedge had already won.
+func (t *taskRun) settleNative(att *trace.Span, o attemptOutcome, stopped bool) attemptState {
+	t.bd.Add(o.bd)
+	if o.err == nil {
+		// Even an attempt that lost the race but completed is a successful
+		// speculation for the breaker: both outputs are identical.
+		att.End(trace.Str("outcome", "ok"))
+		t.e.Breaker.Record(t.spec.Driver, false)
+		return succeeded
+	}
+	if stopped && errors.Is(o.err, interp.ErrCanceled) {
+		att.End(trace.Str("outcome", "canceled"))
+		t.hedgeCancel("native")
+		return canceled
+	}
+	class := Classify(o.err)
+	if class != AbortSpeculation && class != FaultOOM {
 		att.End(trace.Str("outcome", "error"))
-		return fail(err)
+		return failed
+	}
+	// Abort (or a native-side allocation failure, equally a failed
+	// speculation): the attempt is discarded — heap, arena and partial
+	// output all die with it — and the heap path recovers over the
+	// pristine inputs.
+	att.End(trace.Str("outcome", "abort"))
+	t.e.Breaker.Record(t.spec.Driver, true)
+	t.bd.Aborts++
+	t.span.Instant("abort", "speculation-abort",
+		trace.Str("class", class.String()), trace.Str("reason", o.err.Error()))
+	reg := t.e.Trace.Registry()
+	reg.Counter("aborts_total").Add(1)
+	if o.compiled {
+		reg.Counter("deopt_total").Add(1)
+	}
+	return aborted
+}
+
+// settleHeap accounts a finished heap attempt: cost folded, span ended.
+// stopped says the task canceled it, whatever it then returned.
+func (t *taskRun) settleHeap(att *trace.Span, o attemptOutcome, stopped bool) attemptState {
+	t.bd.Add(o.bd)
+	switch {
+	case stopped:
+		att.End(trace.Str("outcome", "canceled"))
+		return canceled
+	case o.err != nil:
+		att.End(trace.Str("outcome", "error"))
+		return failed
 	}
 	att.End(trace.Str("outcome", "ok"))
-	bd.Total = time.Since(start)
-	finish("ok")
-	return TaskResult{Out: out, Stats: bd}, nil
+	return succeeded
+}
+
+// heapOnly runs the heap attempt on the caller's goroutine and takes its
+// result as the task's: the primary execution in Baseline mode, and in
+// Gerenuk mode the fallback after a failed speculation or an open breaker.
+func (t *taskRun) heapOnly() (TaskResult, error) {
+	att := t.span.Child("attempt", "heap-attempt")
+	o := t.e.run(false, *t.spec, att, nil)
+	if t.settleHeap(att, o, false) == failed {
+		return t.fail(o.err)
+	}
+	return t.ok(o.out)
+}
+
+// speculate decides the task from its attempts under one rule: the heap
+// attempt starts when the native attempt aborts or when the hedge delay
+// expires, whichever comes first — and never if the native attempt
+// succeeds or fails for good before either. Serial recovery (the
+// paper's §3.6) is that rule with no timer: both attempts then run on
+// the caller's goroutine with no goroutine, channel or timer. launch
+// starts a concurrent attempt and is only called with hedging armed.
+func (t *taskRun) speculate(launch func(native bool, att *trace.Span) racer) (TaskResult, error) {
+	var nr, hr attemptOutcome
+	var native, hedge attemptState
+	natt := t.span.Child("attempt", "native-attempt")
+	if delay, hedged := t.e.hedgeDelay(); hedged {
+		nr, hr, native, hedge = t.race(natt, delay, launch)
+	} else {
+		nr = t.e.run(true, *t.spec, natt, nil)
+		native = t.settleNative(natt, nr, false)
+	}
+
+	// The mutate-input canary: every attempt that ran has settled, and
+	// nothing — the fallback below included — has read the inputs since.
+	// A hedged race can therefore never mask a corrupted input.
+	if t.e.VerifyInputs && checksumInputs(*t.spec) != t.sum {
+		return t.fail(&TaskError{Task: t.spec.Name, Class: FaultPermanent, Err: ErrInputMutated})
+	}
+	switch {
+	case native == failed:
+		// A permanent native failure fails the task even when a hedge
+		// produced an answer: hedging changes a task's latency, never its
+		// outcome.
+		return t.fail(nr.err)
+	case hedge == succeeded:
+		return t.ok(hr.out)
+	case native == succeeded:
+		return t.ok(nr.out)
+	case hedge == failed:
+		return t.fail(hr.err)
+	}
+	return t.heapOnly()
 }
 
 // checksumInputs fingerprints the bytes speculation must not touch, for
@@ -409,14 +522,15 @@ func checksumInputs(spec TaskSpec) uint64 {
 // A runtime panic here is contained (the process must survive a bad
 // task) but classified permanent: the heap path is the ground truth, so
 // a panic in it is a bug, not failed speculation.
-func (e *Executor) runHeapAttempt(spec TaskSpec, att *trace.Span, cancel *canceler) (out []byte, bd metrics.Breakdown, err error) {
+func (e *Executor) runHeapAttempt(spec TaskSpec, att *trace.Span, cancel *canceler) (o attemptOutcome) {
+	bd := &o.bd
 	t0 := time.Now()
 	defer func() { bd.HeapTime += time.Since(t0) }()
 	defer func() {
 		if r := recover(); r != nil {
 			bd.PanicsContained++
-			out = nil
-			err = &TaskError{Task: spec.Name, Class: FaultPermanent,
+			o.out = nil
+			o.err = &TaskError{Task: spec.Name, Class: FaultPermanent,
 				Err: fmt.Errorf("runtime panic in heap execution: %v", r)}
 		}
 	}()
@@ -456,21 +570,35 @@ func (e *Executor) runHeapAttempt(spec TaskSpec, att *trace.Span, cancel *cancel
 		if spec.EpochPerInvocation {
 			h.EpochStart()
 		}
-		_, err := interp.New(env).Run(fn, spec.Args...)
+		_, o.err = interp.New(env).Run(fn, spec.Args...)
 		bd.Ser += env.SerTime
 		bd.Deser += env.DeserTime
 		ph.End(trace.I64("ser_bytes", env.SerBytes), trace.I64("deser_bytes", env.DeserBytes))
-		if err != nil {
-			return nil, bd, err
+		if o.err != nil {
+			return o
 		}
 		if spec.EpochPerInvocation {
-			if err := h.EpochEnd(); err != nil {
-				return nil, bd, err
+			if o.err = h.EpochEnd(); o.err != nil {
+				return o
 			}
 		}
 		e.maybeCheckpoint(spec, att, i+1, sink.out)
 	}
-	st := h.Stats()
+	foldHeapStats(bd, h.Stats())
+	// The serialized shuffle-output buffer is process memory too (the
+	// Gerenuk path's equivalent lives inside its arena regions and is
+	// already counted there).
+	if out := int64(len(sink.out)); out > bd.PeakNativeBytes {
+		bd.PeakNativeBytes = out
+	}
+	bd.Records += countRecords(spec.Invocations[resume:])
+	o.out = sink.out
+	return o
+}
+
+// foldHeapStats charges an attempt's simulated-heap activity — the data
+// heap of a heap attempt, the control heap of a native one — to its cost.
+func foldHeapStats(bd *metrics.Breakdown, st heap.Stats) {
 	bd.GC += st.GCTime
 	bd.MinorGCs += st.MinorGCs
 	bd.MajorGCs += st.MajorGCs
@@ -479,14 +607,6 @@ func (e *Executor) runHeapAttempt(spec TaskSpec, att *trace.Span, cancel *cancel
 	if st.PeakUsedBytes > bd.PeakHeapBytes {
 		bd.PeakHeapBytes = st.PeakUsedBytes
 	}
-	// The serialized shuffle-output buffer is process memory too (the
-	// Gerenuk path's equivalent lives inside its arena regions and is
-	// already counted there).
-	if out := int64(len(sink.out)); out > bd.PeakNativeBytes {
-		bd.PeakNativeBytes = out
-	}
-	bd.Records += countRecords(spec.Invocations[resume:])
-	return sink.out, bd, nil
 }
 
 // runNativeAttempt executes the transformed driver over arena regions.
@@ -499,17 +619,18 @@ func (e *Executor) runHeapAttempt(spec TaskSpec, att *trace.Span, cancel *cancel
 // (immutable) input buffers. This is the paper's §3.6 recovery
 // obligation extended from the one blessed abort instruction to every
 // failure mode speculation can hit.
-func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canceler) (out []byte, bd metrics.Breakdown, err error) {
+func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canceler) (o attemptOutcome) {
+	bd := &o.bd
 	t0 := time.Now()
 	defer func() { bd.NativeTime += time.Since(t0) }()
 	defer func() {
 		if r := recover(); r != nil {
 			bd.PanicsContained++
-			out = nil
+			o.out = nil
 			if f, ok := r.(*arena.Fault); ok {
-				err = &interp.AbortError{Reason: "native memory violation: " + f.Msg}
+				o.err = &interp.AbortError{Reason: "native memory violation: " + f.Msg}
 			} else {
-				err = &interp.AbortError{Reason: fmt.Sprintf("runtime panic in speculative execution: %v", r)}
+				o.err = &interp.AbortError{Reason: fmt.Sprintf("runtime panic in speculative execution: %v", r)}
 			}
 		}
 	}()
@@ -518,15 +639,17 @@ func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canc
 	// a canceled straggler dies mid-stall instead of sleeping it out.
 	if p := spec.Faults; p != nil && p.NativeDelay > 0 {
 		if cancel.sleep(p.NativeDelay) {
-			return nil, bd, interp.ErrCanceled
+			o.err = interp.ErrCanceled
+			return o
 		}
 	}
-	// Resolve the execution backend for this driver: a compiled closure
-	// chain when available (compiling it on first use), else the
-	// interpreter over the transformed IR. Resolution happens before the
-	// arena exists so a (hypothetical) compile failure can never leak
+	// Resolve what this attempt runs, once: the transformed driver and,
+	// under the compiled backend, its closure chain (compiled on first
+	// use; nil = interpret the transformed IR). Resolution happens before
+	// the arena exists so a (hypothetical) compile failure can never leak
 	// attempt state.
-	cp := e.closureFor(spec.Driver, att)
+	fn, cp := e.nativeCode(spec.Driver, att)
+	o.compiled = cp != nil
 	a := arena.New()
 	a.SetTrace(att)
 	// A Gerenuk executor keeps a small control heap; data never touches it.
@@ -536,7 +659,6 @@ func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canc
 	})
 	outRegion := a.NewRegion("task-out")
 	sink := &nativeSink{a: a}
-	fn := e.C.Native(spec.Driver)
 	hook := recordHook(spec, a)
 
 	// Adopt each distinct input buffer once. Owned buffers (a shuffle
@@ -570,7 +692,6 @@ func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canc
 		r := a.AdoptBytes("ckpt-restore", seed)
 		sink.out = append(sink.out, a.Slice(r.AddrOf(0), r.Len())...)
 	})
-	var aborted error
 	for i := resume; i < len(spec.Invocations); i++ {
 		inv := spec.Invocations[i]
 		sources := make(map[string]interp.NativeSource, len(inv))
@@ -587,42 +708,31 @@ func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canc
 			Trace:             ph,
 			Cancel:            cancel.cancelFlag(),
 		}
-		var err error
 		if cp != nil {
-			_, err = cp.Run(env, spec.Args...)
+			_, o.err = cp.Run(env, spec.Args...)
 		} else {
-			_, err = interp.New(env).Run(fn, spec.Args...)
+			_, o.err = interp.New(env).Run(fn, spec.Args...)
 		}
 		bd.Ser += env.SerTime
 		bd.Deser += env.DeserTime
 		ph.End()
-		if err != nil {
-			aborted = err
+		if o.err != nil {
 			break
 		}
 		e.maybeCheckpoint(spec, att, i+1, sink.out)
 	}
-	hst := h.Stats()
-	bd.GC += hst.GCTime
-	bd.MinorGCs += hst.MinorGCs
-	bd.MajorGCs += hst.MajorGCs
-	bd.AllocObjects += hst.AllocObjects
-	bd.AllocBytes += hst.AllocBytes
-	peak := hst.PeakUsedBytes
-	if peak > bd.PeakHeapBytes {
-		bd.PeakHeapBytes = peak
-	}
+	foldHeapStats(bd, h.Stats())
 	if ast := a.Stats(); ast.PeakBytes > bd.PeakNativeBytes {
 		bd.PeakNativeBytes = ast.PeakBytes
 	}
-	if aborted != nil {
-		return nil, bd, aborted
+	if o.err != nil {
+		return o
 	}
 	bd.Records += countRecords(spec.Invocations[resume:])
 	// Copy output bytes out, then free all regions wholesale — the
 	// region-based reclamation the confinement guarantee enables.
-	result := append([]byte(nil), sink.Bytes()...)
-	return result, bd, nil
+	o.out = append([]byte(nil), sink.Bytes()...)
+	return o
 }
 
 // recordHook builds the per-record fault hook for a native attempt, or
@@ -715,11 +825,4 @@ func simulateClosure(n int) (ser, deser time.Duration) {
 	_ = sum
 	deser = time.Since(t1)
 	return ser, deser
-}
-
-// RunNativeDebug exposes the native attempt for tests diagnosing abort
-// reasons.
-func (e *Executor) RunNativeDebug(spec TaskSpec) ([]byte, error) {
-	out, _, err := e.runNativeAttempt(spec, nil, nil)
-	return out, err
 }

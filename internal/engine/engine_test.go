@@ -300,3 +300,29 @@ func TestOwnedInputMatchesCopiedInput(t *testing.T) {
 		}
 	}
 }
+
+// TestSerialTaskAllocs pins the fixed cost of an unhedged native task
+// with tracing off: an empty task allocated 14 objects per RunTask at the
+// parent of the PR that folded the attempt paths into one state machine
+// (two of them the default histogram buckets, rebuilt per call). Staying
+// at or under that also pins that the serial path starts no goroutine,
+// channel or timer and keeps its per-task state off the heap — each of
+// those would allocate.
+func TestSerialTaskAllocs(t *testing.T) {
+	const parentAllocs = 14
+	prog := pairProgram(t)
+	c := Compile(prog)
+	if err := c.CompileDriver("incStage"); err != nil {
+		t.Fatal(err)
+	}
+	e := &Executor{C: c, Mode: Gerenuk, HeapCfg: heap.Config{YoungSize: 4 << 10, OldSize: 16 << 10}}
+	spec := TaskSpec{Name: "empty", Driver: "incStage"}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := e.RunTask(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > parentAllocs {
+		t.Errorf("empty native task: %.0f allocs per RunTask, want <= %d", got, parentAllocs)
+	}
+}

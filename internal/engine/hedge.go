@@ -25,12 +25,9 @@
 package engine
 
 import (
-	"errors"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/interp"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -45,13 +42,14 @@ type HedgeConfig struct {
 	// MedianMult, when > 0, derives the hedge delay adaptively as
 	// MedianMult times the pool's observed median task latency (the
 	// task_latency_ns histogram of the executor's tracer registry). It
-	// needs an enabled tracer and at least MinSamples observed tasks;
-	// until both hold, After (if set) applies instead.
+	// needs an enabled tracer and at least eight observed tasks
+	// (hedgeMinSamples); until both hold, After (if set) applies instead.
 	MedianMult float64
-	// MinSamples is the minimum number of task-latency observations
-	// before the median trigger takes over from After (default 8).
-	MinSamples int
 }
+
+// hedgeMinSamples is how many task-latency observations the median
+// trigger needs before it takes over from After.
+const hedgeMinSamples = 8
 
 // Enabled reports whether any hedge trigger is configured.
 func (h HedgeConfig) Enabled() bool { return h.After > 0 || h.MedianMult > 0 }
@@ -65,12 +63,8 @@ func (e *Executor) hedgeDelay() (delay time.Duration, ok bool) {
 		return 0, false
 	}
 	if h.MedianMult > 0 {
-		minSamples := h.MinSamples
-		if minSamples <= 0 {
-			minSamples = 8
-		}
 		hist := e.Trace.Registry().Histogram("task_latency_ns", trace.LatencyBuckets()...)
-		if med, n := hist.Quantile(0.5); n >= int64(minSamples) && med > 0 {
+		if med, n := hist.Quantile(0.5); n >= hedgeMinSamples && med > 0 {
 			return time.Duration(h.MedianMult * med), true
 		}
 	}
@@ -113,6 +107,11 @@ func (c *canceler) sleep(d time.Duration) bool {
 		time.Sleep(d)
 		return false
 	}
+	if c.flag.Load() {
+		// Already canceled: with a short d both select cases below could
+		// be ready, and select would pick between them at random.
+		return true
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -123,214 +122,92 @@ func (c *canceler) sleep(d time.Duration) bool {
 	}
 }
 
-// attemptOutcome is one racing attempt's result, handed back over a
-// channel so the task goroutine aggregates stats without shared state.
-type attemptOutcome struct {
-	out []byte
-	bd  metrics.Breakdown
-	err error
+// racer is one attempt running on its own goroutine: how to stop it and
+// where its outcome arrives.
+type racer struct {
+	cancel *canceler
+	done   <-chan attemptOutcome
 }
 
-// runTaskHedged is RunTask's native branch with hedging armed. It owns
-// the full task outcome from here: the native attempt starts
-// immediately in its own goroutine; if it outlives the hedge delay, the
-// heap attempt launches beside it and the first finisher wins. Both
-// channels are always drained before returning, so no attempt goroutine
-// outlives its task and every attempt's cost lands in the job
-// accounting (a canceled loser's partial work is real work the hedge
-// spent).
-func (e *Executor) runTaskHedged(spec TaskSpec, task *trace.Span, start time.Time,
-	bd *metrics.Breakdown, sum uint64, delay time.Duration,
-	finish func(string), fail func(error) (TaskResult, error)) (TaskResult, error) {
+// launch starts one attempt of the task concurrently. It takes the spec
+// by value: the copy, not the task's own spec, is what escapes to the
+// attempt's goroutine.
+func (e *Executor) launch(native bool, spec TaskSpec, att *trace.Span) racer {
+	cancel, done := newCanceler(), make(chan attemptOutcome, 1)
+	go func() { done <- e.run(native, spec, att, cancel) }()
+	return racer{cancel: cancel, done: done}
+}
 
-	reg := e.Trace.Registry()
+// race is speculate's rule with the timer armed: the native attempt
+// starts at once on its own goroutine; if it outlives the hedge delay,
+// the heap attempt launches beside it over the same immutable input
+// buffers, and the first successful finisher cancels the other. Both
+// attempts are always drained and settled before race returns, so no
+// attempt goroutine outlives its task and every attempt's cost lands in
+// the job accounting (a canceled loser's partial work is real work the
+// hedge spent).
+func (t *taskRun) race(natt *trace.Span, delay time.Duration,
+	launch func(native bool, att *trace.Span) racer) (nr, hr attemptOutcome, native, hedge attemptState) {
 
-	// recordAbort mirrors the synchronous path's breaker and abort
-	// accounting for a native attempt that ran to a failed speculation.
-	recordAbort := func(err error) {
-		e.Breaker.Record(spec.Driver, true)
-		bd.Aborts++
-		task.Instant("abort", "speculation-abort",
-			trace.Str("class", Classify(err).String()), trace.Str("reason", err.Error()))
-		reg.Counter("aborts_total").Add(1)
-		e.recordDeopt(spec.Driver)
-	}
-	// verify re-runs the mutate-input canary. Every caller settles both
-	// attempts first, so a hedged race can never mask a corrupted input:
-	// mutation fails the task loudly, exactly like the unhedged path.
-	verify := func() error {
-		if e.VerifyInputs && checksumInputs(spec) != sum {
-			return &TaskError{Task: spec.Name, Class: FaultPermanent, Err: ErrInputMutated}
-		}
-		return nil
-	}
-	ok := func(out []byte) (TaskResult, error) {
-		if err := verify(); err != nil {
-			return fail(err)
-		}
-		bd.Total = time.Since(start)
-		finish("ok")
-		return TaskResult{Out: out, Stats: *bd}, nil
-	}
-
-	nativeCancel := newCanceler()
-	nativeCh := make(chan attemptOutcome, 1)
-	natt := task.Child("attempt", "native-attempt")
-	go func() {
-		out, abd, err := e.runNativeAttempt(spec, natt, nativeCancel)
-		nativeCh <- attemptOutcome{out: out, bd: abd, err: err}
-	}()
-
-	hedgeTimer := time.NewTimer(delay)
-	defer hedgeTimer.Stop()
-
-	var nr attemptOutcome
-	nativeFirst := false
+	n := launch(true, natt)
+	timer := time.NewTimer(delay)
+	defer timer.Stop()
 	select {
-	case nr = <-nativeCh:
-		nativeFirst = true
-	case <-hedgeTimer.C:
-	}
-
-	if nativeFirst {
+	case nr = <-n.done:
 		// The native attempt beat the hedge delay: no intra-task
-		// concurrency happened and the unhedged semantics apply verbatim.
-		bd.Add(nr.bd)
-		switch {
-		case nr.err == nil:
-			natt.End(trace.Str("outcome", "ok"))
-			e.Breaker.Record(spec.Driver, false)
-			return ok(nr.out)
-		case Classify(nr.err) == AbortSpeculation || Classify(nr.err) == FaultOOM:
-			natt.End(trace.Str("outcome", "abort"))
-			recordAbort(nr.err)
-			if err := verify(); err != nil {
-				return fail(err)
-			}
-			hatt := task.Child("attempt", "heap-attempt")
-			out, hbd, err := e.runHeapAttempt(spec, hatt, nil)
-			bd.Add(hbd)
-			if err != nil {
-				hatt.End(trace.Str("outcome", "error"))
-				return fail(err)
-			}
-			hatt.End(trace.Str("outcome", "ok"))
-			bd.Total = time.Since(start)
-			finish("ok")
-			return TaskResult{Out: out, Stats: *bd}, nil
-		default:
-			natt.End(trace.Str("outcome", "error"))
-			return fail(nr.err)
-		}
+		// concurrency happened and the serial rule applies verbatim.
+		return nr, hr, t.settleNative(natt, nr, false), notRun
+	case <-timer.C:
 	}
 
-	// The hedge fires: launch the untransformed heap attempt over the
-	// same immutable input buffers and take the first finisher.
-	task.Instant("hedge", "hedge-launch",
-		trace.Str("driver", spec.Driver), trace.I64("delay_ns", int64(delay)))
-	reg.Counter("hedges_total").Add(1)
-	bd.Hedges++
-	heapCancel := newCanceler()
-	heapCh := make(chan attemptOutcome, 1)
-	hatt := task.Child("attempt", "heap-hedge")
-	go func() {
-		out, hbd, err := e.runHeapAttempt(spec, hatt, heapCancel)
-		heapCh <- attemptOutcome{out: out, bd: hbd, err: err}
-	}()
+	t.span.Instant("hedge", "hedge-launch",
+		trace.Str("driver", t.spec.Driver), trace.I64("delay_ns", int64(delay)))
+	t.e.Trace.Registry().Counter("hedges_total").Add(1)
+	t.bd.Hedges++
+	hatt := t.span.Child("attempt", "heap-hedge")
+	h := launch(false, hatt)
 
 	select {
-	case nr = <-nativeCh:
-		bd.Add(nr.bd)
-		switch {
-		case nr.err == nil:
-			// Native finished first after all: cancel the hedge, drain
-			// it, and return the speculative result.
-			natt.End(trace.Str("outcome", "ok"))
-			e.Breaker.Record(spec.Driver, false)
-			heapCancel.cancel()
-			hr := <-heapCh
-			bd.Add(hr.bd)
-			hatt.End(trace.Str("outcome", "canceled"))
-			task.Instant("hedge", "hedge-cancel", trace.Str("loser", "heap"))
-			reg.Counter("hedge_cancels_total").Add(1)
-			return ok(nr.out)
-		case Classify(nr.err) == AbortSpeculation || Classify(nr.err) == FaultOOM:
-			// Failed speculation: the already-running hedge IS the heap
-			// fallback the unhedged path would now start — wait for it.
-			natt.End(trace.Str("outcome", "abort"))
-			recordAbort(nr.err)
-			hr := <-heapCh
-			bd.Add(hr.bd)
-			if hr.err != nil {
-				hatt.End(trace.Str("outcome", "error"))
-				return fail(hr.err)
-			}
-			hatt.End(trace.Str("outcome", "ok"))
-			task.Instant("hedge", "hedge-win", trace.Str("driver", spec.Driver))
-			reg.Counter("hedge_wins_total").Add(1)
-			bd.HedgeWins++
-			return ok(hr.out)
-		default:
-			// Permanent native failure fails the task exactly as the
-			// unhedged path would; the hedge's answer must not mask it.
-			natt.End(trace.Str("outcome", "error"))
-			heapCancel.cancel()
-			hr := <-heapCh
-			bd.Add(hr.bd)
-			hatt.End(trace.Str("outcome", "canceled"))
-			return fail(nr.err)
+	case nr = <-n.done:
+		// An abort leaves the already-running hedge as the heap fallback
+		// the serial path would now start. Any other native outcome
+		// decides the task by itself, so the hedge is stopped.
+		native = t.settleNative(natt, nr, false)
+		if native != aborted {
+			h.cancel.cancel()
 		}
-
-	case hr := <-heapCh:
-		bd.Add(hr.bd)
-		if hr.err != nil {
-			// The ground-truth path failed. Whether the task fails
-			// depends on the native attempt, so wait for it.
-			hatt.End(trace.Str("outcome", "error"))
-			nr = <-nativeCh
-			bd.Add(nr.bd)
-			switch {
-			case nr.err == nil:
-				natt.End(trace.Str("outcome", "ok"))
-				e.Breaker.Record(spec.Driver, false)
-				return ok(nr.out)
-			case Classify(nr.err) == AbortSpeculation || Classify(nr.err) == FaultOOM:
-				natt.End(trace.Str("outcome", "abort"))
-				recordAbort(nr.err)
-				return fail(hr.err)
-			default:
-				natt.End(trace.Str("outcome", "error"))
-				return fail(nr.err)
-			}
+		hr = <-h.done
+		hedge = t.settleHedge(hatt, hr, native != aborted)
+		if native == succeeded {
+			t.hedgeCancel("heap")
 		}
-		// Hedge win: the heap attempt overtook the straggling native.
-		// Cancel the straggler cooperatively and drain it.
-		hatt.End(trace.Str("outcome", "ok"))
-		task.Instant("hedge", "hedge-win", trace.Str("driver", spec.Driver))
-		reg.Counter("hedge_wins_total").Add(1)
-		bd.HedgeWins++
-		nativeCancel.cancel()
-		nr = <-nativeCh
-		bd.Add(nr.bd)
-		switch {
-		case nr.err == nil:
-			// Lost the race but completed: still a successful
-			// speculation for the breaker (both outputs are identical).
-			natt.End(trace.Str("outcome", "ok"))
-			e.Breaker.Record(spec.Driver, false)
-		case errors.Is(nr.err, interp.ErrCanceled):
-			natt.End(trace.Str("outcome", "canceled"))
-			task.Instant("hedge", "hedge-cancel", trace.Str("loser", "native"))
-			reg.Counter("hedge_cancels_total").Add(1)
-		case Classify(nr.err) == AbortSpeculation || Classify(nr.err) == FaultOOM:
-			natt.End(trace.Str("outcome", "abort"))
-			recordAbort(nr.err)
-		default:
-			// See above: a permanent native failure keeps failing the
-			// task with hedging on.
-			natt.End(trace.Str("outcome", "error"))
-			return fail(nr.err)
+	case hr = <-h.done:
+		// A hedge that overtook the straggler stops it. A hedge that
+		// failed — the ground-truth path — leaves the task's fate to the
+		// native attempt, which runs on.
+		if hedge = t.settleHedge(hatt, hr, false); hedge == succeeded {
+			n.cancel.cancel()
 		}
-		return ok(hr.out)
+		nr = <-n.done
+		native = t.settleNative(natt, nr, hedge == succeeded)
 	}
+	return nr, hr, native, hedge
+}
+
+// settleHedge settles the concurrent heap attempt; one that ran to an
+// answer is a hedge win whatever the native attempt goes on to do.
+func (t *taskRun) settleHedge(att *trace.Span, o attemptOutcome, stopped bool) attemptState {
+	s := t.settleHeap(att, o, stopped)
+	if s == succeeded {
+		t.span.Instant("hedge", "hedge-win", trace.Str("driver", t.spec.Driver))
+		t.e.Trace.Registry().Counter("hedge_wins_total").Add(1)
+		t.bd.HedgeWins++
+	}
+	return s
+}
+
+// hedgeCancel records that the race's winner stopped the losing attempt.
+func (t *taskRun) hedgeCancel(loser string) {
+	t.span.Instant("hedge", "hedge-cancel", trace.Str("loser", loser))
+	t.e.Trace.Registry().Counter("hedge_cancels_total").Add(1)
 }

@@ -9,7 +9,7 @@ import (
 
 // TestHedgeDelayResolution pins the trigger-selection ladder of
 // hedgeDelay: disabled config arms nothing; an absolute After applies
-// until the latency histogram has MinSamples observations; from then on
+// until the latency histogram has hedgeMinSamples observations; from then on
 // the median-derived delay takes over.
 func TestHedgeDelayResolution(t *testing.T) {
 	e := &Executor{}
@@ -23,26 +23,26 @@ func TestHedgeDelayResolution(t *testing.T) {
 	}
 
 	// Median trigger without a tracer: no samples, fall back to After.
-	e.Hedge = HedgeConfig{After: 5 * time.Millisecond, MedianMult: 3, MinSamples: 4}
+	e.Hedge = HedgeConfig{After: 5 * time.Millisecond, MedianMult: 3}
 	if d, ok := e.hedgeDelay(); !ok || d != 5*time.Millisecond {
 		t.Fatalf("median trigger without samples = %v, %v; want After fallback", d, ok)
 	}
 
 	// Median trigger without After and without samples: nothing to arm.
-	e.Hedge = HedgeConfig{MedianMult: 3, MinSamples: 4}
+	e.Hedge = HedgeConfig{MedianMult: 3}
 	if _, ok := e.hedgeDelay(); ok {
 		t.Fatalf("median trigger armed with no latency samples and no After")
 	}
 
-	// Feed the latency histogram past MinSamples; the delay becomes
+	// Feed the latency histogram up to hedgeMinSamples; the delay becomes
 	// MedianMult x median. All samples are equal, so the clamped
 	// bucket-quantile is exact.
 	e.Trace = trace.New()
 	hist := e.Trace.Registry().Histogram("task_latency_ns", trace.LatencyBuckets()...)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < hedgeMinSamples; i++ {
 		hist.Observe(float64(2 * time.Millisecond))
 	}
-	e.Hedge = HedgeConfig{After: 5 * time.Millisecond, MedianMult: 3, MinSamples: 4}
+	e.Hedge = HedgeConfig{After: 5 * time.Millisecond, MedianMult: 3}
 	if d, ok := e.hedgeDelay(); !ok || d != 6*time.Millisecond {
 		t.Fatalf("adaptive delay = %v, %v; want 3x2ms = 6ms, true", d, ok)
 	}

@@ -296,9 +296,6 @@ func (h *Heap) InRegion(a Addr) bool { return h.inRegion(a) }
 // InOld reports whether a points into the old generation.
 func (h *Heap) InOld(a Addr) bool { return h.inOld(a) }
 
-// InYoung reports whether a points into the nursery.
-func (h *Heap) InYoung(a Addr) bool { return h.inYoung(a) }
-
 // mem returns the backing bytes at address a. It panics on wild
 // addresses: such a panic indicates an engine or interpreter bug, not a
 // user-program error.
@@ -906,9 +903,6 @@ func (h *Heap) EpochStart() {
 	}
 	h.inEpoch = true
 }
-
-// InEpoch reports whether a Yak epoch is open.
-func (h *Heap) InEpoch() bool { return h.inEpoch }
 
 // EpochEnd closes the epoch: objects in the region reachable from outside
 // it (from roots, or from holders recorded by the write barrier) are

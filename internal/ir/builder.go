@@ -74,13 +74,6 @@ func (b *FB) FConst(v float64) *Var {
 	return t
 }
 
-// SConst yields a fresh String temp holding a string literal.
-func (b *FB) SConst(v string) *Var {
-	t := b.Temp(model.Object(model.StringClassName))
-	b.emit(&ConstString{Dst: t, Val: v})
-	return t
-}
-
 // Assign emits dst = src.
 func (b *FB) Assign(dst, src *Var) { b.emit(&Assign{Dst: dst, Src: src}) }
 

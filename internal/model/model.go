@@ -68,9 +68,6 @@ func (k Kind) Size() int {
 	}
 }
 
-// IsPrimitive reports whether the kind is a primitive (non-reference) kind.
-func (k Kind) IsPrimitive() bool { return k != KindInvalid && k != KindRef }
-
 // Layout constants of the simulated managed heap. They mirror a 64-bit
 // HotSpot-style JVM without compressed oops: a two-word object header and
 // word-sized references. The paper's Figure 4 arithmetic (8x16 + 9x8 bytes
@@ -193,18 +190,6 @@ func (c *Class) MustField(name string) Field {
 		panic(fmt.Sprintf("model: class %s has no field %q", c.Name, name))
 	}
 	return f
-}
-
-// RefFields returns the reference-typed fields of the class in
-// declaration order.
-func (c *Class) RefFields() []Field {
-	var out []Field
-	for _, f := range c.Fields {
-		if f.Type.IsRef() {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // Registry holds the compiled classes of one program.

@@ -3,7 +3,6 @@ package serde
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/heap"
 	"repro/internal/model"
@@ -294,14 +293,4 @@ func (c *Codec) ReadBack(h *heap.Heap, a heap.Addr, top string) (any, error) {
 	}
 	v, _, err := c.Decode(top, wire, 0)
 	return v, err
-}
-
-// FieldNames returns the sorted field names of an Obj (test helper).
-func (o Obj) FieldNames() []string {
-	out := make([]string, 0, len(o))
-	for k := range o {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

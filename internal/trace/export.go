@@ -143,16 +143,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(t.ChromeTrace())
 }
 
-// WriteChromeTraceFile writes the Chrome trace JSON to the named file.
-func (t *Tracer) WriteChromeTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	defer f.Close()
-	return t.WriteChromeTrace(f)
-}
-
 // ---- metrics JSON exporter ----
 
 // MetricsSchemaVersion identifies the metrics JSON layout, so committed

@@ -247,11 +247,19 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return b
 }
 
+// The default bucket sets are built once: they are asked for per task
+// and per attempt, tracer or no tracer, and Registry.Histogram copies
+// the bounds it keeps. Callers must not modify the returned slice.
+var (
+	latencyBuckets = ExpBuckets(1e3, 2, 25)
+	byteBuckets    = ExpBuckets(64, 4, 12)
+)
+
 // LatencyBuckets are the default duration buckets in nanoseconds:
 // 1µs, 2µs, ... doubling up to ~17s. Used for task-latency and
 // GC-pause distributions.
-func LatencyBuckets() []float64 { return ExpBuckets(1e3, 2, 25) }
+func LatencyBuckets() []float64 { return latencyBuckets }
 
 // ByteBuckets are the default size buckets: 64B, 256B, ... ×4 up to
 // ~1GB. Used for serde byte-count distributions.
-func ByteBuckets() []float64 { return ExpBuckets(64, 4, 12) }
+func ByteBuckets() []float64 { return byteBuckets }
