@@ -5,9 +5,8 @@
 //
 //	gerenukbench [-scale N] [-workers N] [-partitions N] [-iters N] [-only fig6a,fig9,...] [-faults seed]
 //	             [-engine compiled|interp]
-//	             [-hedge-after 5ms] [-hedge-mult 3] [-shuffle-check]
-//	             [-shuffle-budget N] [-shuffle-compress none|flate|lz4]
-//	             [-bench-json out.json] [-apps PR,WC,...]
+//	             [-hedge-after 5ms] [-shuffle-check]
+//	             [-shuffle-budget N] [-shuffle-compress none|lz4]
 //	             [-obs-addr 127.0.0.1:9477] [-obs-hold 30s]
 //	             [-flame out.folded]
 //
@@ -29,9 +28,9 @@
 // app in both modes under injected replica loss, reduce-task kills, and
 // checkpoint corruption, asserting byte-equal output against the
 // fault-free run and that losses were repaired by replica failover,
-// lineage re-execution, and checkpoint resume rather than breaker
-// bypass. The -replicas, -checkpoint-every, and -stage-deadline knobs
-// arm the same machinery in the regular experiments.
+// lineage re-execution, and checkpoint resume. The -replicas,
+// -checkpoint-every, and -stage-deadline knobs arm the same machinery
+// in the regular experiments.
 //
 // -stream-check runs the streaming verification pass instead: both
 // streaming apps in both modes through the micro-batch engine,
@@ -41,18 +40,10 @@
 // modes agree window-for-window.
 //
 // -stream runs the streaming throughput pass: both apps in both modes,
-// reporting records/sec and batch-latency p50/p99. Combined with
-// -bench-json it writes the machine-readable streaming report (one
-// record per (app, mode) with throughput, latency quantiles, the cost
-// breakdown, and that run's stream/shuffle counters) instead.
+// reporting records/sec and batch-latency p50/p99.
 //
-// -bench-json runs every app (or the -apps subset) in both modes and
-// writes one machine-readable JSON report — schema-versioned, one
-// record per (app, mode) with wall time, the full cost breakdown, and
-// that run's registry counters. It replaces the figure/table pass.
-//
-// -hedge-after / -hedge-mult arm straggler hedging in every experiment
-// executor (see engine.HedgeConfig). The -shuffle-* knobs configure the
+// -hedge-after arms straggler hedging in every experiment executor (see
+// engine.Executor.HedgeAfter). The -shuffle-* knobs configure the
 // exchange every experiment routes through; -trace streams its file
 // incrementally so long runs never buffer the whole event log.
 //
@@ -85,9 +76,7 @@ func main() {
 	shuffleCheck := flag.Bool("shuffle-check", false, "run the shuffle verification pass (spill/compressed vs in-memory, all apps)")
 	recoveryCheck := flag.Bool("recovery-check", false, "run the recovery verification pass (replica loss, reduce kills, checkpoint corruption vs fault-free, all apps)")
 	streamCheck := flag.Bool("stream-check", false, "run the streaming verification pass (micro-batched windows vs one-shot batch, chaos + kill/resume)")
-	streamRun := flag.Bool("stream", false, "run the streaming throughput pass (with -bench-json: write the streaming report instead)")
-	benchJSON := flag.String("bench-json", "", "run every app in both modes and write the machine-readable report to this file (replaces the figure pass)")
-	benchApps := flag.String("apps", "", "comma-separated app subset for -bench-json (default: all apps)")
+	streamRun := flag.Bool("stream", false, "run the streaming throughput pass")
 	flag.Parse()
 
 	sess, err := shared.Open()
@@ -106,37 +95,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
 		}
 	}()
-
-	if *benchJSON != "" {
-		if *streamRun {
-			rep, err := bench.BuildStreamReport(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			if err := bench.WriteStreamReportFile(*benchJSON, rep); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("bench-json: wrote %s (%d streaming runs, schema %d)\n",
-				*benchJSON, len(rep.Runs), rep.Schema)
-			return
-		}
-		var apps []string
-		for _, a := range strings.Split(*benchApps, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				apps = append(apps, a)
-			}
-		}
-		rep, err := bench.BuildBenchReport(cfg, apps)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteBenchReportFile(*benchJSON, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("bench-json: wrote %s (%d runs, schema %d)\n",
-			*benchJSON, len(rep.Runs), rep.Schema)
-		return
-	}
 
 	if *faultSeed != 0 {
 		r, err := bench.Chaos(cfg, *faultSeed)

@@ -6,11 +6,11 @@
 //
 //	gerenukrun -app PR|KM|LR|CS|GB|IUF|UAH|SPF|UED|CED|IMC|TFC [-scale N]
 //	           [-engine compiled|interp]
-//	           [-hedge-after 5ms] [-hedge-mult 3] [-trace out.json]
+//	           [-hedge-after 5ms] [-trace out.json]
 //	           [-metrics-json out.json] [-shuffle-budget N]
-//	           [-shuffle-compress none|flate|lz4] [-shuffle-latency 1ms]
-//	           [-shuffle-bw N] [-replicas 2] [-checkpoint-every N]
-//	           [-stage-deadline 5s] [-recovery-faults seed]
+//	           [-shuffle-compress none|lz4] [-replicas 2]
+//	           [-checkpoint-every N] [-stage-deadline 5s]
+//	           [-recovery-faults seed]
 //	           [-obs-addr 127.0.0.1:9477] [-obs-hold 30s]
 //	           [-flame out.folded]
 //	gerenukrun -stream -app wordcount|streamrank [-stream-windows N]
@@ -26,9 +26,8 @@
 // histograms) plus both modes' cost breakdowns.
 //
 // The -shuffle-* flags configure the exchange: a positive budget forces
-// sorted spill runs on the map side, the codec compresses blocks at
-// rest and on the wire, and latency/bandwidth model the fetch
-// transport.
+// sorted spill runs on the map side, and the codec compresses blocks at
+// rest and on the wire.
 //
 // The durability knobs arm the recovery layer: -replicas keeps N copies
 // of every shuffle block, -checkpoint-every checkpoints reduce-side
@@ -205,10 +204,11 @@ func main() {
 		}
 		var order []metrics.Breakdown
 		for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
-			stats, err := bench.RunApp(*app, cfg, mode)
+			res, err := bench.RunApp(*app, cfg, mode)
 			if err != nil {
 				fatal(err)
 			}
+			stats := res.Stats
 			rows[mode.String()] = stats
 			order = append(order, stats)
 			t.AddRow(mode.String(), metrics.D(stats.Total), metrics.D(stats.Compute()),

@@ -39,7 +39,7 @@ func TestCompiledBackendDifferential(t *testing.T) {
 			for _, plan := range backendDiffPlans {
 				cfg := Quick()
 				cfg.Injector = plan.mk()
-				heapOut, err := AppOutput(app, cfg, engine.Baseline)
+				heapRun, err := RunApp(app, cfg, engine.Baseline)
 				if err != nil {
 					t.Fatalf("%s baseline: %v", plan.name, err)
 				}
@@ -47,7 +47,7 @@ func TestCompiledBackendDifferential(t *testing.T) {
 				cfg = Quick()
 				cfg.Injector = plan.mk()
 				cfg.Backend = engine.BackendInterp
-				interpOut, err := AppOutput(app, cfg, engine.Gerenuk)
+				interpRun, err := RunApp(app, cfg, engine.Gerenuk)
 				if err != nil {
 					t.Fatalf("%s gerenuk/interp: %v", plan.name, err)
 				}
@@ -55,11 +55,12 @@ func TestCompiledBackendDifferential(t *testing.T) {
 				cfg = Quick()
 				cfg.Injector = plan.mk()
 				cfg.Backend = engine.BackendCompiled
-				compiledOut, err := AppOutput(app, cfg, engine.Gerenuk)
+				compiledRun, err := RunApp(app, cfg, engine.Gerenuk)
 				if err != nil {
 					t.Fatalf("%s gerenuk/compiled: %v", plan.name, err)
 				}
 
+				compiledOut, interpOut, heapOut := compiledRun.Out, interpRun.Out, heapRun.Out
 				if !bytes.Equal(compiledOut, interpOut) {
 					t.Errorf("%s: compiled output differs from interp (%d vs %d bytes)",
 						plan.name, len(compiledOut), len(interpOut))
@@ -79,7 +80,7 @@ func TestCompiledBackendDifferential(t *testing.T) {
 // and record at least one deoptimization (deopt_total > 0), and still
 // produce output identical to the clean baseline.
 func TestCompiledBackendDeoptCounters(t *testing.T) {
-	want, err := AppOutput("PR", Quick(), engine.Baseline)
+	want, err := RunApp("PR", Quick(), engine.Baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func TestCompiledBackendDeoptCounters(t *testing.T) {
 	cfg.Injector = faults.Chaos(42)
 	cfg.Backend = engine.BackendCompiled
 	cfg.Trace = trace.New()
-	got, err := AppOutput("PR", cfg, engine.Gerenuk)
+	got, err := RunApp("PR", cfg, engine.Gerenuk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(got.Out, want.Out) {
 		t.Fatalf("chaos compiled output differs from clean baseline")
 	}
 	snap := cfg.Trace.Registry().Snapshot()

@@ -1,10 +1,17 @@
 package bench
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/apps/hadoopapps"
 	"repro/internal/engine"
+	"repro/internal/metrics"
+	"repro/internal/serde"
 )
 
 func TestConfigDefaults(t *testing.T) {
@@ -61,15 +68,35 @@ func TestTables1And2AreComplete(t *testing.T) {
 	}
 }
 
+// TestTableInputCounts pins Tables 1 and 2 to the inputs the runs read:
+// every row's dataset size is the number of records the app's input
+// generator produces at that scale.
+func TestTableInputCounts(t *testing.T) {
+	cfg := Quick()
+	firstInt := regexp.MustCompile(`\d+`)
+	check := func(table *Result, apps []string, gen func(app string, scale int) (string, []serde.Obj)) {
+		for i, app := range apps {
+			row := table.Table.Rows[i]
+			_, objs := gen(app, cfg.Scale)
+			if got := firstInt.FindString(row[1]); got != strconv.Itoa(len(objs)) {
+				t.Errorf("%s %s: row says %q (%s), generator produced %d records",
+					table.ID, app, got, row[1], len(objs))
+			}
+		}
+	}
+	check(Table1(cfg), SparkAppNames, sparkInput)
+	check(Table2(cfg), hadoopapps.AllApps, hadoopInput)
+}
+
 func TestRunAppDispatch(t *testing.T) {
 	if _, err := RunApp("nope", Quick(), engine.Baseline); err == nil {
 		t.Errorf("unknown app accepted")
 	}
-	st, err := RunApp("UAH", Quick(), engine.Gerenuk)
+	res, err := RunApp("UAH", Quick(), engine.Gerenuk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Total == 0 || st.Records == 0 {
+	if st := res.Stats; st.Total == 0 || st.Records == 0 {
 		t.Errorf("empty stats: %+v", st)
 	}
 }
@@ -85,5 +112,61 @@ func TestSuiteFindHelpers(t *testing.T) {
 	h := &HadoopSuite{Runs: []AppRun{{App: "IMC", Mode: engine.Baseline}}}
 	if _, ok := h.Find("IMC", engine.Baseline); !ok {
 		t.Errorf("hadoop Find missed a run")
+	}
+}
+
+// TestStageHookObservesEveryRun checks the suite-level hook fires for
+// both engines with the stage's own (not yet folded) breakdown, and
+// that mutations it makes propagate into the job totals the runner
+// returns — the contract the GC attributor depends on.
+func TestStageHookObservesEveryRun(t *testing.T) {
+	var mu sync.Mutex
+	type call struct {
+		app, stage string
+		mode       engine.Mode
+	}
+	var calls []call
+	cfg := sized(1, 2, 2, 1)
+	cfg.StageHook = func(app string, mode engine.Mode, stage string, stats *metrics.Breakdown, wall time.Duration) {
+		mu.Lock()
+		calls = append(calls, call{app, stage, mode})
+		mu.Unlock()
+		if wall <= 0 {
+			t.Errorf("%s/%s: wall = %v, want > 0", app, stage, wall)
+		}
+		stats.GCAttributed += time.Microsecond
+	}
+
+	res, err := RunApp("PR", cfg, engine.Gerenuk)
+	if err != nil {
+		t.Fatalf("RunApp(PR): %v", err)
+	}
+	sparkCalls := len(calls)
+	if sparkCalls == 0 {
+		t.Fatal("StageHook never fired for the spark app")
+	}
+	if want := time.Duration(sparkCalls) * time.Microsecond; res.Stats.GCAttributed != want {
+		t.Errorf("spark GCAttributed = %v, want %v (hook mutation must fold into totals)",
+			res.Stats.GCAttributed, want)
+	}
+
+	calls = nil
+	res, err = RunApp("IUF", cfg, engine.Gerenuk)
+	if err != nil {
+		t.Fatalf("RunApp(IUF): %v", err)
+	}
+	stages := map[string]bool{}
+	for _, c := range calls {
+		if c.app != "IUF" || c.mode != engine.Gerenuk {
+			t.Errorf("unexpected hook call %+v", c)
+		}
+		stages[c.stage] = true
+	}
+	if !stages["map"] || !stages["reduce"] {
+		t.Errorf("hadoop stages seen = %v, want map and reduce", stages)
+	}
+	if res.Stats.GCAttributed != time.Duration(len(calls))*time.Microsecond {
+		t.Errorf("hadoop GCAttributed = %v, want %v", res.Stats.GCAttributed,
+			time.Duration(len(calls))*time.Microsecond)
 	}
 }

@@ -29,7 +29,7 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 		"run", "tasks", "aborts", "panics", "retries", "skips", "outcome")
 	docs := workload.GenDocs(30*cfg.Scale, 30, 3)
 
-	run := func(mode engine.Mode, inj *faults.Injector, breaker *engine.Breaker, hedge engine.HedgeConfig) (map[string]int64, *spark.Context, error) {
+	run := func(mode engine.Mode, inj *faults.Injector, breaker *engine.Breaker, hedgeAfter time.Duration) (map[string]int64, *spark.Context, error) {
 		prog := sparkapps.NewProgram(sparkapps.ClsDoc, sparkapps.ClsWordCount)
 		comp := engine.Compile(prog)
 		ctx := spark.NewContext(comp, mode)
@@ -37,7 +37,7 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 		// its own injector, breaker and hedge policy.
 		ctx.Env = armed(job.Env{Identity: job.Identity{Breaker: breaker},
 			Mode: mode, Workers: cfg.Workers, Backend: cfg.Backend, Trace: cfg.Trace,
-			Injector: inj, Hedge: hedge})
+			Injector: inj, HedgeAfter: hedgeAfter})
 		ctx.Partitions = cfg.Partitions
 		wc := sparkapps.WordCount{}
 		wc.Register(prog)
@@ -72,13 +72,13 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 		return true
 	}
 
-	want, baseCtx, err := run(engine.Baseline, nil, nil, engine.HedgeConfig{})
+	want, baseCtx, err := run(engine.Baseline, nil, nil, 0)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: fault-free baseline: %w", err)
 	}
 	addRow("baseline (no faults)", baseCtx, "ok")
 
-	got, chaosCtx, err := run(engine.Gerenuk, faults.Chaos(seed), engine.NewBreaker(4), engine.HedgeConfig{})
+	got, chaosCtx, err := run(engine.Gerenuk, faults.Chaos(seed), engine.NewBreaker(4), 0)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: gerenuk under injection: %w", err)
 	}
@@ -95,7 +95,7 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 
 	// Bit-flip pass: every task's input gets one bit flipped during
 	// speculation; the canary must fail those tasks loudly.
-	_, flipCtx, err := run(engine.Gerenuk, &faults.Injector{Seed: seed, FlipRate: 1}, nil, engine.HedgeConfig{})
+	_, flipCtx, err := run(engine.Gerenuk, &faults.Injector{Seed: seed, FlipRate: 1}, nil, 0)
 	detected := err != nil && errors.Is(err, engine.ErrInputMutated)
 	outcome = "canary detected"
 	if !detected {
@@ -110,13 +110,12 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 	// is twofold: the hedged output is still byte-equal to the baseline,
 	// and the hedged job's wall time beats the unhedged one.
 	straggle := &faults.Injector{Seed: seed, NativeDelayRate: 1, NativeDelay: 20 * time.Millisecond}
-	slowGot, slowCtx, err := run(engine.Gerenuk, straggle, nil, engine.HedgeConfig{})
+	slowGot, slowCtx, err := run(engine.Gerenuk, straggle, nil, 0)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: gerenuk under stragglers: %w", err)
 	}
 	addRow("gerenuk (stragglers)", slowCtx, "ok")
-	hedgedGot, hedgedCtx, err := run(engine.Gerenuk, straggle, nil,
-		engine.HedgeConfig{After: 1 * time.Millisecond})
+	hedgedGot, hedgedCtx, err := run(engine.Gerenuk, straggle, nil, time.Millisecond)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: gerenuk hedged under stragglers: %w", err)
 	}

@@ -51,7 +51,7 @@ func isHadoopApp(app string) bool {
 // tenant/job identity and scoped shared-state views flow from the
 // JobContext into the run Config, and the job's canonical output bytes
 // come back through the handle — so byte-equality against a standalone
-// AppOutput run is directly assertable.
+// RunApp is directly assertable.
 func ClusterJob(app string, cfg Config, mode engine.Mode) (cluster.JobSpec, error) {
 	if !isSparkApp(app) && !isHadoopApp(app) {
 		return cluster.JobSpec{}, fmt.Errorf("bench: unknown app %q", app)
@@ -66,14 +66,14 @@ func ClusterJob(app string, cfg Config, mode engine.Mode) (cluster.JobSpec, erro
 			if run.Trace == nil {
 				run.Trace = jc.Trace
 			}
-			out, err := AppOutput(app, run, mode)
+			res, err := RunApp(app, run, mode)
 			if errors.Is(err, engine.ErrCanceled) {
 				// The driver observed the cancel signal at a stage boundary
 				// and stopped; report it as the service's canceled outcome,
 				// not a job failure.
-				return out, cluster.ErrCanceled
+				return res.Out, cluster.ErrCanceled
 			}
-			return out, err
+			return res.Out, err
 		},
 	}, nil
 }

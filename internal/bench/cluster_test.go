@@ -55,11 +55,11 @@ func TestMultiTenantClusterDifferential(t *testing.T) {
 		if _, ok := golden[key]; ok {
 			continue
 		}
-		out, err := AppOutput(s.app, cfg, s.mode)
+		res, err := RunApp(s.app, cfg, s.mode)
 		if err != nil {
 			t.Fatalf("serial %s: %v", key, err)
 		}
-		golden[key] = out
+		golden[key] = res.Out
 	}
 
 	tr := trace.New()
@@ -220,11 +220,11 @@ func TestCancelRunningClusterJob(t *testing.T) {
 			<-gate
 			run := cfg
 			run.Canceled = jc.Canceled
-			out, err := AppOutput("PR", run, engine.Gerenuk)
+			res, err := RunApp("PR", run, engine.Gerenuk)
 			if errors.Is(err, engine.ErrCanceled) {
-				return out, cluster.ErrCanceled
+				return res.Out, cluster.ErrCanceled
 			}
-			return out, err
+			return res.Out, err
 		},
 	}
 	j, err := svc.Submit("carol", spec)

@@ -187,33 +187,48 @@ func shuffleRatio(app string, links []workload.Links, cfg Config) (float64, erro
 	return metrics.Ratio(float64(heapBytes), float64(wire)), nil
 }
 
-// Table1 regenerates the Spark program inventory.
+// Table1 regenerates the Spark program inventory; each dataset size is
+// the record count sparkInput generates at cfg.Scale.
 func Table1(cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	r := newResult("Table 1", "Spark programs and inputs (scaled)",
 		"name", "dataset (scaled)", "data type T")
-	r.Table.AddRow("PageRank (PR)", fmt.Sprintf("power-law graph, %d vertices", 150*cfg.Scale), "Links (long, long[])")
-	r.Table.AddRow("KMeans (KM)", fmt.Sprintf("synthetic %d points, 8 features", 120*cfg.Scale), "DenseVector")
-	r.Table.AddRow("Logistic Regression (LR)", fmt.Sprintf("synthetic %d points, 10 features", 150*cfg.Scale), "LabeledPoint, DenseVector")
-	r.Table.AddRow("Chi Square Selector (CS)", fmt.Sprintf("synthetic %d points, 28 features", 200*cfg.Scale), "LabeledPoint, SparseVector")
-	r.Table.AddRow("Gradient Boosting (GB)", fmt.Sprintf("synthetic %d points, 8 features", 150*cfg.Scale), "LabeledPoint, DenseVector")
+	for _, row := range [][4]string{
+		{"PR", "PageRank (PR)", "power-law graph, %d vertices", "Links (long, long[])"},
+		{"KM", "KMeans (KM)", "synthetic %d points, 8 features", "DenseVector"},
+		{"LR", "Logistic Regression (LR)", "synthetic %d points, 10 features", "LabeledPoint, DenseVector"},
+		{"CS", "Chi Square Selector (CS)", "synthetic %d points, 28 features", "LabeledPoint, SparseVector"},
+		{"GB", "Gradient Boosting (GB)", "synthetic %d points, 8 features", "LabeledPoint, DenseVector"},
+	} {
+		_, objs := sparkInput(row[0], cfg.Scale)
+		r.Table.AddRow(row[1], fmt.Sprintf(row[2], len(objs)), row[3])
+	}
 	return r
 }
 
-// Table2 regenerates the Hadoop program inventory.
+// Table2 regenerates the Hadoop program inventory; each dataset size is
+// the record count hadoopInput generates at cfg.Scale.
 func Table2(cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	r := newResult("Table 2", "Hadoop programs and inputs (scaled)",
 		"name", "dataset (scaled)", "description")
-	so := fmt.Sprintf("StackOverflow-like, %d users", 80*cfg.Scale)
-	wiki := fmt.Sprintf("Wikipedia-like, %d docs", 40*cfg.Scale)
-	r.Table.AddRow("IUF", so, "Inactive Users Filtering")
-	r.Table.AddRow("UAH", so, "Active User Activity Histogram")
-	r.Table.AddRow("SPF", so, "Spam Posts Filtering")
-	r.Table.AddRow("UED", so, "User Engagement Distribution")
-	r.Table.AddRow("CED", so, "Community Expert Detection")
-	r.Table.AddRow("IMC", wiki, "In-Map Combiner word count")
-	r.Table.AddRow("TFC", wiki, "Term Frequency Calculation")
+	datasets := map[string]string{
+		"stackoverflow-users": "StackOverflow-like, %d users",
+		"stackoverflow-posts": "StackOverflow-like, %d posts",
+		"wikipedia":           "Wikipedia-like, %d docs",
+	}
+	for _, row := range [][2]string{
+		{"IUF", "Inactive Users Filtering"},
+		{"UAH", "Active User Activity Histogram"},
+		{"SPF", "Spam Posts Filtering"},
+		{"UED", "User Engagement Distribution"},
+		{"CED", "Community Expert Detection"},
+		{"IMC", "In-Map Combiner word count"},
+		{"TFC", "Term Frequency Calculation"},
+	} {
+		_, objs := hadoopInput(row[0], cfg.Scale)
+		r.Table.AddRow(row[0], fmt.Sprintf(datasets[hadoopapps.Dataset(row[0])], len(objs)), row[1])
+	}
 	return r
 }
 

@@ -24,9 +24,8 @@ const (
 	// HeapFlag is -heap.
 	HeapFlag FlagGroup = 1 << iota
 	// TuningFlags are the per-run fault-tolerance and exchange knobs:
-	// -hedge-after -hedge-mult -shuffle-budget -shuffle-compress
-	// -shuffle-latency -shuffle-bw -replicas -checkpoint-every
-	// -stage-deadline.
+	// -hedge-after -shuffle-budget -shuffle-compress -replicas
+	// -checkpoint-every -stage-deadline.
 	TuningFlags
 	// CheckpointDirFlag is -checkpoint-dir.
 	CheckpointDirFlag
@@ -73,12 +72,9 @@ func BindFlags(fs *flag.FlagSet, prog, workersFlag string, def Config, groups Fl
 		fs.StringVar(&c.HeapName, "heap", def.HeapName, "executor heap size for Spark apps (10GB|15GB|20GB)")
 	}
 	if groups&TuningFlags != 0 {
-		fs.DurationVar(&c.Hedge.After, "hedge-after", 0, "hedge straggling native attempts with the heap path after this delay (0 = off)")
-		fs.Float64Var(&c.Hedge.MedianMult, "hedge-mult", 0, "hedge after this multiple of the observed median task latency (0 = off; needs -trace or -metrics-json)")
+		fs.DurationVar(&c.HedgeAfter, "hedge-after", 0, "hedge straggling native attempts with the heap path after this delay (0 = off)")
 		fs.Int64Var(&c.Shuffle.MemoryBudget, "shuffle-budget", 0, "map-side shuffle memory budget in bytes (0 = in-memory, >0 spills sorted runs)")
-		fs.StringVar(&f.compress, "shuffle-compress", "", "shuffle block codec: none|flate|lz4")
-		fs.DurationVar(&c.Shuffle.Transport.Latency, "shuffle-latency", 0, "simulated per-block fetch latency")
-		fs.Int64Var(&c.Shuffle.Transport.BytesPerSec, "shuffle-bw", 0, "simulated fetch bandwidth in bytes/sec (0 = infinite)")
+		fs.StringVar(&f.compress, "shuffle-compress", "", "shuffle block codec: none|lz4")
 		fs.IntVar(&c.Shuffle.Replicas, "replicas", 0, "shuffle block replica count (0/1 = no replication)")
 		fs.IntVar(&c.CheckpointEvery, "checkpoint-every", 0, "checkpoint task fold state every N invocations (0 = off)")
 		fs.DurationVar(&c.StageDeadline, "stage-deadline", 0, "watchdog deadline per stage; hangs become retryable timeouts (0 = off)")

@@ -22,19 +22,19 @@ func TestHedgedOutputMatchesUnhedged(t *testing.T) {
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
 			cfg := Quick()
-			want, err := AppOutput(app, cfg, engine.Gerenuk)
+			want, err := RunApp(app, cfg, engine.Gerenuk)
 			if err != nil {
 				t.Fatalf("unhedged run: %v", err)
 			}
 			// 1ns delay: the hedge fires on effectively every task, so the
 			// heap attempt races the native one end to end.
-			cfg.Hedge = engine.HedgeConfig{After: time.Nanosecond}
-			got, err := AppOutput(app, cfg, engine.Gerenuk)
+			cfg.HedgeAfter = time.Nanosecond
+			got, err := RunApp(app, cfg, engine.Gerenuk)
 			if err != nil {
 				t.Fatalf("hedged run: %v", err)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("hedged output differs from unhedged (%d vs %d bytes)", len(got), len(want))
+			if !bytes.Equal(got.Out, want.Out) {
+				t.Fatalf("hedged output differs from unhedged (%d vs %d bytes)", len(got.Out), len(want.Out))
 			}
 		})
 	}
@@ -46,16 +46,16 @@ func TestHedgedOutputMatchesUnhedged(t *testing.T) {
 func TestHedgedOutputMatchesBaselineMode(t *testing.T) {
 	for _, app := range []string{"PR", "IUF"} {
 		cfg := Quick()
-		want, err := AppOutput(app, cfg, engine.Baseline)
+		want, err := RunApp(app, cfg, engine.Baseline)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", app, err)
 		}
-		cfg.Hedge = engine.HedgeConfig{After: time.Nanosecond}
-		got, err := AppOutput(app, cfg, engine.Gerenuk)
+		cfg.HedgeAfter = time.Nanosecond
+		got, err := RunApp(app, cfg, engine.Gerenuk)
 		if err != nil {
 			t.Fatalf("%s hedged gerenuk: %v", app, err)
 		}
-		if !bytes.Equal(got, want) {
+		if !bytes.Equal(got.Out, want.Out) {
 			t.Fatalf("%s: hedged gerenuk output differs from baseline mode", app)
 		}
 	}

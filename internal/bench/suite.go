@@ -176,18 +176,43 @@ func (s *SparkSuite) Find(app, heapName string, mode engine.Mode) (AppRun, bool)
 	return AppRun{}, false
 }
 
-// sparkAppResult is one Table 1 program's outcome: accumulated job
-// statistics plus a canonical byte rendering of the program's result,
-// used by the differential tests to compare hedged against unhedged
-// runs byte for byte.
-type sparkAppResult struct {
+// AppResult is one application run: a canonical byte rendering of the
+// program's result — two runs of the same app in the same configuration
+// must return identical bytes regardless of hedging, retries or
+// scheduling, which the differential tests pin — plus its accumulated
+// job statistics.
+type AppResult struct {
 	Out   []byte
 	Stats metrics.Breakdown
 	Wall  time.Duration
 }
 
+// sparkInput generates one Table 1 program's input records: the one
+// place its dataset and size are decided, read by the runs and Table 1.
+func sparkInput(app string, scale int) (class string, objs []serde.Obj) {
+	switch app {
+	case "PR":
+		links := workload.GenGraph(workload.GraphSpec{
+			Name: "LiveJournal", Vertices: 150 * scale, AvgDeg: 6, Alpha: 2.3, Seed: 11,
+		})
+		return sparkapps.ClsLinks, workload.LinksObjs(links)
+	case "KM":
+		points, _ := workload.GenDensePoints(120*scale, 8, 4, 5)
+		return sparkapps.ClsDenseVector, points
+	case "LR":
+		points, _ := workload.GenLabeledPoints(150*scale, 10, 9)
+		return sparkapps.ClsLabeled, points
+	case "CS":
+		return sparkapps.ClsSparsePoint, workload.GenSparsePoints(200*scale, 28, 6, 21)
+	case "GB":
+		points, _ := workload.GenLabeledPoints(150*scale, 8, 33)
+		return sparkapps.ClsLabeled, points
+	}
+	return "", nil
+}
+
 // runSparkApp executes one Table 1 program end to end.
-func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (sparkAppResult, error) {
+func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (AppResult, error) {
 	cfg = cfg.withDefaults()
 	span := cfg.Trace.StartSpan("job", app, trace.Str("mode", mode.String()))
 	defer span.End()
@@ -200,23 +225,25 @@ func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (spar
 		ctx.HeapCfg = hc
 		return ctx, comp
 	}
-	done := func(ctx *spark.Context, out []byte) (sparkAppResult, error) {
-		return sparkAppResult{Out: out, Stats: ctx.Stats, Wall: ctx.Wall}, nil
+	input := func(ctx *spark.Context, comp *engine.Compiled) (*spark.RDD, error) {
+		class, objs := sparkInput(app, cfg.Scale)
+		parts, err := workload.Encode(comp.Codec, class, objs, cfg.Partitions)
+		return ctx.Parallelize(class, parts), err
 	}
-	fail := func(err error) (sparkAppResult, error) { return sparkAppResult{}, err }
+	done := func(ctx *spark.Context, out []byte) (AppResult, error) {
+		return AppResult{Out: out, Stats: ctx.Stats, Wall: ctx.Wall}, nil
+	}
+	fail := func(err error) (AppResult, error) { return AppResult{}, err }
 	switch app {
 	case "PR":
 		ctx, comp := mk(sparkapps.ClsLinks, sparkapps.ClsRank, sparkapps.ClsContrib)
 		pr := sparkapps.PageRank{Iters: cfg.Iters}
 		pr.Register(comp.Prog)
-		links := workload.GenGraph(workload.GraphSpec{
-			Name: "LiveJournal", Vertices: 150 * cfg.Scale, AvgDeg: 6, Alpha: 2.3, Seed: 11,
-		})
-		parts, err := workload.Encode(comp.Codec, sparkapps.ClsLinks, workload.LinksObjs(links), cfg.Partitions)
+		links, err := input(ctx, comp)
 		if err != nil {
 			return fail(err)
 		}
-		ranks, err := pr.Run(ctx, ctx.Parallelize(sparkapps.ClsLinks, parts))
+		ranks, err := pr.Run(ctx, links)
 		if err != nil {
 			return fail(err)
 		}
@@ -226,8 +253,7 @@ func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (spar
 		ctx, comp := mk(sparkapps.ClsDenseVector, sparkapps.ClsClusterStat)
 		km := sparkapps.KMeans{K: 4, Dim: 8, Iters: cfg.Iters}
 		km.Register(comp.Prog)
-		points, _ := workload.GenDensePoints(120*cfg.Scale, 8, 4, 5)
-		parts, err := workload.Encode(comp.Codec, sparkapps.ClsDenseVector, points, cfg.Partitions)
+		points, err := input(ctx, comp)
 		if err != nil {
 			return fail(err)
 		}
@@ -239,7 +265,7 @@ func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (spar
 			}
 			initial[j] = c
 		}
-		centers, err := km.Run(ctx, ctx.Parallelize(sparkapps.ClsDenseVector, parts), initial)
+		centers, err := km.Run(ctx, points, initial)
 		if err != nil {
 			return fail(err)
 		}
@@ -253,12 +279,11 @@ func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (spar
 		ctx, comp := mk(sparkapps.ClsLabeled, sparkapps.ClsGrad)
 		lr := sparkapps.LogReg{Dim: 10, Iters: cfg.Iters, Rate: 0.5}
 		lr.Register(comp.Prog)
-		points, _ := workload.GenLabeledPoints(150*cfg.Scale, 10, 9)
-		parts, err := workload.Encode(comp.Codec, sparkapps.ClsLabeled, points, cfg.Partitions)
+		points, err := input(ctx, comp)
 		if err != nil {
 			return fail(err)
 		}
-		weights, err := lr.Run(ctx, ctx.Parallelize(sparkapps.ClsLabeled, parts))
+		weights, err := lr.Run(ctx, points)
 		if err != nil {
 			return fail(err)
 		}
@@ -268,12 +293,11 @@ func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (spar
 		ctx, comp := mk(sparkapps.ClsSparsePoint, sparkapps.ClsFeatObs)
 		cs := sparkapps.ChiSqSelector{Dim: 28}
 		cs.Register(comp.Prog)
-		points := workload.GenSparsePoints(200*cfg.Scale, 28, 6, 21)
-		parts, err := workload.Encode(comp.Codec, sparkapps.ClsSparsePoint, points, cfg.Partitions)
+		points, err := input(ctx, comp)
 		if err != nil {
 			return fail(err)
 		}
-		stats, err := cs.Run(ctx, ctx.Parallelize(sparkapps.ClsSparsePoint, parts))
+		stats, err := cs.Run(ctx, points)
 		if err != nil {
 			return fail(err)
 		}
@@ -292,12 +316,11 @@ func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (spar
 		ctx, comp := mk(sparkapps.ClsLabeled, sparkapps.ClsSplitStat)
 		gb := sparkapps.GBoost{Dim: 8, Rounds: cfg.Iters, Buckets: 8, Shrinkage: 0.5, Range: 4}
 		gb.Register(comp.Prog)
-		points, _ := workload.GenLabeledPoints(150*cfg.Scale, 8, 33)
-		parts, err := workload.Encode(comp.Codec, sparkapps.ClsLabeled, points, cfg.Partitions)
+		points, err := input(ctx, comp)
 		if err != nil {
 			return fail(err)
 		}
-		model, err := gb.Run(ctx, ctx.Parallelize(sparkapps.ClsLabeled, parts))
+		model, err := gb.Run(ctx, points)
 		if err != nil {
 			return fail(err)
 		}
@@ -307,7 +330,7 @@ func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (spar
 		}
 		return done(ctx, buf.Bytes())
 	}
-	return sparkAppResult{}, fmt.Errorf("bench: unknown spark app %q", app)
+	return AppResult{}, fmt.Errorf("bench: unknown spark app %q", app)
 }
 
 // Reps is how many times each configuration runs; the median total is
@@ -382,22 +405,16 @@ func (s *HadoopSuite) Find(app string, mode engine.Mode) (AppRun, bool) {
 	return AppRun{}, false
 }
 
-// hadoopSplits generates the input splits for one Table 2 app.
-func hadoopSplits(comp *engine.Compiled, app string, cfg Config) ([][]byte, error) {
-	var objs []serde.Obj
-	var class string
+// hadoopInput generates one Table 2 program's input records: the one
+// place its dataset and size are decided, read by the runs and Table 2.
+func hadoopInput(app string, scale int) (class string, objs []serde.Obj) {
 	switch hadoopapps.Dataset(app) {
 	case "stackoverflow-users":
-		objs = workload.GenUsers(300*cfg.Scale, 3)
-		class = hadoopapps.ClsUser
+		return hadoopapps.ClsUser, workload.GenUsers(300*scale, 3)
 	case "stackoverflow-posts":
-		objs = workload.GenPosts(80*cfg.Scale, 5, 3)
-		class = hadoopapps.ClsPost
-	default:
-		objs = workload.GenDocs(40*cfg.Scale, 30, 3)
-		class = hadoopapps.ClsDoc
+		return hadoopapps.ClsPost, workload.GenPosts(80*scale, 5, 3)
 	}
-	return workload.Encode(comp.Codec, class, objs, cfg.Partitions)
+	return hadoopapps.ClsDoc, workload.GenDocs(40*scale, 30, 3)
 }
 
 // RunHadoopSuite measures every Table 2 app in both modes.
@@ -440,7 +457,8 @@ func runHadoopAppHeaps(app string, cfg Config, mode engine.Mode, yak bool, mapHe
 	conf.MapHeap = mapHeap
 	conf.ReduceHeap = reduceHeap
 	comp := engine.Compile(prog)
-	splits, err := hadoopSplits(comp, app, cfg)
+	class, objs := hadoopInput(app, cfg.Scale)
+	splits, err := workload.Encode(comp.Codec, class, objs, cfg.Partitions)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -461,48 +479,21 @@ func appHeap(cfg Config) heap.Config {
 }
 
 // RunApp executes one named application (Spark or Hadoop) in the given
-// mode and returns its cost breakdown. Used by cmd/gerenukrun.
-func RunApp(app string, cfg Config, mode engine.Mode) (metrics.Breakdown, error) {
+// mode. A failed Hadoop job still returns its partial stats.
+func RunApp(app string, cfg Config, mode engine.Mode) (AppResult, error) {
 	cfg = cfg.withDefaults()
-	for _, s := range SparkAppNames {
-		if s == app {
-			res, err := runSparkApp(app, cfg, appHeap(cfg), mode)
-			return res.Stats, err
+	switch {
+	case isSparkApp(app):
+		return runSparkApp(app, cfg, appHeap(cfg), mode)
+	case isHadoopApp(app):
+		res, _, err := runHadoopApp(app, cfg, mode, false)
+		if res == nil {
+			return AppResult{}, err
 		}
-	}
-	for _, h := range hadoopapps.AllApps {
-		if h == app {
-			res, _, err := runHadoopApp(app, cfg, mode, false)
-			if res != nil {
-				return res.Stats, err
-			}
-			return metrics.Breakdown{}, err
+		if err != nil {
+			return AppResult{Stats: res.Stats}, err
 		}
+		return AppResult{Out: res.Out, Stats: res.Stats, Wall: res.Wall}, nil
 	}
-	return metrics.Breakdown{}, fmt.Errorf("bench: unknown app %q", app)
-}
-
-// AppOutput executes one named application (Spark or Hadoop) in the
-// given mode and returns a canonical byte rendering of its result. Two
-// runs of the same app in the same configuration must return identical
-// bytes regardless of hedging, retries, or scheduling — the
-// differential tests pin exactly that.
-func AppOutput(app string, cfg Config, mode engine.Mode) ([]byte, error) {
-	cfg = cfg.withDefaults()
-	for _, s := range SparkAppNames {
-		if s == app {
-			res, err := runSparkApp(app, cfg, appHeap(cfg), mode)
-			return res.Out, err
-		}
-	}
-	for _, h := range hadoopapps.AllApps {
-		if h == app {
-			res, _, err := runHadoopApp(app, cfg, mode, false)
-			if err != nil {
-				return nil, err
-			}
-			return res.Out, nil
-		}
-	}
-	return nil, fmt.Errorf("bench: unknown app %q", app)
+	return AppResult{}, fmt.Errorf("bench: unknown app %q", app)
 }

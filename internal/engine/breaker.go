@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -14,18 +13,9 @@ import (
 // Gerenuk win into a steady 2x loss. The breaker watches abort outcomes
 // per driver across the whole pool: after Threshold consecutive aborts
 // it "opens" and subsequent tasks skip the doomed native attempt, going
-// straight to the heap path. While open, every ProbeEvery-th task is
+// straight to the heap path. While open, every probeEvery-th task is
 // let through as a half-open probe; one successful probe closes the
 // breaker and re-enables speculation.
-//
-// Probe cadence alone couples re-speculation to *throughput*: a driver
-// whose environment was only transiently bad (a memory spike, a noisy
-// neighbor) stays de-speculated until enough tasks flow past, which on a
-// quiet pool can be forever. CoolDown adds time-based decay — after a
-// cool-down period an open breaker admits a probe regardless of how few
-// tasks arrived — so recovery is bounded by wall-clock time, the way
-// principled deoptimization triggers are time-bounded rather than
-// event-count-bounded. A failed probe re-arms the cool-down.
 //
 // A nil *Breaker (or Threshold <= 0) disables the mechanism entirely:
 // every task attempts the native path, preserving the paper's
@@ -43,18 +33,6 @@ type Breaker struct {
 	// Threshold is the number of consecutive aborts that opens the
 	// breaker for a driver; <= 0 disables the breaker.
 	Threshold int
-	// ProbeEvery lets 1 of every ProbeEvery tasks probe the native path
-	// while open (default 8).
-	ProbeEvery int
-	// CoolDown, when > 0, admits a half-open probe once this much time
-	// has passed since the breaker opened (or since the last probe),
-	// independent of the ProbeEvery cadence — time-based decay for
-	// transiently-bad drivers on quiet pools. 0 keeps probe-count-only
-	// behavior.
-	CoolDown time.Duration
-	// Clock overrides the time source for CoolDown (tests inject a fake
-	// clock); nil uses time.Now.
-	Clock func() time.Time
 	// Trace, when set, receives process-scoped instants on open/close
 	// state transitions.
 	Trace *trace.Tracer
@@ -71,9 +49,13 @@ type Breaker struct {
 	scope  string
 }
 
+// probeEvery lets 1 of every probeEvery tasks probe the native path
+// while a breaker is open.
+const probeEvery = 8
+
 // base resolves the breaker holding the shared state (the receiver,
-// unless it is a scoped view). Configuration (Threshold, CoolDown, …)
-// is always read from the root so views stay consistent with it.
+// unless it is a scoped view). Configuration (Threshold, Trace) is
+// always read from the root so views stay consistent with it.
 func (b *Breaker) base() *Breaker {
 	if b.root != nil {
 		return b.root
@@ -117,21 +99,10 @@ type breakerEntry struct {
 	aborts int  // consecutive aborts observed while closed
 	open   bool // true = de-speculated
 	seen   int  // tasks seen while open (for probe cadence)
-	// probeAt is when the cool-down next admits a probe (open breakers
-	// with CoolDown > 0 only). Re-armed on every admitted cool-down
-	// probe and on every failed probe.
-	probeAt time.Time
-}
-
-func (b *Breaker) now() time.Time {
-	if b.Clock != nil {
-		return b.Clock()
-	}
-	return time.Now()
 }
 
 // NewBreaker returns a breaker that opens after threshold consecutive
-// aborts with the default probe cadence.
+// aborts.
 func NewBreaker(threshold int) *Breaker {
 	return &Breaker{Threshold: threshold}
 }
@@ -153,20 +124,6 @@ func (b *Breaker) Allow(driver string) bool {
 		return true
 	}
 	e.seen++
-	if r.CoolDown > 0 && !r.now().Before(e.probeAt) {
-		// Time-based decay: the cool-down elapsed, so probe now and
-		// re-arm (one probe per cool-down period until an outcome moves
-		// the state).
-		e.probeAt = r.now().Add(r.CoolDown)
-		r.Trace.Instant("breaker", "breaker-cooldown-probe",
-			trace.Str("driver", driver), trace.Str("scope", b.scope),
-			trace.I64("cooldown_ns", int64(r.CoolDown)))
-		return true
-	}
-	probeEvery := r.ProbeEvery
-	if probeEvery <= 0 {
-		probeEvery = 8
-	}
 	return e.seen%probeEvery == 0
 }
 
@@ -187,16 +144,12 @@ func (b *Breaker) Record(driver string, aborted bool) {
 	e := r.entry(b.prefix + driver)
 	if aborted {
 		if e.open {
-			// Failed probe: stay open and re-arm the cool-down so the
-			// next time-based probe waits a full period again.
-			e.probeAt = r.now().Add(r.CoolDown)
-			return
+			return // failed probe: stay open
 		}
 		e.aborts++
 		if e.aborts >= r.Threshold {
 			e.open = true
 			e.seen = 0
-			e.probeAt = r.now().Add(r.CoolDown)
 			r.Trace.Instant("breaker", "breaker-open",
 				trace.Str("driver", driver), trace.Str("scope", b.scope),
 				trace.I64("aborts", int64(e.aborts)))

@@ -59,7 +59,7 @@ func TestTaskErrPreservesClass(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	b := &Breaker{Threshold: 2, ProbeEvery: 3}
+	b := &Breaker{Threshold: 2}
 	d := "drv"
 	if !b.Allow(d) || b.Open(d) {
 		t.Fatalf("new breaker must start closed")
@@ -72,12 +72,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.Open(d) {
 		t.Fatalf("threshold aborts did not open the breaker")
 	}
-	// While open: every ProbeEvery-th Allow is a half-open probe.
-	got := []bool{b.Allow(d), b.Allow(d), b.Allow(d), b.Allow(d), b.Allow(d), b.Allow(d)}
-	want := []bool{false, false, true, false, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("open-state Allow sequence = %v, want %v", got, want)
+	// While open: every 8th Allow is a half-open probe.
+	for i := 1; i <= 16; i++ {
+		if got, want := b.Allow(d), i%8 == 0; got != want {
+			t.Fatalf("open-state Allow #%d = %v, want %v", i, got, want)
 		}
 	}
 	// A failed probe keeps it open; a successful one closes it.

@@ -178,9 +178,6 @@ type TaskSpec struct {
 	Driver string
 	// Invocations bind source names to inputs, once per driver run.
 	Invocations []map[string]Input
-	// Args passes extra scalar arguments to the driver after no
-	// parameters (drivers normally take none).
-	Args []int64
 	// ClosureBytes simulates shipping the serialized closure/task binary
 	// to the executor; both modes pay it (the paper's residual serde).
 	ClosureBytes int
@@ -226,11 +223,11 @@ type Executor struct {
 	// Breaker, when set, adaptively de-speculates drivers that keep
 	// aborting (shared across the pool; nil = always speculate).
 	Breaker *Breaker
-	// Hedge configures straggler hedging: a native attempt that outlives
-	// the hedge delay races a concurrently launched heap attempt and the
-	// task takes the first finisher (see hedge.go). The zero value
-	// disables hedging.
-	Hedge HedgeConfig
+	// HedgeAfter is the straggler hedge delay: a native attempt still
+	// running after this long races a concurrently launched heap attempt
+	// and the task takes the first finisher (see hedge.go). 0 disables
+	// hedging (the paper's serial recovery).
+	HedgeAfter time.Duration
 	// VerifyInputs enables the input-checksum canary: input buffers are
 	// checksummed before a speculative attempt and re-verified after it,
 	// so a violated mutate-input guarantee fails the task loudly instead
@@ -453,7 +450,7 @@ func (t *taskRun) speculate(launch func(native bool, att *trace.Span) racer) (Ta
 	var nr, hr attemptOutcome
 	var native, hedge attemptState
 	natt := t.span.Child("attempt", "native-attempt")
-	if delay, hedged := t.e.hedgeDelay(); hedged {
+	if delay := t.e.HedgeAfter; delay > 0 {
 		nr, hr, native, hedge = t.race(natt, delay, launch)
 	} else {
 		nr = t.e.run(true, *t.spec, natt, nil)
@@ -570,7 +567,7 @@ func (e *Executor) runHeapAttempt(spec TaskSpec, att *trace.Span, cancel *cancel
 		if spec.EpochPerInvocation {
 			h.EpochStart()
 		}
-		_, o.err = interp.New(env).Run(fn, spec.Args...)
+		_, o.err = interp.New(env).Run(fn)
 		bd.Ser += env.SerTime
 		bd.Deser += env.DeserTime
 		ph.End(trace.I64("ser_bytes", env.SerBytes), trace.I64("deser_bytes", env.DeserBytes))
@@ -709,9 +706,9 @@ func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canc
 			Cancel:            cancel.cancelFlag(),
 		}
 		if cp != nil {
-			_, o.err = cp.Run(env, spec.Args...)
+			_, o.err = cp.Run(env)
 		} else {
-			_, o.err = interp.New(env).Run(fn, spec.Args...)
+			_, o.err = interp.New(env).Run(fn)
 		}
 		bd.Ser += env.SerTime
 		bd.Deser += env.DeserTime

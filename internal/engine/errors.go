@@ -23,7 +23,8 @@ const (
 	// re-execute the original driver over the pristine inputs.
 	AbortSpeculation FaultClass = iota
 	// FaultTransient is a retryable whole-task failure (lost executor,
-	// flaky I/O, injected chaos). Recovery: bounded retries with backoff.
+	// flaky I/O, injected chaos). Recovery: bounded immediate retries on a
+	// fresh executor.
 	FaultTransient
 	// FaultPermanent is a non-retryable failure: a genuine bug, or a
 	// violated input-immutability contract that voids the re-execution

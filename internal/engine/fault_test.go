@@ -161,7 +161,7 @@ func TestBreakerLimitsNativeAttempts(t *testing.T) {
 	if err := c.CompileDriver("incStage"); err != nil {
 		t.Fatal(err)
 	}
-	br := &Breaker{Threshold: 3, ProbeEvery: 8}
+	br := &Breaker{Threshold: 3}
 	specs := make([]TaskSpec, 20)
 	for i := range specs {
 		specs[i] = TaskSpec{
@@ -200,7 +200,7 @@ func TestBreakerClosesOnSuccessfulProbe(t *testing.T) {
 	if err := c.CompileDriver("incStage"); err != nil {
 		t.Fatal(err)
 	}
-	br := &Breaker{Threshold: 2, ProbeEvery: 2}
+	br := &Breaker{Threshold: 2}
 	mkSpec := func(abort int64) TaskSpec {
 		return TaskSpec{
 			Name: "t", Driver: "incStage",
@@ -208,10 +208,13 @@ func TestBreakerClosesOnSuccessfulProbe(t *testing.T) {
 			AbortAfterRecords: abort,
 		}
 	}
-	// 2 aborting tasks open it, then 6 healthy ones: task 3 skips
-	// (seen=1), task 4 probes and succeeds -> closed; tasks 5-8 all
+	// 2 aborting tasks open it, then 12 healthy ones: tasks 3-9 skip
+	// (seen=1..7), task 10 probes and succeeds -> closed; tasks 11-14 all
 	// speculate successfully.
-	specs := []TaskSpec{mkSpec(1), mkSpec(1), mkSpec(0), mkSpec(0), mkSpec(0), mkSpec(0), mkSpec(0), mkSpec(0)}
+	specs := []TaskSpec{mkSpec(1), mkSpec(1)}
+	for i := 0; i < 12; i++ {
+		specs = append(specs, mkSpec(0))
+	}
 	pool := &Pool{Workers: 1}
 	job, err := pool.Run(func() *Executor {
 		return &Executor{C: c, Mode: Gerenuk, Breaker: br}
@@ -222,8 +225,8 @@ func TestBreakerClosesOnSuccessfulProbe(t *testing.T) {
 	if br.Open("incStage") {
 		t.Errorf("breaker still open after successful probe")
 	}
-	if job.Stats.NativeSkips != 1 {
-		t.Errorf("native skips = %d, want 1 (only the task before the probe)", job.Stats.NativeSkips)
+	if job.Stats.NativeSkips != 7 {
+		t.Errorf("native skips = %d, want 7 (only the tasks before the probe)", job.Stats.NativeSkips)
 	}
 	if job.Stats.Aborts != 2 {
 		t.Errorf("aborts = %d, want 2", job.Stats.Aborts)

@@ -31,49 +31,6 @@ import (
 	"repro/internal/trace"
 )
 
-// HedgeConfig configures straggler hedging for an executor. The zero
-// value disables hedging entirely (the paper's serial recovery
-// semantics).
-type HedgeConfig struct {
-	// After is the absolute hedge delay: a native attempt still running
-	// after this long gets a concurrent heap attempt raced against it.
-	// <= 0 disables the absolute trigger.
-	After time.Duration
-	// MedianMult, when > 0, derives the hedge delay adaptively as
-	// MedianMult times the pool's observed median task latency (the
-	// task_latency_ns histogram of the executor's tracer registry). It
-	// needs an enabled tracer and at least eight observed tasks
-	// (hedgeMinSamples); until both hold, After (if set) applies instead.
-	MedianMult float64
-}
-
-// hedgeMinSamples is how many task-latency observations the median
-// trigger needs before it takes over from After.
-const hedgeMinSamples = 8
-
-// Enabled reports whether any hedge trigger is configured.
-func (h HedgeConfig) Enabled() bool { return h.After > 0 || h.MedianMult > 0 }
-
-// hedgeDelay resolves the hedge delay for the next task: the adaptive
-// median-based trigger when enough latency samples exist, otherwise the
-// absolute delay. ok is false when hedging should not arm at all.
-func (e *Executor) hedgeDelay() (delay time.Duration, ok bool) {
-	h := e.Hedge
-	if !h.Enabled() {
-		return 0, false
-	}
-	if h.MedianMult > 0 {
-		hist := e.Trace.Registry().Histogram("task_latency_ns", trace.LatencyBuckets()...)
-		if med, n := hist.Quantile(0.5); n >= hedgeMinSamples && med > 0 {
-			return time.Duration(h.MedianMult * med), true
-		}
-	}
-	if h.After > 0 {
-		return h.After, true
-	}
-	return 0, false
-}
-
 // canceler carries the cooperative cancellation signal for one racing
 // attempt: an atomic flag the interpreter's step loop polls, plus a
 // channel injected stalls select on. A nil *canceler never cancels.

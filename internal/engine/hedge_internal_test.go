@@ -3,50 +3,7 @@ package engine
 import (
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
-
-// TestHedgeDelayResolution pins the trigger-selection ladder of
-// hedgeDelay: disabled config arms nothing; an absolute After applies
-// until the latency histogram has hedgeMinSamples observations; from then on
-// the median-derived delay takes over.
-func TestHedgeDelayResolution(t *testing.T) {
-	e := &Executor{}
-	if _, ok := e.hedgeDelay(); ok {
-		t.Fatalf("zero HedgeConfig armed a hedge")
-	}
-
-	e.Hedge = HedgeConfig{After: 5 * time.Millisecond}
-	if d, ok := e.hedgeDelay(); !ok || d != 5*time.Millisecond {
-		t.Fatalf("absolute delay = %v, %v; want 5ms, true", d, ok)
-	}
-
-	// Median trigger without a tracer: no samples, fall back to After.
-	e.Hedge = HedgeConfig{After: 5 * time.Millisecond, MedianMult: 3}
-	if d, ok := e.hedgeDelay(); !ok || d != 5*time.Millisecond {
-		t.Fatalf("median trigger without samples = %v, %v; want After fallback", d, ok)
-	}
-
-	// Median trigger without After and without samples: nothing to arm.
-	e.Hedge = HedgeConfig{MedianMult: 3}
-	if _, ok := e.hedgeDelay(); ok {
-		t.Fatalf("median trigger armed with no latency samples and no After")
-	}
-
-	// Feed the latency histogram up to hedgeMinSamples; the delay becomes
-	// MedianMult x median. All samples are equal, so the clamped
-	// bucket-quantile is exact.
-	e.Trace = trace.New()
-	hist := e.Trace.Registry().Histogram("task_latency_ns", trace.LatencyBuckets()...)
-	for i := 0; i < hedgeMinSamples; i++ {
-		hist.Observe(float64(2 * time.Millisecond))
-	}
-	e.Hedge = HedgeConfig{After: 5 * time.Millisecond, MedianMult: 3}
-	if d, ok := e.hedgeDelay(); !ok || d != 6*time.Millisecond {
-		t.Fatalf("adaptive delay = %v, %v; want 3x2ms = 6ms, true", d, ok)
-	}
-}
 
 // TestCancelerSemantics pins the cooperative-cancellation primitive:
 // idempotent cancel, nil-safe flag access, and sleep returning early

@@ -35,7 +35,7 @@ func TestHedgeHeapWinsOverStraggler(t *testing.T) {
 	const stall = 30 * time.Second // far beyond any test runtime
 	tr := trace.New()
 	e := &Executor{C: c, Mode: Gerenuk, VerifyInputs: true, Trace: tr,
-		Hedge: HedgeConfig{After: time.Millisecond}}
+		HedgeAfter: time.Millisecond}
 	start := time.Now()
 	res, err := e.RunTask(TaskSpec{
 		Name: "straggler", Driver: "incStage",
@@ -74,7 +74,7 @@ func TestHedgeHeapWinsOverStraggler(t *testing.T) {
 func TestHedgeNativeWinsFast(t *testing.T) {
 	c, input, want := hedgeFixture(t, 25)
 	e := &Executor{C: c, Mode: Gerenuk, VerifyInputs: true,
-		Hedge: HedgeConfig{After: time.Hour}}
+		HedgeAfter: time.Hour}
 	res, err := e.RunTask(TaskSpec{
 		Name: "fast", Driver: "incStage",
 		Invocations: []map[string]Input{{"in": {Class: "Pair", Buf: input}}},
@@ -90,6 +90,37 @@ func TestHedgeNativeWinsFast(t *testing.T) {
 	}
 }
 
+// TestHedgeDelayResolution pins that the hedge delay is exactly
+// HedgeAfter, whatever the executor's tracer has observed: a registry
+// full of nanosecond task latencies must not arm an earlier hedge for a
+// stalled native attempt, so a task hedges the same with tracing on or
+// off, and a zero delay is serial recovery.
+func TestHedgeDelayResolution(t *testing.T) {
+	c, input, want := hedgeFixture(t, 25)
+	tr := trace.New()
+	hist := tr.Registry().Histogram("task_latency_ns", trace.LatencyBuckets()...)
+	for i := 0; i < 64; i++ {
+		hist.Observe(1)
+	}
+	for _, after := range []time.Duration{0, time.Hour} {
+		e := &Executor{C: c, Mode: Gerenuk, Trace: tr, HedgeAfter: after}
+		res, err := e.RunTask(TaskSpec{
+			Name: "slow", Driver: "incStage",
+			Invocations: []map[string]Input{{"in": {Class: "Pair", Buf: input}}},
+			Faults:      &faults.Plan{NativeDelay: 10 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatalf("after %v: %v", after, err)
+		}
+		if !bytes.Equal(res.Out, want) {
+			t.Fatalf("after %v: output differs from baseline", after)
+		}
+		if res.Stats.Hedges != 0 {
+			t.Errorf("after %v: %d hedges launched inside the delay", after, res.Stats.Hedges)
+		}
+	}
+}
+
 // TestHedgeRaceEitherWinner races the two attempts with an immediate
 // hedge delay so either side can win, repeatedly. Whoever wins, the
 // output must equal the fault-free baseline — the differential property
@@ -99,7 +130,7 @@ func TestHedgeRaceEitherWinner(t *testing.T) {
 	c, input, want := hedgeFixture(t, 25)
 	for i := 0; i < 20; i++ {
 		e := &Executor{C: c, Mode: Gerenuk, VerifyInputs: true,
-			Hedge: HedgeConfig{After: time.Nanosecond}}
+			HedgeAfter: time.Nanosecond}
 		res, err := e.RunTask(TaskSpec{
 			Name: "race", Driver: "incStage",
 			Invocations: []map[string]Input{{"in": {Class: "Pair", Buf: input}}},
@@ -120,7 +151,7 @@ func TestHedgeAbortFallsBackToRunningHedge(t *testing.T) {
 	c, input, want := hedgeFixture(t, 25)
 	tr := trace.New()
 	e := &Executor{C: c, Mode: Gerenuk, VerifyInputs: true, Trace: tr,
-		Hedge: HedgeConfig{After: time.Nanosecond}}
+		HedgeAfter: time.Nanosecond}
 	res, err := e.RunTask(TaskSpec{
 		Name: "abort-hedged", Driver: "incStage",
 		Invocations:       []map[string]Input{{"in": {Class: "Pair", Buf: input}}},
@@ -144,76 +175,10 @@ func TestHedgeAbortFallsBackToRunningHedge(t *testing.T) {
 	}
 }
 
-// ---- breaker time-based decay ----
-
-// TestBreakerCoolDownProbe drives the cool-down state machine with a
-// fake clock: an open breaker admits no probe before the cool-down,
-// exactly one per elapsed cool-down period, re-arms after both an
-// admitted and a failed probe, and closes on a successful one.
-func TestBreakerCoolDownProbe(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := &Breaker{Threshold: 2, ProbeEvery: 1 << 20, CoolDown: time.Second,
-		Clock: func() time.Time { return now }}
-
-	b.Record("d", true)
-	b.Record("d", true)
-	if !b.Open("d") {
-		t.Fatalf("breaker did not open after threshold aborts")
-	}
-	if b.Allow("d") {
-		t.Fatalf("probe admitted before the cool-down elapsed")
-	}
-	now = now.Add(time.Second)
-	if !b.Allow("d") {
-		t.Fatalf("probe not admitted after the cool-down elapsed")
-	}
-	// The admitted probe re-armed the cool-down: no second probe yet.
-	if b.Allow("d") {
-		t.Fatalf("second probe admitted inside one cool-down period")
-	}
-	// A failed probe re-arms the cool-down from its completion.
-	now = now.Add(time.Second)
-	if !b.Allow("d") {
-		t.Fatalf("probe not admitted after second cool-down")
-	}
-	b.Record("d", true)
-	if b.Allow("d") {
-		t.Fatalf("probe admitted right after a failed probe re-armed the cool-down")
-	}
-	now = now.Add(time.Second)
-	if !b.Allow("d") {
-		t.Fatalf("probe not admitted after failed-probe re-arm elapsed")
-	}
-	b.Record("d", false)
-	if b.Open("d") {
-		t.Fatalf("breaker still open after successful probe")
-	}
-	if !b.Allow("d") {
-		t.Fatalf("closed breaker must allow")
-	}
-}
-
-// TestBreakerCoolDownZeroKeepsCadence: CoolDown 0 must preserve the
-// probe-count-only behavior exactly (the zero value is the old breaker).
-func TestBreakerCoolDownZeroKeepsCadence(t *testing.T) {
-	b := &Breaker{Threshold: 1, ProbeEvery: 4}
-	b.Record("d", true)
-	allowed := 0
-	for i := 0; i < 8; i++ {
-		if b.Allow("d") {
-			allowed++
-		}
-	}
-	if allowed != 2 {
-		t.Fatalf("allowed %d probes in 8 tasks with ProbeEvery 4, want 2", allowed)
-	}
-}
-
 // TestBreakerConcurrentAllowRecord exercises Allow/Record/Open from many
-// goroutines; run with -race it pins the breaker's thread safety,
-// including the cool-down fields.
+// goroutines; run with -race it pins the breaker's thread safety.
 func TestBreakerConcurrentAllowRecord(t *testing.T) {
-	b := &Breaker{Threshold: 2, ProbeEvery: 4, CoolDown: time.Microsecond}
+	b := &Breaker{Threshold: 2}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -290,42 +255,5 @@ func TestPartialJobResultOnFailure(t *testing.T) {
 	}
 	if job.Wall.Total <= 0 {
 		t.Errorf("partial job.Wall.Total = %v, want > 0", job.Wall.Total)
-	}
-}
-
-// TestBackoffDelayCap pins the overflow fix: the exponential shift is
-// capped, the delay clamped, and pathological attempt numbers can never
-// yield a zero or negative sleep that would turn backoff into a hot
-// retry loop.
-func TestBackoffDelayCap(t *testing.T) {
-	base := time.Millisecond
-	cases := []struct {
-		attempt int
-		want    time.Duration
-	}{
-		{attempt: 1, want: 0},                       // first attempt: no backoff
-		{attempt: 2, want: time.Millisecond},        // base
-		{attempt: 3, want: 2 * time.Millisecond},    // doubled
-		{attempt: 10, want: 256 * time.Millisecond}, // base << 8
-		{attempt: 18, want: 30 * time.Second},       // base << 16 = 65.5s, clamped
-		{attempt: 100, want: 30 * time.Second},      // shift capped at 16
-		{attempt: 1 << 40, want: 30 * time.Second},  // would overflow unguarded
-	}
-	for _, tc := range cases {
-		if got := BackoffDelay(base, tc.attempt); got != tc.want {
-			t.Errorf("BackoffDelay(%v, %d) = %v, want %v", base, tc.attempt, got, tc.want)
-		}
-	}
-	// A base above the clamp keeps itself as the ceiling.
-	if got := BackoffDelay(time.Minute, 100); got != time.Minute {
-		t.Errorf("BackoffDelay(1m, 100) = %v, want 1m", got)
-	}
-	if got := BackoffDelay(0, 5); got != 0 {
-		t.Errorf("BackoffDelay(0, 5) = %v, want 0", got)
-	}
-	// Huge bases whose shift overflows must still come back positive.
-	huge := time.Duration(1) << 62
-	if got := BackoffDelay(huge, 50); got != huge {
-		t.Errorf("BackoffDelay(huge, 50) = %v, want %v", got, huge)
 	}
 }

@@ -261,23 +261,15 @@ func Partition(layouts *dsa.Result, class, field string, buf []byte, n int) ([][
 // ---- worker pool ----
 
 // Pool runs tasks across a fixed set of worker executors, mirroring the
-// multi-executor worker nodes of the paper's cluster. MaxAttempts and
-// Backoff configure the task retry policy: transient faults retry with
-// exponential backoff, OOM faults retry on a fresh executor with an
-// escalated heap configuration, and everything else fails fast.
+// multi-executor worker nodes of the paper's cluster. MaxAttempts
+// configures the task retry policy: transient faults retry at once on a
+// fresh executor, OOM faults retry on a fresh executor with an escalated
+// heap configuration, and everything else fails fast.
 type Pool struct {
 	Workers int
 	// MaxAttempts bounds attempts per task for retryable faults
 	// (default 3; 1 disables retries).
 	MaxAttempts int
-	// Backoff is the delay before the second attempt, doubling per
-	// retry (default 0: retry immediately).
-	Backoff time.Duration
-	// Jitter, when set, randomizes each retry's delay with full jitter
-	// (uniform in [0, the deterministic cap]) so tasks that failed
-	// together do not retry in lockstep. nil keeps the deterministic
-	// schedule.
-	Jitter *Jitter
 }
 
 // JobResult aggregates a set of task results.
@@ -372,42 +364,6 @@ func (p *Pool) Run(exec func() *Executor, specs []TaskSpec) (*JobResult, error) 
 	return job, nil
 }
 
-// maxBackoffShift caps the exponential backoff doubling: beyond 16
-// doublings the shift `base << n` would overflow time.Duration for any
-// realistic base (and a task sleeping 18 hours between retries is a
-// bug, not a policy). maxBackoffDelay clamps the result outright.
-const (
-	maxBackoffShift = 16
-	maxBackoffDelay = 30 * time.Second
-)
-
-// BackoffDelay returns the capped exponential backoff before the given
-// 1-based attempt (attempt 2 waits base, attempt 3 waits 2*base, ...).
-// The naive `base << (attempt-2)` overflows int64 once attempt-2
-// exceeds ~62 — a pool configured with a large MaxAttempts would wrap
-// to a negative Duration and time.Sleep would return immediately,
-// turning backoff into a hot retry loop. The shift is capped at
-// maxBackoffShift and the delay clamped to max(base, maxBackoffDelay),
-// so pathological attempt counts degrade to a bounded wait instead.
-func BackoffDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 || attempt < 2 {
-		return 0
-	}
-	shift := attempt - 2
-	if shift > maxBackoffShift {
-		shift = maxBackoffShift
-	}
-	d := base << shift
-	limit := maxBackoffDelay
-	if base > limit {
-		limit = base
-	}
-	if d <= 0 || d > limit {
-		return limit
-	}
-	return d
-}
-
 // runWithRetry drives one task through the pool's retry policy. The
 // first attempt reuses the worker's executor (stateless across tasks);
 // every retry builds a fresh one from the factory — the paper's
@@ -436,9 +392,6 @@ func (p *Pool) runWithRetry(worker *Executor, exec func() *Executor, spec TaskSp
 				trace.Str("cause", Classify(lastErr).String()),
 				trace.I64("heap_escalations", int64(oomRetries)))
 			e.Trace.Registry().Counter("retries_total").Add(1)
-			if p.Backoff > 0 {
-				time.Sleep(p.Jitter.Delay(p.Backoff, attempt))
-			}
 		}
 		res, err := e.RunTask(spec)
 		if attempt > 1 {

@@ -16,7 +16,7 @@ import (
 // aborts de-speculate every tenant. Scoped views must isolate the
 // (tenant, driver) state while sharing configuration.
 func TestBreakerScopedIsolation(t *testing.T) {
-	root := &Breaker{Threshold: 2, ProbeEvery: 4}
+	root := &Breaker{Threshold: 2}
 	alice := root.Scoped("alice")
 	mallory := root.Scoped("mallory")
 

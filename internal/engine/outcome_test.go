@@ -27,8 +27,8 @@ func TestTaskOutcomeMatrix(t *testing.T) {
 		errAbort = &interp.AbortError{Reason: "scripted abort"}
 		errPerm  = errors.New("scripted permanent failure")
 		errHeap  = errors.New("scripted heap failure")
-		never    = HedgeConfig{After: time.Hour}
-		atOnce   = HedgeConfig{After: time.Nanosecond}
+		never    = time.Hour
+		atOnce   = time.Nanosecond
 	)
 	native := func(when When, err error) *Scripted {
 		return &Scripted{When: when, Out: []byte("native"), Err: err}
@@ -39,7 +39,7 @@ func TestTaskOutcomeMatrix(t *testing.T) {
 	type spans struct{ native, fallback, hedge string } // attempt span outcomes, "" = no such span
 	rows := []struct {
 		name          string
-		hedging       HedgeConfig
+		hedging       time.Duration
 		spec          func(*TaskSpec) // real rows: what goes wrong
 		native, hedge *Scripted       // scripted rows
 		mutate        bool            // the scripted native attempt flips an input bit
@@ -142,7 +142,7 @@ func TestTaskOutcomeMatrix(t *testing.T) {
 			br := &Breaker{Threshold: 2}
 			br.Record(driver, true)
 			tr := trace.New()
-			e := &Executor{C: c, Mode: Gerenuk, VerifyInputs: true, Trace: tr, Breaker: br, Hedge: row.hedging}
+			e := &Executor{C: c, Mode: Gerenuk, VerifyInputs: true, Trace: tr, Breaker: br, HedgeAfter: row.hedging}
 
 			var res TaskResult
 			var err error

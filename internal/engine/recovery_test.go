@@ -3,7 +3,6 @@ package engine_test
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	. "repro/internal/engine"
 	"repro/internal/faults"
@@ -184,42 +183,5 @@ func TestKillWithoutCheckpointsStillRecovers(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%v: output differs", mode)
 		}
-	}
-}
-
-func TestJitterFullRangeAndReproducible(t *testing.T) {
-	base := 10 * time.Millisecond
-	a, b := NewJitter(42), NewJitter(42)
-	for attempt := 2; attempt < 12; attempt++ {
-		cap := BackoffDelay(base, attempt)
-		da := a.Delay(base, attempt)
-		if db := b.Delay(base, attempt); da != db {
-			t.Fatalf("same seed diverged at attempt %d: %v vs %v", attempt, da, db)
-		}
-		if da < 0 || da > cap {
-			t.Fatalf("attempt %d: delay %v outside [0, %v]", attempt, da, cap)
-		}
-	}
-	// A different seed must eventually differ (full jitter, not a no-op).
-	c := NewJitter(7)
-	same := true
-	a2 := NewJitter(42)
-	for attempt := 2; attempt < 12; attempt++ {
-		if a2.Delay(base, attempt) != c.Delay(base, attempt) {
-			same = false
-		}
-	}
-	if same {
-		t.Error("seeds 42 and 7 produced identical delay sequences")
-	}
-	// nil jitter keeps the deterministic schedule exactly.
-	var nj *Jitter
-	for attempt := 1; attempt < 6; attempt++ {
-		if nj.Delay(base, attempt) != BackoffDelay(base, attempt) {
-			t.Fatalf("nil jitter changed the deterministic delay")
-		}
-	}
-	if NewJitter(1).Delay(0, 5) != 0 {
-		t.Error("zero base must stay zero")
 	}
 }

@@ -56,8 +56,8 @@ type Plan struct {
 	// straggler. The stall honors cooperative cancellation.
 	NativeDelay time.Duration
 	// FetchFailures fails this many shuffle block fetch attempts before
-	// letting one through, exercising the exchange's retry-with-backoff
-	// and breaker paths. The budget is shared across the task's blocks
+	// letting one through, exercising the exchange's retry and replica
+	// failover paths. The budget is shared across the task's blocks
 	// (cross-attempt, like TransientFailures).
 	FetchFailures int
 	// LoseBlockReplicas drops this many replicas of the reduce task's
@@ -214,8 +214,8 @@ type Injector struct {
 	// shuffle block fetches fail, exercising the exchange's retry path.
 	FetchFailRate float64
 	// FetchFails is how many fetch attempts fail per selected task
-	// (default 1; keep it under the exchange's MaxFetchRetries or the job
-	// legitimately fails).
+	// (default 1; keep it under the exchange's 3 attempts per replica or
+	// the job legitimately fails).
 	FetchFails int
 	// ReplicaLossRate is the fraction of reduce tasks that lose
 	// ReplicaLosses replicas of their first fetched block before the

@@ -76,7 +76,7 @@ var frontEnds = []frontEnd{
 		// map stage, so a cancel raised at that stage's end is first seen
 		// by the fetch, not by the next batch boundary.
 		res, err := stream.Run(stream.Config{
-			App: spec, MapSlots: 2, Reducers: 2, Seed: 7, Interval: time.Millisecond,
+			App: spec, Reducers: 2, Seed: 7, Interval: time.Millisecond,
 			CutBy: stream.Cut{Count: 1 << 30}, WindowBy: stream.Window{Size: 8 * time.Millisecond}, Windows: 2,
 		}.WithEnv(env))
 		return bytes.Join(res.Windows, nil), res.Stats, err

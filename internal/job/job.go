@@ -80,10 +80,10 @@ type Env struct {
 	// MaxAttempts bounds attempts per task for retryable faults (0 = the
 	// pool default of 3; 1 disables retries).
 	MaxAttempts int
-	// Hedge, when enabled, races the untransformed heap attempt against
-	// any native attempt that outlives the hedge delay (straggler
-	// mitigation); the zero value keeps serial recovery.
-	Hedge engine.HedgeConfig
+	// HedgeAfter, when positive, races the untransformed heap attempt
+	// against any native attempt that outlives this delay (straggler
+	// mitigation); 0 keeps serial recovery.
+	HedgeAfter time.Duration
 	// CheckpointEvery persists each task's fold state every N completed
 	// invocations, so a killed attempt resumes from its last checkpoint
 	// instead of restarting (0 = off).
@@ -110,9 +110,8 @@ type Env struct {
 	// is the stage's own breakdown, wall the time its pool ran.
 	OnStage func(stage string, stats *metrics.Breakdown, wall time.Duration)
 	// Shuffle configures every exchange: memory budget (spill threshold),
-	// block compression and replication, simulated transport, fetch
-	// retry/breaker policy. Partitions and Trace are filled per exchange,
-	// Injector and Lineage when unset.
+	// block compression and replication. Partitions and Trace are filled
+	// per exchange, Injector and Lineage when unset.
 	Shuffle shuffle.Config
 }
 
@@ -238,7 +237,7 @@ func (rt *Runtime) RunStage(name string, parent *trace.Span, hc heap.Config, spe
 		return &engine.Executor{
 			C: rt.C, Mode: rt.Mode, HeapCfg: hc, Backend: rt.Backend,
 			Breaker: rt.Breaker, VerifyInputs: rt.VerifyInputs,
-			Hedge: rt.Hedge, Trace: rt.Trace, Tenant: rt.Tenant,
+			HedgeAfter: rt.HedgeAfter, Trace: rt.Trace, Tenant: rt.Tenant,
 		}
 	}
 	run := func() (any, error) { return pool.Run(exec, specs) }
@@ -274,7 +273,7 @@ func (rt *Runtime) RunStage(name string, parent *trace.Span, hc heap.Config, spe
 // Exchange is one shuffle of the job: map-side writers hash-partition
 // records by canonical key bytes (budgeted buffering with sorted spills,
 // optional compression) and a fetch pass assembles the reduce-side
-// blocks over the simulated transport. In Baseline mode the exchange
+// blocks. In Baseline mode the exchange
 // pays real serde per record crossing it; in Gerenuk mode native bytes
 // cross untouched and the fetched blocks can be adopted zero-copy.
 //

@@ -67,7 +67,7 @@ type Breakdown struct {
 }
 
 // Compute returns the portion of the total not attributed to GC, serde,
-// or the shuffle exchange's transport/spill work.
+// or the shuffle exchange's fetch/spill work.
 func (b Breakdown) Compute() time.Duration {
 	c := b.Total - b.GC - b.Ser - b.Deser - b.ShuffleWrite - b.ShuffleRead
 	if c < 0 {

@@ -1,10 +1,7 @@
 package shuffle
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -17,9 +14,6 @@ type Compression int
 const (
 	// None ships raw block bytes.
 	None Compression = iota
-	// Flate uses stdlib DEFLATE at its fastest level (entropy coding,
-	// best ratio of the two, slowest).
-	Flate
 	// LZ4 uses a hand-rolled LZ4-style sequence codec (byte-aligned
 	// match/literal tokens, 64KB window, no entropy stage). The format is
 	// this package's own — both ends of the exchange live in-process, so
@@ -28,14 +22,10 @@ const (
 )
 
 func (c Compression) String() string {
-	switch c {
-	case Flate:
-		return "flate"
-	case LZ4:
+	if c == LZ4 {
 		return "lz4"
-	default:
-		return "none"
 	}
+	return "none"
 }
 
 // ParseCompression maps a CLI flag value to a Compression. The empty
@@ -44,12 +34,10 @@ func ParseCompression(s string) (Compression, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "none":
 		return None, nil
-	case "flate", "deflate":
-		return Flate, nil
 	case "lz4":
 		return LZ4, nil
 	}
-	return None, fmt.Errorf("shuffle: unknown compression %q (want none|flate|lz4)", s)
+	return None, fmt.Errorf("shuffle: unknown compression %q (want none|lz4)", s)
 }
 
 // compressBlock encodes raw with the chosen codec. None returns raw
@@ -59,19 +47,6 @@ func compressBlock(c Compression, raw []byte) ([]byte, error) {
 	switch c {
 	case None:
 		return raw, nil
-	case Flate:
-		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err != nil {
-			return nil, fmt.Errorf("shuffle: flate: %w", err)
-		}
-		if _, err := w.Write(raw); err != nil {
-			return nil, fmt.Errorf("shuffle: flate: %w", err)
-		}
-		if err := w.Close(); err != nil {
-			return nil, fmt.Errorf("shuffle: flate: %w", err)
-		}
-		return buf.Bytes(), nil
 	case LZ4:
 		return lz4Compress(raw), nil
 	}
@@ -89,20 +64,6 @@ func decompressBlock(c Compression, payload []byte, rawLen int) ([]byte, error) 
 			return nil, fmt.Errorf("shuffle: raw block is %d bytes, header says %d", len(payload), rawLen)
 		}
 		return payload, nil
-	case Flate:
-		r := flate.NewReader(bytes.NewReader(payload))
-		raw := make([]byte, 0, rawLen)
-		buf := bytes.NewBuffer(raw)
-		if _, err := io.Copy(buf, r); err != nil {
-			return nil, fmt.Errorf("shuffle: flate: %w", err)
-		}
-		if err := r.Close(); err != nil {
-			return nil, fmt.Errorf("shuffle: flate: %w", err)
-		}
-		if buf.Len() != rawLen {
-			return nil, fmt.Errorf("shuffle: flate block decompressed to %d bytes, header says %d", buf.Len(), rawLen)
-		}
-		return buf.Bytes(), nil
 	case LZ4:
 		return lz4Decompress(payload, rawLen)
 	}
@@ -216,12 +177,26 @@ func lz4ReadLen(payload []byte, p int) (n, np int, err error) {
 	}
 }
 
+// lz4MaxExpansion bounds how many output bytes one payload byte can
+// decode to: a 255 match-length extension byte is the densest encoding.
+const lz4MaxExpansion = 255
+
+// lz4Decompress decodes payload into exactly rawLen bytes. rawLen comes
+// from the block header and bounds everything: the output is allocated
+// once, at that length, and written by index, and a literal run or
+// match that would write past it is rejected before any byte of it is
+// copied — so a corrupt block can neither panic nor expand beyond its
+// declared size. A rawLen no payload of this size could reach is
+// rejected before anything is allocated.
 func lz4Decompress(payload []byte, rawLen int) ([]byte, error) {
 	corrupt := func(format string, args ...any) ([]byte, error) {
 		return nil, fmt.Errorf("shuffle: corrupt lz4 block: "+format, args...)
 	}
-	dst := make([]byte, 0, rawLen)
-	p := 0
+	if rawLen < 0 || rawLen > lz4MaxExpansion*len(payload) {
+		return corrupt("raw length %d impossible for a %d-byte payload", rawLen, len(payload))
+	}
+	dst := make([]byte, rawLen)
+	d, p := 0, 0 // bytes decoded, payload read position
 	for p < len(payload) {
 		tok := payload[p]
 		p++
@@ -237,7 +212,10 @@ func lz4Decompress(payload []byte, rawLen int) ([]byte, error) {
 		if p+litLen > len(payload) {
 			return corrupt("literal run past payload end")
 		}
-		dst = append(dst, payload[p:p+litLen]...)
+		if litLen > rawLen-d {
+			return corrupt("literal run of %d bytes past raw length %d", litLen, rawLen)
+		}
+		d += copy(dst[d:], payload[p:p+litLen])
 		p += litLen
 		if p == len(payload) {
 			break // final literals-only sequence
@@ -247,8 +225,8 @@ func lz4Decompress(payload []byte, rawLen int) ([]byte, error) {
 		}
 		offset := int(payload[p]) | int(payload[p+1])<<8
 		p += 2
-		if offset == 0 || offset > len(dst) {
-			return corrupt("match offset %d with %d bytes decoded", offset, len(dst))
+		if offset == 0 || offset > d {
+			return corrupt("match offset %d with %d bytes decoded", offset, d)
 		}
 		mlen := int(tok&lz4NibbleMax) + lz4MinMatch
 		if tok&lz4NibbleMax == lz4NibbleMax {
@@ -259,15 +237,17 @@ func lz4Decompress(payload []byte, rawLen int) ([]byte, error) {
 			mlen += n
 			p = np
 		}
+		if mlen > rawLen-d {
+			return corrupt("match of %d bytes past raw length %d", mlen, rawLen)
+		}
 		// Byte-at-a-time so overlapping matches (offset < length)
 		// replicate runs, as the format intends.
-		start := len(dst) - offset
-		for k := 0; k < mlen; k++ {
-			dst = append(dst, dst[start+k])
+		for end := d + mlen; d < end; d++ {
+			dst[d] = dst[d-offset]
 		}
 	}
-	if len(dst) != rawLen {
-		return corrupt("decompressed to %d bytes, header says %d", len(dst), rawLen)
+	if d != rawLen {
+		return corrupt("decompressed to %d bytes, header says %d", d, rawLen)
 	}
 	return dst, nil
 }

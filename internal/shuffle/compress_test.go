@@ -40,7 +40,7 @@ func TestCompressionRoundTrips(t *testing.T) {
 		"empty": nil, "short": short, "random": random,
 		"repetitive": repetitive, "runs": runs, "mixed": mixed,
 	}
-	for _, c := range []Compression{None, Flate, LZ4} {
+	for _, c := range []Compression{None, LZ4} {
 		for name, raw := range cases {
 			payload := roundTrip(t, c, raw)
 			if c != None && name == "repetitive" && len(payload) >= len(raw) {
@@ -51,6 +51,29 @@ func TestCompressionRoundTrips(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDecompressBlock feeds the block decoder arbitrary (codec, payload,
+// rawLen) triples — everything a fetched block's header can claim. For
+// every input it must return an error or exactly rawLen bytes and never
+// panic. It never allocates past max(rawLen, 0) because the LZ4 decoder
+// writes into one rawLen-sized buffer by index: a run that escaped the
+// bounds checks would panic here rather than grow it. The seed corpus
+// in testdata/fuzz holds the round-trip and corruption cases above.
+func FuzzDecompressBlock(f *testing.F) {
+	f.Fuzz(func(t *testing.T, codec uint8, payload []byte, rawLen int) {
+		c := Compression(codec)
+		out, err := decompressBlock(c, payload, rawLen)
+		if err != nil {
+			return
+		}
+		if len(out) != rawLen {
+			t.Fatalf("%v: returned %d bytes, header says %d", c, len(out), rawLen)
+		}
+		if c == LZ4 && cap(out) != rawLen {
+			t.Fatalf("lz4: output capacity %d, want the one rawLen-sized buffer (%d)", cap(out), rawLen)
+		}
+	})
 }
 
 func TestLZ4RandomizedRoundTrips(t *testing.T) {
@@ -84,17 +107,15 @@ func TestLZ4LongMatchLengthExtensions(t *testing.T) {
 
 func TestDecompressRejectsCorruption(t *testing.T) {
 	raw := bytes.Repeat([]byte("hello world "), 100)
-	for _, c := range []Compression{Flate, LZ4} {
-		payload, err := compressBlock(c, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := decompressBlock(c, payload, len(raw)+1); err == nil {
-			t.Errorf("%v: wrong rawLen accepted", c)
-		}
-		if _, err := decompressBlock(c, payload[:len(payload)/2], len(raw)); err == nil {
-			t.Errorf("%v: truncated payload accepted", c)
-		}
+	payload, err := compressBlock(LZ4, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decompressBlock(LZ4, payload, len(raw)+1); err == nil {
+		t.Error("lz4: wrong rawLen accepted")
+	}
+	if _, err := decompressBlock(LZ4, payload[:len(payload)/2], len(raw)); err == nil {
+		t.Error("lz4: truncated payload accepted")
 	}
 	if _, err := decompressBlock(None, raw, len(raw)-1); err == nil {
 		t.Error("None: wrong rawLen accepted")
@@ -107,16 +128,56 @@ func TestDecompressRejectsCorruption(t *testing.T) {
 	}
 }
 
+// lz4ExpansionBomb is a valid-looking payload that decodes to far more
+// than any small declared raw length: one literal, then one match of
+// about a megabyte spelled with 255-continuation length bytes.
+func lz4ExpansionBomb() []byte {
+	bomb := []byte{0x1F, 'x', 0x01, 0x00}
+	for i := 0; i < 4000; i++ {
+		bomb = append(bomb, 255)
+	}
+	return append(bomb, 0)
+}
+
+// TestLZ4DecompressBoundsOutput pins the rawLen contract: a negative or
+// unreachable declared length is rejected instead of panicking in make,
+// and a literal run or match that would write past rawLen is rejected
+// before it is copied, so a corrupt block never expands beyond its
+// header — rejecting the bomb costs the 10-byte buffer and the error,
+// not a megabyte of regrowth.
+func TestLZ4DecompressBoundsOutput(t *testing.T) {
+	abc := lz4Compress([]byte("abc"))
+	for _, rawLen := range []int{-1, lz4MaxExpansion*len(abc) + 1} {
+		if _, err := decompressBlock(LZ4, abc, rawLen); err == nil {
+			t.Errorf("rawLen %d accepted", rawLen)
+		}
+	}
+	if _, err := lz4Decompress([]byte{0x50, 'a', 'b', 'c', 'd', 'e'}, 3); err == nil {
+		t.Error("literal run past rawLen accepted")
+	}
+	bomb := lz4ExpansionBomb()
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := lz4Decompress(bomb, 10); err == nil {
+			t.Error("expansion bomb accepted")
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("rejecting the expansion bomb took %.0f allocations, want <= 8", allocs)
+	}
+}
+
 func TestParseCompression(t *testing.T) {
 	for in, want := range map[string]Compression{
-		"": None, "none": None, "flate": Flate, "DEFLATE": Flate, "lz4": LZ4, " LZ4 ": LZ4,
+		"": None, "none": None, "NONE": None, "lz4": LZ4, " LZ4 ": LZ4,
 	} {
 		got, err := ParseCompression(in)
 		if err != nil || got != want {
 			t.Errorf("ParseCompression(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseCompression("zstd"); err == nil {
-		t.Error("unknown codec accepted")
+	for _, bad := range []string{"zstd", "flate"} {
+		if _, err := ParseCompression(bad); err == nil {
+			t.Errorf("unknown codec %q accepted", bad)
+		}
 	}
 }

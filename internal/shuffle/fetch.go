@@ -11,14 +11,13 @@ import (
 )
 
 // FetchAll runs the reduce-side fetch: for every reducer it pulls that
-// reducer's block from each registered map output over the simulated
-// transport (bounded concurrency, retry-with-backoff over injected
-// fetch faults, circuit-breaker bypass for persistently failing
-// sources), decompresses, and concatenates the raw record bytes in
-// ascending map-task order. In Baseline mode every assembled record
-// then pays a real serde decode — the reduce-side deserialization point;
-// in Gerenuk mode the assembled native bytes are returned untouched for
-// zero-copy adoption into the task arena.
+// reducer's block from each registered map output (bounded concurrency,
+// immediate retries over injected fetch faults, then replica failover
+// and lineage re-execution), decompresses, and concatenates the raw
+// record bytes in ascending map-task order. In Baseline mode every
+// assembled record then pays a real serde decode — the reduce-side
+// deserialization point; in Gerenuk mode the assembled native bytes are
+// returned untouched for zero-copy adoption into the task arena.
 //
 // The returned slice is indexed by reducer; a reducer nothing hashed to
 // gets an empty buffer. The exchange's blocks are released from the
@@ -51,8 +50,9 @@ func (ex *Exchange) FetchAll() ([][]byte, error) {
 }
 
 // fetchReducer assembles one reducer's input. Blocks fetch concurrently
-// under the configured semaphore; assembly order is ascending map task,
-// so the result is deterministic regardless of fetch completion order.
+// under the fetchConcurrency semaphore; assembly order is ascending map
+// task, so the result is deterministic regardless of fetch completion
+// order.
 func (ex *Exchange) fetchReducer(reducer int, maps []int) ([]byte, error) {
 	t0 := time.Now()
 	sp := ex.span.Child("shuffle", "fetch", trace.I64("reducer", int64(reducer)))
@@ -78,7 +78,7 @@ func (ex *Exchange) fetchReducer(reducer int, maps []int) ([]byte, error) {
 		err error
 	}
 	results := make([]fetched, len(maps))
-	sem := make(chan struct{}, ex.cfg.FetchConcurrency)
+	sem := make(chan struct{}, fetchConcurrency)
 	var wg sync.WaitGroup
 	for i, mapTask := range maps {
 		id := blockID{ex.name, mapTask, reducer}
@@ -154,9 +154,9 @@ func (ex *Exchange) fetchBlock(parent *trace.Span, id blockID, plan *faults.Plan
 }
 
 // fetchReplicas walks the block's live replicas in slot order, fetching
-// each through the simulated transport until one succeeds. prior is the
-// attempt count already consumed for this block (so retry accounting
-// stays "attempts beyond the block's first" across a lineage rebuild).
+// each until one succeeds. prior is the attempt count already consumed
+// for this block (so retry accounting stays "attempts beyond the block's
+// first" across a lineage rebuild).
 func (ex *Exchange) fetchReplicas(parent *trace.Span, id blockID, plan *faults.Plan, prior int64) ([]byte, Stats, error) {
 	var st Stats
 	reps, ok := ex.store.replicas(id)
@@ -177,7 +177,7 @@ func (ex *Exchange) fetchReplicas(parent *trace.Span, id blockID, plan *faults.P
 			parent.Instant("recovery", "replica-failover", trace.Str("source", src),
 				trace.I64("replica", int64(ri)))
 		}
-		raw, rst, err := ex.fetchReplica(parent, id, ri, b, plan, &attempts)
+		raw, rst, err := ex.fetchReplica(parent, id, b, plan, &attempts)
 		st.add(rst)
 		if err == nil {
 			return raw, st, nil
@@ -190,52 +190,26 @@ func (ex *Exchange) fetchReplicas(parent *trace.Span, id blockID, plan *faults.P
 	return nil, st, lastErr
 }
 
-// fetchReplica pulls one replica through the simulated transport,
-// retrying injected fetch faults with (optionally jittered) exponential
-// backoff under the per-replica deadline. A source whose breaker has
-// tripped open bypasses the fault-prone transport entirely — the model
-// of falling back to a local copy — paying neither latency nor fault
-// rolls.
-func (ex *Exchange) fetchReplica(parent *trace.Span, id blockID, replica int, b *Block,
+// fetchReplica pulls one replica, retrying injected fetch faults at once
+// up to maxFetchRetries attempts.
+func (ex *Exchange) fetchReplica(parent *trace.Span, id blockID, b *Block,
 	plan *faults.Plan, attempts *int64) ([]byte, Stats, error) {
 	var st Stats
 	src := fmt.Sprintf("%s/map-%d", id.exchange, id.mapTask)
 	latHist := ex.reg().Histogram("shuffle_fetch_latency_ns", trace.LatencyBuckets()...)
-	start := time.Now()
 
 	var lastErr error
-	for attempt := 1; attempt <= ex.cfg.MaxFetchRetries; attempt++ {
+	for attempt := 1; attempt <= maxFetchRetries; attempt++ {
 		if *attempts++; *attempts > 1 {
 			st.FetchRetries++
 			ex.reg().Counter("shuffle_fetch_retries_total").Add(1)
-			time.Sleep(ex.cfg.Jitter.Delay(ex.cfg.FetchBackoff, attempt))
-		}
-		if d := ex.cfg.ReplicaDeadline; d > 0 && time.Since(start) >= d {
-			return nil, st, fmt.Errorf("shuffle: replica %d of %s/r%d exceeded deadline %v (attempt %d)",
-				replica, src, id.reducer, d, attempt)
 		}
 		t0 := time.Now()
-		if ex.cfg.Breaker != nil && !ex.cfg.Breaker.Allow(src) {
-			parent.Instant("shuffle", "fetch-bypass", trace.Str("source", src))
-			ex.reg().Counter("shuffle_fetch_bypass_total").Add(1)
-			latHist.Observe(float64(time.Since(t0).Nanoseconds()))
-			lastErr = nil
-			break
-		}
-		if d := ex.cfg.Transport.delay(len(b.Payload)); d > 0 {
-			time.Sleep(d)
-		}
 		if plan != nil && plan.TakeFetchAttempt() {
 			lastErr = fmt.Errorf("shuffle: injected fetch failure from %s (attempt %d)", src, attempt)
 			parent.Instant("shuffle", "fetch-fault", trace.Str("source", src),
 				trace.I64("attempt", int64(attempt)))
-			if ex.cfg.Breaker != nil {
-				ex.cfg.Breaker.Record(src, true)
-			}
 			continue
-		}
-		if ex.cfg.Breaker != nil {
-			ex.cfg.Breaker.Record(src, false)
 		}
 		latHist.Observe(float64(time.Since(t0).Nanoseconds()))
 		lastErr = nil
@@ -243,7 +217,7 @@ func (ex *Exchange) fetchReplica(parent *trace.Span, id blockID, replica int, b 
 	}
 	if lastErr != nil {
 		return nil, st, fmt.Errorf("shuffle: fetch of %s/r%d failed after %d attempts: %w",
-			src, id.reducer, ex.cfg.MaxFetchRetries, lastErr)
+			src, id.reducer, maxFetchRetries, lastErr)
 	}
 
 	raw := b.Payload

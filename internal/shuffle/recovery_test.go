@@ -52,16 +52,16 @@ func TestReplicaFailoverSurvivesReplicaLoss(t *testing.T) {
 }
 
 // A first replica that keeps failing its fetches is abandoned after the
-// retry budget and the next replica takes over — the failover counter
-// records it.
+// retry budget (3 attempts) and the next replica takes over — the
+// failover counter records it.
 func TestReplicaFailoverOnExhaustedRetries(t *testing.T) {
 	c := pairCompiled(t)
 	parts := encodeParts(t, c, 1, 12, 4)
 	ref, _ := runExchange(t, c, Config{Partitions: 1}, nil, parts)
 
 	tr := trace.New()
-	inj := &faults.Injector{Seed: 3, FetchFailRate: 1, FetchFails: 2}
-	cfg := Config{Partitions: 1, Replicas: 2, MaxFetchRetries: 2,
+	inj := &faults.Injector{Seed: 3, FetchFailRate: 1, FetchFails: 3}
+	cfg := Config{Partitions: 1, Replicas: 2,
 		Injector: inj, Trace: tr, SpillDir: t.TempDir()}
 	blocks, st := runExchange(t, c, cfg, nil, parts)
 	if !bytes.Equal(blocks[0], ref[0]) {

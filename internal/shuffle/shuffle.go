@@ -3,9 +3,9 @@
 // partitions wire records into per-reducer blocks under a bounded memory
 // budget — spilling sorted runs to disk and merging them on close — a
 // Store registering every sealed block, and a reduce-side fetch path
-// that streams blocks through a simulated transport with bounded
-// concurrency, optional block compression, and retry-with-backoff over
-// injected fetch faults.
+// that pulls blocks with bounded concurrency, undoes optional block
+// compression, and retries injected fetch faults before failing over
+// to a replica or the block's lineage.
 //
 // The exchange is where the paper's S/D elimination becomes measurable
 // per phase. In Baseline mode the exchange pays real serde per record:
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/dsa"
-	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/recovery"
@@ -42,29 +41,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Transport simulates the network between map outputs and reduce
-// fetches. The zero value is an instantaneous local exchange.
-type Transport struct {
-	// Latency is the fixed per-block fetch latency (connection setup,
-	// request round trip).
-	Latency time.Duration
-	// BytesPerSec bounds the simulated bandwidth; the wire payload
-	// (post-compression) is what crosses it. 0 means unbounded.
-	BytesPerSec int64
-}
-
-// delay returns the simulated transfer time for a wire payload.
-func (t Transport) delay(wireBytes int) time.Duration {
-	d := t.Latency
-	if t.BytesPerSec > 0 {
-		d += time.Duration(int64(wireBytes) * int64(time.Second) / t.BytesPerSec)
-	}
-	return d
-}
+// Fetch policy: each reducer keeps at most fetchConcurrency block
+// fetches in flight, and each replica of a block gets maxFetchRetries
+// attempts (retried at once) before the fetch path fails over.
+const (
+	fetchConcurrency = 4
+	maxFetchRetries  = 3
+)
 
 // Config configures one exchange. The zero value is an unbounded
-// in-memory exchange: no spilling, no compression, no transport delay,
-// no fault injection.
+// in-memory exchange: no spilling, no compression, no fault injection.
 type Config struct {
 	// Partitions is the reducer count (filled by the driver).
 	Partitions int
@@ -76,38 +62,14 @@ type Config struct {
 	// Compression is the per-block codec applied when a writer seals a
 	// block and undone by the fetch path.
 	Compression Compression
-	// Transport simulates per-block fetch latency and bandwidth.
-	Transport Transport
-	// FetchConcurrency bounds in-flight block fetches per reducer
-	// (default 4).
-	FetchConcurrency int
-	// MaxFetchRetries bounds attempts per block over injected fetch
-	// faults (default 3; 1 disables retries).
-	MaxFetchRetries int
-	// FetchBackoff is the delay before a block's second fetch attempt,
-	// doubling per retry via engine.BackoffDelay (default 0).
-	FetchBackoff time.Duration
 	// Replicas is how many copies of each sealed block the writer
 	// registers (default 1). The fetch path fails over replica by
 	// replica before declaring the block lost.
 	Replicas int
-	// ReplicaDeadline bounds the total time spent on one replica
-	// (attempts plus backoff) before failing over to the next; 0 means
-	// retries alone decide.
-	ReplicaDeadline time.Duration
 	// Lineage, when set, is the last line of defense: when every replica
 	// of a block is lost or exhausted, the fetch path re-runs the
 	// producing map task from its recorded lineage and fetches again.
 	Lineage *recovery.Lineage
-	// Jitter randomizes fetch retry backoff (full jitter); nil keeps the
-	// deterministic engine.BackoffDelay schedule.
-	Jitter *engine.Jitter
-	// Breaker, when set, tracks per-map-output fetch health with the
-	// engine's circuit-breaker semantics: a source whose fetches keep
-	// failing trips open and subsequent fetches bypass the fault-prone
-	// transport path (modeling a fallback to the replicated/local copy)
-	// instead of burning retries.
-	Breaker *engine.Breaker
 	// Injector, when set, derives a deterministic fetch fault plan per
 	// reducer (faults.Plan.FetchFailures).
 	Injector *faults.Injector
@@ -119,12 +81,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Partitions <= 0 {
 		c.Partitions = 1
-	}
-	if c.FetchConcurrency <= 0 {
-		c.FetchConcurrency = 4
-	}
-	if c.MaxFetchRetries <= 0 {
-		c.MaxFetchRetries = 3
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 1
@@ -138,7 +94,7 @@ type Stats struct {
 	BytesWritten     int64 // raw record bytes written into blocks
 	BytesSpilled     int64 // bytes written to spill runs on disk
 	BytesFetched     int64 // raw record bytes fetched (post-decompression)
-	WireBytesFetched int64 // bytes that crossed the simulated transport
+	WireBytesFetched int64 // block payload bytes fetched (pre-decompression)
 	Spills           int64 // spill runs written
 	FetchRetries     int64 // block fetch attempts beyond each block's first
 	Records          int64 // records fetched

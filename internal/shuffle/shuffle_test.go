@@ -104,7 +104,6 @@ func TestExchangeDeterministicAcrossConfigs(t *testing.T) {
 		}{
 			{"spill-1b", Config{Partitions: 4, MemoryBudget: 1}},
 			{"spill-256b", Config{Partitions: 4, MemoryBudget: 256}},
-			{"spill-flate", Config{Partitions: 4, MemoryBudget: 128, Compression: Flate}},
 			{"spill-lz4", Config{Partitions: 4, MemoryBudget: 128, Compression: LZ4}},
 			{"inmem-lz4", Config{Partitions: 4, Compression: LZ4}},
 		}
@@ -159,7 +158,7 @@ func TestFetchRetryRecoversInjectedFaults(t *testing.T) {
 	ref, _ := runExchange(t, c, Config{Partitions: 3}, nil, parts)
 
 	inj := &faults.Injector{Seed: 42, FetchFailRate: 1, FetchFails: 2}
-	blocks, st := runExchange(t, c, Config{Partitions: 3, MaxFetchRetries: 4, Injector: inj}, nil, parts)
+	blocks, st := runExchange(t, c, Config{Partitions: 3, Injector: inj}, nil, parts)
 	for r := range blocks {
 		if !bytes.Equal(blocks[r], ref[r]) {
 			t.Errorf("reducer %d diverged under fetch faults", r)
@@ -174,7 +173,7 @@ func TestFetchRetryExhaustionFailsTheJob(t *testing.T) {
 	c := pairCompiled(t)
 	parts := encodeParts(t, c, 1, 10, 3)
 	inj := &faults.Injector{Seed: 7, FetchFailRate: 1, FetchFails: 100}
-	cfg := Config{Partitions: 1, MaxFetchRetries: 2, Injector: inj, SpillDir: t.TempDir()}
+	cfg := Config{Partitions: 1, Injector: inj, SpillDir: t.TempDir()}
 	ex, err := NewExchange(nil, cfg, "t", c.Layouts, "Pair", "key", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -188,28 +187,6 @@ func TestFetchRetryExhaustionFailsTheJob(t *testing.T) {
 	}
 	if _, err := ex.FetchAll(); err == nil {
 		t.Fatal("exhausted retries still succeeded")
-	}
-}
-
-// An open breaker routes around the fault-prone transport (the local-
-// copy fallback), so even a permanently failing source completes.
-func TestBreakerBypassesPersistentFetchFaults(t *testing.T) {
-	c := pairCompiled(t)
-	parts := encodeParts(t, c, 1, 20, 5)
-	ref, _ := runExchange(t, c, Config{Partitions: 1}, nil, parts)
-
-	inj := &faults.Injector{Seed: 7, FetchFailRate: 1, FetchFails: 1 << 30}
-	br := engine.NewBreaker(2)
-	blocks, st := runExchange(t, c,
-		Config{Partitions: 1, MaxFetchRetries: 8, Injector: inj, Breaker: br}, nil, parts)
-	if !bytes.Equal(blocks[0], ref[0]) {
-		t.Error("bypassed fetch diverged from reference")
-	}
-	if st.FetchRetries < 2 {
-		t.Errorf("fetch retries = %d, want >= breaker threshold", st.FetchRetries)
-	}
-	if !br.Open("test/map-0") {
-		t.Error("breaker never opened for the failing source")
 	}
 }
 

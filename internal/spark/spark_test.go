@@ -240,7 +240,7 @@ func TestShuffleMissingKeyFieldEmptyPartitions(t *testing.T) {
 func TestShuffleSpillCompressedJobMatchesInMemory(t *testing.T) {
 	for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
 		ref, _ := runJob(t, mode)
-		for _, comp := range []shuffle.Compression{shuffle.Flate, shuffle.LZ4} {
+		for _, comp := range []shuffle.Compression{shuffle.None, shuffle.LZ4} {
 			prog := buildPairProgram(t)
 			c := engine.Compile(prog)
 			ctx := NewContext(c, mode)

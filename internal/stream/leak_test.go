@@ -20,7 +20,7 @@ func TestFailedRunLeaksNothing(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cfg := Config{
-		App: spec, Mode: engine.Gerenuk, Workers: 2, MapSlots: 2, Reducers: 2,
+		App: spec, Mode: engine.Gerenuk, Workers: 2, Reducers: 2,
 		Seed: 7, Interval: time.Millisecond, CutBy: Cut{Count: 3},
 		WindowBy: Window{Size: 8 * time.Millisecond, Slide: 4 * time.Millisecond}, Windows: 4,
 		Injector: &faults.Injector{Seed: 1, FetchFailRate: 1, FetchFails: 99},

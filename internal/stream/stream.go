@@ -70,11 +70,9 @@ type Config struct {
 	App     AppSpec
 	Mode    engine.Mode
 	Backend engine.Backend
-	// Workers sizes the task pool; MapSlots is the number of live map
-	// writers (shuffle producers) per window; Reducers the number of
-	// shuffle partitions (= reduce tasks) per window.
+	// Workers sizes the task pool; Reducers the number of shuffle
+	// partitions (= reduce tasks) per window.
 	Workers      int
-	MapSlots     int
 	Reducers     int
 	HeapCfg      heap.Config
 	ClosureBytes int
@@ -90,7 +88,7 @@ type Config struct {
 
 	MaxAttempts int
 	Breaker     *engine.Breaker
-	Hedge       engine.HedgeConfig
+	HedgeAfter  time.Duration
 	// CheckpointEvery is the per-task resume knob; window-state
 	// checkpointing is always on.
 	CheckpointEvery int
@@ -127,7 +125,7 @@ func (c Config) env() job.Env {
 			Checkpoints: c.Checkpoints, Lineage: c.Lineage, Canceled: c.Canceled,
 		},
 		Mode: c.Mode, Backend: c.Backend, Workers: c.Workers, ClosureBytes: c.ClosureBytes,
-		MaxAttempts: c.MaxAttempts, Hedge: c.Hedge, CheckpointEvery: c.CheckpointEvery,
+		MaxAttempts: c.MaxAttempts, HedgeAfter: c.HedgeAfter, CheckpointEvery: c.CheckpointEvery,
 		StageDeadline: c.StageDeadline, Injector: c.Injector, VerifyInputs: c.VerifyInputs,
 		Trace: c.Trace, Shuffle: c.Shuffle,
 	}
@@ -139,16 +137,17 @@ func (c Config) WithEnv(e job.Env) Config {
 	c.Tenant, c.JobID, c.Breaker = e.Tenant, e.JobID, e.Breaker
 	c.Checkpoints, c.Lineage, c.Canceled = e.Checkpoints, e.Lineage, e.Canceled
 	c.Mode, c.Backend, c.Workers, c.ClosureBytes = e.Mode, e.Backend, e.Workers, e.ClosureBytes
-	c.MaxAttempts, c.Hedge, c.CheckpointEvery = e.MaxAttempts, e.Hedge, e.CheckpointEvery
+	c.MaxAttempts, c.HedgeAfter, c.CheckpointEvery = e.MaxAttempts, e.HedgeAfter, e.CheckpointEvery
 	c.StageDeadline, c.Injector, c.VerifyInputs = e.StageDeadline, e.Injector, e.VerifyInputs
 	c.Trace, c.Shuffle = e.Trace, e.Shuffle
 	return c
 }
 
+// mapSlots is the number of live map writers (shuffle producers) per
+// window; a record's slot is its index within the window mod mapSlots.
+const mapSlots = 2
+
 func (c Config) withDefaults() Config {
-	if c.MapSlots <= 0 {
-		c.MapSlots = 2
-	}
 	if c.Reducers <= 0 {
 		c.Reducers = 2
 	}
@@ -393,10 +392,10 @@ func (r *runner) window(w int) (*windowState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: window %d: %w", w, err)
 	}
-	for m := 0; m < r.cfg.MapSlots; m++ {
+	for m := 0; m < mapSlots; m++ {
 		ex.Writer(m)
 	}
-	st := &windowState{idx: w, ex: ex, acc: make([][]byte, r.cfg.MapSlots)}
+	st := &windowState{idx: w, ex: ex, acc: make([][]byte, mapSlots)}
 	r.open[w] = st
 	return st, nil
 }
@@ -458,11 +457,11 @@ func (r *runner) processBatch(span *trace.Span, lo, hi int64) error {
 			}
 			bufs, ok := staged[w]
 			if !ok {
-				bufs = make([][]byte, r.cfg.MapSlots)
+				bufs = make([][]byte, mapSlots)
 				staged[w] = bufs
 				order = append(order, w)
 			}
-			slot := int(st.records % int64(r.cfg.MapSlots))
+			slot := int(st.records % int64(mapSlots))
 			bufs[slot], err = r.rt.C.Codec.Encode(r.cfg.App.InClass, obj, bufs[slot])
 			if err != nil {
 				return fmt.Errorf("stream: encoding record %d: %w", i, err)
@@ -556,7 +555,7 @@ func (r *runner) closeWindow(w int) error {
 		delete(r.open, w)
 	}
 	// else: no record landed in this window — its output is empty.
-	for m := 0; m < r.cfg.MapSlots; m++ {
+	for m := 0; m < mapSlots; m++ {
 		r.ckpts.Drop(r.slotKey(w, m))
 	}
 	r.ckpts.Drop(r.metaKey(w))
@@ -646,7 +645,7 @@ func (r *runner) resume() error {
 		st.records = leU64(meta.Data)
 		st.flushes = meta.Seq
 		intact := true
-		for m := 0; m < r.cfg.MapSlots; m++ {
+		for m := 0; m < mapSlots; m++ {
 			sc, ok, corrupt := r.ckpts.Load(r.slotKey(w, m))
 			if corrupt || (!ok && r.slotExpected(st, m)) {
 				intact = false
@@ -668,7 +667,7 @@ func (r *runner) resume() error {
 		// Replay the accumulated map output through fresh writers: a
 		// single Add preserves record order, so shuffle sequence numbers
 		// — and therefore block bytes — match the original run's.
-		for m := 0; m < r.cfg.MapSlots; m++ {
+		for m := 0; m < mapSlots; m++ {
 			if len(st.acc[m]) == 0 {
 				continue
 			}
@@ -714,13 +713,13 @@ func (r *runner) rebuildFromSource(w int) error {
 	if err != nil {
 		return err
 	}
-	bufs := make([][]byte, r.cfg.MapSlots)
+	bufs := make([][]byte, mapSlots)
 	for i := int64(0); i < r.cursor; i++ {
 		lo, hi := r.windowRange(r.arrival(i))
 		if w < lo || hi < w {
 			continue
 		}
-		slot := int(st.records % int64(r.cfg.MapSlots))
+		slot := int(st.records % int64(mapSlots))
 		bufs[slot], err = r.rt.C.Codec.Encode(r.cfg.App.InClass, r.src.At(i), bufs[slot])
 		if err != nil {
 			return fmt.Errorf("stream: rebuild window %d: %w", w, err)

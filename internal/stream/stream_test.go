@@ -24,7 +24,6 @@ func base(t *testing.T, app string, mode engine.Mode) Config {
 		App:      spec,
 		Mode:     mode,
 		Workers:  2,
-		MapSlots: 2,
 		Reducers: 2,
 		Seed:     7,
 		Interval: time.Millisecond,
