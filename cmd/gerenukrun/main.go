@@ -40,14 +40,15 @@
 // -stream switches to the micro-batch streaming engine: an unbounded
 // source is cut into micro-batches (-stream-cut records or
 // -stream-cut-slice of simulated arrival time), mapped through the
-// same SER pipelines, synced incrementally into open shuffle blocks,
-// and folded per tumbling or sliding window (-stream-window /
-// -stream-slide on the -stream-rate arrival clock) until
+// same SER pipelines, accumulated per tumbling or sliding window
+// (-stream-window / -stream-slide on the -stream-rate arrival clock),
+// and shuffled and folded once when the window closes, until
 // -stream-windows windows have closed. Both modes run the identical
 // record stream and the per-window outputs must stay byte-equal
 // across modes. With -checkpoint-dir, window state checkpoints to
 // disk and a killed run restarted with -stream-resume picks up
-// mid-window instead of replaying from record zero.
+// mid-window instead of replaying from record zero; -stream-resume
+// without -checkpoint-dir is rejected.
 //
 // The observability plane is opt-in: -obs-addr serves /metrics
 // (Prometheus text exposition), /healthz, /statusz, /flamez and
@@ -97,6 +98,11 @@ func main() {
 	streamCutSlice := flag.Duration("stream-cut-slice", 0, "cut a micro-batch every slice of arrival time (0 = off)")
 	streamResume := flag.Bool("stream-resume", false, "resume the stream from checkpointed window state (needs -checkpoint-dir)")
 	flag.Parse()
+	// Without a directory the resume would read a fresh in-memory store
+	// and silently restart from record zero.
+	if *streamResume && (!*streamMode || flag.Lookup("checkpoint-dir").Value.String() == "") {
+		fatal(fmt.Errorf("-stream-resume needs -stream and -checkpoint-dir"))
+	}
 
 	sess, err := shared.Open()
 	if err != nil {

@@ -69,10 +69,10 @@ func windowsEqual(a, b *stream.Result) bool {
 func StreamCheck(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	r := newResult("StreamCheck", "micro-batched windows vs one-shot batch, chaos + kill/resume",
-		"app", "mode", "batches", "windows", "syncs", "resumes", "outcome")
+		"app", "mode", "batches", "windows", "resumes", "outcome")
 
 	allEqual := true
-	var batches, syncs, resumes int64
+	var batches, resumes int64
 	for _, app := range stream.AppNames {
 		perMode := map[engine.Mode]*stream.Result{}
 		for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
@@ -86,7 +86,7 @@ func StreamCheck(cfg Config) (*Result, error) {
 			}
 
 			outcome := "ok"
-			var appBatches, appWindows, appSyncs, appResumes int64
+			var appBatches, appWindows, appResumes int64
 
 			// Clean streamed run.
 			tr := trace.New()
@@ -107,7 +107,6 @@ func StreamCheck(cfg Config) (*Result, error) {
 			reg := tr.Registry()
 			appBatches += reg.Counter("stream_batches_total").Value()
 			appWindows += reg.Counter("stream_windows_total").Value()
-			appSyncs += reg.Counter("shuffle_incremental_syncs_total").Value()
 
 			// Chaos streamed run: kills, replica loss, checkpoint rot,
 			// flaky fetches — output must not move.
@@ -128,9 +127,7 @@ func StreamCheck(cfg Config) (*Result, error) {
 				allEqual = false
 				outcome = "DIVERGED (chaos)"
 			}
-			reg = tr.Registry()
-			appBatches += reg.Counter("stream_batches_total").Value()
-			appSyncs += reg.Counter("shuffle_incremental_syncs_total").Value()
+			appBatches += tr.Registry().Counter("stream_batches_total").Value()
 
 			// Kill mid-window, then resume from the checkpoint store.
 			store := recovery.NewCheckpointStore()
@@ -156,20 +153,18 @@ func StreamCheck(cfg Config) (*Result, error) {
 			appResumes += tr.Registry().Counter("stream_window_resumes_total").Value()
 
 			batches += appBatches
-			syncs += appSyncs
 			resumes += appResumes
 			perMode[mode] = streamed
 			r.Table.AddRow(app, mode.String(), fmt.Sprint(appBatches), fmt.Sprint(appWindows),
-				fmt.Sprint(appSyncs), fmt.Sprint(appResumes), outcome)
+				fmt.Sprint(appResumes), outcome)
 		}
 		if !windowsEqual(perMode[engine.Baseline], perMode[engine.Gerenuk]) {
 			allEqual = false
-			r.Table.AddRow(app, "both", "-", "-", "-", "-", "DIVERGED (cross-mode)")
+			r.Table.AddRow(app, "both", "-", "-", "-", "DIVERGED (cross-mode)")
 		}
 	}
 	r.Checks["equal"] = b2f(allEqual)
 	r.Checks["batches"] = float64(batches)
-	r.Checks["incremental_syncs"] = float64(syncs)
 	r.Checks["window_resumes"] = float64(resumes)
 	if !allEqual {
 		return r, fmt.Errorf("stream-check: window outputs diverged from the batch reference")
@@ -177,16 +172,13 @@ func StreamCheck(cfg Config) (*Result, error) {
 	if batches == 0 {
 		return r, fmt.Errorf("stream-check: no micro-batches processed")
 	}
-	if syncs == 0 {
-		return r, fmt.Errorf("stream-check: the incremental shuffle never synced a batch")
-	}
 	if resumes == 0 {
 		return r, fmt.Errorf("stream-check: no killed window ever resumed from its checkpoint")
 	}
 	r.Notes = append(r.Notes,
 		"streamed, chaos, and crash-resumed window outputs all byte-equal the one-shot batch run",
 		"both modes agree window-for-window (the S/D-elimination contract holds under streaming)",
-		fmt.Sprintf("%d micro-batches, %d incremental shuffle syncs, %d window resumes", batches, syncs, resumes))
+		fmt.Sprintf("%d micro-batches, %d window resumes", batches, resumes))
 	return r, nil
 }
 

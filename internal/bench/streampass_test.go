@@ -17,7 +17,7 @@ func TestStreamCheckQuick(t *testing.T) {
 	if res.Checks["equal"] != 1 {
 		t.Error("stream outputs diverged")
 	}
-	for _, check := range []string{"batches", "incremental_syncs", "window_resumes"} {
+	for _, check := range []string{"batches", "window_resumes"} {
 		if res.Checks[check] == 0 {
 			t.Errorf("check %q = 0", check)
 		}

@@ -931,7 +931,7 @@ func isFloatKind(k model.Kind) bool {
 	return k == model.KindDouble || k == model.KindFloat
 }
 
-func f64(x int64) float64  { return math.Float64frombits(uint64(x)) }
+func f64(x int64) float64   { return math.Float64frombits(uint64(x)) }
 func fbits(f float64) int64 { return int64(math.Float64bits(f)) }
 
 // compileCond pre-selects the comparison (float by the left operand's

@@ -554,8 +554,10 @@ func genPts(n, k int) [][]float64 {
 
 // Scan: per-record work is a two-field projection — pure dispatch cost,
 // no inner loop.
-func BenchmarkScanKernelInterp(b *testing.B)   { benchKernel(b, buildScanDriver, genPts(4096, 2), false) }
-func BenchmarkScanKernelCompiled(b *testing.B) { benchKernel(b, buildScanDriver, genPts(4096, 2), true) }
+func BenchmarkScanKernelInterp(b *testing.B) { benchKernel(b, buildScanDriver, genPts(4096, 2), false) }
+func BenchmarkScanKernelCompiled(b *testing.B) {
+	benchKernel(b, buildScanDriver, genPts(4096, 2), true)
+}
 
 // Fold: element-wise accumulation over 64-wide vectors.
 func BenchmarkFoldKernelInterp(b *testing.B)   { benchKernel(b, buildFoldDriver, genPts(64, 64), false) }
@@ -563,5 +565,9 @@ func BenchmarkFoldKernelCompiled(b *testing.B) { benchKernel(b, buildFoldDriver,
 
 // Guard-heavy: tiny vectors make per-element bounds guards and loop
 // bookkeeping dominate the arithmetic.
-func BenchmarkGuardKernelInterp(b *testing.B)   { benchKernel(b, buildFoldDriver, genPts(2048, 2), false) }
-func BenchmarkGuardKernelCompiled(b *testing.B) { benchKernel(b, buildFoldDriver, genPts(2048, 2), true) }
+func BenchmarkGuardKernelInterp(b *testing.B) {
+	benchKernel(b, buildFoldDriver, genPts(2048, 2), false)
+}
+func BenchmarkGuardKernelCompiled(b *testing.B) {
+	benchKernel(b, buildFoldDriver, genPts(2048, 2), true)
+}

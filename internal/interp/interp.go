@@ -158,7 +158,7 @@ type Env struct {
 	// slow path (cancel-poll boundary or step limit); see checkStepSlow.
 	nextPause int64
 	records   int64
-	builder *openRecord
+	builder   *openRecord
 	// scanCur caches (index, position) cursors for inlined
 	// variable-size-element arrays, making the sequential access
 	// pattern O(1) amortized per element.

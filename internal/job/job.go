@@ -270,28 +270,23 @@ func (rt *Runtime) RunStage(name string, parent *trace.Span, hc heap.Config, spe
 	return nil, fmt.Errorf("stage %s: %w", name, err)
 }
 
-// Exchange is one shuffle of the job: map-side writers hash-partition
+// ShuffleBy is the job's one exchange: map-side writers hash-partition
 // records by canonical key bytes (budgeted buffering with sorted spills,
 // optional compression) and a fetch pass assembles the reduce-side
-// blocks. In Baseline mode the exchange
+// blocks, one per partition. parts[i] is everything map task i produced
+// — every front-end hands an exchange its map outputs whole, a streaming
+// window at close — so the writers are written and sealed in order, one
+// map output's buffers live at a time. In Baseline mode the exchange
 // pays real serde per record crossing it; in Gerenuk mode native bytes
-// cross untouched and the fetched blocks can be adopted zero-copy.
+// cross untouched and the fetched blocks can be adopted zero-copy. The
+// fetch is cancel-polled and watchdog-guarded; the exchange's stats fold
+// into the job totals and are returned for callers that report shuffle
+// volume.
 //
 // Any error abandons the exchange: spill runs are deleted and published
 // blocks released, so a failed job leaves nothing in SpillDir or the
 // store.
-type Exchange struct {
-	rt      *Runtime
-	name    string
-	ex      *shuffle.Exchange
-	lineage *recovery.Lineage
-	writers []*shuffle.Writer
-}
-
-// OpenExchange opens the named exchange over class records keyed by
-// keyField. The key field is validated up front, so a missing one
-// errors even when every partition turns out empty.
-func (rt *Runtime) OpenExchange(name, class, keyField string, partitions int) (*Exchange, error) {
+func (rt *Runtime) ShuffleBy(name, class, keyField string, partitions int, parts [][]byte) ([][]byte, shuffle.Stats, error) {
 	cfg := rt.Shuffle
 	cfg.Partitions = partitions
 	cfg.Trace = rt.Trace
@@ -308,107 +303,47 @@ func (rt *Runtime) OpenExchange(name, class, keyField string, partitions int) (*
 	if rt.store == nil {
 		rt.store = shuffle.NewStore()
 	}
+	// The key field is validated up front, so a missing one errors even
+	// when every partition turns out empty.
 	ex, err := shuffle.NewExchange(rt.store, cfg, name, rt.C.Layouts, class, keyField, codec)
 	if err != nil {
-		return nil, err
+		return nil, shuffle.Stats{}, err
 	}
-	return &Exchange{rt: rt, name: name, ex: ex, lineage: cfg.Lineage}, nil
-}
-
-// Writer returns map task i's writer, opening it on first use. A
-// streaming window keeps its writers open across micro-batches (Add,
-// then Sync) until Finish seals them.
-func (x *Exchange) Writer(i int) *shuffle.Writer {
-	for len(x.writers) <= i {
-		x.writers = append(x.writers, nil)
+	fail := func(err error) ([][]byte, shuffle.Stats, error) {
+		ex.Discard()
+		return nil, shuffle.Stats{}, fmt.Errorf("%s: %w", name, err)
 	}
-	if x.writers[i] == nil {
-		x.writers[i] = x.ex.Writer(i)
-	}
-	return x.writers[i]
-}
-
-// seal closes writer i and records its block lineage: losing every
-// replica of this map task's output re-runs exactly this writer over
-// the retained part, whose determinism makes the rebuilt blocks
-// byte-identical to the lost ones.
-func (x *Exchange) seal(i int, part []byte) error {
-	if err := x.Writer(i).Close(); err != nil {
-		return err
-	}
-	ex := x.ex // the registry may outlive the job: capture the exchange, not the runtime
-	x.lineage.Register(x.name, i, func() error {
-		rw := ex.RecoveryWriter(i)
-		if err := rw.Add(part); err != nil {
-			return err
+	for i, part := range parts {
+		if err := writeSealed(ex.Writer(i), part); err != nil {
+			return fail(err)
 		}
-		return rw.Close()
-	})
-	return nil
-}
-
-// Finish seals every open writer — parts[i] is everything writer i was
-// fed, the lineage payload — and fetches the reduce-side blocks, one per
-// partition. The exchange's stats fold into the job totals and are
-// returned for callers that report shuffle volume.
-func (x *Exchange) Finish(parts [][]byte) ([][]byte, shuffle.Stats, error) {
-	for i := range x.writers {
-		if err := x.seal(i, parts[i]); err != nil {
-			return x.fail(err)
-		}
+		// Block lineage: losing every replica of this map task's output
+		// re-runs exactly this write over the retained part, whose
+		// determinism makes the rebuilt blocks byte-identical to the lost
+		// ones. The registry may outlive the job, so the closure captures
+		// the exchange, not the runtime.
+		cfg.Lineage.Register(name, i, func() error { return writeSealed(ex.RecoveryWriter(i), part) })
 	}
-	return x.fetch()
-}
-
-// fetch is the reduce side: cancel-polled and watchdog-guarded.
-func (x *Exchange) fetch() ([][]byte, shuffle.Stats, error) {
-	rt := x.rt
 	if err := engine.Canceled(rt.Canceled); err != nil {
-		return x.fail(err)
+		return fail(err)
 	}
-	res, err := rt.guard(x.name+"/fetch", func() (any, error) { return x.ex.FetchAll() })
+	res, err := rt.guard(name+"/fetch", func() (any, error) { return ex.FetchAll() })
 	if err != nil {
-		return x.fail(err)
+		return fail(err)
 	}
-	st := x.ex.Stats()
+	st := ex.Stats()
 	st.AddTo(&rt.Stats)
 	blocks, _ := res.([][]byte)
 	return blocks, st, nil
 }
 
-func (x *Exchange) fail(err error) ([][]byte, shuffle.Stats, error) {
-	x.Abandon()
-	return nil, shuffle.Stats{}, fmt.Errorf("%s: %w", x.name, err)
-}
-
-// Abandon tears the exchange down without fetching: open writers drop
-// their buffers and spill runs, published blocks leave the store.
-// Abandoning a finished or already abandoned exchange is a no-op.
-func (x *Exchange) Abandon() {
-	for _, w := range x.writers {
-		if w != nil {
-			w.Abandon()
-		}
+// writeSealed feeds part through w in one Add and seals it. A failed Add
+// abandons w, so its spill runs leave the disk; a failed Close deletes
+// them itself.
+func writeSealed(w *shuffle.Writer, part []byte) error {
+	if err := w.Add(part); err != nil {
+		w.Abandon()
+		return err
 	}
-	x.ex.Discard()
-}
-
-// ShuffleBy is the one-shot exchange of a batch job: one writer per part,
-// written and sealed in order — so one map output's buffers are live at
-// a time — then fetched.
-func (rt *Runtime) ShuffleBy(name, class, keyField string, partitions int, parts [][]byte) ([][]byte, shuffle.Stats, error) {
-	x, err := rt.OpenExchange(name, class, keyField, partitions)
-	if err != nil {
-		return nil, shuffle.Stats{}, err
-	}
-	for i, part := range parts {
-		err := x.Writer(i).Add(part)
-		if err == nil {
-			err = x.seal(i, part)
-		}
-		if err != nil {
-			return x.fail(err)
-		}
-	}
-	return x.fetch()
+	return w.Close()
 }

@@ -48,7 +48,12 @@ func OpenDiskCheckpointStore(dir string) (*CheckpointStore, error) {
 			continue
 		}
 		path := filepath.Join(dir, ent.Name())
-		key, e, err := readCheckpointFile(path)
+		data, err := os.ReadFile(path)
+		var key string
+		var e ckptEntry
+		if err == nil {
+			key, e, err = decodeCheckpointFile(data)
+		}
 		if err != nil {
 			os.Remove(path)
 			continue
@@ -86,15 +91,15 @@ func encodeCheckpointFile(key string, e ckptEntry) []byte {
 	return buf.Bytes()
 }
 
-func readCheckpointFile(path string) (string, ckptEntry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", ckptEntry{}, err
-	}
+// decodeCheckpointFile parses one checkpoint file's bytes — content a
+// previous process (or anything else) left in the directory, so every
+// length is bounds-checked. The format is canonical: a successful decode
+// re-encodes to exactly data.
+func decodeCheckpointFile(data []byte) (string, ckptEntry, error) {
 	p := 0
 	need := func(n int) error {
 		if p+n > len(data) {
-			return fmt.Errorf("recovery: truncated checkpoint file %s at offset %d", path, p)
+			return fmt.Errorf("recovery: truncated checkpoint file at offset %d", p)
 		}
 		return nil
 	}
@@ -102,7 +107,7 @@ func readCheckpointFile(path string) (string, ckptEntry, error) {
 		return "", ckptEntry{}, err
 	}
 	if !bytes.Equal(data[:len(ckptMagic)], ckptMagic) {
-		return "", ckptEntry{}, fmt.Errorf("recovery: %s is not a checkpoint file", path)
+		return "", ckptEntry{}, fmt.Errorf("recovery: not a checkpoint file")
 	}
 	p = len(ckptMagic)
 	kl := int(binary.LittleEndian.Uint32(data[p:]))
@@ -123,7 +128,7 @@ func readCheckpointFile(path string) (string, ckptEntry, error) {
 	p += dl
 	sum := binary.LittleEndian.Uint64(data[p:])
 	if p+8 != len(data) {
-		return "", ckptEntry{}, fmt.Errorf("recovery: trailing bytes in checkpoint file %s", path)
+		return "", ckptEntry{}, fmt.Errorf("recovery: trailing bytes in checkpoint file")
 	}
 	return key, ckptEntry{seq: seq, data: d, sum: sum}, nil
 }

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -133,4 +134,23 @@ func TestDiskStoreSaveReplacesAtomically(t *testing.T) {
 	if ck, ok, _ := r.Load("fold"); !ok || ck.Seq != 10 {
 		t.Fatalf("latest save not the survivor: %+v ok=%v", ck, ok)
 	}
+}
+
+// FuzzCheckpointFile feeds the checkpoint-file decoder arbitrary bytes —
+// what a reused or damaged -checkpoint-dir can hold. It must never
+// panic, and because the format is canonical (every length is explicit
+// and trailing bytes are rejected), a successful decode must re-encode
+// to exactly the input. The seed corpus in testdata/fuzz holds round
+// trips (empty key, empty data, a scoped key), every truncation point
+// of one entry, alien magic, and key/data lengths past the end.
+func FuzzCheckpointFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		key, e, err := decodeCheckpointFile(data)
+		if err != nil {
+			return
+		}
+		if got := encodeCheckpointFile(key, e); !bytes.Equal(got, data) {
+			t.Fatalf("decode/encode not canonical:\n in  %q\n out %q", data, got)
+		}
+	})
 }

@@ -297,9 +297,9 @@ func NewExchange(store *Store, cfg Config, name string, layouts *dsa.Result,
 // Discard abandons the exchange without fetching: every block published
 // into the store under this exchange's name is released and the exchange
 // is closed (a later FetchAll or Discard errors/no-ops). This is the
-// cleanup path for a streaming window that is canceled mid-flight — its
-// writers Abandon, the window's exchange Discards, and the store holds
-// no orphaned blocks.
+// cleanup path of an exchange that fails before its fetch — a writer
+// that could not be filled or sealed, a canceled job — so the store
+// holds no orphaned blocks.
 func (ex *Exchange) Discard() {
 	ex.mu.Lock()
 	if ex.closed {

@@ -2,6 +2,7 @@ package shuffle_test
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"repro/internal/engine"
@@ -299,5 +300,61 @@ func TestStoreReleasedAfterFetch(t *testing.T) {
 	}
 	if store.Len() != 0 {
 		t.Errorf("store still holds %d blocks after fetch", store.Len())
+	}
+}
+
+// An abandoned writer — records staged, spill runs on disk — must delete
+// every spill run, stay abandoned across double-Abandon and late Close,
+// and, once the exchange is discarded, leave none of its sibling
+// writers' published blocks behind.
+func TestAbandonedWriterLeaksNothing(t *testing.T) {
+	c := pairCompiled(t)
+	parts := encodeParts(t, c, 2, 60, 11)
+	spillDir := t.TempDir()
+	store := NewStore()
+	cfg := Config{Partitions: 3, MemoryBudget: 64, SpillDir: spillDir}
+	ex, err := NewExchange(store, cfg, "abandoned", c.Layouts, "Pair", "key", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := ex.Writer(0)
+	if err := sealed.Add(parts[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := sealed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() == 0 {
+		t.Fatal("sealed writer published no blocks")
+	}
+	w := ex.Writer(1)
+	if err := w.Add(parts[1]); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(spillDir); err != nil || len(ents) == 0 {
+		t.Fatalf("no live spill runs before Abandon (err %v)", err)
+	}
+	w.Abandon()
+	w.Abandon() // idempotent
+	if err := w.Close(); err != nil {
+		t.Errorf("Close after Abandon: %v", err)
+	}
+	ents, err := os.ReadDir(spillDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Errorf("abandoned writer left %d spill runs on disk", len(ents))
+	}
+	if err := w.Add(parts[1]); err != nil {
+		t.Log("Add after Abandon errored (acceptable):", err)
+	}
+	ex.Discard()
+	ex.Discard() // idempotent
+	if got := store.Len(); got != 0 {
+		t.Errorf("discarded exchange left %d blocks in the store", got)
+	}
+	if _, err := ex.FetchAll(); err == nil {
+		t.Error("FetchAll after Discard accepted")
 	}
 }

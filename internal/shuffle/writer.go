@@ -43,12 +43,10 @@ type Writer struct {
 	buf      [][]entry // per-reducer staged entries
 	bufBytes int64
 	seq      uint64
-	runs     []string  // sorted spill run files, merge order
-	base     [][]entry // per-reducer entries already merged by Sync, in (key, seq) order
+	runs     []string // sorted spill run files, merge order
 	st       Stats
 	closed   bool
 	rebuild  bool // lineage re-execution: re-register blocks, not the map ID
-	syncs    int64
 }
 
 // Writer opens the map-side writer for one map task.
@@ -279,22 +277,15 @@ func mergeRuns(runs [][]entry) []entry {
 	return out
 }
 
-// assemble merges the entries a previous Sync retained, every spill run
-// on disk, and the still-buffered entries into one (key, seq)-ordered
-// slice per reducer. It consumes the spill runs (deleting them) and the
-// buffer; the caller decides whether the merged result becomes the new
-// retained base (Sync) or the sealed output (Close). All three sources
-// are sorted by entryLess and every seq is unique within the writer, so
-// the k-way merge yields exactly the order a one-shot in-memory close
-// would — the incremental path is byte-identical by construction.
+// assemble merges every spill run on disk and the still-buffered
+// entries into one (key, seq)-ordered slice per reducer, consuming both
+// (the runs are deleted). Both sources are sorted by entryLess and every
+// seq is unique within the writer, so the k-way merge yields exactly the
+// order an in-memory sort would — the spill path is byte-identical by
+// construction.
 func (w *Writer) assemble() ([][]entry, error) {
 	ex := w.ex
 	perReducer := make([][][]entry, ex.cfg.Partitions)
-	for r, es := range w.base {
-		if len(es) > 0 {
-			perReducer[r] = append(perReducer[r], es)
-		}
-	}
 	if len(w.runs) > 0 && w.bufBytes > 0 {
 		// Flush the tail so the merge sees every record as a sorted run.
 		if err := w.spill(); err != nil {
@@ -342,8 +333,8 @@ func (w *Writer) assemble() ([][]entry, error) {
 
 // publish compresses each non-empty reducer's merged entries and
 // registers the block in the store with the configured replica count.
-// put replaces the whole replica slice, so re-publishing a grown block
-// also restores any replicas chaos dropped since the last publish.
+// put replaces the whole replica slice, so a lineage rebuild's publish
+// restores every replica the lost block had.
 func (w *Writer) publish(merged [][]entry) (written, records int64, err error) {
 	ex := w.ex
 	for r, es := range merged {
@@ -367,42 +358,10 @@ func (w *Writer) publish(merged [][]entry) (written, records int64, err error) {
 	return written, records, nil
 }
 
-// Sync publishes the writer's accumulated output as live reducer blocks
-// without sealing it — the micro-batch append mode. Each call merges the
-// records staged since the last Sync into the retained per-reducer order
-// and replaces the published blocks with the grown versions; the map ID
-// is not registered until Close, so fetch never observes a half-built
-// exchange. After Sync the retained entries no longer count against the
-// memory budget (they live on as published blocks); only newly staged
-// bytes can trigger spills. Sync after Close is an error.
-func (w *Writer) Sync() error {
-	if w.closed {
-		return fmt.Errorf("shuffle: sync on closed writer for map task %d", w.mapTask)
-	}
-	t0 := time.Now()
-	merged, err := w.assemble()
-	if err != nil {
-		w.discardRuns()
-		return err
-	}
-	w.base = merged
-	_, _, perr := w.publish(merged)
-	w.syncs++
-	w.st.WriteTime += time.Since(t0)
-	w.ex.reg().Counter("shuffle_incremental_syncs_total").Add(1)
-	if perr != nil {
-		return perr
-	}
-	w.span.Instant("shuffle", "sync", trace.I64("map_task", int64(w.mapTask)))
-	return nil
-}
-
-// Abandon discards the writer without publishing: spill runs are deleted
-// from disk, buffered and retained entries are dropped, and any blocks a
-// previous Sync published stay in the store but remain invisible to
-// fetch (the map ID was never registered) until the exchange itself is
-// released or discarded. Abandoning a closed or already-abandoned writer
-// is a no-op, as is closing an abandoned one.
+// Abandon discards the writer without publishing — the cleanup of a
+// failed Add: spill runs are deleted from disk and buffered entries are
+// dropped. Abandoning a closed or already-abandoned writer is a no-op,
+// as is closing an abandoned one.
 func (w *Writer) Abandon() {
 	if w.closed {
 		return
@@ -410,16 +369,14 @@ func (w *Writer) Abandon() {
 	w.closed = true
 	w.discardRuns()
 	w.buf = nil
-	w.base = nil
 	w.bufBytes = 0
 	w.span.End(trace.Str("outcome", "abandoned"))
 }
 
-// Close seals the map output: entries retained by previous Syncs and
-// spilled runs are merged with any still-buffered entries, each
-// reducer's records are concatenated in (key, seq) order, compressed per
-// the exchange config, and registered in the block store with the
-// configured replica count. The spill files are deleted — on the error
+// Close seals the map output: spilled runs are merged with any
+// still-buffered entries, each reducer's records are concatenated in
+// (key, seq) order, compressed per the exchange config, and registered
+// in the block store with the configured replica count. The spill files are deleted — on the error
 // paths too. Closing an already-closed writer is a no-op.
 func (w *Writer) Close() error {
 	if w.closed {
@@ -434,7 +391,6 @@ func (w *Writer) Close() error {
 		w.discardRuns()
 		return err
 	}
-	w.base = nil
 	written, records, err := w.publish(merged)
 	if err != nil {
 		return err
@@ -448,6 +404,6 @@ func (w *Writer) Close() error {
 		ex.addStats(w.st)
 	}
 	w.span.End(trace.I64("bytes", written), trace.I64("records", records),
-		trace.I64("spills", w.st.Spills), trace.I64("syncs", w.syncs))
+		trace.I64("spills", w.st.Spills))
 	return nil
 }

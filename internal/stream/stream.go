@@ -6,12 +6,12 @@
 // Records arrive on a deterministic simulated clock; the driver cuts
 // them into micro-batches (by count or by time-slice), assigns each
 // record to its tumbling or sliding window(s), runs the map driver over
-// the batch, and appends the map output into each open window's live
-// shuffle exchange via the writers' incremental Sync — so a window's
-// exchange is built up batch by batch instead of being rebuilt per
-// batch. When the watermark passes a window's end, the window closes:
-// writers finish, lineage is registered, the reduce fold runs over the
-// fetched blocks, and the window's canonical output bytes are emitted.
+// the batch, and appends the map output to each open window's per-slot
+// bytes — the window's only live state, and what its checkpoints hold.
+// When the watermark passes a window's end, the window closes: its bytes
+// cross one job.Runtime.ShuffleBy exchange (the one Spark and Hadoop
+// use), the reduce fold runs over the fetched blocks, and the window's
+// canonical output bytes are emitted.
 //
 // Everything is deterministic given (seed, cut policy, window policy):
 // a streamed run, a one-giant-batch run, and a resumed-after-crash run
@@ -103,8 +103,7 @@ type Config struct {
 	Lineage     *recovery.Lineage
 	JobID       string
 	Tenant      string
-	// Canceled is additionally polled at every batch boundary; a canceled
-	// run abandons its open windows like any failed one.
+	// Canceled is additionally polled at every batch boundary.
 	Canceled <-chan struct{}
 
 	// CrashAfterBatches > 0 stops the run with ErrCrashed after that
@@ -197,16 +196,15 @@ type Result struct {
 	RecordsPerSec float64
 }
 
-// windowState is one open window's live aggregation state: its private
-// exchange (one incremental writer per map slot) and the per-slot
-// accumulated map-output bytes (the lineage/checkpoint payload).
+// windowState is one open window's live aggregation state: the per-slot
+// accumulated map-output bytes, which are both the checkpoint payload and
+// the parts the window's exchange shuffles at close.
 type windowState struct {
 	idx int
-	ex  *job.Exchange
 	acc [][]byte
 	// records counts records folded into this window (drives the
-	// round-robin slot assignment); flushes counts incremental syncs
-	// (the checkpoint sequence number).
+	// round-robin slot assignment); flushes counts the batches that fed
+	// it (the checkpoint sequence number).
 	records int64
 	flushes int
 }
@@ -253,9 +251,6 @@ func (r *runner) run() error {
 
 	start := time.Now()
 	err := r.loop()
-	// Whatever stopped the run — cancel, crash hook, a failed phase or
-	// sync — the windows still open must not leak spill runs or blocks.
-	r.abandonOpen()
 	r.res.Wall = time.Since(start)
 	r.res.Stats = r.rt.Stats
 	r.finishStats()
@@ -384,20 +379,13 @@ func (r *runner) cutBatch(stopT time.Duration) (int64, int64) {
 }
 
 // window returns (creating on first touch) window w's live state.
-func (r *runner) window(w int) (*windowState, error) {
-	if st, ok := r.open[w]; ok {
-		return st, nil
+func (r *runner) window(w int) *windowState {
+	st, ok := r.open[w]
+	if !ok {
+		st = &windowState{idx: w, acc: make([][]byte, mapSlots)}
+		r.open[w] = st
 	}
-	ex, err := r.rt.OpenExchange(r.exName(w), r.cfg.App.MapOutClass, r.cfg.App.KeyField, r.cfg.Reducers)
-	if err != nil {
-		return nil, fmt.Errorf("stream: window %d: %w", w, err)
-	}
-	for m := 0; m < mapSlots; m++ {
-		ex.Writer(m)
-	}
-	st := &windowState{idx: w, ex: ex, acc: make([][]byte, mapSlots)}
-	r.open[w] = st
-	return st, nil
+	return st
 }
 
 func (r *runner) exName(w int) string {
@@ -437,8 +425,7 @@ func leU64(b []byte) int64 {
 
 // processBatch stages records [lo, hi) into their windows' per-slot
 // input buffers, runs the map driver over every staged buffer in one
-// pooled phase, and appends the outputs into each window's live
-// exchange via an incremental sync.
+// pooled phase, and appends the outputs to each window's slot bytes.
 func (r *runner) processBatch(span *trace.Span, lo, hi int64) error {
 	staged := map[int][][]byte{}
 	var order []int
@@ -451,10 +438,7 @@ func (r *runner) processBatch(span *trace.Span, lo, hi int64) error {
 			if w >= r.cfg.Windows || w < r.closed {
 				continue
 			}
-			st, err := r.window(w)
-			if err != nil {
-				return err
-			}
+			st := r.window(w)
 			bufs, ok := staged[w]
 			if !ok {
 				bufs = make([][]byte, mapSlots)
@@ -462,6 +446,7 @@ func (r *runner) processBatch(span *trace.Span, lo, hi int64) error {
 				order = append(order, w)
 			}
 			slot := int(st.records % int64(mapSlots))
+			var err error
 			bufs[slot], err = r.rt.C.Codec.Encode(r.cfg.App.InClass, obj, bufs[slot])
 			if err != nil {
 				return fmt.Errorf("stream: encoding record %d: %w", i, err)
@@ -496,21 +481,9 @@ func (r *runner) processBatch(span *trace.Span, lo, hi int64) error {
 		tg := targets[k]
 		st := r.open[tg.w]
 		st.acc[tg.m] = append(st.acc[tg.m], out...)
-		if err := st.ex.Writer(tg.m).Add(out); err != nil {
-			return fmt.Errorf("stream: window %d shuffle: %w", tg.w, err)
-		}
 	}
 	for _, w := range order {
-		st := r.open[w]
-		for m, buf := range staged[w] {
-			if len(buf) == 0 {
-				continue
-			}
-			if err := st.ex.Writer(m).Sync(); err != nil {
-				return fmt.Errorf("stream: window %d sync: %w", w, err)
-			}
-		}
-		st.flushes++
+		r.open[w].flushes++
 	}
 	return nil
 }
@@ -538,9 +511,9 @@ func (r *runner) checkpoint() {
 	r.ckpts.Save(r.cursorKey(), int(r.res.Batches), u64le(r.cursor))
 }
 
-// closeWindow finishes window w: writers close, lineage registers, the
-// reduce fold runs over the fetched (merge-sorted) blocks, and the
-// window's output is emitted and durably saved.
+// closeWindow finishes window w: its slot bytes are shuffled, the reduce
+// fold runs over the fetched (merge-sorted) blocks, and the window's
+// output is emitted and durably saved.
 func (r *runner) closeWindow(w int) error {
 	wspan := r.span.Child("stream", "window", trace.I64("idx", int64(w)))
 	st := r.open[w]
@@ -566,10 +539,13 @@ func (r *runner) closeWindow(w int) error {
 	return nil
 }
 
-// foldWindow drains a window's exchange and folds each key group.
+// foldWindow shuffles a window's slot bytes — one map task per slot —
+// and folds each key group. A slot's bytes are everything it was fed, in
+// arrival order, so one Add reproduces the shuffle sequence numbers, and
+// with them the block bytes, of any batching.
 func (r *runner) foldWindow(span *trace.Span, st *windowState) ([]byte, error) {
 	app := r.cfg.App
-	blocks, shuf, err := st.ex.Finish(st.acc)
+	blocks, shuf, err := r.rt.ShuffleBy(r.exName(st.idx), app.MapOutClass, app.KeyField, r.cfg.Reducers, st.acc)
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: %w", err)
 	}
@@ -600,7 +576,7 @@ func (r *runner) foldWindow(span *trace.Span, st *windowState) ([]byte, error) {
 
 // resume restores a prior run's progress from the checkpoint store:
 // the ingest cursor, every already-closed window's saved output, and
-// every open window's incremental shuffle state. A corrupt or missing
+// every open window's slot bytes. A corrupt or missing
 // slot checkpoint falls back to recomputing that window from the
 // deterministic source — slower, never wrong.
 func (r *runner) resume() error {
@@ -638,10 +614,7 @@ func (r *runner) resume() error {
 			}
 			continue
 		}
-		st, err := r.window(w)
-		if err != nil {
-			return err
-		}
+		st := r.window(w)
 		st.records = leU64(meta.Data)
 		st.flushes = meta.Seq
 		intact := true
@@ -656,27 +629,12 @@ func (r *runner) resume() error {
 			}
 		}
 		if !intact {
-			// Tear down the half-restored state and recompute.
-			st.ex.Abandon()
+			// Drop the half-restored state and recompute.
 			delete(r.open, w)
 			if err := r.rebuildFromSource(w); err != nil {
 				return err
 			}
 			continue
-		}
-		// Replay the accumulated map output through fresh writers: a
-		// single Add preserves record order, so shuffle sequence numbers
-		// — and therefore block bytes — match the original run's.
-		for m := 0; m < mapSlots; m++ {
-			if len(st.acc[m]) == 0 {
-				continue
-			}
-			if err := st.ex.Writer(m).Add(st.acc[m]); err != nil {
-				return fmt.Errorf("stream: resume window %d: %w", w, err)
-			}
-			if err := st.ex.Writer(m).Sync(); err != nil {
-				return fmt.Errorf("stream: resume window %d: %w", w, err)
-			}
 		}
 		r.res.Resumed++
 		reg.Counter("stream_window_resumes_total").Add(1)
@@ -706,13 +664,10 @@ func (r *runner) sourceTouches(w int) bool {
 // rebuildFromSource recomputes window w's state by replaying the
 // deterministic source over the already-ingested prefix — the fallback
 // when a window checkpoint is lost or corrupt. The map phase re-runs
-// (with fault injection live), and the rebuilt writers see records in
-// the original order, so the recovered state stays byte-identical.
+// (with fault injection live) over records in the original order, so
+// the recovered slot bytes stay byte-identical.
 func (r *runner) rebuildFromSource(w int) error {
-	st, err := r.window(w)
-	if err != nil {
-		return err
-	}
+	st := r.window(w)
 	bufs := make([][]byte, mapSlots)
 	for i := int64(0); i < r.cursor; i++ {
 		lo, hi := r.windowRange(r.arrival(i))
@@ -720,6 +675,7 @@ func (r *runner) rebuildFromSource(w int) error {
 			continue
 		}
 		slot := int(st.records % int64(mapSlots))
+		var err error
 		bufs[slot], err = r.rt.C.Codec.Encode(r.cfg.App.InClass, r.src.At(i), bufs[slot])
 		if err != nil {
 			return fmt.Errorf("stream: rebuild window %d: %w", w, err)
@@ -740,14 +696,7 @@ func (r *runner) rebuildFromSource(w int) error {
 		return fmt.Errorf("stream: rebuild window %d: %w", w, err)
 	}
 	for k, out := range outs {
-		m := slots[k]
-		st.acc[m] = out
-		if err := st.ex.Writer(m).Add(out); err != nil {
-			return fmt.Errorf("stream: rebuild window %d: %w", w, err)
-		}
-		if err := st.ex.Writer(m).Sync(); err != nil {
-			return fmt.Errorf("stream: rebuild window %d: %w", w, err)
-		}
+		st.acc[slots[k]] = out
 	}
 	st.flushes = 1
 	r.res.Rebuilt++
@@ -755,16 +704,6 @@ func (r *runner) rebuildFromSource(w int) error {
 	r.cfg.Trace.Instant("stream", "window-rebuild",
 		trace.I64("idx", int64(w)), trace.I64("records", st.records))
 	return nil
-}
-
-// abandonOpen tears down every window still open when the run stops:
-// writers abandon their spill runs, exchanges discard their published
-// blocks — nothing leaks.
-func (r *runner) abandonOpen() {
-	for w, st := range r.open {
-		st.ex.Abandon()
-		delete(r.open, w)
-	}
 }
 
 // finishStats computes throughput and batch latency quantiles.

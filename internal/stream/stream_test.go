@@ -165,9 +165,6 @@ func TestStreamChaosDifferential(t *testing.T) {
 			if n := reg.Counter("stream_windows_total").Value(); n != int64(cfg.Windows) {
 				t.Fatalf("%s: stream_windows_total = %d, want %d", label, n, cfg.Windows)
 			}
-			if n := reg.Counter("shuffle_incremental_syncs_total").Value(); n == 0 {
-				t.Fatalf("%s: no incremental syncs under chaos", label)
-			}
 			perMode = append(perMode, chaos)
 		}
 		assertWindowsEqual(t, app+"/chaos gerenuk-vs-baseline", perMode[0], perMode[1])
@@ -272,8 +269,8 @@ func TestDiskCheckpointSurvivesRestart(t *testing.T) {
 }
 
 // TestStreamCancellation closes the cancel channel before the run: the
-// loop must observe it at the batch boundary, abandon open state, and
-// surface engine.ErrCanceled.
+// loop must observe it at the batch boundary and surface
+// engine.ErrCanceled.
 func TestStreamCancellation(t *testing.T) {
 	cancel := make(chan struct{})
 	close(cancel)
