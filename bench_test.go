@@ -207,7 +207,7 @@ func TestShapeSparkSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run")
 	}
-	var s *bench.SparkSuite
+	var s *bench.Suite
 	timedShape(t, func() (r *bench.Result, err error) {
 		if s, err = bench.RunSparkSuite(quickCfg()); err != nil {
 			return nil, err

@@ -5,42 +5,43 @@
 //
 //	gerenukbench [-scale N] [-workers N] [-partitions N] [-iters N] [-only fig6a,fig9,...] [-faults seed]
 //	             [-engine compiled|interp]
-//	             [-hedge-after 5ms] [-shuffle-check]
+//	             [-hedge-after 5ms]
 //	             [-shuffle-budget N] [-shuffle-compress none|lz4]
 //	             [-obs-addr 127.0.0.1:9477] [-obs-hold 30s]
 //	             [-flame out.folded]
 //
-// Experiment ids: fig4 fig5 table1 table2 fig6a fig6b fig7a fig7b table3
-// fig8a fig8b fig9 fig10a fig10b static. Default runs everything.
+// -only selects what runs, by id, in the order listed below. Experiment
+// ids: fig4 fig5 table1 table2 fig6a fig6b fig7a fig7b table3 fig8a fig8b
+// fig9 fig10a fig10b static. Without -only every experiment runs. An
+// unknown id is an error (exit 2) before anything runs.
 //
-// -faults runs the chaos mode instead: WordCount under deterministic
-// fault injection (seeded by the flag value), asserting that Gerenuk's
-// output stays byte-equal to the fault-free baseline, that input
+// Verification pass ids run only when named:
+//
+//   - shuffle-check: every app in both modes through spilling and
+//     compressed exchanges, asserting byte-equal output against the
+//     in-memory configuration and the serde ledger (baseline decodes every
+//     fetched record, gerenuk none).
+//   - recovery-check: every app in both modes under injected replica
+//     loss, reduce-task kills, and checkpoint corruption, asserting
+//     byte-equal output against the fault-free run and that losses were
+//     repaired by replica failover, lineage re-execution, and checkpoint
+//     resume. The -replicas, -checkpoint-every, and -stage-deadline knobs
+//     arm the same machinery in the regular experiments.
+//   - stream-check: both streaming apps in both modes through the
+//     micro-batch engine, asserting every window's output byte-equal to a
+//     one-shot batch run over the same records — clean, under recovery
+//     chaos, and across a kill-mid-window crash resumed from checkpoints —
+//     and that the two modes agree window-for-window.
+//   - stream: the streaming throughput pass, both apps in both modes,
+//     reporting records/sec and batch-latency p50/p99.
+//
+// A failing pass prints its table and exits 1.
+//
+// -faults runs the chaos mode instead of any id: WordCount under
+// deterministic fault injection (seeded by the flag value), asserting that
+// Gerenuk's output stays byte-equal to the fault-free baseline, that input
 // corruption is detected rather than masked, and that hedging recovers
 // injected straggler stalls (lower wall time, identical output).
-//
-// -shuffle-check runs the shuffle verification pass instead: every app
-// in both modes through spilling and compressed exchanges, asserting
-// byte-equal output against the in-memory configuration and the serde
-// ledger (baseline decodes every fetched record, gerenuk none).
-//
-// -recovery-check runs the durability verification pass instead: every
-// app in both modes under injected replica loss, reduce-task kills, and
-// checkpoint corruption, asserting byte-equal output against the
-// fault-free run and that losses were repaired by replica failover,
-// lineage re-execution, and checkpoint resume. The -replicas,
-// -checkpoint-every, and -stage-deadline knobs arm the same machinery
-// in the regular experiments.
-//
-// -stream-check runs the streaming verification pass instead: both
-// streaming apps in both modes through the micro-batch engine,
-// asserting every window's output byte-equal to a one-shot batch run
-// over the same records — clean, under recovery chaos, and across a
-// kill-mid-window crash resumed from checkpoints — and that the two
-// modes agree window-for-window.
-//
-// -stream runs the streaming throughput pass: both apps in both modes,
-// reporting records/sec and batch-latency p50/p99.
 //
 // -hedge-after arms straggler hedging in every experiment executor (see
 // engine.Executor.HedgeAfter). The -shuffle-* knobs configure the
@@ -58,6 +59,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 
 	"repro/internal/bench"
 )
@@ -67,23 +69,104 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// show prints r, if any, then exits 1 on err.
+func show(r *bench.Result, err error) {
+	if r != nil {
+		fmt.Println(r.Render())
+	}
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// experiment is one -only id: a figure or table of the paper, or a
+// verification pass, which runs only when named.
+type experiment struct {
+	id   string
+	pass bool
+	run  func() (*bench.Result, error)
+}
+
+// experiments lists every id in run order. The runs read *cfg when they
+// run, not when they are listed; the Spark and Hadoop suites behind
+// Figures 6/7 and Table 3 run at most once, on first use.
+func experiments(cfg *bench.Config) []experiment {
+	suite := func(name string, measure func(bench.Config) (*bench.Suite, error)) func() (*bench.Suite, error) {
+		return sync.OnceValues(func() (*bench.Suite, error) {
+			s, err := measure(*cfg)
+			if err != nil {
+				return nil, fmt.Errorf("%s suite: %w", name, err)
+			}
+			return s, nil
+		})
+	}
+	sparkSuite, hadoopSuite := suite("spark", bench.RunSparkSuite), suite("hadoop", bench.RunHadoopSuite)
+	figure := func(s func() (*bench.Suite, error), render func(*bench.Suite) *bench.Result) func() (*bench.Result, error) {
+		return func() (*bench.Result, error) {
+			suite, err := s()
+			if err != nil {
+				return nil, err
+			}
+			return render(suite), nil
+		}
+	}
+	withCfg := func(run func(bench.Config) (*bench.Result, error)) func() (*bench.Result, error) {
+		return func() (*bench.Result, error) { return run(*cfg) }
+	}
+	return []experiment{
+		{id: "fig4", run: bench.Figure4},
+		{id: "fig5", run: withCfg(bench.Figure5)},
+		{id: "table1", run: func() (*bench.Result, error) { return bench.Table1(*cfg), nil }},
+		{id: "table2", run: func() (*bench.Result, error) { return bench.Table2(*cfg), nil }},
+		{id: "fig6a", run: figure(sparkSuite, bench.Figure6a)},
+		{id: "fig6b", run: figure(hadoopSuite, bench.Figure6b)},
+		{id: "fig7a", run: figure(sparkSuite, bench.Figure7a)},
+		{id: "fig7b", run: figure(hadoopSuite, bench.Figure7b)},
+		{id: "table3", run: func() (*bench.Result, error) {
+			sp, err := sparkSuite()
+			if err != nil {
+				return nil, err
+			}
+			hd, err := hadoopSuite()
+			if err != nil {
+				return nil, err
+			}
+			return bench.Table3(sp, hd), nil
+		}},
+		{id: "fig8a", run: withCfg(bench.Figure8a)},
+		{id: "fig8b", run: withCfg(bench.Figure8b)},
+		{id: "fig9", run: withCfg(bench.Figure9)},
+		{id: "fig10a", run: withCfg(bench.Figure10a)},
+		{id: "fig10b", run: withCfg(bench.Figure10b)},
+		{id: "static", run: bench.StaticStats},
+		{id: "shuffle-check", pass: true, run: withCfg(bench.ShuffleCheck)},
+		{id: "recovery-check", pass: true, run: withCfg(bench.RecoveryCheck)},
+		{id: "stream-check", pass: true, run: withCfg(bench.StreamCheck)},
+		{id: "stream", pass: true, run: withCfg(bench.StreamBench)},
+	}
+}
+
 func main() {
 	def := bench.Config{Scale: 2, Partitions: 4, Iters: 3}
 	def.Workers = 4
 	shared := bench.BindFlags(flag.CommandLine, "gerenukbench", "workers", def, bench.TuningFlags|bench.ObsFlags)
-	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
+	only := flag.String("only", "", "comma-separated experiment and pass ids (default: every experiment, no pass)")
 	faultSeed := flag.Int64("faults", 0, "run chaos mode with this fault-injection seed (0 = off)")
-	shuffleCheck := flag.Bool("shuffle-check", false, "run the shuffle verification pass (spill/compressed vs in-memory, all apps)")
-	recoveryCheck := flag.Bool("recovery-check", false, "run the recovery verification pass (replica loss, reduce kills, checkpoint corruption vs fault-free, all apps)")
-	streamCheck := flag.Bool("stream-check", false, "run the streaming verification pass (micro-batched windows vs one-shot batch, chaos + kill/resume)")
-	streamRun := flag.Bool("stream", false, "run the streaming throughput pass")
 	flag.Parse()
+
+	var cfg bench.Config
+	exps := experiments(&cfg)
+	want, err := parseOnly(*only, exps)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	sess, err := shared.Open()
 	if err != nil {
 		fatal(err)
 	}
-	cfg := sess.Config
+	cfg = sess.Config
 	sess.Server.AddStatus("bench", func() any {
 		return map[string]any{"scale": cfg.Scale, "workers": cfg.Workers}
 	})
@@ -97,149 +180,34 @@ func main() {
 	}()
 
 	if *faultSeed != 0 {
-		r, err := bench.Chaos(cfg, *faultSeed)
-		if r != nil {
-			fmt.Println(r.Render())
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-			os.Exit(1)
-		}
+		show(bench.Chaos(cfg, *faultSeed))
 		return
 	}
-	if *shuffleCheck {
-		r, err := bench.ShuffleCheck(cfg)
-		if r != nil {
-			fmt.Println(r.Render())
+	for _, e := range exps {
+		if want[e.id] || (len(want) == 0 && !e.pass) {
+			show(e.run())
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
-	if *recoveryCheck {
-		r, err := bench.RecoveryCheck(cfg)
-		if r != nil {
-			fmt.Println(r.Render())
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *streamCheck {
-		r, err := bench.StreamCheck(cfg)
-		if r != nil {
-			fmt.Println(r.Render())
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *streamRun {
-		r, err := bench.StreamBench(cfg)
-		if r != nil {
-			fmt.Println(r.Render())
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
+}
 
+// parseOnly returns the set of ids the -only list names; an id no
+// experiment has is an error that lists the valid ones.
+func parseOnly(only string, exps []experiment) (map[string]bool, error) {
+	valid := map[string]bool{}
+	var ids []string
+	for _, e := range exps {
+		valid[e.id] = true
+		ids = append(ids, e.id)
+	}
 	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[id] = true
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
 		}
-	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
-
-	show := func(r *bench.Result, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-			os.Exit(1)
+		if !valid[id] {
+			return nil, fmt.Errorf("unknown -only id %q; valid ids: %s", id, strings.Join(ids, " "))
 		}
-		fmt.Println(r.Render())
+		want[id] = true
 	}
-
-	if sel("fig4") {
-		r, err := bench.Figure4()
-		show(r, err)
-	}
-	if sel("fig5") {
-		r, err := bench.Figure5(cfg)
-		show(r, err)
-	}
-	if sel("table1") {
-		show(bench.Table1(cfg), nil)
-	}
-	if sel("table2") {
-		show(bench.Table2(cfg), nil)
-	}
-
-	var sparkSuite *bench.SparkSuite
-	var hadoopSuite *bench.HadoopSuite
-	needSpark := sel("fig6a") || sel("fig7a") || sel("table3")
-	needHadoop := sel("fig6b") || sel("fig7b") || sel("table3")
-	if needSpark {
-		s, err := bench.RunSparkSuite(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gerenukbench: spark suite: %v\n", err)
-			os.Exit(1)
-		}
-		sparkSuite = s
-	}
-	if needHadoop {
-		s, err := bench.RunHadoopSuite(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gerenukbench: hadoop suite: %v\n", err)
-			os.Exit(1)
-		}
-		hadoopSuite = s
-	}
-	if sel("fig6a") {
-		show(bench.Figure6a(sparkSuite), nil)
-	}
-	if sel("fig6b") {
-		show(bench.Figure6b(hadoopSuite), nil)
-	}
-	if sel("fig7a") {
-		show(bench.Figure7a(sparkSuite), nil)
-	}
-	if sel("fig7b") {
-		show(bench.Figure7b(hadoopSuite), nil)
-	}
-	if sel("table3") {
-		show(bench.Table3(sparkSuite, hadoopSuite), nil)
-	}
-	if sel("fig8a") {
-		r, err := bench.Figure8a(cfg)
-		show(r, err)
-	}
-	if sel("fig8b") {
-		r, err := bench.Figure8b(cfg)
-		show(r, err)
-	}
-	if sel("fig9") {
-		r, err := bench.Figure9(cfg)
-		show(r, err)
-	}
-	if sel("fig10a") {
-		r, err := bench.Figure10a(cfg)
-		show(r, err)
-	}
-	if sel("fig10b") {
-		r, err := bench.Figure10b(cfg)
-		show(r, err)
-	}
-	if sel("static") {
-		r, err := bench.StaticStats()
-		show(r, err)
-	}
+	return want, nil
 }

@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strconv"
@@ -118,6 +119,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// intParams parses the named query parameters as base-10 integers; an
+// absent one reads as 0. The error names the first malformed parameter.
+func intParams(q url.Values, names ...string) ([]int64, error) {
+	vals := make([]int64, len(names))
+	for i, name := range names {
+		s := q.Get(name)
+		if s == "" {
+			continue
+		}
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("parameter %s=%q is not an integer", name, s)
+		}
+		vals[i] = v
+	}
+	return vals, nil
+}
+
 func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	tenant, app := q.Get("tenant"), q.Get("app")
@@ -125,6 +144,12 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "tenant and app are required"})
 		return
 	}
+	nums, err := intParams(q, "chaos", "memory")
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		return
+	}
+	seed, mem := nums[0], nums[1]
 	mode := engine.Gerenuk
 	if m := q.Get("mode"); m != "" {
 		switch m {
@@ -139,7 +164,7 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	cfg := d.base
-	if seed, _ := strconv.ParseInt(q.Get("chaos"), 10, 64); seed != 0 {
+	if seed != 0 {
 		// Deterministic fault plan for just this submission — the chaos
 		// tenant's outputs must stay byte-identical to its calm runs.
 		cfg.Injector = faults.Chaos(seed)
@@ -158,7 +183,7 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	if mem, _ := strconv.ParseInt(q.Get("memory"), 10, 64); mem > 0 {
+	if mem > 0 {
 		spec.MemoryBytes = mem
 	}
 
@@ -225,11 +250,13 @@ func (d *daemon) handleTenant(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "name is required"})
 		return
 	}
-	var tc cluster.TenantConfig
-	tc.Weight, _ = strconv.Atoi(q.Get("weight"))
-	tc.QuotaBytes, _ = strconv.ParseInt(q.Get("quota"), 10, 64)
-	tc.QueueDepth, _ = strconv.Atoi(q.Get("depth"))
-	d.svc.ConfigureTenant(name, tc)
+	nums, err := intParams(q, "weight", "quota", "depth")
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		return
+	}
+	d.svc.ConfigureTenant(name, cluster.TenantConfig{
+		Weight: int(nums[0]), QuotaBytes: nums[1], QueueDepth: int(nums[2])})
 	writeJSON(w, http.StatusOK, map[string]string{"tenant": name, "status": "configured"})
 }
 

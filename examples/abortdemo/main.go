@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/apps/sparkapps"
 	"repro/internal/engine"
@@ -75,6 +76,9 @@ func main() {
 		}
 	}
 	fmt.Printf("\nper-user post counts identical across modes: %v\n", same)
+	if !same {
+		os.Exit(1)
+	}
 	total := int64(0)
 	for _, n := range counts[0] {
 		total += n

@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/apps/sparkapps"
 	"repro/internal/engine"
@@ -84,6 +85,9 @@ func main() {
 		}
 	}
 	fmt.Printf("\nweights identical across modes: %v\n", same)
+	if !same {
+		os.Exit(1)
+	}
 	dot := 0.0
 	for d := range trueW {
 		dot += trueW[d] * weights[0][d]

@@ -16,7 +16,6 @@ import (
 	"repro/internal/apps/sparkapps"
 	"repro/internal/engine"
 	"repro/internal/spark"
-	"repro/internal/tungsten"
 	"repro/internal/workload"
 )
 
@@ -62,8 +61,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		s := tungsten.NewSession()
-		out, err := twc.Run(ctx, ctx.Parallelize(sparkapps.ClsDoc, parts), s)
+		var c sparkapps.Catalyst
+		out, err := twc.Run(ctx, ctx.Parallelize(sparkapps.ClsDoc, parts), &c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +71,7 @@ func main() {
 			log.Fatal(err)
 		}
 		results = append(results, outcome{"tungsten", counts,
-			fmt.Sprintf("total=%v (incl. plan %v)", ctx.Stats.Total+s.Stats.PlanTime, s.Stats.PlanTime)})
+			fmt.Sprintf("total=%v (incl. plan %v)", ctx.Stats.Total+c.PlanTime, c.PlanTime)})
 	}
 
 	for _, r := range results[1:] {

@@ -2,12 +2,40 @@ package sparkapps
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/ir"
 	"repro/internal/model"
 	"repro/internal/spark"
-	"repro/internal/tungsten"
 )
+
+// Catalyst models Spark SQL's planner for the Tungsten ports: every Grow
+// adds nodes to the logical plan and rebuilds (re-"generates code" for)
+// all of it, so planning cost grows with the accumulated plan size — the
+// SPARK-13346 behavior that forced the paper to cap DataFrame PageRank at
+// 10 iterations.
+type Catalyst struct {
+	Plans    int           // plans built
+	PlanTime time.Duration // time spent building them
+	nodes    int64         // accumulated plan nodes
+}
+
+// Grow adds nodes to the plan and rebuilds it. The work is real and
+// proportional to the accumulated plan: codegen is simulated by hashing
+// 256 bytes of plan-node descriptors per node.
+func (c *Catalyst) Grow(nodes int) {
+	start := time.Now()
+	c.Plans++
+	c.nodes += int64(nodes)
+	buf := make([]byte, 256*c.nodes)
+	var h uint64 = 1469598103934665603
+	for i := range buf {
+		buf[i] = byte(i)
+		h = (h ^ uint64(buf[i])) * 1099511628211
+	}
+	_ = h
+	c.PlanTime += time.Since(start)
+}
 
 // TungstenPageRank runs PageRank the DataFrame/Tungsten way on the same
 // execution substrate as the other two systems (the native path — rows
@@ -19,7 +47,7 @@ import (
 //   - zero-contribution rows are materialized per iteration to keep
 //     rank-less vertices alive (DataFrame union, an extra stage);
 //   - Catalyst re-plans the growing query every iteration (the
-//     SPARK-13346 cost, charged through tungsten.Session.PlanGrow).
+//     SPARK-13346 cost, charged through Catalyst.Grow).
 type TungstenPageRank struct {
 	Iters int
 }
@@ -118,9 +146,9 @@ func (t TungstenPageRank) Register(prog *ir.Program) {
 }
 
 // Run executes DataFrame-style PageRank; plan-construction cost accrues
-// on the session.
-func (t TungstenPageRank) Run(ctx *spark.Context, links *spark.RDD, s *tungsten.Session) (*spark.RDD, error) {
-	s.PlanGrow(6) // RDD -> DataFrame conversion plan
+// on c.
+func (t TungstenPageRank) Run(ctx *spark.Context, links *spark.RDD, c *Catalyst) (*spark.RDD, error) {
+	c.Grow(6) // RDD -> DataFrame conversion plan
 	edges, err := links.MapPartitions("tpExplodeStage", ClsEdge)
 	if err != nil {
 		return nil, err
@@ -130,7 +158,7 @@ func (t TungstenPageRank) Run(ctx *spark.Context, links *spark.RDD, s *tungsten.
 		return nil, err
 	}
 	for it := 0; it < t.Iters; it++ {
-		s.PlanGrow(8) // the growing iterative plan
+		c.Grow(8) // the growing iterative plan
 		contribs, err := ranks.JoinMany(edges, "tpJoinStage", "v", "src", ClsContrib)
 		if err != nil {
 			return nil, fmt.Errorf("tungsten pagerank iter %d: %w", it, err)
@@ -178,9 +206,10 @@ func (TungstenWordCount) Register(prog *ir.Program) {
 	spark.BuildMapDriver(prog, "twcSplitStage", "twcSplit", ClsDoc)
 }
 
-// Run executes Tungsten WordCount (native mode contexts only).
-func (t TungstenWordCount) Run(ctx *spark.Context, docs *spark.RDD, s *tungsten.Session) (*spark.RDD, error) {
-	s.PlanGrow(3)
+// Run executes Tungsten WordCount (native mode contexts only);
+// plan-construction cost accrues on c.
+func (t TungstenWordCount) Run(ctx *spark.Context, docs *spark.RDD, c *Catalyst) (*spark.RDD, error) {
+	c.Grow(3)
 	words, err := docs.MapPartitions("twcSplitStage", ClsWordCount)
 	if err != nil {
 		return nil, err

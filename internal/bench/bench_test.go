@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -102,16 +103,34 @@ func TestRunAppDispatch(t *testing.T) {
 }
 
 func TestSuiteFindHelpers(t *testing.T) {
-	s := &SparkSuite{Runs: []AppRun{{App: "PR", HeapName: "10GB", Mode: engine.Gerenuk}}}
+	s := &Suite{Runs: []AppRun{
+		{App: "PR", HeapName: "10GB", Mode: engine.Baseline},
+		{App: "PR", HeapName: "20GB", Mode: engine.Gerenuk},
+		{App: "KM", HeapName: "10GB", Mode: engine.Baseline},
+		{App: "PR", HeapName: "10GB", Mode: engine.Gerenuk},
+		{App: "IMC", Mode: engine.Gerenuk},
+		{App: "IMC", Mode: engine.Baseline},
+	}}
 	if _, ok := s.Find("PR", "10GB", engine.Gerenuk); !ok {
 		t.Errorf("Find missed an existing run")
 	}
-	if _, ok := s.Find("PR", "10GB", engine.Baseline); ok {
+	if _, ok := s.Find("KM", "10GB", engine.Gerenuk); ok {
 		t.Errorf("Find matched the wrong mode")
 	}
-	h := &HadoopSuite{Runs: []AppRun{{App: "IMC", Mode: engine.Baseline}}}
-	if _, ok := h.Find("IMC", engine.Baseline); !ok {
-		t.Errorf("hadoop Find missed a run")
+	if _, ok := s.Find("IMC", "", engine.Baseline); !ok {
+		t.Errorf("Find missed a run without a heap size")
+	}
+	// Baselines in run order, each with its own-heap twin; KM has none.
+	var got []string
+	for _, p := range s.pairs() {
+		if p[0].Mode != engine.Baseline || p[1].Mode != engine.Gerenuk ||
+			p[0].App != p[1].App || p[0].HeapName != p[1].HeapName {
+			t.Errorf("mismatched pair %+v", p)
+		}
+		got = append(got, p[0].App+"/"+p[0].HeapName)
+	}
+	if want := []string{"PR/10GB", "IMC/"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("pairs = %v, want %v", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/apps/hadoopapps"
 	"repro/internal/cluster"
@@ -21,30 +22,13 @@ func AppMemoryEstimate(app string, cfg Config) int64 {
 	if isSparkApp(app) {
 		hc = appHeap(cfg)
 	} else {
-		kb := 1 << 10
-		// Mirror runHadoopApp's reduce heap, the larger of its two.
-		hc = heap.Config{YoungSize: cfg.Scale * 24 * kb, OldSize: cfg.Scale * 288 * kb}
+		_, hc = hadoopHeaps(cfg.Scale) // the reduce heap, the larger of the two
 	}
 	return int64(hc.YoungSize+hc.OldSize) * int64(cfg.Workers)
 }
 
-func isSparkApp(app string) bool {
-	for _, s := range SparkAppNames {
-		if s == app {
-			return true
-		}
-	}
-	return false
-}
-
-func isHadoopApp(app string) bool {
-	for _, h := range hadoopapps.AllApps {
-		if h == app {
-			return true
-		}
-	}
-	return false
-}
+func isSparkApp(app string) bool  { return slices.Contains(SparkAppNames, app) }
+func isHadoopApp(app string) bool { return slices.Contains(hadoopapps.AllApps, app) }
 
 // ClusterJob adapts one named application (Spark or Hadoop) to a
 // cluster.JobSpec: when the service dispatches the job, the job's

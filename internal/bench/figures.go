@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"path"
 	"time"
 
 	"repro/internal/apps/hadoopapps"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/serde"
 	"repro/internal/spark"
-	"repro/internal/tungsten"
 	"repro/internal/workload"
 )
 
@@ -233,104 +233,63 @@ func Table2(cfg Config) *Result {
 }
 
 // Figure6a renders the Spark runtime breakdown comparison.
-func Figure6a(s *SparkSuite) *Result {
-	r := newResult("Figure 6(a)", "Spark running time: baseline vs Gerenuk",
-		"app", "heap", "mode", "total", "compute", "gc", "ser", "deser", "shuf", "native", "onheap", "speedup")
-	var speedups []float64
-	for _, hc := range []string{"10GB", "15GB", "20GB"} {
-		for _, app := range SparkAppNames {
-			base, ok1 := s.Find(app, hc, engine.Baseline)
-			ger, ok2 := s.Find(app, hc, engine.Gerenuk)
-			if !ok1 || !ok2 {
-				continue
-			}
-			sp := metrics.Ratio(float64(base.Stats.Total), float64(ger.Stats.Total))
-			speedups = append(speedups, sp)
-			r.Checks[app+"/"+hc] = sp
-			for _, run := range []AppRun{base, ger} {
-				r.Table.AddRow(app, hc, run.Mode.String(),
-					metrics.D(run.Stats.Total), metrics.D(run.Stats.Compute()),
-					metrics.D(run.Stats.GC), metrics.D(run.Stats.Ser),
-					metrics.D(run.Stats.Deser),
-					metrics.D(run.Stats.ShuffleWrite+run.Stats.ShuffleRead),
-					metrics.D(run.Stats.NativeTime), metrics.D(run.Stats.HeapTime),
-					map[bool]string{true: metrics.F(sp), false: ""}[run.Mode == engine.Gerenuk])
-			}
-		}
-	}
-	overall := metrics.GeoMean(speedups)
-	r.Checks["overall_speedup"] = overall
-	r.Notes = append(r.Notes,
-		fmt.Sprintf("overall Gerenuk speedup (geomean): %s (paper: 1.96x)", metrics.F(overall)))
-	return r
+func Figure6a(s *Suite) *Result {
+	return figure6("Figure 6(a)", "Spark running time: baseline vs Gerenuk", "1.96x", s)
 }
 
 // Figure6b renders the Hadoop runtime comparison.
-func Figure6b(s *HadoopSuite) *Result {
-	r := newResult("Figure 6(b)", "Hadoop running time: baseline vs Gerenuk",
-		"app", "mode", "total", "compute", "gc", "ser", "deser", "shuf", "native", "onheap", "speedup")
+func Figure6b(s *Suite) *Result {
+	return figure6("Figure 6(b)", "Hadoop running time: baseline vs Gerenuk", "1.4x", s)
+}
+
+// figure6 tabulates each pair's phase breakdown; Checks carries each
+// pair's speedup under its app (and heap, when it has one).
+func figure6(id, title, paper string, s *Suite) *Result {
+	r := newResult(id, title,
+		"app", "heap", "mode", "total", "compute", "gc", "ser", "deser", "shuf", "native", "onheap", "speedup")
 	var speedups []float64
-	for _, run := range s.Runs {
-		if run.Mode != engine.Baseline {
-			continue
-		}
-		ger, ok := s.Find(run.App, engine.Gerenuk)
-		if !ok {
-			continue
-		}
-		sp := metrics.Ratio(float64(run.Stats.Total), float64(ger.Stats.Total))
+	for _, pair := range s.pairs() {
+		base, ger := pair[0], pair[1]
+		sp := metrics.Ratio(float64(base.Stats.Total), float64(ger.Stats.Total))
 		speedups = append(speedups, sp)
-		r.Checks[run.App] = sp
-		for _, rr := range []AppRun{run, ger} {
-			r.Table.AddRow(rr.App, rr.Mode.String(),
-				metrics.D(rr.Stats.Total), metrics.D(rr.Stats.Compute()),
-				metrics.D(rr.Stats.GC), metrics.D(rr.Stats.Ser), metrics.D(rr.Stats.Deser),
-				metrics.D(rr.Stats.ShuffleWrite+rr.Stats.ShuffleRead),
-				metrics.D(rr.Stats.NativeTime), metrics.D(rr.Stats.HeapTime),
-				map[bool]string{true: metrics.F(sp), false: ""}[rr.Mode == engine.Gerenuk])
+		r.Checks[path.Join(base.App, base.HeapName)] = sp
+		for _, run := range pair {
+			r.Table.AddRow(run.App, run.HeapName, run.Mode.String(),
+				metrics.D(run.Stats.Total), metrics.D(run.Stats.Compute()),
+				metrics.D(run.Stats.GC), metrics.D(run.Stats.Ser),
+				metrics.D(run.Stats.Deser),
+				metrics.D(run.Stats.ShuffleWrite+run.Stats.ShuffleRead),
+				metrics.D(run.Stats.NativeTime), metrics.D(run.Stats.HeapTime),
+				map[bool]string{true: metrics.F(sp), false: ""}[run.Mode == engine.Gerenuk])
 		}
 	}
 	overall := metrics.GeoMean(speedups)
 	r.Checks["overall_speedup"] = overall
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("overall Gerenuk speedup (geomean): %s (paper: 1.4x)", metrics.F(overall)))
+		fmt.Sprintf("overall Gerenuk speedup (geomean): %s (paper: %s)", metrics.F(overall), paper))
 	return r
 }
 
 // Figure7a renders the Spark peak-memory comparison.
-func Figure7a(s *SparkSuite) *Result {
-	return figure7("Figure 7(a)", "Spark peak memory", sparkRuns(s))
+func Figure7a(s *Suite) *Result {
+	return figure7("Figure 7(a)", "Spark peak memory", s)
 }
 
 // Figure7b renders the Hadoop peak-memory comparison.
-func Figure7b(s *HadoopSuite) *Result {
-	return figure7("Figure 7(b)", "Hadoop peak memory", s.Runs)
+func Figure7b(s *Suite) *Result {
+	return figure7("Figure 7(b)", "Hadoop peak memory", s)
 }
 
-func sparkRuns(s *SparkSuite) []AppRun { return s.Runs }
-
-func figure7(id, title string, runs []AppRun) *Result {
+func figure7(id, title string, s *Suite) *Result {
 	r := newResult(id, title, "app", "heap", "baseline", "gerenuk", "ratio")
 	var ratios []float64
-	for _, run := range runs {
-		if run.Mode != engine.Baseline {
-			continue
-		}
-		var ger *AppRun
-		for i := range runs {
-			if runs[i].App == run.App && runs[i].HeapName == run.HeapName &&
-				runs[i].Mode == engine.Gerenuk {
-				ger = &runs[i]
-			}
-		}
-		if ger == nil {
-			continue
-		}
-		ratio := metrics.Ratio(float64(ger.Stats.PeakBytes()), float64(run.Stats.PeakBytes()))
+	for _, pair := range s.pairs() {
+		base, ger := pair[0], pair[1]
+		ratio := metrics.Ratio(float64(ger.Stats.PeakBytes()), float64(base.Stats.PeakBytes()))
 		ratios = append(ratios, ratio)
-		r.Checks[run.App+"/"+run.HeapName] = ratio
-		r.Table.AddRow(run.App, run.HeapName,
-			metrics.FmtBytes(run.Stats.PeakBytes()),
+		r.Checks[base.App+"/"+base.HeapName] = ratio
+		r.Table.AddRow(base.App, base.HeapName,
+			metrics.FmtBytes(base.Stats.PeakBytes()),
 			metrics.FmtBytes(ger.Stats.PeakBytes()), metrics.F(ratio))
 	}
 	overall := metrics.GeoMean(ratios)
@@ -342,31 +301,19 @@ func figure7(id, title string, runs []AppRun) *Result {
 }
 
 // Table3 renders the normalized performance summary (lower is better).
-func Table3(sp *SparkSuite, hd *HadoopSuite) *Result {
+func Table3(sp, hd *Suite) *Result {
 	r := newResult("Table 3", "Gerenuk normalized to baseline (lower is better)",
 		"framework", "overall", "gc", "app", "mem")
-	addRows := func(name string, runs []AppRun) {
+	addRows := func(name string, s *Suite) {
 		var overall, gc, app, mem []float64
-		for _, run := range runs {
-			if run.Mode != engine.Baseline {
-				continue
+		for _, pair := range s.pairs() {
+			base, ger := pair[0].Stats, pair[1].Stats
+			overall = append(overall, metrics.Ratio(float64(ger.Total), float64(base.Total)))
+			if base.GC > 0 {
+				gc = append(gc, metrics.Ratio(float64(ger.GC), float64(base.GC)))
 			}
-			var ger *AppRun
-			for i := range runs {
-				if runs[i].App == run.App && runs[i].HeapName == run.HeapName &&
-					runs[i].Mode == engine.Gerenuk {
-					ger = &runs[i]
-				}
-			}
-			if ger == nil {
-				continue
-			}
-			overall = append(overall, metrics.Ratio(float64(ger.Stats.Total), float64(run.Stats.Total)))
-			if run.Stats.GC > 0 {
-				gc = append(gc, metrics.Ratio(float64(ger.Stats.GC), float64(run.Stats.GC)))
-			}
-			app = append(app, metrics.Ratio(float64(ger.Stats.Compute()), float64(run.Stats.Compute())))
-			mem = append(mem, metrics.Ratio(float64(ger.Stats.PeakBytes()), float64(run.Stats.PeakBytes())))
+			app = append(app, metrics.Ratio(float64(ger.Compute()), float64(base.Compute())))
+			mem = append(mem, metrics.Ratio(float64(ger.PeakBytes()), float64(base.PeakBytes())))
 		}
 		fmtCell := func(vals []float64) string {
 			lo, hi := metrics.MinMax(vals)
@@ -378,8 +325,8 @@ func Table3(sp *SparkSuite, hd *HadoopSuite) *Result {
 		r.Checks[name+"/app"] = metrics.GeoMean(app)
 		r.Checks[name+"/mem"] = metrics.GeoMean(mem)
 	}
-	addRows("Spark", sp.Runs)
-	addRows("Hadoop", hd.Runs)
+	addRows("Spark", sp)
+	addRows("Hadoop", hd)
 	r.Table.AddRow("paper Spark", "0.28~0.93 (0.51)", "0.44~0.89 (0.63)", "0.28~0.93 (0.50)", "0.62~0.92 (0.82)")
 	r.Table.AddRow("paper Hadoop", "0.51~0.87 (0.72)", "0.23~0.87 (0.54)", "0.49~0.88 (0.74)", "0.58~0.84 (0.69)")
 	return r
@@ -420,7 +367,7 @@ type figure8 struct {
 	appTypes []string
 	tungsten interface {
 		Register(*ir.Program)
-		Run(*spark.Context, *spark.RDD, *tungsten.Session) (*spark.RDD, error)
+		Run(*spark.Context, *spark.RDD, *sparkapps.Catalyst) (*spark.RDD, error)
 	}
 	tungstenTypes []string
 }
@@ -445,10 +392,10 @@ func (f figure8) run(cfg Config) (*Result, error) {
 		if err != nil {
 			return AppRun{}, err
 		}
-		s := tungsten.NewSession()
-		_, err = f.tungsten.Run(ctx, in, s)
+		var c sparkapps.Catalyst
+		_, err = f.tungsten.Run(ctx, in, &c)
 		run := AppRun{Stats: ctx.Stats}
-		run.Stats.Total += s.Stats.PlanTime
+		run.Stats.Total += c.PlanTime
 		return run, err
 	})
 	if err != nil {
@@ -776,18 +723,4 @@ func StaticStats() (*Result, error) {
 	r.Notes = append(r.Notes,
 		"paper: 55 Spark classes, >126 violation points (none triggered); 22 Hadoop classes")
 	return r, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

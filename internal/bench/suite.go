@@ -10,6 +10,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"path"
 	"runtime"
 	"sort"
 	"time"
@@ -152,7 +153,8 @@ func HeapSizes(scale int) []HeapSizeConfig {
 // SparkAppNames lists the Table 1 programs in paper order.
 var SparkAppNames = []string{"PR", "KM", "LR", "CS", "GB"}
 
-// AppRun is one (app, heap size, mode) measurement.
+// AppRun is one (app, heap size, mode) measurement. Hadoop runs have no
+// heap size: HeapName is empty.
 type AppRun struct {
 	App      string
 	HeapName string
@@ -161,19 +163,35 @@ type AppRun struct {
 	Wall     time.Duration
 }
 
-// SparkSuite holds all Figure 6(a)/7(a)/Table 3 measurements.
-type SparkSuite struct {
+// Suite holds paired measurements: every app (at every heap size) in both
+// modes. RunSparkSuite fills one for Figures 6(a)/7(a) and Table 3,
+// RunHadoopSuite one for Figures 6(b)/7(b) and Table 3.
+type Suite struct {
 	Runs []AppRun
 }
 
 // Find returns the run for (app, heapName, mode).
-func (s *SparkSuite) Find(app, heapName string, mode engine.Mode) (AppRun, bool) {
+func (s *Suite) Find(app, heapName string, mode engine.Mode) (AppRun, bool) {
 	for _, r := range s.Runs {
 		if r.App == app && r.HeapName == heapName && r.Mode == mode {
 			return r, true
 		}
 	}
 	return AppRun{}, false
+}
+
+// pairs returns each baseline run, in run order, with its Gerenuk twin.
+func (s *Suite) pairs() [][2]AppRun {
+	var out [][2]AppRun
+	for _, base := range s.Runs {
+		if base.Mode != engine.Baseline {
+			continue
+		}
+		if ger, ok := s.Find(base.App, base.HeapName, engine.Gerenuk); ok {
+			out = append(out, [2]AppRun{base, ger})
+		}
+	}
+	return out
 }
 
 // AppResult is one application run: a canonical byte rendering of the
@@ -339,18 +357,35 @@ const Reps = 3
 
 // RunSparkSuite measures every Table 1 app under every heap size in both
 // modes — the data behind Figures 6(a), 7(a) and Table 3.
-func RunSparkSuite(cfg Config) (*SparkSuite, error) {
+func RunSparkSuite(cfg Config) (*Suite, error) {
 	cfg = cfg.withDefaults()
-	suite := &SparkSuite{}
+	var heaps []string
 	for _, hc := range HeapSizes(cfg.Scale) {
-		for _, app := range SparkAppNames {
+		heaps = append(heaps, hc.Name)
+	}
+	return runSuite(cfg, heaps, SparkAppNames)
+}
+
+// RunHadoopSuite measures every Table 2 app in both modes — the data
+// behind Figures 6(b), 7(b) and Table 3.
+func RunHadoopSuite(cfg Config) (*Suite, error) {
+	return runSuite(cfg, []string{""}, hadoopapps.AllApps)
+}
+
+// runSuite measures every app under every named heap (RunApp's HeapName)
+// in both modes, keeping each mode's median run.
+func runSuite(cfg Config, heaps, apps []string) (*Suite, error) {
+	suite := &Suite{}
+	for _, heapName := range heaps {
+		cfg.HeapName = heapName
+		for _, app := range apps {
 			variant := func(mode engine.Mode) func() (AppRun, error) {
 				return func() (AppRun, error) {
-					res, err := runSparkApp(app, cfg, hc.Cfg, mode)
+					res, err := RunApp(app, cfg, mode)
 					if err != nil {
-						return AppRun{}, fmt.Errorf("%s/%s/%v: %w", app, hc.Name, mode, err)
+						return AppRun{}, fmt.Errorf("%s/%v: %w", path.Join(app, heapName), mode, err)
 					}
-					return AppRun{App: app, HeapName: hc.Name, Mode: mode, Stats: res.Stats, Wall: res.Wall}, nil
+					return AppRun{App: app, HeapName: heapName, Mode: mode, Stats: res.Stats, Wall: res.Wall}, nil
 				}
 			}
 			runs, err := medianRuns(variant(engine.Baseline), variant(engine.Gerenuk))
@@ -390,21 +425,6 @@ func medianRuns(variants ...func() (AppRun, error)) ([]AppRun, error) {
 	return medians, nil
 }
 
-// HadoopSuite holds the Figure 6(b)/7(b) measurements.
-type HadoopSuite struct {
-	Runs []AppRun
-}
-
-// Find returns the run for (app, mode).
-func (s *HadoopSuite) Find(app string, mode engine.Mode) (AppRun, bool) {
-	for _, r := range s.Runs {
-		if r.App == app && r.Mode == mode {
-			return r, true
-		}
-	}
-	return AppRun{}, false
-}
-
 // hadoopInput generates one Table 2 program's input records: the one
 // place its dataset and size are decided, read by the runs and Table 2.
 func hadoopInput(app string, scale int) (class string, objs []serde.Obj) {
@@ -417,35 +437,18 @@ func hadoopInput(app string, scale int) (class string, objs []serde.Obj) {
 	return hadoopapps.ClsDoc, workload.GenDocs(40*scale, 30, 3)
 }
 
-// RunHadoopSuite measures every Table 2 app in both modes.
-func RunHadoopSuite(cfg Config) (*HadoopSuite, error) {
-	cfg = cfg.withDefaults()
-	suite := &HadoopSuite{}
-	for _, app := range hadoopapps.AllApps {
-		variant := func(mode engine.Mode) func() (AppRun, error) {
-			return func() (AppRun, error) {
-				res, _, err := runHadoopApp(app, cfg, mode, false)
-				if err != nil {
-					return AppRun{}, fmt.Errorf("%s/%v: %w", app, mode, err)
-				}
-				return AppRun{App: app, Mode: mode, Stats: res.Stats, Wall: res.Wall}, nil
-			}
-		}
-		runs, err := medianRuns(variant(engine.Baseline), variant(engine.Gerenuk))
-		if err != nil {
-			return nil, err
-		}
-		suite.Runs = append(suite.Runs, runs...)
-	}
-	return suite, nil
+// hadoopHeaps returns the map and reduce task heaps of a Hadoop app at
+// scale: what runHadoopApp runs with and what AppMemoryEstimate reserves.
+func hadoopHeaps(scale int) (mapHeap, reduceHeap heap.Config) {
+	kb := 1 << 10
+	return heap.Config{YoungSize: scale * 24 * kb, OldSize: scale * 192 * kb},
+		heap.Config{YoungSize: scale * 24 * kb, OldSize: scale * 288 * kb}
 }
 
 func runHadoopApp(app string, cfg Config, mode engine.Mode, yak bool) (*hadoop.Result, *engine.Compiled, error) {
 	cfg = cfg.withDefaults()
-	kb := 1 << 10
-	return runHadoopAppHeaps(app, cfg, mode, yak,
-		heap.Config{YoungSize: cfg.Scale * 24 * kb, OldSize: cfg.Scale * 192 * kb},
-		heap.Config{YoungSize: cfg.Scale * 24 * kb, OldSize: cfg.Scale * 288 * kb})
+	mapHeap, reduceHeap := hadoopHeaps(cfg.Scale)
+	return runHadoopAppHeaps(app, cfg, mode, yak, mapHeap, reduceHeap)
 }
 
 func runHadoopAppHeaps(app string, cfg Config, mode engine.Mode, yak bool, mapHeap, reduceHeap heap.Config) (*hadoop.Result, *engine.Compiled, error) {
