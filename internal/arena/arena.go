@@ -64,11 +64,19 @@ type Stats struct {
 const arenaTraceGranularity = 64 << 10
 
 // Arena manages a set of regions. Not safe for concurrent use; each
-// executor owns one, mirroring per-worker native buffers.
+// task attempt holds one for its whole run, mirroring per-worker native
+// buffers, and Reset lets the next attempt reuse its storage.
 type Arena struct {
 	regions []*Region // index+1 == region id; nil after free
 	live    int64
 	stats   Stats
+
+	// spare holds the storage of regions the arena allocated itself,
+	// kept by Reset for later NewRegion calls. The top of the stack is
+	// the buffer of the lowest-numbered region, so an attempt that
+	// creates its regions in the same order as the last one gets each
+	// region's old storage back.
+	spare [][]byte
 
 	trace          *trace.Span
 	lastTracedLive int64
@@ -95,14 +103,51 @@ type Region struct {
 	name  string
 	buf   []byte
 	freed bool
+	// owned marks a region wrapped around a caller's payload
+	// (AdoptBytesOwned): its bytes are never recycled.
+	owned bool
 }
 
 // NewRegion creates a region. The name is used in diagnostics only.
 func (a *Arena) NewRegion(name string) *Region {
+	r := a.newRegion(name)
+	if n := len(a.spare); n > 0 {
+		r.buf = a.spare[n-1]
+		a.spare[n-1] = nil
+		a.spare = a.spare[:n-1]
+	}
+	return r
+}
+
+func (a *Arena) newRegion(name string) *Region {
 	r := &Region{arena: a, id: len(a.regions) + 1, name: name}
 	a.regions = append(a.regions, r)
 	a.stats.Regions++
 	return r
+}
+
+// Reset frees every region and zeroes the accounting, returning the
+// arena to the state New left it in, except that the storage of regions
+// the arena allocated itself is kept for later NewRegion calls. It
+// clears no bytes: a region's length starts at zero, every extension
+// (Append, grow, WriteNative) zero-fills, and every read is bounded by
+// the length. Regions from AdoptBytesOwned are dropped, never recycled:
+// their bytes are the caller's. Handles to the old regions read as
+// freed.
+func (a *Arena) Reset() {
+	for i := len(a.regions) - 1; i >= 0; i-- {
+		r := a.regions[i]
+		if r == nil {
+			continue
+		}
+		if !r.owned && cap(r.buf) > 0 {
+			a.spare = append(a.spare, r.buf[:0])
+		}
+		r.freed, r.buf = true, nil
+	}
+	clear(a.regions)
+	a.regions = a.regions[:0]
+	a.live, a.stats, a.trace, a.lastTracedLive = 0, Stats{}, nil, 0
 }
 
 // AdoptBytes creates a region around an existing byte payload, e.g. a
@@ -123,8 +168,9 @@ func (a *Arena) AdoptBytes(name string, data []byte) *Region {
 // must not retain or mutate data. The slice is re-capped to its length
 // so a later Grow/Append reallocates instead of scribbling past it.
 func (a *Arena) AdoptBytesOwned(name string, data []byte) *Region {
-	r := a.NewRegion(name)
+	r := a.newRegion(name)
 	r.buf = data[:len(data):len(data)]
+	r.owned = true
 	a.account(int64(len(data)))
 	a.trace.Instant("arena", "region-adopt",
 		trace.Str("region", name), trace.I64("bytes", int64(len(data))),

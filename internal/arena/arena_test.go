@@ -325,3 +325,72 @@ func TestAdoptBytesOwnedZeroCopy(t *testing.T) {
 		t.Fatalf("live after free = %d", a.LiveBytes())
 	}
 }
+
+// TestResetRecyclesOwnStorageOnly pins Arena.Reset: a region created
+// after it reuses the storage of one the arena allocated itself, yet
+// reads only zeros and the values written since — though Reset clears
+// nothing and the storage is poisoned to its capacity — while a region
+// adopted with AdoptBytesOwned is never recycled: its bytes are the
+// caller's and stay byte-identical.
+func TestResetRecyclesOwnStorageOnly(t *testing.T) {
+	a := New()
+	input := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	pristine := append([]byte(nil), input...)
+	owned := a.AdoptBytesOwned("in", input)
+	out := a.NewRegion("out")
+	out.Append(4096)
+	a.AdoptBytes("copy", make([]byte, 512))
+	for _, r := range a.regions[1:] {
+		poisoned := r.buf[:cap(r.buf)]
+		for i := range poisoned {
+			poisoned[i] = 0xA5
+		}
+	}
+	oldOut := &out.buf[0]
+	stale := out.AddrOf(0)
+
+	a.Reset()
+	if a.LiveBytes() != 0 || a.Stats() != (Stats{}) || len(a.regions) != 0 {
+		t.Fatalf("Reset left live=%d stats=%+v regions=%d", a.LiveBytes(), a.Stats(), len(a.regions))
+	}
+	if !owned.Freed() || !out.Freed() {
+		t.Fatal("handles to reset regions must read as freed")
+	}
+	if catchFault(func() { a.ReadNative(stale, 0, 8) }) == nil {
+		t.Fatal("address into a reset region must fault")
+	}
+	for _, s := range a.spare {
+		if &s[:1][0] == &input[0] {
+			t.Fatal("owned input entered the spare list")
+		}
+	}
+
+	r := a.NewRegion("out")
+	if cap(r.buf) == 0 || &r.buf[:1][0] != oldOut {
+		t.Fatal("first region after Reset did not reuse the first region's storage")
+	}
+	want := make([]byte, 0, 64)
+	p := r.Append(16)
+	want = append(want, make([]byte, 16)...)
+	a.WriteNative(p, 24, 8, 0x0102030405060708) // grows the region past its end
+	want = append(want, make([]byte, 8)...)
+	want = append(want, 8, 7, 6, 5, 4, 3, 2, 1)
+	r.AppendBytes([]byte{9, 9, 9})
+	want = append(want, 9, 9, 9)
+	r.NewRecord().Reserve(5)
+	want = append(want, make([]byte, 5)...)
+	if got := a.Slice(p, r.Len()); string(got) != string(want) {
+		t.Fatalf("recycled region reads %v, want %v", got, want)
+	}
+	data := []byte("adopted copy")
+	c := a.AdoptBytes("copy", data)
+	if got := a.Slice(c.AddrOf(0), c.Len()); string(got) != string(data) {
+		t.Fatalf("AdoptBytes into recycled storage reads %q", got)
+	}
+	for i := 0; i < 4; i++ {
+		a.NewRegion("more").Append(64)
+	}
+	if string(input) != string(pristine) {
+		t.Fatalf("owned input changed to %v, want %v", input, pristine)
+	}
+}

@@ -4,10 +4,11 @@
 // and 1, "third challenge").
 //
 // An executor is deliberately stateless across tasks: every task attempt
-// gets a fresh simulated heap and a fresh arena, so aborting a task is
-// exactly the paper's "terminate the current executor, launch a new one
-// with the same input buffers" — the input wire bytes are owned by the
-// caller and are immutable (enforced by the statically inserted
+// takes an empty simulated heap and an empty arena from its job's free
+// lists (memory.go) and hands them back when it ends, so aborting a task
+// is exactly the paper's "terminate the current executor, launch a new
+// one with the same input buffers" — the input wire bytes are owned by
+// the caller and are immutable (enforced by the statically inserted
 // mutate-input aborts), so re-execution always sees pristine input.
 package engine
 
@@ -75,12 +76,16 @@ type Compiled struct {
 	Natives map[string]*ir.Func
 	XStats  map[string]transform.Stats
 
-	// mu guards the compilation maps above plus the closure cache below;
-	// both fill lazily, possibly from concurrent jobs sharing this
-	// Compiled. closures memoizes closure compilation per driver (nil
-	// value = declined, interpret forever).
+	// mu guards the compilation maps above plus the closure cache and
+	// the attempt-memory free lists below; all fill lazily, possibly from
+	// concurrent jobs sharing this Compiled. closures memoizes closure
+	// compilation per driver (nil value = declined, interpret forever).
 	mu       sync.Mutex
 	closures map[string]*compile.Prog
+	// heaps and sinks are the idle attempt memory (memory.go): heaps by
+	// configuration, and native sinks, each with its arena.
+	heaps map[heap.Config][]*heap.Heap
+	sinks []*nativeSink
 }
 
 // Compile runs the data structure analyzer over the program's top types
@@ -395,9 +400,9 @@ func (t *taskRun) settleNative(att *trace.Span, o attemptOutcome, stopped bool) 
 		return failed
 	}
 	// Abort (or a native-side allocation failure, equally a failed
-	// speculation): the attempt is discarded — heap, arena and partial
-	// output all die with it — and the heap path recovers over the
-	// pristine inputs.
+	// speculation): the attempt is discarded — its heap, arena and
+	// partial output went back to the free lists unread — and the heap
+	// path recovers over the pristine inputs.
 	att.End(trace.Str("outcome", "abort"))
 	t.e.Breaker.Record(t.spec.Driver, true)
 	t.bd.Aborts++
@@ -479,17 +484,20 @@ func (t *taskRun) speculate(launch func(native bool, att *trace.Span) racer) (Ta
 	return t.heapOnly()
 }
 
+// bufID identifies an input buffer: a reduce task's key groups all
+// point into one fetched block. Both the first byte and the length are
+// needed — a buffer and its prefix share a first byte.
+type bufID struct {
+	first *byte
+	n     int
+}
+
 // checksumInputs fingerprints the bytes speculation must not touch, for
 // the mutate-input canary: FNV-1a over every distinct input buffer of
-// the task, in invocation order and sorted source-name order. A reduce
-// task's key groups all point into one fetched block, so buffers are
-// deduplicated by identity (first byte, length) and each is hashed once
-// — changing any byte of any input buffer still changes the sum.
+// the task, in invocation order and sorted source-name order. Buffers
+// are deduplicated by bufID and each is hashed once — changing any byte
+// of any input buffer still changes the sum.
 func checksumInputs(spec TaskSpec) uint64 {
-	type bufID struct {
-		first *byte
-		n     int
-	}
 	h := fnv.New64a()
 	seen := make(map[bufID]struct{}, 2)
 	names := make([]string, 0, 4)
@@ -538,9 +546,8 @@ func (e *Executor) runHeapAttempt(spec TaskSpec, att *trace.Span, cancel *cancel
 	if e.Mode == Gerenuk {
 		phaseName = "heap-fallback"
 	}
-	cfg := e.HeapCfg
-	cfg.Trace = att
-	h := heap.New(e.C.Prog.Reg, cfg)
+	h := e.C.takeHeap(e.HeapCfg, att)
+	defer e.C.putHeap(e.HeapCfg, h)
 	sink := &collectSink{}
 	fn := e.C.Prog.Fn(spec.Driver)
 	hook := killHook(spec)
@@ -643,31 +650,35 @@ func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canc
 	// Resolve what this attempt runs, once: the transformed driver and,
 	// under the compiled backend, its closure chain (compiled on first
 	// use; nil = interpret the transformed IR). Resolution happens before
-	// the arena exists so a (hypothetical) compile failure can never leak
-	// attempt state.
+	// the attempt takes its memory, and decides whether it needs a control
+	// heap.
 	fn, cp := e.nativeCode(spec.Driver, att)
 	o.compiled = cp != nil
-	a := arena.New()
-	a.SetTrace(att)
-	// A Gerenuk executor keeps a small control heap; data never touches it.
-	h := heap.New(e.C.Prog.Reg, heap.Config{
-		YoungSize: e.HeapCfg.YoungSize / 4, OldSize: e.HeapCfg.OldSize / 4,
-		Trace: att,
-	})
+	sink := e.C.takeSink(att)
+	defer e.C.putSink(sink)
+	a := sink.a
+	// An interpreted attempt keeps a small control heap; data never
+	// touches it. Compiled code cannot reach one — closure compilation
+	// declines every heap statement — so a compiled attempt gets none.
+	var h *heap.Heap
+	if cp == nil {
+		ctl := heap.Config{YoungSize: e.HeapCfg.YoungSize / 4, OldSize: e.HeapCfg.OldSize / 4}
+		h = e.C.takeHeap(ctl, att)
+		defer e.C.putHeap(ctl, h)
+	}
 	outRegion := a.NewRegion("task-out")
-	sink := &nativeSink{a: a}
 	hook := recordHook(spec, a)
 
 	// Adopt each distinct input buffer once. Owned buffers (a shuffle
 	// fetch's fresh concatenation) wrap zero-copy; shared ones pay the
 	// transfer copy.
-	regions := make(map[*byte]*arena.Region)
+	regions := make(map[bufID]*arena.Region)
 	regionFor := func(in Input) *arena.Region {
 		buf := in.Buf
 		if len(buf) == 0 {
 			return a.NewRegion("empty")
 		}
-		key := &buf[0]
+		key := bufID{&buf[0], len(buf)}
 		if r, ok := regions[key]; ok {
 			return r
 		}
@@ -718,7 +729,9 @@ func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canc
 		}
 		e.maybeCheckpoint(spec, att, i+1, sink.out)
 	}
-	foldHeapStats(bd, h.Stats())
+	if h != nil {
+		foldHeapStats(bd, h.Stats())
+	}
 	if ast := a.Stats(); ast.PeakBytes > bd.PeakNativeBytes {
 		bd.PeakNativeBytes = ast.PeakBytes
 	}
@@ -726,8 +739,9 @@ func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canc
 		return o
 	}
 	bd.Records += countRecords(spec.Invocations[resume:])
-	// Copy output bytes out, then free all regions wholesale — the
-	// region-based reclamation the confinement guarantee enables.
+	// Copy output bytes out — the only bytes that leave the attempt —
+	// then free all regions wholesale (putSink), the region-based
+	// reclamation the confinement guarantee enables.
 	o.out = append([]byte(nil), sink.Bytes()...)
 	return o
 }

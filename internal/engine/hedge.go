@@ -12,8 +12,11 @@
 // The race is safe for exactly the reason re-execution after an abort is
 // safe: speculation never mutates task inputs (the statically inserted
 // mutate-input aborts enforce it, the VerifyInputs canary checks it),
-// and each attempt owns all of its other state — its own heap, its own
-// arena, its own output sink. Both paths compute the same function, so
+// and each attempt holds all of its other state alone — a heap, arena
+// and output sink taken from the job's free lists (memory.go) when it
+// starts and returned when it ends, and race drains both attempts
+// before returning, so no two attempts ever hold the same object at
+// once. Both paths compute the same function, so
 // whichever finishes first yields the same bytes; the differential tests
 // pin hedged output byte-identical to unhedged output under -race.
 //

@@ -175,9 +175,11 @@ type RootFunc func(visit func(slot *Addr))
 func (f RootFunc) VisitRoots(visit func(slot *Addr)) { f(visit) }
 
 // Heap is a simulated managed heap. It is not safe for concurrent use: in
-// the dataflow engines each executor owns its own Heap, mirroring the
-// paper's per-executor worker setup and making "terminate the executor,
-// discard its state" aborts trivially safe.
+// the dataflow engines each task attempt holds one Heap for its whole
+// run, taken from its job's free list and Reset on the way in, the way a
+// JVM executor allocates its heap once and runs task after task over it.
+// Reset rewinds the heap to its empty state, so "terminate the executor,
+// discard its state" aborts stay trivially safe.
 type Heap struct {
 	reg *model.Registry
 	cfg Config
@@ -235,6 +237,27 @@ func New(reg *model.Registry, cfg Config) *Heap {
 	h.regionEnd = h.regionBeg + regionVirtualSpan
 	h.gcHist = c.Trace.Tracer().Registry().Histogram("gc_pause_ns", trace.LatencyBuckets()...)
 	return h
+}
+
+// Reset puts the heap back in the state New left it in — empty spaces,
+// no roots, no remembered holders, zeroed Stats, no open epoch — with tr
+// as its trace span, so one Heap can serve attempt after attempt. It
+// clears no bytes: every allocation zeroes what it hands out, the
+// collectors copy whole objects, and every walk stops at a top pointer,
+// so nothing reads a byte the previous user left behind.
+func (h *Heap) Reset(tr *trace.Span) {
+	h.cfg.Trace = tr
+	h.fromOff, h.toOff = 0, h.cfg.YoungSize
+	h.youngTop, h.toTop = 0, 0
+	h.oldTop = 0
+	h.region = h.region[:min(len(h.region), h.cfg.RegionSize)]
+	h.regionTop = 0
+	h.inEpoch = false
+	h.remembered = h.remembered[:0]
+	clear(h.roots)
+	h.roots = h.roots[:0]
+	h.stats = Stats{}
+	h.gcHist = tr.Tracer().Registry().Histogram("gc_pause_ns", trace.LatencyBuckets()...)
 }
 
 // traceGC emits one GC instant event on the owning attempt's trace row
@@ -608,19 +631,20 @@ func (h *Heap) minorGC() error {
 		h.stats.MinorGCs++
 		h.traceGC("minor-gc", pause, before)
 	}()
-	return h.scavenge()
+	return h.scavenge(h.cfg.TenureAge)
 }
 
-// scavenge performs the copying collection of the nursery. The caller
-// guarantees promotions fit.
-func (h *Heap) scavenge() error {
+// scavenge performs the copying collection of the nursery, promoting
+// objects that reach tenureAge scavenges. The caller guarantees
+// promotions fit.
+func (h *Heap) scavenge(tenureAge int) error {
 	h.toTop = 0
 	var err error
 	forward := func(slot *Addr) {
 		if err != nil {
 			return
 		}
-		if e := h.evacuate(slot); e != nil {
+		if e := h.evacuate(slot, tenureAge); e != nil {
 			err = e
 		}
 	}
@@ -686,7 +710,7 @@ func (h *Heap) reRemember(holder Addr) {
 
 // evacuate copies the young object referenced by *slot out of from-space
 // and updates the slot. Old and region objects are left in place.
-func (h *Heap) evacuate(slot *Addr) error {
+func (h *Heap) evacuate(slot *Addr, tenureAge int) error {
 	a := *slot
 	if a == 0 || !h.inYoung(a) {
 		return nil
@@ -699,7 +723,7 @@ func (h *Heap) evacuate(slot *Addr) error {
 	size := h.SizeOf(a)
 	age := int((w & ageMask) >> ageShift)
 	var na Addr
-	if age+1 >= h.cfg.TenureAge || h.toTop+size > h.cfg.YoungSize {
+	if age+1 >= tenureAge || h.toTop+size > h.cfg.YoungSize {
 		na2, ok := h.bumpOld(size)
 		if !ok {
 			return fmt.Errorf("%w: promotion of %d bytes failed", ErrOutOfMemory, size)
@@ -833,12 +857,11 @@ func (h *Heap) fullGC() error {
 		h.reRemember(a)
 	})
 
-	// Phase 5: drain the nursery into the compacted old generation.
-	oldTenure := h.cfg.TenureAge
-	h.cfg.TenureAge = 1 // promote everything that survives
-	err := h.scavenge()
-	h.cfg.TenureAge = oldTenure
-	return err
+	// Phase 5: drain the nursery into the compacted old generation,
+	// promoting everything that survives. The tenure age is an argument,
+	// not a config edit, so a panic mid-collection cannot leave the
+	// config changed for the heap's next user.
+	return h.scavenge(1)
 }
 
 // walkSpace iterates object base addresses over a linearly allocated

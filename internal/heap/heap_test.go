@@ -544,3 +544,180 @@ func TestStatsAccounting(t *testing.T) {
 		t.Errorf("PeakUsedBytes = %d < AllocBytes", st.PeakUsedBytes)
 	}
 }
+
+// resetScript drives h through every path Reset must rewind — scavenges
+// that copy, drop and promote, a full GC, a Yak epoch with escapes
+// through a root and through the write barrier, and finally an OOM —
+// and returns every address it was handed, every value it read back and
+// the final Stats with GCTime zeroed (wall time is not heap state). Its
+// roots stay registered: Reset must drop them.
+func resetScript(t *testing.T, h *Heap) ([]int64, Stats) {
+	t.Helper()
+	reg := h.Registry()
+	node, pt, holderC := reg.MustLookup("Node"), reg.MustLookup("Point"), reg.MustLookup("Holder")
+	valF, nextF := node.MustField("val"), node.MustField("next")
+	xF, arrF := pt.MustField("x"), holderC.MustField("arr")
+	roots := &rootSlice{addrs: make([]Addr, 4)}
+	h.AddRoots(roots)
+	var log []int64
+	alloc := func(c *model.Class) Addr {
+		a, err := h.AllocObject(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, a)
+		return a
+	}
+
+	// A rooted list keeping every third node: scavenges copy and drop,
+	// and the survivors age into the old generation.
+	for i := 0; i < 2000; i++ {
+		a := alloc(node)
+		h.SetPrim(a, valF.Offset, model.KindLong, uint64(i))
+		if i%3 == 0 {
+			h.SetRef(a, nextF.Offset, roots.addrs[0])
+			roots.addrs[0] = a
+		}
+	}
+	holder := alloc(holderC)
+	roots.addrs[2] = holder
+	arr, err := h.AllocArray(model.KindRef, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log = append(log, arr)
+	h.SetRef(roots.addrs[2], arrF.Offset, arr)
+	if err := h.Collect(); err != nil {
+		t.Fatal(err)
+	}
+
+	h.EpochStart()
+	for i := 0; i < 400; i++ {
+		p := alloc(pt)
+		h.SetPrim(p, xF.Offset, model.KindDouble, Float64Bits(float64(i)))
+		switch {
+		case i == 10:
+			roots.addrs[1] = p
+		case i%100 == 50:
+			h.ArraySetRef(h.GetRef(roots.addrs[2], arrF.Offset), i/100, p)
+		}
+	}
+	if err := h.EpochEnd(); err != nil {
+		t.Fatal(err)
+	}
+
+	for a := roots.addrs[0]; a != 0; a = h.GetRef(a, nextF.Offset) {
+		log = append(log, int64(h.GetPrim(a, valF.Offset, model.KindLong)))
+	}
+	log = append(log, int64(h.GetPrim(roots.addrs[1], xF.Offset, model.KindDouble)))
+	arr = h.GetRef(roots.addrs[2], arrF.Offset)
+	for i := 0; i < h.ArrayLen(arr); i++ {
+		if p := h.ArrayGetRef(arr, i); p != 0 {
+			log = append(log, int64(h.GetPrim(p, xF.Offset, model.KindDouble)))
+		}
+	}
+
+	// Keep everything alive until the heap gives out.
+	for {
+		a, err := h.AllocObject(node)
+		if err != nil {
+			if !errors.Is(err, ErrOutOfMemory) {
+				t.Fatal(err)
+			}
+			break
+		}
+		log = append(log, a)
+		h.SetRef(a, nextF.Offset, roots.addrs[3])
+		roots.addrs[3] = a
+	}
+	st := h.Stats()
+	st.GCTime = 0
+	return log, st
+}
+
+// poison fills every backing byte of h, spare region capacity included.
+func poison(h *Heap) {
+	for _, b := range [][]byte{h.young, h.old, h.region[:cap(h.region)]} {
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+}
+
+// dirty leaves an empty h mid-epoch (under PolicyRegion) with an old
+// holder in the remembered set and a region object allocated.
+func dirty(t *testing.T, h *Heap) {
+	t.Helper()
+	node := h.Registry().MustLookup("Node")
+	roots := &rootSlice{addrs: make([]Addr, 1)}
+	h.AddRoots(roots)
+	var err error
+	if roots.addrs[0], err = h.AllocObject(node); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	child, err := h.AllocObject(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetRef(roots.addrs[0], node.MustField("next").Offset, child)
+	h.EpochStart()
+	if _, err := h.AllocObject(node); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.remembered) == 0 {
+		t.Fatal("dirty left no remembered holder")
+	}
+}
+
+// TestResetMatchesNew pins that a Reset heap behaves exactly like a new
+// one although Reset clears no bytes: the same script over a poisoned,
+// Reset heap — once poisoned after a used heap's OOM, once more left
+// mid-epoch with remembered holders — returns the addresses, values and Stats a
+// fresh New does.
+func TestResetMatchesNew(t *testing.T) {
+	reg := testRegistry()
+	for _, pol := range []Policy{PolicyGenerational, PolicyRegion} {
+		t.Run(pol.String(), func(t *testing.T) {
+			cfg := Config{YoungSize: 8 << 10, OldSize: 64 << 10, RegionSize: 8 << 10, Policy: pol}
+			wantLog, wantStats := resetScript(t, New(reg, cfg))
+			if wantStats.MinorGCs == 0 || wantStats.MajorGCs == 0 || wantStats.PromotedBytes == 0 {
+				t.Fatalf("script misses a collector path: %+v", wantStats)
+			}
+			if pol == PolicyRegion && (wantStats.EpochEscapes == 0 || wantStats.EpochsClosed != 1) {
+				t.Fatalf("script misses the epoch path: %+v", wantStats)
+			}
+			h := New(reg, cfg)
+			resetScript(t, h)
+			for round := 1; round <= 2; round++ {
+				if round == 1 {
+					poison(h)
+				} else {
+					// Stale live objects are a sharper poison for the
+					// remembered set than 0xA5, which reads as a
+					// primitive array and is skipped.
+					h.Reset(nil)
+					dirty(t, h)
+				}
+				h.Reset(nil)
+				if h.Stats() != (Stats{}) || h.UsedBytes() != 0 {
+					t.Fatalf("round %d: Reset left stats %+v, %d bytes used", round, h.Stats(), h.UsedBytes())
+				}
+				gotLog, gotStats := resetScript(t, h)
+				if gotStats != wantStats {
+					t.Errorf("round %d: stats %+v, want %+v", round, gotStats, wantStats)
+				}
+				if len(gotLog) != len(wantLog) {
+					t.Fatalf("round %d: %d logged values, want %d", round, len(gotLog), len(wantLog))
+				}
+				for i := range gotLog {
+					if gotLog[i] != wantLog[i] {
+						t.Fatalf("round %d: logged value %d = %#x, want %#x", round, i, gotLog[i], wantLog[i])
+					}
+				}
+			}
+		})
+	}
+}
