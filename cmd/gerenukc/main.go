@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	gerenukc -app soa [-dump] [-driver soaCombineStage]
+//	gerenukc -app soa [-dump] [-driver soaCombineStage]   (names match case-insensitively)
 //	gerenukc -list
 package main
 
@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,80 +25,24 @@ import (
 	"repro/internal/ir"
 )
 
-// appSpec wires an application name to its program and stage drivers.
-type appSpec struct {
-	name    string
-	build   func() *ir.Program
-	drivers []string
+// appNames lists every application gerenukc compiles: the sparkapps
+// catalog, then the Table 2 programs.
+func appNames() []string {
+	var names []string
+	for _, a := range sparkapps.Apps {
+		names = append(names, a.Name)
+	}
+	return append(names, hadoopapps.AllApps...)
 }
 
-func apps() []appSpec {
-	specs := []appSpec{
-		{
-			name: "pagerank",
-			build: func() *ir.Program {
-				p := sparkapps.NewProgram(sparkapps.ClsLinks, sparkapps.ClsRank, sparkapps.ClsContrib)
-				sparkapps.PageRank{Iters: 1}.Register(p)
-				return p
-			},
-			drivers: []string{"prInitStage", "prJoinStage", "prCombineStage", "prUpdateStage"},
-		},
-		{
-			name: "kmeans",
-			build: func() *ir.Program {
-				p := sparkapps.NewProgram(sparkapps.ClsDenseVector, sparkapps.ClsClusterStat)
-				sparkapps.KMeans{K: 2, Dim: 4, Iters: 1}.Register(p)
-				return p
-			},
-			drivers: []string{"kmCombineStage"},
-		},
-		{
-			name: "logreg",
-			build: func() *ir.Program {
-				p := sparkapps.NewProgram(sparkapps.ClsLabeled, sparkapps.ClsGrad)
-				sparkapps.LogReg{Dim: 4, Iters: 1}.Register(p)
-				return p
-			},
-			drivers: []string{"lrCombineStage"},
-		},
-		{
-			name: "wordcount",
-			build: func() *ir.Program {
-				p := sparkapps.NewProgram(sparkapps.ClsDoc, sparkapps.ClsWordCount)
-				sparkapps.WordCount{}.Register(p)
-				return p
-			},
-			drivers: []string{"wcSplitStage", "wcCombineStage"},
-		},
-		{
-			name: "soa",
-			build: func() *ir.Program {
-				p := sparkapps.NewProgram(sparkapps.ClsPost, sparkapps.ClsAccount)
-				sparkapps.StackOverflowAnalytics{InitialCap: 8}.Register(p)
-				return p
-			},
-			drivers: []string{"soaMapStage", "soaCombineStage"},
-		},
+// load builds the named application's program and lists its stage
+// drivers.
+func load(name string) (*ir.Program, []string) {
+	if a, ok := sparkapps.Lookup(name); ok {
+		return a.Program(), a.Drivers
 	}
-	for _, h := range hadoopapps.AllApps {
-		h := h
-		specs = append(specs, appSpec{
-			name: strings.ToLower(h),
-			build: func() *ir.Program {
-				p, _ := hadoopapps.NewProgram(h)
-				return p
-			},
-			drivers: func() []string {
-				_, conf := hadoopapps.NewProgram(h)
-				out := []string{conf.MapDriver, conf.ReduceDriver}
-				if conf.CombineDriver != "" && conf.CombineDriver != conf.ReduceDriver {
-					out = append(out, conf.CombineDriver)
-				}
-				return out
-			}(),
-		})
-	}
-	return specs
+	prog, conf := hadoopapps.NewProgram(name)
+	return prog, conf.Drivers()
 }
 
 func main() {
@@ -107,11 +52,12 @@ func main() {
 	list := flag.Bool("list", false, "list known applications")
 	flag.Parse()
 
-	specs := apps()
+	apps := appNames()
 	if *list || *appName == "" {
 		fmt.Println("applications:")
-		for _, s := range specs {
-			fmt.Printf("  %-10s drivers: %s\n", s.name, strings.Join(s.drivers, ", "))
+		for _, name := range apps {
+			_, drivers := load(name)
+			fmt.Printf("  %-10s drivers: %s\n", name, strings.Join(drivers, ", "))
 		}
 		if *appName == "" && !*list {
 			os.Exit(2)
@@ -119,21 +65,16 @@ func main() {
 		return
 	}
 
-	var spec *appSpec
-	for i := range specs {
-		if specs[i].name == *appName {
-			spec = &specs[i]
-		}
-	}
-	if spec == nil {
+	i := slices.IndexFunc(apps, func(n string) bool { return strings.EqualFold(n, *appName) })
+	if i < 0 {
 		fmt.Fprintf(os.Stderr, "gerenukc: unknown app %q (try -list)\n", *appName)
 		os.Exit(2)
 	}
-
-	prog := spec.build()
+	name := apps[i]
+	prog, drivers := load(name)
 	comp := engine.Compile(prog)
 
-	fmt.Printf("== %s ==\n", spec.name)
+	fmt.Printf("== %s ==\n", name)
 	fmt.Printf("top-level data types (user annotation): %s\n", strings.Join(prog.TopTypes, ", "))
 	fmt.Println("\n-- data structure analyzer --")
 	accepted := comp.Layouts.Accepted
@@ -155,7 +96,7 @@ func main() {
 		}
 	}
 
-	for _, d := range spec.drivers {
+	for _, d := range drivers {
 		if *driver != "" && d != *driver {
 			continue
 		}

@@ -17,7 +17,6 @@ package hadoopapps
 
 import (
 	"repro/internal/apps/sparkapps"
-	"repro/internal/engine"
 	"repro/internal/hadoop"
 	"repro/internal/ir"
 	"repro/internal/model"
@@ -52,88 +51,57 @@ var AllApps = []string{IUF, UAH, SPF, UED, CED, IMC, TFC}
 // Dataset returns which synthetic dataset an app consumes:
 // "stackoverflow-users", "stackoverflow-posts" or "wikipedia".
 func Dataset(app string) string {
-	switch app {
-	case IUF, UED:
-		return "stackoverflow-users"
-	case UAH, SPF, CED:
-		return "stackoverflow-posts"
-	default:
-		return "wikipedia"
-	}
+	return map[string]string{
+		ClsUser: "stackoverflow-users", ClsPost: "stackoverflow-posts", ClsDoc: "wikipedia",
+	}[jobs[app].conf.InClass]
+}
+
+// jobs holds each Table 2 program's registration and job template.
+var jobs = map[string]struct {
+	register func(*ir.Program)
+	conf     hadoop.JobConf
+}{
+	IUF: {registerIUF, hadoop.JobConf{MapDriver: "iufMapStage", ReduceDriver: "iufReduceStage",
+		InClass: ClsUser, MapOutClass: ClsUser, OutClass: ClsUser, KeyField: "id"}},
+	UAH: {registerUAH, countJob("uahMapStage", ClsPost)},
+	SPF: {registerSPF, countJob("spfMapStage", ClsPost)},
+	UED: {registerUED, countJob("uedMapStage", ClsUser)},
+	CED: {registerCED, countJob("cedMapStage", ClsPost)},
+	IMC: {sparkapps.WordCount{}.Register, wordCountJob("wcCombineStage")},
+	TFC: {sparkapps.WordCount{}.Register, wordCountJob("")},
+}
+
+// countJob is the template of a job whose mapper reads in records and
+// emits CountRec records that countReduceStage sums per key.
+func countJob(mapDriver, in string) hadoop.JobConf {
+	return hadoop.JobConf{MapDriver: mapDriver, ReduceDriver: "countReduceStage",
+		InClass: in, MapOutClass: ClsCountRec, OutClass: ClsCountRec, KeyField: "k"}
+}
+
+// wordCountJob is the template of the WordCount jobs, with combine as
+// the in-map combiner ("" for none).
+func wordCountJob(combine string) hadoop.JobConf {
+	return hadoop.JobConf{MapDriver: "wcSplitStage", CombineDriver: combine, ReduceDriver: "wcCombineStage",
+		InClass: ClsDoc, MapOutClass: ClsWordCount, OutClass: ClsWordCount, KeyField: "word"}
 }
 
 // NewProgram builds the program with UDFs for the given app registered
-// and returns the program plus the job configuration template.
+// and returns the program plus the job configuration template. The
+// job's top-level data types are its input and map-output classes.
 func NewProgram(app string) (*ir.Program, hadoop.JobConf) {
-	var prog *ir.Program
-	var conf hadoop.JobConf
-	switch app {
-	case IUF:
-		prog = sparkapps.NewProgram(ClsUser)
-		registerIUF(prog)
-		conf = hadoop.JobConf{
-			Name: app, MapDriver: "iufMapStage", ReduceDriver: "iufReduceStage",
-			InClass: ClsUser, MapOutClass: ClsUser, OutClass: ClsUser, KeyField: "id",
-		}
-	case UAH:
-		prog = sparkapps.NewProgram(ClsPost, ClsCountRec)
-		registerUAH(prog)
-		conf = hadoop.JobConf{
-			Name: app, MapDriver: "uahMapStage", ReduceDriver: "countReduceStage",
-			InClass: ClsPost, MapOutClass: ClsCountRec, OutClass: ClsCountRec, KeyField: "k",
-		}
-	case SPF:
-		prog = sparkapps.NewProgram(ClsPost, ClsCountRec)
-		registerSPF(prog)
-		conf = hadoop.JobConf{
-			Name: app, MapDriver: "spfMapStage", ReduceDriver: "countReduceStage",
-			InClass: ClsPost, MapOutClass: ClsCountRec, OutClass: ClsCountRec, KeyField: "k",
-		}
-	case UED:
-		prog = sparkapps.NewProgram(ClsUser, ClsCountRec)
-		registerUED(prog)
-		conf = hadoop.JobConf{
-			Name: app, MapDriver: "uedMapStage", ReduceDriver: "countReduceStage",
-			InClass: ClsUser, MapOutClass: ClsCountRec, OutClass: ClsCountRec, KeyField: "k",
-		}
-	case CED:
-		prog = sparkapps.NewProgram(ClsPost, ClsCountRec)
-		registerCED(prog)
-		conf = hadoop.JobConf{
-			Name: app, MapDriver: "cedMapStage", ReduceDriver: "countReduceStage",
-			InClass: ClsPost, MapOutClass: ClsCountRec, OutClass: ClsCountRec, KeyField: "k",
-		}
-	case IMC:
-		prog = sparkapps.NewProgram(ClsDoc, ClsWordCount)
-		sparkapps.WordCount{}.Register(prog)
-		conf = hadoop.JobConf{
-			Name: app, MapDriver: "wcSplitStage", ReduceDriver: "wcCombineStage",
-			CombineDriver: "wcCombineStage",
-			InClass:       ClsDoc, MapOutClass: ClsWordCount, OutClass: ClsWordCount, KeyField: "word",
-		}
-	case TFC:
-		prog = sparkapps.NewProgram(ClsDoc, ClsWordCount)
-		sparkapps.WordCount{}.Register(prog)
-		conf = hadoop.JobConf{
-			Name: app, MapDriver: "wcSplitStage", ReduceDriver: "wcCombineStage",
-			InClass: ClsDoc, MapOutClass: ClsWordCount, OutClass: ClsWordCount, KeyField: "word",
-		}
-	default:
+	j, ok := jobs[app]
+	if !ok {
 		panic("hadoopapps: unknown app " + app)
 	}
-	return prog, conf
-}
-
-// Run builds the program, compiles it, and executes the job.
-func Run(app string, mode engine.Mode, splits [][]byte, mutate func(*hadoop.JobConf)) (*hadoop.Result, *engine.Compiled, error) {
-	prog, conf := NewProgram(app)
-	conf.Mode = mode
-	if mutate != nil {
-		mutate(&conf)
+	conf := j.conf
+	conf.Name = app
+	types := []string{conf.InClass}
+	if conf.MapOutClass != conf.InClass {
+		types = append(types, conf.MapOutClass)
 	}
-	comp := engine.Compile(prog)
-	res, err := hadoop.Run(comp, conf, splits)
-	return res, comp, err
+	prog := sparkapps.NewProgram(types...)
+	j.register(prog)
+	return prog, conf
 }
 
 // registerIUF: keep users active in the last 90 days with a non-empty

@@ -185,3 +185,26 @@ func TestIMCCombinerReducesShuffleVolume(t *testing.T) {
 			withCombiner, without)
 	}
 }
+
+// TestJobsCoverAllApps keeps the jobs table and AllApps in step: every
+// Table 2 app builds a program that defines each driver its job lists,
+// and a combiner that is the reduce driver is listed once.
+func TestJobsCoverAllApps(t *testing.T) {
+	if len(jobs) != len(AllApps) {
+		t.Errorf("jobs has %d entries, AllApps %d", len(jobs), len(AllApps))
+	}
+	for _, app := range AllApps {
+		prog, conf := NewProgram(app)
+		if conf.Name != app {
+			t.Errorf("%s: conf.Name = %q", app, conf.Name)
+		}
+		for _, d := range conf.Drivers() {
+			if _, ok := prog.Funcs[d]; !ok {
+				t.Errorf("%s: driver %s not registered", app, d)
+			}
+		}
+	}
+	if _, conf := NewProgram(IMC); !reflect.DeepEqual(conf.Drivers(), []string{"wcSplitStage", "wcCombineStage"}) {
+		t.Errorf("IMC drivers = %v, want the combiner counted once", conf.Drivers())
+	}
+}

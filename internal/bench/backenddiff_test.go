@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/apps/hadoopapps"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/trace"
@@ -31,7 +30,7 @@ var backendDiffPlans = []struct {
 // output. Run under -race in CI this also covers the compiled closures'
 // interaction with hedging and recovery concurrency.
 func TestCompiledBackendDifferential(t *testing.T) {
-	apps := append(append([]string{}, SparkAppNames...), hadoopapps.AllApps...)
+	apps := allApps()
 	for _, app := range apps {
 		app := app
 		t.Run(app, func(t *testing.T) {

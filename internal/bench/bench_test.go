@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/apps/hadoopapps"
+	"repro/internal/apps/sparkapps"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/serde"
@@ -85,8 +86,44 @@ func TestTableInputCounts(t *testing.T) {
 			}
 		}
 	}
-	check(Table1(cfg), SparkAppNames, sparkInput)
+	check(Table1(cfg), SparkAppNames, func(app string, scale int) (string, []serde.Obj) {
+		return table1[app].input(scale)
+	})
 	check(Table2(cfg), hadoopapps.AllApps, hadoopInput)
+}
+
+// TestTable1NamesCatalogApps keeps Table 1 from drifting from the
+// sparkapps catalog: every row is a catalog program, listed in catalog
+// order.
+func TestTable1NamesCatalogApps(t *testing.T) {
+	if len(SparkAppNames) != len(table1) {
+		t.Errorf("SparkAppNames = %v covers %d of %d Table 1 rows", SparkAppNames, len(SparkAppNames), len(table1))
+	}
+	for app := range table1 {
+		if _, ok := sparkapps.Lookup(app); !ok {
+			t.Errorf("Table 1 row %q names no sparkapps catalog entry", app)
+		}
+	}
+	if want := []string{"PR", "KM", "LR", "CS", "GB"}; !reflect.DeepEqual(SparkAppNames, want) {
+		t.Errorf("SparkAppNames = %v, want %v", SparkAppNames, want)
+	}
+}
+
+// TestStaticStatsRows pins the compiler statistics of the whole suite:
+// each catalog and Table 2 program compiled on its own, and a combiner
+// that is its app's reduce driver (IMC) counted once.
+func TestStaticStatsRows(t *testing.T) {
+	r, err := StaticStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"Spark", "21", "17", "1", "291", "21"},
+		{"Hadoop", "14", "6", "0", "203", "14"},
+	}
+	if !reflect.DeepEqual(r.Table.Rows, want) {
+		t.Errorf("static stats rows = %v, want %v", r.Table.Rows, want)
+	}
 }
 
 func TestRunAppDispatch(t *testing.T) {

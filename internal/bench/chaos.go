@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/internal/apps/sparkapps"
@@ -28,10 +29,10 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 	r := newResult("Chaos", fmt.Sprintf("WordCount under fault injection (seed %d)", seed),
 		"run", "tasks", "aborts", "panics", "retries", "skips", "outcome")
 	docs := workload.GenDocs(30*cfg.Scale, 30, 3)
+	wc := suiteApp("WC")
 
 	run := func(mode engine.Mode, inj *faults.Injector, breaker *engine.Breaker, hedgeAfter time.Duration) (map[string]int64, *spark.Context, error) {
-		prog := sparkapps.NewProgram(sparkapps.ClsDoc, sparkapps.ClsWordCount)
-		comp := engine.Compile(prog)
+		comp := engine.Compile(wc.Program())
 		ctx := spark.NewContext(comp, mode)
 		// Only these knobs of cfg reach the chaos passes: each pass sets
 		// its own injector, breaker and hedge policy.
@@ -39,13 +40,11 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 			Mode: mode, Workers: cfg.Workers, Backend: cfg.Backend, Trace: cfg.Trace,
 			Injector: inj, HedgeAfter: hedgeAfter})
 		ctx.Partitions = cfg.Partitions
-		wc := sparkapps.WordCount{}
-		wc.Register(prog)
 		parts, err := workload.Encode(comp.Codec, sparkapps.ClsDoc, docs, cfg.Partitions)
 		if err != nil {
 			return nil, ctx, err
 		}
-		counts, err := wc.Run(ctx, ctx.Parallelize(sparkapps.ClsDoc, parts))
+		counts, err := sparkapps.WordCount{}.Run(ctx, ctx.Parallelize(sparkapps.ClsDoc, parts))
 		if err != nil {
 			return nil, ctx, err
 		}
@@ -60,18 +59,6 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 			fmt.Sprint(s.NativeSkips), outcome)
 	}
 
-	sameCounts := func(want, got map[string]int64) bool {
-		if len(got) != len(want) {
-			return false
-		}
-		for w, n := range want {
-			if got[w] != n {
-				return false
-			}
-		}
-		return true
-	}
-
 	want, baseCtx, err := run(engine.Baseline, nil, nil, 0)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: fault-free baseline: %w", err)
@@ -82,7 +69,7 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: gerenuk under injection: %w", err)
 	}
-	equal := sameCounts(want, got)
+	equal := maps.Equal(want, got)
 	outcome := "output == baseline"
 	if !equal {
 		outcome = "OUTPUT DIVERGED"
@@ -119,7 +106,7 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: gerenuk hedged under stragglers: %w", err)
 	}
-	hedgeEqual := sameCounts(want, hedgedGot) && sameCounts(want, slowGot)
+	hedgeEqual := maps.Equal(want, hedgedGot) && maps.Equal(want, slowGot)
 	hedgeFaster := hedgedCtx.Wall < slowCtx.Wall
 	// The table must stay byte-identical across same-seed runs; measured
 	// wall times go in the (explicitly non-deterministic) note instead.

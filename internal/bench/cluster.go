@@ -19,7 +19,7 @@ import (
 func AppMemoryEstimate(app string, cfg Config) int64 {
 	cfg = cfg.withDefaults()
 	var hc heap.Config
-	if isSparkApp(app) {
+	if slices.Contains(SparkAppNames, app) {
 		hc = appHeap(cfg)
 	} else {
 		_, hc = hadoopHeaps(cfg.Scale) // the reduce heap, the larger of the two
@@ -27,8 +27,8 @@ func AppMemoryEstimate(app string, cfg Config) int64 {
 	return int64(hc.YoungSize+hc.OldSize) * int64(cfg.Workers)
 }
 
-func isSparkApp(app string) bool  { return slices.Contains(SparkAppNames, app) }
-func isHadoopApp(app string) bool { return slices.Contains(hadoopapps.AllApps, app) }
+// allApps lists every app RunApp runs: Table 1, then Table 2.
+func allApps() []string { return append(slices.Clone(SparkAppNames), hadoopapps.AllApps...) }
 
 // ClusterJob adapts one named application (Spark or Hadoop) to a
 // cluster.JobSpec: when the service dispatches the job, the job's
@@ -37,7 +37,7 @@ func isHadoopApp(app string) bool { return slices.Contains(hadoopapps.AllApps, a
 // come back through the handle — so byte-equality against a standalone
 // RunApp is directly assertable.
 func ClusterJob(app string, cfg Config, mode engine.Mode) (cluster.JobSpec, error) {
-	if !isSparkApp(app) && !isHadoopApp(app) {
+	if !slices.Contains(allApps(), app) {
 		return cluster.JobSpec{}, fmt.Errorf("bench: unknown app %q", app)
 	}
 	cfg = cfg.withDefaults()

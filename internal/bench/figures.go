@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"path"
+	"strings"
 	"time"
 
 	"repro/internal/apps/hadoopapps"
@@ -115,25 +116,20 @@ func Figure5(cfg Config) (*Result, error) {
 // first shuffle block, then compares the heap footprint of the
 // deserialized records against their serialized size.
 func shuffleRatio(app string, links []workload.Links, cfg Config) (float64, error) {
-	prog := sparkapps.NewProgram(sparkapps.ClsLinks, sparkapps.ClsRank,
-		sparkapps.ClsContrib, sparkapps.ClsLabel, sparkapps.ClsTriRec, sparkapps.ClsCountRec)
-	comp := engine.Compile(prog)
-	ctx := spark.NewContext(comp, engine.Baseline)
-	ctx.Workers = cfg.Workers
-	ctx.Partitions = cfg.Partitions
-
-	parts, err := workload.Encode(comp.Codec, sparkapps.ClsLinks, workload.LinksObjs(links), cfg.Partitions)
+	entry := suiteApp(app)
+	if app == "TC" {
+		// Pack keys modulo this graph's vertex count, not the catalog's.
+		entry.Register = sparkapps.TriangleCounting{Vertices: int64(len(links)) + 1, MaxWedges: 32}.Register
+	}
+	ctx, rdd, err := sparkJob(cfg, engine.Baseline, entry, sparkapps.ClsLinks, workload.LinksObjs(links))
 	if err != nil {
 		return 0, err
 	}
-	rdd := ctx.Parallelize(sparkapps.ClsLinks, parts)
 
 	var shuffled *spark.RDD
 	var class string
 	switch app {
 	case "PR":
-		pr := sparkapps.PageRank{Iters: 1}
-		pr.Register(prog)
 		ranks, err := rdd.MapPartitions("prInitStage", sparkapps.ClsRank)
 		if err != nil {
 			return 0, err
@@ -144,8 +140,6 @@ func shuffleRatio(app string, links []workload.Links, cfg Config) (float64, erro
 		}
 		class = sparkapps.ClsContrib
 	case "CC":
-		cc := sparkapps.ConnectedComponents{Iters: 1}
-		cc.Register(prog)
 		labels, err := rdd.MapPartitions("ccInitStage", sparkapps.ClsLabel)
 		if err != nil {
 			return 0, err
@@ -156,8 +150,6 @@ func shuffleRatio(app string, links []workload.Links, cfg Config) (float64, erro
 		}
 		class = sparkapps.ClsLabel
 	case "TC":
-		tc := sparkapps.TriangleCounting{Vertices: int64(len(links)) + 1, MaxWedges: 32}
-		tc.Register(prog)
 		shuffled, err = rdd.MapPartitions("tcWedgeStage", sparkapps.ClsTriRec)
 		if err != nil {
 			return 0, err
@@ -176,7 +168,7 @@ func shuffleRatio(app string, links []workload.Links, cfg Config) (float64, erro
 	var heapBytes, wire int64
 	for off := 0; off < len(buf); {
 		sz := serde.RecordSize(buf, off)
-		foot, err := comp.Codec.BoxedWireFootprint(class, buf, off)
+		foot, err := ctx.C.Codec.BoxedWireFootprint(class, buf, off)
 		if err != nil {
 			return 0, err
 		}
@@ -188,20 +180,15 @@ func shuffleRatio(app string, links []workload.Links, cfg Config) (float64, erro
 }
 
 // Table1 regenerates the Spark program inventory; each dataset size is
-// the record count sparkInput generates at cfg.Scale.
+// the record count the row's input generates at cfg.Scale.
 func Table1(cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	r := newResult("Table 1", "Spark programs and inputs (scaled)",
 		"name", "dataset (scaled)", "data type T")
-	for _, row := range [][4]string{
-		{"PR", "PageRank (PR)", "power-law graph, %d vertices", "Links (long, long[])"},
-		{"KM", "KMeans (KM)", "synthetic %d points, 8 features", "DenseVector"},
-		{"LR", "Logistic Regression (LR)", "synthetic %d points, 10 features", "LabeledPoint, DenseVector"},
-		{"CS", "Chi Square Selector (CS)", "synthetic %d points, 28 features", "LabeledPoint, SparseVector"},
-		{"GB", "Gradient Boosting (GB)", "synthetic %d points, 8 features", "LabeledPoint, DenseVector"},
-	} {
-		_, objs := sparkInput(row[0], cfg.Scale)
-		r.Table.AddRow(row[1], fmt.Sprintf(row[2], len(objs)), row[3])
+	for _, app := range SparkAppNames {
+		row := table1[app]
+		_, objs := row.input(cfg.Scale)
+		r.Table.AddRow(row.title, fmt.Sprintf(row.dataset, len(objs)), row.dataType)
 	}
 	return r
 }
@@ -333,17 +320,15 @@ func Table3(sp, hd *Suite) *Result {
 }
 
 // sparkJob builds what one measured Spark run starts from, all of it
-// fresh so no run inherits another's compilation caches: a program over
-// topTypes with the app's drivers registered, compiled; a context in the
-// given mode; and objs encoded into the context's partitions.
-func sparkJob(cfg Config, mode engine.Mode, register func(*ir.Program),
-	class string, objs []serde.Obj, topTypes ...string) (*spark.Context, *spark.RDD, error) {
-	prog := sparkapps.NewProgram(topTypes...)
-	comp := engine.Compile(prog)
+// fresh so no run inherits another's compilation caches: app's program,
+// compiled; a context in the given mode; and objs encoded into the
+// context's partitions.
+func sparkJob(cfg Config, mode engine.Mode, app sparkapps.App,
+	class string, objs []serde.Obj) (*spark.Context, *spark.RDD, error) {
+	comp := engine.Compile(app.Program())
 	ctx := spark.NewContext(comp, mode)
 	ctx.Workers = cfg.Workers
 	ctx.Partitions = cfg.Partitions
-	register(prog)
 	parts, err := workload.Encode(comp.Codec, class, objs, cfg.Partitions)
 	if err != nil {
 		return nil, nil, err
@@ -360,12 +345,9 @@ type figure8 struct {
 	id, title string
 	class     string // input record class
 	objs      []serde.Obj
-	app       interface {
-		Register(*ir.Program)
-		Run(*spark.Context, *spark.RDD) (*spark.RDD, error)
-	}
-	appTypes []string
-	tungsten interface {
+	app       sparkapps.App // the RDD program's catalog entry
+	runRDD    func(*spark.Context, *spark.RDD) (*spark.RDD, error)
+	tungsten  interface {
 		Register(*ir.Program)
 		Run(*spark.Context, *spark.RDD, *sparkapps.Catalyst) (*spark.RDD, error)
 	}
@@ -378,17 +360,18 @@ func (f figure8) run(cfg Config) (*Result, error) {
 	r := newResult(f.id, f.title, "system", "time", "vs baseline")
 	rdd := func(mode engine.Mode) func() (AppRun, error) {
 		return func() (AppRun, error) {
-			ctx, in, err := sparkJob(cfg, mode, f.app.Register, f.class, f.objs, f.appTypes...)
+			ctx, in, err := sparkJob(cfg, mode, f.app, f.class, f.objs)
 			if err != nil {
 				return AppRun{}, err
 			}
-			_, err = f.app.Run(ctx, in)
+			_, err = f.runRDD(ctx, in)
 			return AppRun{Stats: ctx.Stats}, err
 		}
 	}
 	names := []string{"baseline", "gerenuk", "tungsten"}
 	runs, err := medianRuns(rdd(engine.Baseline), rdd(engine.Gerenuk), func() (AppRun, error) {
-		ctx, in, err := sparkJob(cfg, engine.Gerenuk, f.tungsten.Register, f.class, f.objs, f.tungstenTypes...)
+		tungsten := sparkapps.App{Types: f.tungstenTypes, Register: f.tungsten.Register}
+		ctx, in, err := sparkJob(cfg, engine.Gerenuk, tungsten, f.class, f.objs)
 		if err != nil {
 			return AppRun{}, err
 		}
@@ -421,8 +404,8 @@ func Figure8a(cfg Config) (*Result, error) {
 	r, err := figure8{
 		id: "Figure 8(a)", title: "PageRank: baseline vs Tungsten vs Gerenuk (10 iters)",
 		class: sparkapps.ClsLinks, objs: workload.LinksObjs(links),
-		app:           sparkapps.PageRank{Iters: iters},
-		appTypes:      []string{sparkapps.ClsLinks, sparkapps.ClsRank, sparkapps.ClsContrib},
+		app:           suiteApp("PR"),
+		runRDD:        sparkapps.PageRank{Iters: iters}.Run,
 		tungsten:      sparkapps.TungstenPageRank{Iters: iters},
 		tungstenTypes: []string{sparkapps.ClsLinks, sparkapps.ClsEdge, sparkapps.ClsRank, sparkapps.ClsContrib},
 	}.run(cfg)
@@ -440,12 +423,12 @@ func Figure8a(cfg Config) (*Result, error) {
 // string optimizations win here (paper: by ~20%).
 func Figure8b(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	types := []string{sparkapps.ClsDoc, sparkapps.ClsWordCount}
+	wc := suiteApp("WC")
 	r, err := figure8{
 		id: "Figure 8(b)", title: "WordCount: baseline vs Tungsten vs Gerenuk",
 		class: sparkapps.ClsDoc, objs: workload.GenDocs(30*cfg.Scale, 30, 3),
-		app: sparkapps.WordCount{}, appTypes: types,
-		tungsten: sparkapps.TungstenWordCount{}, tungstenTypes: types,
+		app: wc, runRDD: sparkapps.WordCount{}.Run,
+		tungsten: sparkapps.TungstenWordCount{}, tungstenTypes: wc.Types,
 	}.run(cfg)
 	if err != nil {
 		return nil, err
@@ -482,7 +465,7 @@ func Figure9(cfg Config) (*Result, error) {
 	variants := make([]func() (AppRun, error), len(rows))
 	for i, rw := range rows {
 		variants[i] = func() (AppRun, error) {
-			res, _, err := runHadoopAppHeaps("IMC", tight, rw.mode, rw.yak,
+			res, err := runHadoopApp("IMC", tight, rw.mode, rw.yak,
 				heap.Config{YoungSize: 8 << 10, OldSize: 64 << 10, RegionSize: 512 << 10},
 				heap.Config{YoungSize: 8 << 10, OldSize: 96 << 10, RegionSize: 512 << 10})
 			if err != nil {
@@ -529,10 +512,11 @@ func Figure10a(cfg Config) (*Result, error) {
 	posts := workload.GenPosts(64*cfg.Scale, 20, 17)
 
 	soa := sparkapps.StackOverflowAnalytics{InitialCap: 40}
+	app := suiteApp("SOA")
+	app.Register = soa.Register // this figure's capacity, not the catalog's
 	variant := func(mode engine.Mode) func() (AppRun, error) {
 		return func() (AppRun, error) {
-			ctx, in, err := sparkJob(cfg, mode, soa.Register, sparkapps.ClsPost, posts,
-				sparkapps.ClsPost, sparkapps.ClsAccount)
+			ctx, in, err := sparkJob(cfg, mode, app, sparkapps.ClsPost, posts)
 			if err != nil {
 				return AppRun{}, err
 			}
@@ -566,11 +550,9 @@ func Figure10b(cfg Config) (*Result, error) {
 	})
 	iters := max(cfg.Iters, 4)
 
-	pr := sparkapps.PageRank{Iters: iters}
 	variant := func(mode engine.Mode, forced int) func() (AppRun, error) {
 		return func() (AppRun, error) {
-			ctx, rdd, err := sparkJob(cfg, mode, pr.Register, sparkapps.ClsLinks, workload.LinksObjs(links),
-				sparkapps.ClsLinks, sparkapps.ClsRank, sparkapps.ClsContrib)
+			ctx, rdd, err := sparkJob(cfg, mode, suiteApp("PR"), sparkapps.ClsLinks, workload.LinksObjs(links))
 			if err != nil {
 				return AppRun{}, err
 			}
@@ -627,99 +609,58 @@ func Figure10b(cfg Config) (*Result, error) {
 
 // StaticStats regenerates the section 4.1/4.2 compiler statistics: how
 // many classes were touched and how many violation points were inserted
-// across the full application suite.
+// across the full application suite — every sparkapps catalog program and
+// every Table 2 program, each compiled on its own.
 func StaticStats() (*Result, error) {
 	r := newResult("Static stats", "compiler statistics across all drivers",
 		"suite", "drivers", "classes", "violation points", "rewritten stmts", "inlined calls")
 
-	type suite struct {
-		name    string
-		prog    func() *engine.Compiled
-		drivers []string
+	// tally sums the compiler's report over each driver of each program.
+	type tally struct {
+		drivers, viols, stmts, inlined int
+		classes                        map[string]bool
 	}
-	sparkComp := func() *engine.Compiled {
-		prog := sparkapps.NewProgram(sparkapps.ClsLinks, sparkapps.ClsRank,
-			sparkapps.ClsContrib, sparkapps.ClsLabel, sparkapps.ClsTriRec,
-			sparkapps.ClsCountRec, sparkapps.ClsDenseVector, sparkapps.ClsLabeled,
-			sparkapps.ClsSparsePoint, sparkapps.ClsClusterStat, sparkapps.ClsGrad,
-			sparkapps.ClsFeatObs, sparkapps.ClsSplitStat, sparkapps.ClsDoc,
-			sparkapps.ClsWordCount, sparkapps.ClsPost, sparkapps.ClsAccount)
-		sparkapps.PageRank{Iters: 1}.Register(prog)
-		sparkapps.ConnectedComponents{Iters: 1}.Register(prog)
-		sparkapps.TriangleCounting{Vertices: 100}.Register(prog)
-		sparkapps.KMeans{K: 2, Dim: 2, Iters: 1}.Register(prog)
-		sparkapps.LogReg{Dim: 2, Iters: 1}.Register(prog)
-		sparkapps.ChiSqSelector{Dim: 2}.Register(prog)
-		sparkapps.GBoost{Dim: 2, Rounds: 1, Buckets: 2, Range: 1}.Register(prog)
-		sparkapps.WordCount{}.Register(prog)
-		sparkapps.StackOverflowAnalytics{InitialCap: 4}.Register(prog)
-		return engine.Compile(prog)
-	}
-	sparkDrivers := []string{
-		"prInitStage", "prJoinStage", "prCombineStage", "prUpdateStage",
-		"ccInitStage", "ccJoinStage", "ccCombineStage",
-		"tcWedgeStage", "tcEdgeStage", "tcCombineStage", "tcCountStage", "tcSumStage",
-		"kmCombineStage", "lrCombineStage", "csMapStage", "csCombineStage",
-		"gbCombineStage", "wcSplitStage", "wcCombineStage",
-		"soaMapStage", "soaCombineStage",
-	}
-
-	total := func(comp *engine.Compiled, drivers []string) (classes map[string]bool, viols, stmts, inlined int, err error) {
-		classes = map[string]bool{}
-		for _, d := range drivers {
-			if err = comp.CompileDriver(d); err != nil {
-				return
-			}
-			ser := comp.SERs[d]
-			for c := range ser.ClassesTouched {
-				classes[c] = true
-			}
-			viols += len(ser.Violations)
-			st := comp.XStats[d]
-			stmts += st.RewrittenStmts
-			inlined += st.InlinedCalls
-		}
-		return
-	}
-
-	comp := sparkComp()
-	classes, viols, stmts, inlined, err := total(comp, sparkDrivers)
-	if err != nil {
-		return nil, err
-	}
-	r.Table.AddRow("Spark", fmt.Sprint(len(sparkDrivers)), fmt.Sprint(len(classes)),
-		fmt.Sprint(viols), fmt.Sprint(stmts), fmt.Sprint(inlined))
-	r.Checks["spark_classes"] = float64(len(classes))
-	r.Checks["spark_violations"] = float64(viols)
-
-	// Hadoop suite.
-	hclasses := map[string]bool{}
-	hviols, hstmts, hinlined, hdrivers := 0, 0, 0, 0
-	for _, app := range []string{"IUF", "UAH", "SPF", "UED", "CED", "IMC", "TFC"} {
-		prog, conf := hadoopapps.NewProgram(app)
+	add := func(t *tally, prog *ir.Program, drivers []string) error {
 		comp := engine.Compile(prog)
-		for _, d := range []string{conf.MapDriver, conf.CombineDriver, conf.ReduceDriver} {
-			if d == "" {
-				continue
-			}
+		for _, d := range drivers {
 			if err := comp.CompileDriver(d); err != nil {
-				return nil, err
+				return err
 			}
 			ser := comp.SERs[d]
 			for c := range ser.ClassesTouched {
-				hclasses[c] = true
+				t.classes[c] = true
 			}
-			hviols += len(ser.Violations)
+			t.viols += len(ser.Violations)
 			st := comp.XStats[d]
-			hstmts += st.RewrittenStmts
-			hinlined += st.InlinedCalls
-			hdrivers++
+			t.stmts += st.RewrittenStmts
+			t.inlined += st.InlinedCalls
+			t.drivers++
+		}
+		return nil
+	}
+	sparkT, hadoopT := tally{classes: map[string]bool{}}, tally{classes: map[string]bool{}}
+	for _, a := range sparkapps.Apps {
+		if err := add(&sparkT, a.Program(), a.Drivers); err != nil {
+			return nil, err
 		}
 	}
-	r.Table.AddRow("Hadoop", fmt.Sprint(hdrivers), fmt.Sprint(len(hclasses)),
-		fmt.Sprint(hviols), fmt.Sprint(hstmts), fmt.Sprint(hinlined))
-	r.Checks["hadoop_classes"] = float64(len(hclasses))
-	r.Checks["hadoop_violations"] = float64(hviols)
+	for _, app := range hadoopapps.AllApps {
+		prog, conf := hadoopapps.NewProgram(app)
+		if err := add(&hadoopT, prog, conf.Drivers()); err != nil {
+			return nil, err
+		}
+	}
+	for _, row := range []struct {
+		name string
+		t    tally
+	}{{"Spark", sparkT}, {"Hadoop", hadoopT}} {
+		t := row.t
+		r.Table.AddRow(row.name, fmt.Sprint(t.drivers), fmt.Sprint(len(t.classes)),
+			fmt.Sprint(t.viols), fmt.Sprint(t.stmts), fmt.Sprint(t.inlined))
+		key := strings.ToLower(row.name)
+		r.Checks[key+"_classes"] = float64(len(t.classes))
+		r.Checks[key+"_violations"] = float64(t.viols)
+	}
 	r.Notes = append(r.Notes,
 		"paper: 55 Spark classes, >126 violation points (none triggered); 22 Hadoop classes")
 	return r, nil

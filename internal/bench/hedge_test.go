@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/apps/hadoopapps"
 	"repro/internal/engine"
 )
 
@@ -16,7 +15,7 @@ import (
 // the unhedged run. Run under -race this also proves the racing
 // attempts share nothing mutable.
 func TestHedgedOutputMatchesUnhedged(t *testing.T) {
-	apps := append(append([]string{}, SparkAppNames...), hadoopapps.AllApps...)
+	apps := allApps()
 	for _, app := range apps {
 		app := app
 		t.Run(app, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"repro/internal/apps/hadoopapps"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/trace"
@@ -53,7 +52,7 @@ func RecoveryCheck(cfg Config) (*Result, error) {
 	r := newResult("RecoveryCheck", "replica loss, reduce kills, checkpoint corruption vs fault-free",
 		"app", "mode", "reexecs", "failovers", "resumes", "corrupt", "outcome")
 
-	apps := append(append([]string{}, SparkAppNames...), hadoopapps.AllApps...)
+	apps := allApps()
 	allEqual := true
 	var reexecs, failovers, resumes, corrupts int64
 	for _, app := range apps {

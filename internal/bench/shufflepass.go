@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"repro/internal/apps/hadoopapps"
 	"repro/internal/engine"
 	"repro/internal/shuffle"
 	"repro/internal/trace"
@@ -38,7 +37,7 @@ func ShuffleCheck(cfg Config) (*Result, error) {
 	r := newResult("ShuffleCheck", "spilling/compressed exchange vs in-memory, all apps",
 		"app", "mode", "spills", "fetched", "decodes", "outcome")
 
-	apps := append(append([]string{}, SparkAppNames...), hadoopapps.AllApps...)
+	apps := allApps()
 	allEqual, serdeOK := true, true
 	var totalSpills int64
 	for _, app := range apps {

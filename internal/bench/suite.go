@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"path"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -150,9 +151,6 @@ func HeapSizes(scale int) []HeapSizeConfig {
 	}
 }
 
-// SparkAppNames lists the Table 1 programs in paper order.
-var SparkAppNames = []string{"PR", "KM", "LR", "CS", "GB"}
-
 // AppRun is one (app, heap size, mode) measurement. Hadoop runs have no
 // heap size: HeapName is empty.
 type AppRun struct {
@@ -205,150 +203,142 @@ type AppResult struct {
 	Wall  time.Duration
 }
 
-// sparkInput generates one Table 1 program's input records: the one
-// place its dataset and size are decided, read by the runs and Table 1.
-func sparkInput(app string, scale int) (class string, objs []serde.Obj) {
-	switch app {
-	case "PR":
-		links := workload.GenGraph(workload.GraphSpec{
-			Name: "LiveJournal", Vertices: 150 * scale, AvgDeg: 6, Alpha: 2.3, Seed: 11,
-		})
-		return sparkapps.ClsLinks, workload.LinksObjs(links)
-	case "KM":
-		points, _ := workload.GenDensePoints(120*scale, 8, 4, 5)
-		return sparkapps.ClsDenseVector, points
-	case "LR":
-		points, _ := workload.GenLabeledPoints(150*scale, 10, 9)
-		return sparkapps.ClsLabeled, points
-	case "CS":
-		return sparkapps.ClsSparsePoint, workload.GenSparsePoints(200*scale, 28, 6, 21)
-	case "GB":
-		points, _ := workload.GenLabeledPoints(150*scale, 8, 33)
-		return sparkapps.ClsLabeled, points
-	}
-	return "", nil
+// sparkApp is one Table 1 program as the paper presents and bench runs
+// it: its title, dataset and data type, the one place its input records
+// and their count are decided, and a run over the program's catalog
+// entry that renders the result as canonical bytes.
+type sparkApp struct {
+	title, dataset, dataType string
+	input                    func(scale int) (class string, objs []serde.Obj)
+	run                      func(ctx *spark.Context, in *spark.RDD, iters int) ([]byte, error)
 }
 
-// runSparkApp executes one Table 1 program end to end.
-func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (AppResult, error) {
-	cfg = cfg.withDefaults()
+// table1 is Table 1, keyed by sparkapps catalog name.
+var table1 = map[string]sparkApp{
+	"PR": {
+		title: "PageRank (PR)", dataset: "power-law graph, %d vertices", dataType: "Links (long, long[])",
+		input: func(scale int) (string, []serde.Obj) {
+			links := workload.GenGraph(workload.GraphSpec{
+				Name: "LiveJournal", Vertices: 150 * scale, AvgDeg: 6, Alpha: 2.3, Seed: 11,
+			})
+			return sparkapps.ClsLinks, workload.LinksObjs(links)
+		},
+		run: func(ctx *spark.Context, in *spark.RDD, iters int) ([]byte, error) {
+			ranks, err := sparkapps.PageRank{Iters: iters}.Run(ctx, in)
+			if err != nil {
+				return nil, err
+			}
+			return ranks.CollectBytes(), nil
+		},
+	},
+	"KM": {
+		title: "KMeans (KM)", dataset: "synthetic %d points, 8 features", dataType: "DenseVector",
+		input: func(scale int) (string, []serde.Obj) {
+			points, _ := workload.GenDensePoints(120*scale, 8, 4, 5)
+			return sparkapps.ClsDenseVector, points
+		},
+		run: func(ctx *spark.Context, in *spark.RDD, iters int) ([]byte, error) {
+			initial := make([][]float64, 4)
+			for j := range initial {
+				initial[j] = make([]float64, 8)
+				for d := range initial[j] {
+					initial[j][d] = float64(25 * (j + 1))
+				}
+			}
+			centers, err := sparkapps.KMeans{K: 4, Dim: 8, Iters: iters}.Run(ctx, in, initial)
+			var buf bytes.Buffer
+			for _, c := range centers {
+				fmt.Fprintf(&buf, "%v\n", c)
+			}
+			return buf.Bytes(), err
+		},
+	},
+	"LR": {
+		title: "Logistic Regression (LR)", dataset: "synthetic %d points, 10 features", dataType: "LabeledPoint, DenseVector",
+		input: func(scale int) (string, []serde.Obj) {
+			points, _ := workload.GenLabeledPoints(150*scale, 10, 9)
+			return sparkapps.ClsLabeled, points
+		},
+		run: func(ctx *spark.Context, in *spark.RDD, iters int) ([]byte, error) {
+			weights, err := sparkapps.LogReg{Dim: 10, Iters: iters, Rate: 0.5}.Run(ctx, in)
+			return fmt.Appendf(nil, "%v\n", weights), err
+		},
+	},
+	"CS": {
+		title: "Chi Square Selector (CS)", dataset: "synthetic %d points, 28 features", dataType: "LabeledPoint, SparseVector",
+		input: func(scale int) (string, []serde.Obj) {
+			return sparkapps.ClsSparsePoint, workload.GenSparsePoints(200*scale, 28, 6, 21)
+		},
+		run: func(ctx *spark.Context, in *spark.RDD, _ int) ([]byte, error) {
+			stats, err := sparkapps.ChiSqSelector{Dim: 28}.Run(ctx, in)
+			var buf bytes.Buffer
+			feats := make([]int64, 0, len(stats))
+			for f := range stats {
+				feats = append(feats, f)
+			}
+			sort.Slice(feats, func(i, j int) bool { return feats[i] < feats[j] })
+			for _, f := range feats {
+				fmt.Fprintf(&buf, "%d=%v\n", f, stats[f])
+			}
+			return buf.Bytes(), err
+		},
+	},
+	"GB": {
+		title: "Gradient Boosting (GB)", dataset: "synthetic %d points, 8 features", dataType: "LabeledPoint, DenseVector",
+		input: func(scale int) (string, []serde.Obj) {
+			points, _ := workload.GenLabeledPoints(150*scale, 8, 33)
+			return sparkapps.ClsLabeled, points
+		},
+		run: func(ctx *spark.Context, in *spark.RDD, iters int) ([]byte, error) {
+			model, err := sparkapps.GBoost{Dim: 8, Rounds: iters, Buckets: 8, Shrinkage: 0.5, Range: 4}.Run(ctx, in)
+			var buf bytes.Buffer
+			for _, stump := range model {
+				fmt.Fprintf(&buf, "%+v\n", stump)
+			}
+			return buf.Bytes(), err
+		},
+	},
+}
+
+// SparkAppNames lists the Table 1 programs in catalog (paper) order.
+var SparkAppNames = func() []string {
+	var names []string
+	for _, a := range sparkapps.Apps {
+		if _, ok := table1[a.Name]; ok {
+			names = append(names, a.Name)
+		}
+	}
+	return names
+}()
+
+// suiteApp returns the sparkapps catalog entry named name; bench only
+// names programs the catalog declares.
+func suiteApp(name string) sparkapps.App {
+	a, ok := sparkapps.Lookup(name)
+	if !ok {
+		panic(fmt.Sprintf("bench: %q is not in the sparkapps catalog", name))
+	}
+	return a
+}
+
+// runSparkApp executes one Table 1 program end to end: its catalog
+// program, a context, its encoded input, and its run.
+func runSparkApp(app string, cfg Config, mode engine.Mode) (AppResult, error) {
 	span := cfg.Trace.StartSpan("job", app, trace.Str("mode", mode.String()))
 	defer span.End()
-	mk := func(topTypes ...string) (*spark.Context, *engine.Compiled) {
-		prog := sparkapps.NewProgram(topTypes...)
-		comp := engine.Compile(prog)
-		ctx := spark.NewContext(comp, mode)
-		ctx.Env = cfg.env(app, mode)
-		ctx.Partitions = cfg.Partitions
-		ctx.HeapCfg = hc
-		return ctx, comp
+	row := table1[app]
+	class, objs := row.input(cfg.Scale)
+	ctx, in, err := sparkJob(cfg, mode, suiteApp(app), class, objs)
+	if err != nil {
+		return AppResult{}, err
 	}
-	input := func(ctx *spark.Context, comp *engine.Compiled) (*spark.RDD, error) {
-		class, objs := sparkInput(app, cfg.Scale)
-		parts, err := workload.Encode(comp.Codec, class, objs, cfg.Partitions)
-		return ctx.Parallelize(class, parts), err
+	ctx.Env = cfg.env(app, mode)
+	ctx.HeapCfg = appHeap(cfg)
+	out, err := row.run(ctx, in, cfg.Iters)
+	if err != nil {
+		return AppResult{}, err
 	}
-	done := func(ctx *spark.Context, out []byte) (AppResult, error) {
-		return AppResult{Out: out, Stats: ctx.Stats, Wall: ctx.Wall}, nil
-	}
-	fail := func(err error) (AppResult, error) { return AppResult{}, err }
-	switch app {
-	case "PR":
-		ctx, comp := mk(sparkapps.ClsLinks, sparkapps.ClsRank, sparkapps.ClsContrib)
-		pr := sparkapps.PageRank{Iters: cfg.Iters}
-		pr.Register(comp.Prog)
-		links, err := input(ctx, comp)
-		if err != nil {
-			return fail(err)
-		}
-		ranks, err := pr.Run(ctx, links)
-		if err != nil {
-			return fail(err)
-		}
-		return done(ctx, ranks.CollectBytes())
-
-	case "KM":
-		ctx, comp := mk(sparkapps.ClsDenseVector, sparkapps.ClsClusterStat)
-		km := sparkapps.KMeans{K: 4, Dim: 8, Iters: cfg.Iters}
-		km.Register(comp.Prog)
-		points, err := input(ctx, comp)
-		if err != nil {
-			return fail(err)
-		}
-		initial := make([][]float64, 4)
-		for j := range initial {
-			c := make([]float64, 8)
-			for d := range c {
-				c[d] = float64(25 * (j + 1))
-			}
-			initial[j] = c
-		}
-		centers, err := km.Run(ctx, points, initial)
-		if err != nil {
-			return fail(err)
-		}
-		var buf bytes.Buffer
-		for _, c := range centers {
-			fmt.Fprintf(&buf, "%v\n", c)
-		}
-		return done(ctx, buf.Bytes())
-
-	case "LR":
-		ctx, comp := mk(sparkapps.ClsLabeled, sparkapps.ClsGrad)
-		lr := sparkapps.LogReg{Dim: 10, Iters: cfg.Iters, Rate: 0.5}
-		lr.Register(comp.Prog)
-		points, err := input(ctx, comp)
-		if err != nil {
-			return fail(err)
-		}
-		weights, err := lr.Run(ctx, points)
-		if err != nil {
-			return fail(err)
-		}
-		return done(ctx, []byte(fmt.Sprintf("%v\n", weights)))
-
-	case "CS":
-		ctx, comp := mk(sparkapps.ClsSparsePoint, sparkapps.ClsFeatObs)
-		cs := sparkapps.ChiSqSelector{Dim: 28}
-		cs.Register(comp.Prog)
-		points, err := input(ctx, comp)
-		if err != nil {
-			return fail(err)
-		}
-		stats, err := cs.Run(ctx, points)
-		if err != nil {
-			return fail(err)
-		}
-		feats := make([]int64, 0, len(stats))
-		for f := range stats {
-			feats = append(feats, f)
-		}
-		sort.Slice(feats, func(i, j int) bool { return feats[i] < feats[j] })
-		var buf bytes.Buffer
-		for _, f := range feats {
-			fmt.Fprintf(&buf, "%d=%v\n", f, stats[f])
-		}
-		return done(ctx, buf.Bytes())
-
-	case "GB":
-		ctx, comp := mk(sparkapps.ClsLabeled, sparkapps.ClsSplitStat)
-		gb := sparkapps.GBoost{Dim: 8, Rounds: cfg.Iters, Buckets: 8, Shrinkage: 0.5, Range: 4}
-		gb.Register(comp.Prog)
-		points, err := input(ctx, comp)
-		if err != nil {
-			return fail(err)
-		}
-		model, err := gb.Run(ctx, points)
-		if err != nil {
-			return fail(err)
-		}
-		var buf bytes.Buffer
-		for _, stump := range model {
-			fmt.Fprintf(&buf, "%+v\n", stump)
-		}
-		return done(ctx, buf.Bytes())
-	}
-	return AppResult{}, fmt.Errorf("bench: unknown spark app %q", app)
+	return AppResult{Out: out, Stats: ctx.Stats, Wall: ctx.Wall}, nil
 }
 
 // Reps is how many times each configuration runs; the median total is
@@ -438,21 +428,16 @@ func hadoopInput(app string, scale int) (class string, objs []serde.Obj) {
 }
 
 // hadoopHeaps returns the map and reduce task heaps of a Hadoop app at
-// scale: what runHadoopApp runs with and what AppMemoryEstimate reserves.
+// scale: what RunApp runs with and what AppMemoryEstimate reserves.
 func hadoopHeaps(scale int) (mapHeap, reduceHeap heap.Config) {
 	kb := 1 << 10
 	return heap.Config{YoungSize: scale * 24 * kb, OldSize: scale * 192 * kb},
 		heap.Config{YoungSize: scale * 24 * kb, OldSize: scale * 288 * kb}
 }
 
-func runHadoopApp(app string, cfg Config, mode engine.Mode, yak bool) (*hadoop.Result, *engine.Compiled, error) {
-	cfg = cfg.withDefaults()
-	mapHeap, reduceHeap := hadoopHeaps(cfg.Scale)
-	return runHadoopAppHeaps(app, cfg, mode, yak, mapHeap, reduceHeap)
-}
-
-func runHadoopAppHeaps(app string, cfg Config, mode engine.Mode, yak bool, mapHeap, reduceHeap heap.Config) (*hadoop.Result, *engine.Compiled, error) {
-	cfg = cfg.withDefaults()
+// runHadoopApp executes one Table 2 program end to end with the given
+// task heaps, each task in a Yak epoch when yak is set.
+func runHadoopApp(app string, cfg Config, mode engine.Mode, yak bool, mapHeap, reduceHeap heap.Config) (*hadoop.Result, error) {
 	prog, conf := hadoopapps.NewProgram(app)
 	conf.Env = cfg.env(app, mode)
 	conf.Reducers = cfg.Partitions
@@ -463,10 +448,9 @@ func runHadoopAppHeaps(app string, cfg Config, mode engine.Mode, yak bool, mapHe
 	class, objs := hadoopInput(app, cfg.Scale)
 	splits, err := workload.Encode(comp.Codec, class, objs, cfg.Partitions)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := hadoop.Run(comp, conf, splits)
-	return res, comp, err
+	return hadoop.Run(comp, conf, splits)
 }
 
 // appHeap resolves the Spark heap configuration named by cfg.HeapName.
@@ -486,10 +470,11 @@ func appHeap(cfg Config) heap.Config {
 func RunApp(app string, cfg Config, mode engine.Mode) (AppResult, error) {
 	cfg = cfg.withDefaults()
 	switch {
-	case isSparkApp(app):
-		return runSparkApp(app, cfg, appHeap(cfg), mode)
-	case isHadoopApp(app):
-		res, _, err := runHadoopApp(app, cfg, mode, false)
+	case slices.Contains(SparkAppNames, app):
+		return runSparkApp(app, cfg, mode)
+	case slices.Contains(hadoopapps.AllApps, app):
+		mapHeap, reduceHeap := hadoopHeaps(cfg.Scale)
+		res, err := runHadoopApp(app, cfg, mode, false, mapHeap, reduceHeap)
 		if res == nil {
 			return AppResult{}, err
 		}

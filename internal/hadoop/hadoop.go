@@ -11,6 +11,7 @@ package hadoop
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -67,6 +68,18 @@ func (c JobConf) withDefaults() JobConf {
 		c.ReduceHeap.Policy = heap.PolicyRegion
 	}
 	return c
+}
+
+// Drivers lists the job's distinct stage drivers, map first: a combiner
+// that is the reduce driver (in-map combining) is one driver, not two.
+func (c JobConf) Drivers() []string {
+	var out []string
+	for _, d := range []string{c.MapDriver, c.CombineDriver, c.ReduceDriver} {
+		if d != "" && !slices.Contains(out, d) {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // Result is the outcome of a job.
