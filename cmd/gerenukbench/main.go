@@ -156,7 +156,7 @@ func main() {
 
 	var cfg bench.Config
 	exps := experiments(&cfg)
-	want, err := parseOnly(*only, exps)
+	run, err := parseOnly(*only, exps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
 		os.Exit(2)
@@ -183,16 +183,15 @@ func main() {
 		show(bench.Chaos(cfg, *faultSeed))
 		return
 	}
-	for _, e := range exps {
-		if want[e.id] || (len(want) == 0 && !e.pass) {
-			show(e.run())
-		}
+	for _, e := range run {
+		show(e.run())
 	}
 }
 
-// parseOnly returns the set of ids the -only list names; an id no
+// parseOnly returns, in run order, the experiments the -only list names,
+// or every experiment and no pass when it names none; an id no
 // experiment has is an error that lists the valid ones.
-func parseOnly(only string, exps []experiment) (map[string]bool, error) {
+func parseOnly(only string, exps []experiment) ([]experiment, error) {
 	valid := map[string]bool{}
 	var ids []string
 	for _, e := range exps {
@@ -209,5 +208,11 @@ func parseOnly(only string, exps []experiment) (map[string]bool, error) {
 		}
 		want[id] = true
 	}
-	return want, nil
+	var run []experiment
+	for _, e := range exps {
+		if want[e.id] || (len(want) == 0 && !e.pass) {
+			run = append(run, e)
+		}
+	}
+	return run, nil
 }

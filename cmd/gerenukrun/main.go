@@ -13,9 +13,7 @@
 //	           [-recovery-faults seed]
 //	           [-obs-addr 127.0.0.1:9477] [-obs-hold 30s]
 //	           [-flame out.folded]
-//	gerenukrun -stream -app wordcount|streamrank [-stream-windows N]
-//	           [-stream-rate 1ms] [-stream-window 8ms] [-stream-slide 4ms]
-//	           [-stream-cut N] [-stream-cut-slice 3ms]
+//	gerenukrun -stream -app wordcount|streamrank
 //	           [-checkpoint-dir DIR] [-stream-resume]
 //
 // -trace streams a Chrome trace_event JSON file incrementally (load it
@@ -38,17 +36,15 @@
 // and metrics output; output must stay byte-equal regardless.
 //
 // -stream switches to the micro-batch streaming engine: an unbounded
-// source is cut into micro-batches (-stream-cut records or
-// -stream-cut-slice of simulated arrival time), mapped through the
-// same SER pipelines, accumulated per tumbling or sliding window
-// (-stream-window / -stream-slide on the -stream-rate arrival clock),
-// and shuffled and folded once when the window closes, until
-// -stream-windows windows have closed. Both modes run the identical
-// record stream and the per-window outputs must stay byte-equal
-// across modes. With -checkpoint-dir, window state checkpoints to
-// disk and a killed run restarted with -stream-resume picks up
-// mid-window instead of replaying from record zero; -stream-resume
-// without -checkpoint-dir is rejected.
+// source is cut into micro-batches, mapped through the same SER
+// pipelines, accumulated per window, and shuffled and folded once when
+// the window closes, in the shape bench.StreamRunConfig gives the app
+// at -scale. Both modes run the identical record stream and the
+// per-window outputs must stay byte-equal across modes. With
+// -checkpoint-dir, window state checkpoints to disk and a killed run
+// restarted with -stream-resume picks up mid-window instead of
+// replaying from record zero; -stream-resume without -checkpoint-dir
+// is rejected.
 //
 // The observability plane is opt-in: -obs-addr serves /metrics
 // (Prometheus text exposition), /healthz, /statusz, /flamez and
@@ -90,12 +86,6 @@ func main() {
 	app := flag.String("app", "PR", "application name")
 	recoveryFaults := flag.Int64("recovery-faults", 0, "inject recovery chaos (replica loss, kills, checkpoint corruption) with this seed (0 = off)")
 	streamMode := flag.Bool("stream", false, "run the micro-batch streaming pipeline instead of a one-shot job (-app wordcount|streamrank)")
-	streamWindows := flag.Int("stream-windows", 0, "number of aggregation windows to run to completion (0 = scale default)")
-	streamRate := flag.Duration("stream-rate", 0, "simulated record inter-arrival gap (0 = 1ms)")
-	streamWindow := flag.Duration("stream-window", 0, "aggregation window size on the arrival clock (0 = default)")
-	streamSlide := flag.Duration("stream-slide", 0, "window slide; < size makes windows overlap (0 = tumbling)")
-	streamCut := flag.Int("stream-cut", 0, "cut a micro-batch every N records (0 = default)")
-	streamCutSlice := flag.Duration("stream-cut-slice", 0, "cut a micro-batch every slice of arrival time (0 = off)")
 	streamResume := flag.Bool("stream-resume", false, "resume the stream from checkpointed window state (needs -checkpoint-dir)")
 	flag.Parse()
 	// Without a directory the resume would read a fresh in-memory store
@@ -148,21 +138,6 @@ func main() {
 			sc, err := bench.StreamRunConfig(cfg, appName, mode)
 			if err != nil {
 				fatal(err)
-			}
-			if *streamWindows > 0 {
-				sc.Windows = *streamWindows
-			}
-			if *streamRate > 0 {
-				sc.Interval = *streamRate
-			}
-			if *streamWindow > 0 {
-				sc.WindowBy.Size = *streamWindow
-			}
-			if *streamSlide > 0 {
-				sc.WindowBy.Slide = *streamSlide
-			}
-			if *streamCut > 0 || *streamCutSlice > 0 {
-				sc.CutBy = stream.Cut{Count: *streamCut, Slice: *streamCutSlice}
 			}
 			sc.Resume = *streamResume
 			// Scope checkpoint keys per mode so both runs can share one

@@ -1,0 +1,276 @@
+package repro
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The structural rules keep exactly one copy of the paper's execution
+// shape: a task is one SER, decided from its attempts in one place, run
+// by one stage runner and moved through one exchange. Each rule counts
+// sites in the non-test source (perfbench/, testdata and hidden
+// directories excluded) and fails, naming every site, when a count
+// exceeds its bound.
+
+// srcFile is one parsed non-test Go file.
+type srcFile struct {
+	rel     string // slash-separated path from the repo root
+	f       *ast.File
+	imports map[string]string // local package name → import path
+}
+
+// pkgSel reports whether e is pkg.name, with pkg resolving in s to the
+// import path importPath.
+func (s *srcFile) pkgSel(e ast.Expr, importPath, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && s.imports[id.Name] == importPath
+}
+
+// calls reports whether n is a call of importPath's fn, or of any
+// function or method named fn when importPath is empty.
+func (s *srcFile) calls(n ast.Node, importPath, fn string) bool {
+	c, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	if importPath != "" {
+		return s.pkgSel(c.Fun, importPath, fn)
+	}
+	return named(c.Fun, fn)
+}
+
+// rule is one structural bound: at most max nodes matching match in the
+// files scope selects.
+type rule struct {
+	name  string
+	max   int
+	scope func(rel string) bool
+	match func(s *srcFile, n ast.Node) bool
+}
+
+func under(dirs ...string) func(string) bool {
+	return func(rel string) bool {
+		for _, d := range dirs {
+			if strings.HasPrefix(rel, d+"/") || rel == d {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+func outside(dirs ...string) func(string) bool {
+	in := under(dirs...)
+	return func(rel string) bool { return !in(rel) }
+}
+
+var (
+	stageName = regexp.MustCompile(`^[a-zA-Z]+Stage$`)
+	// flagDefiners are the flag.FlagSet methods that define a flag.
+	flagDefiners = map[string]bool{
+		"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+		"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+		"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+		"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+	}
+)
+
+var structureRules = []rule{
+	{
+		// The stage runner's pool and watchdog are built only by the job
+		// runtime (internal/job: RunStage) and the packages it runs on.
+		name:  "one stage runner: no recovery.Watchdog or engine.Pool literal outside internal/{job,engine,shuffle}",
+		max:   0,
+		scope: outside("internal/job", "internal/engine", "internal/shuffle"),
+		match: func(s *srcFile, n ast.Node) bool {
+			cl, ok := n.(*ast.CompositeLit)
+			return ok && (s.pkgSel(cl.Type, "repro/internal/recovery", "Watchdog") ||
+				s.pkgSel(cl.Type, "repro/internal/engine", "Pool"))
+		},
+	},
+	{
+		// One exchange lifecycle: internal/job's ShuffleBy constructs,
+		// fills and fetches every exchange.
+		name:  "one exchange: no .FetchAll() or shuffle.NewExchange call outside internal/{job,engine,shuffle}",
+		max:   0,
+		scope: outside("internal/job", "internal/engine", "internal/shuffle"),
+		match: func(s *srcFile, n ast.Node) bool {
+			c, ok := n.(*ast.CallExpr)
+			return ok && (s.calls(c, "repro/internal/shuffle", "NewExchange") ||
+				s.calls(c, "", "FetchAll") && len(c.Args) == 0)
+		},
+	},
+	{
+		// "Decide a task from its attempts" lives once (speculate,
+		// settleNative, settleHeap): a native attempt's error is
+		// classified as failed speculation at one comparison.
+		name:  "one abort edge: at most one ==/!= AbortSpeculation comparison in internal/engine",
+		max:   1,
+		scope: under("internal/engine"),
+		match: func(s *srcFile, n ast.Node) bool {
+			b, ok := n.(*ast.BinaryExpr)
+			if !ok || (b.Op != token.EQL && b.Op != token.NEQ) {
+				return false
+			}
+			return named(b.X, "AbortSpeculation") || named(b.Y, "AbortSpeculation")
+		},
+	},
+	{
+		name:  "one task runtime: at most one runHeapAttempt call in internal/engine",
+		max:   1,
+		scope: under("internal/engine"),
+		match: func(s *srcFile, n ast.Node) bool { return s.calls(n, "", "runHeapAttempt") },
+	},
+	{
+		name:  "one task runtime: at most one runNativeAttempt call in internal/engine",
+		max:   1,
+		scope: under("internal/engine"),
+		match: func(s *srcFile, n ast.Node) bool { return s.calls(n, "", "runNativeAttempt") },
+	},
+	{
+		// A task attempt's simulated heap and arena come from the free
+		// lists on engine.Compiled (internal/engine/memory.go); a second
+		// construction site would bring back fresh memory per attempt.
+		name:  "one allocation site per attempt resource: at most one heap.New call in internal/engine",
+		max:   1,
+		scope: under("internal/engine"),
+		match: func(s *srcFile, n ast.Node) bool { return s.calls(n, "repro/internal/heap", "New") },
+	},
+	{
+		name:  "one allocation site per attempt resource: at most one arena.New call in internal/engine",
+		max:   1,
+		scope: under("internal/engine"),
+		match: func(s *srcFile, n ast.Node) bool { return s.calls(n, "repro/internal/arena", "New") },
+	},
+	{
+		// Each Spark program declares its stage drivers once, in the
+		// sparkapps catalog. The only driver names left quoted are the
+		// stages Figures 5 and 10(b) run by hand.
+		name:  `one catalog of applications: at most 9 "…Stage" literals in cmd/ and internal/bench`,
+		max:   9,
+		scope: under("cmd", "internal/bench"),
+		match: func(s *srcFile, n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return false
+			}
+			v, err := strconv.Unquote(lit.Value)
+			return err == nil && stageName.MatchString(v)
+		},
+	},
+	{
+		// Every flag needs a caller that sets it. A new one must replace
+		// an old one or raise this bound in a change that says which
+		// caller needs it.
+		name:  "flag surface: at most 29 flag definitions in gerenukrun, gerenukbench, gerenukd and internal/bench/flags.go",
+		max:   29,
+		scope: under("cmd/gerenukrun", "cmd/gerenukbench", "cmd/gerenukd", "internal/bench/flags.go"),
+		match: func(s *srcFile, n ast.Node) bool {
+			c, ok := n.(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			sel, ok := c.Fun.(*ast.SelectorExpr)
+			// A definition takes a name, a value and a usage string; the
+			// *Var forms add the destination.
+			return ok && flagDefiners[sel.Sel.Name] && len(c.Args) >= 3
+		},
+	},
+}
+
+// named reports whether e is the identifier name, or a selector x.name.
+func named(e ast.Expr, name string) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name == name
+	case *ast.SelectorExpr:
+		return e.Sel.Name == name
+	}
+	return false
+}
+
+// parseSource parses every non-test .go file under root, skipping
+// perfbench/, testdata and hidden directories.
+func parseSource(t *testing.T, root string) (*token.FileSet, []*srcFile) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*srcFile
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(p)
+		if d.IsDir() {
+			name := d.Name()
+			if rel == "perfbench" || name == "testdata" || (name != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if path.Ext(rel) != ".go" || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		s := &srcFile{rel: rel, f: f, imports: map[string]string{}}
+		for _, im := range f.Imports {
+			ip, _ := strconv.Unquote(im.Path.Value)
+			local := path.Base(ip)
+			if im.Name != nil {
+				local = im.Name.Name
+			}
+			s.imports[local] = ip
+		}
+		files = append(files, s)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+func TestStructuralRules(t *testing.T) {
+	fset, files := parseSource(t, ".")
+	for _, r := range structureRules {
+		var sites []string
+		scoped := 0
+		for _, s := range files {
+			if !r.scope(s.rel) {
+				continue
+			}
+			scoped++
+			ast.Inspect(s.f, func(n ast.Node) bool {
+				if n != nil && r.match(s, n) {
+					p := fset.Position(n.Pos())
+					sites = append(sites, fmt.Sprintf("%s:%d", s.rel, p.Line))
+				}
+				return true
+			})
+		}
+		// A rule whose scope matched nothing would pass vacuously after a
+		// directory moves.
+		if scoped == 0 {
+			t.Errorf("%s: no source file in scope", r.name)
+		}
+		t.Logf("%s: %d sites", r.name, len(sites))
+		if len(sites) > r.max {
+			t.Errorf("%s: %d sites, bound %d:\n\t%s", r.name, len(sites), r.max, strings.Join(sites, "\n\t"))
+		}
+	}
+}
