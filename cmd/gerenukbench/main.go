@@ -64,19 +64,12 @@ import (
 	"repro/internal/bench"
 )
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-	os.Exit(1)
-}
-
 // show prints r, if any, then exits 1 on err.
 func show(r *bench.Result, err error) {
 	if r != nil {
 		fmt.Println(r.Render())
 	}
-	if err != nil {
-		fatal(err)
-	}
+	bench.Exit("gerenukbench", err, 1)
 }
 
 // experiment is one -only id: a figure or table of the paper, or a
@@ -158,20 +151,19 @@ func main() {
 	exps := experiments(&cfg)
 	run, err := parseOnly(*only, exps)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
-		os.Exit(2)
+		bench.Exit("gerenukbench", err, 2)
 	}
 
-	sess, err := shared.Open()
+	sess, err := shared.Open(os.Stdout)
 	if err != nil {
-		fatal(err)
+		bench.Exit("gerenukbench", err, 1)
 	}
 	cfg = sess.Config
 	sess.Server.AddStatus("bench", func() any {
 		return map[string]any{"scale": cfg.Scale, "workers": cfg.Workers}
 	})
 	if err := sess.Listen(); err != nil {
-		fatal(err)
+		bench.Exit("gerenukbench", err, 1)
 	}
 	defer func() {
 		if err := sess.Close(map[string]any{"scale": cfg.Scale, "workers": cfg.Workers}); err != nil {

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sort"
@@ -21,6 +23,7 @@ import (
 
 	"repro/internal/apps/hadoopapps"
 	"repro/internal/apps/sparkapps"
+	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/ir"
 )
@@ -46,39 +49,47 @@ func load(name string) (*ir.Program, []string) {
 }
 
 func main() {
-	appName := flag.String("app", "", "application to compile (see -list)")
-	driver := flag.String("driver", "", "restrict to one stage driver")
-	dump := flag.Bool("dump", false, "print the transformed IR")
-	list := flag.Bool("list", false, "list known applications")
-	flag.Parse()
+	bench.Exit("gerenukc", run(os.Args[1:], os.Stdout), 2)
+}
+
+// run parses args and writes the application list or the named
+// application's compilation report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gerenukc", flag.ContinueOnError)
+	appName := fs.String("app", "", "application to compile (see -list)")
+	driver := fs.String("driver", "", "restrict to one stage driver")
+	dump := fs.Bool("dump", false, "print the transformed IR")
+	list := fs.Bool("list", false, "list known applications")
+	if err := bench.ParseArgs(fs, args); err != nil {
+		return err
+	}
 
 	apps := appNames()
 	if *list || *appName == "" {
-		fmt.Println("applications:")
+		fmt.Fprintln(stdout, "applications:")
 		for _, name := range apps {
 			_, drivers := load(name)
-			fmt.Printf("  %-10s drivers: %s\n", name, strings.Join(drivers, ", "))
+			fmt.Fprintf(stdout, "  %-10s drivers: %s\n", name, strings.Join(drivers, ", "))
 		}
 		if *appName == "" && !*list {
-			os.Exit(2)
+			return errors.New("name an application with -app, or pass -list")
 		}
-		return
+		return nil
 	}
 
 	i := slices.IndexFunc(apps, func(n string) bool { return strings.EqualFold(n, *appName) })
 	if i < 0 {
-		fmt.Fprintf(os.Stderr, "gerenukc: unknown app %q (try -list)\n", *appName)
-		os.Exit(2)
+		return fmt.Errorf("unknown app %q (try -list)", *appName)
 	}
 	name := apps[i]
 	prog, drivers := load(name)
 	comp := engine.Compile(prog)
 
-	fmt.Printf("== %s ==\n", name)
-	fmt.Printf("top-level data types (user annotation): %s\n", strings.Join(prog.TopTypes, ", "))
-	fmt.Println("\n-- data structure analyzer --")
+	fmt.Fprintf(stdout, "== %s ==\n", name)
+	fmt.Fprintf(stdout, "top-level data types (user annotation): %s\n", strings.Join(prog.TopTypes, ", "))
+	fmt.Fprintln(stdout, "\n-- data structure analyzer --")
 	accepted := comp.Layouts.Accepted
-	fmt.Printf("accepted hierarchies: %s\n", strings.Join(accepted, ", "))
+	fmt.Fprintf(stdout, "accepted hierarchies: %s\n", strings.Join(accepted, ", "))
 	var names []string
 	for n := range comp.Layouts.Layouts {
 		names = append(names, n)
@@ -90,9 +101,9 @@ func main() {
 		if l.Size != nil {
 			size = l.Size.String()
 		}
-		fmt.Printf("  %-22s size = %s\n", n, size)
+		fmt.Fprintf(stdout, "  %-22s size = %s\n", n, size)
 		for _, f := range l.Class.Fields {
-			fmt.Printf("    .%-12s offset = %s\n", f.Name, l.FieldOff[f.Name])
+			fmt.Fprintf(stdout, "    .%-12s offset = %s\n", f.Name, l.FieldOff[f.Name])
 		}
 	}
 
@@ -101,45 +112,45 @@ func main() {
 			continue
 		}
 		if err := comp.CompileDriver(d); err != nil {
-			fmt.Fprintf(os.Stderr, "gerenukc: %s: %v\n", d, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", d, err)
 		}
 		ser := comp.SERs[d]
-		fmt.Printf("\n-- SER %s --\n", d)
+		fmt.Fprintf(stdout, "\n-- SER %s --\n", d)
 		if !ser.Transformable {
-			fmt.Printf("NOT TRANSFORMABLE: %s\n", ser.Reason)
+			fmt.Fprintf(stdout, "NOT TRANSFORMABLE: %s\n", ser.Reason)
 			continue
 		}
 		sum := ser.Summary()
 		st := comp.XStats[d]
-		fmt.Printf("functions analyzed: %d, abstract objects: %d, data variables: %d\n",
+		fmt.Fprintf(stdout, "functions analyzed: %d, abstract objects: %d, data variables: %d\n",
 			sum.Funcs, sum.Sites, sum.DataVars)
-		fmt.Printf("statements transformed: %d, calls inlined: %d, classes touched: %d\n",
+		fmt.Fprintf(stdout, "statements transformed: %d, calls inlined: %d, classes touched: %d\n",
 			st.RewrittenStmts, st.InlinedCalls, st.Classes)
-		fmt.Printf("violation points (aborts inserted): %d\n", len(ser.Violations))
+		fmt.Fprintf(stdout, "violation points (aborts inserted): %d\n", len(ser.Violations))
 		for _, v := range ser.Violations {
-			fmt.Printf("  %s\n", v)
+			fmt.Fprintf(stdout, "  %s\n", v)
 		}
 		if *dump {
-			fmt.Println("\ntransformed IR:")
-			dumpBody(comp.Natives[d].Body, 1)
+			fmt.Fprintln(stdout, "\ntransformed IR:")
+			dumpBody(stdout, comp.Natives[d].Body, 1)
 		}
 	}
+	return nil
 }
 
-func dumpBody(body []ir.Stmt, depth int) {
+func dumpBody(w io.Writer, body []ir.Stmt, depth int) {
 	indent := strings.Repeat("  ", depth)
 	for _, s := range body {
-		fmt.Printf("%s%s\n", indent, s)
+		fmt.Fprintf(w, "%s%s\n", indent, s)
 		switch t := s.(type) {
 		case *ir.If:
-			dumpBody(t.Then, depth+1)
+			dumpBody(w, t.Then, depth+1)
 			if len(t.Else) > 0 {
-				fmt.Printf("%selse:\n", indent)
-				dumpBody(t.Else, depth+1)
+				fmt.Fprintf(w, "%selse:\n", indent)
+				dumpBody(w, t.Else, depth+1)
 			}
 		case *ir.While:
-			dumpBody(t.Body, depth+1)
+			dumpBody(w, t.Body, depth+1)
 		}
 	}
 }

@@ -50,6 +50,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -65,11 +66,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "gerenukd: %v\n", err)
-	os.Exit(1)
-}
 
 // daemon binds the HTTP handlers to the cluster service and the run
 // configuration template.
@@ -266,23 +262,31 @@ func (d *daemon) handleQuitz(w http.ResponseWriter, r *http.Request) {
 }
 
 func main() {
+	bench.Exit("gerenukd", run(os.Args[1:], os.Stdout), 1)
+}
+
+// run parses args and serves the job service until a /quitz request
+// drains it, writing the service log to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gerenukd", flag.ContinueOnError)
 	def := bench.Config{Scale: 1, Partitions: 2, Iters: 2, HeapName: "10GB"}
 	def.Workers = 2
-	shared := bench.BindFlags(flag.CommandLine, "gerenukd", "job-workers", def, bench.HeapFlag|bench.CheckpointDirFlag)
-	addr := flag.String("addr", "127.0.0.1:9478", "serve the submission API and observability plane on this address")
-	workers := flag.Int("workers", 4, "bounded worker-pool size (concurrent jobs)")
-	queueDepth := flag.Int("queue-depth", 64, "default per-tenant queued-job cap")
-	quota := flag.Int64("quota", 0, "default per-tenant memory quota in bytes (0 = unlimited)")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "de-speculate a (tenant,driver) after this many aborts (0 = off)")
-	flag.Parse()
+	shared := bench.BindFlags(fs, "gerenukd", "job-workers", def, bench.HeapFlag|bench.CheckpointDirFlag)
+	addr := fs.String("addr", "127.0.0.1:9478", "serve the submission API and observability plane on this address")
+	workers := fs.Int("workers", 4, "bounded worker-pool size (concurrent jobs)")
+	queueDepth := fs.Int("queue-depth", 64, "default per-tenant queued-job cap")
+	quota := fs.Int64("quota", 0, "default per-tenant memory quota in bytes (0 = unlimited)")
+	breakerThreshold := fs.Int("breaker-threshold", 3, "de-speculate a (tenant,driver) after this many aborts (0 = off)")
+	if err := bench.ParseArgs(fs, args); err != nil {
+		return err
+	}
 
 	// The daemon's observability plane is always on, on the API address.
 	shared.ObsAddr = *addr
-	sess, err := shared.Open()
+	sess, err := shared.Open(stdout)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
 	var breaker *engine.Breaker
 	if *breakerThreshold > 0 {
 		breaker = engine.NewBreaker(*breakerThreshold)
@@ -313,16 +317,19 @@ func main() {
 	server.Handle("/tenant", http.HandlerFunc(d.handleTenant))
 	server.Handle("/quitz", http.HandlerFunc(d.handleQuitz))
 	if err := sess.Listen(); err != nil {
-		fatal(err)
+		svc.Close()
+		sess.Close(nil)
+		return err
 	}
-	fmt.Printf("gerenukd: serving http://%s/{submit,await,jobs,tenant,quitz} (workers=%d)\n",
+	fmt.Fprintf(stdout, "gerenukd: serving http://%s/{submit,await,jobs,tenant,quitz} (workers=%d)\n",
 		server.Addr(), *workers)
 
 	<-d.quit
-	fmt.Println("gerenukd: draining")
+	fmt.Fprintln(stdout, "gerenukd: draining")
 	svc.Close()
 	if err := sess.Close(map[string]any{"service": "gerenukd"}); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println("gerenukd: bye")
+	fmt.Fprintln(stdout, "gerenukd: bye")
+	return nil
 }

@@ -1,14 +1,21 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
+	"repro/internal/trace"
 )
 
 // TestQueryParams drives the submit and tenant handlers with well-formed
@@ -66,5 +73,183 @@ func TestQueryParams(t *testing.T) {
 					len(d.jobs), st[0].Queued, st[0].Running, tc.jobs)
 			}
 		})
+	}
+}
+
+// call sends one request and returns the reply body; a status other
+// than 200 is an error.
+func call(method, url string) ([]byte, error) {
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("%s %s: status %d: %s", method, url, resp.StatusCode, body)
+	}
+	return body, err
+}
+
+// TestService boots the service on a free port and drives it over HTTP
+// the way three tenants would: concurrent jobs, one tenant weighted, one
+// under the chaos fault plan. Output digests must agree across modes and
+// across the calm and chaos tenants; /statusz, /jobs and /metrics carry
+// the per-tenant view; /quitz drains it and run returns.
+func TestService(t *testing.T) {
+	dir := t.TempDir()
+	tf, mf := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json")
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		err := run([]string{"-addr", "127.0.0.1:0", "-workers", "4", "-trace", tf, "-metrics-json", mf}, pw)
+		pw.Close()
+		done <- err
+	}()
+	var base string
+	for sc := bufio.NewScanner(pr); base == "" && sc.Scan(); {
+		if _, rest, ok := strings.Cut(sc.Text(), "serving http://"); ok {
+			addr, _, _ := strings.Cut(rest, "/")
+			base = "http://" + addr
+		}
+	}
+	if base == "" {
+		t.Fatalf("run ended without serving: %v", <-done)
+	}
+	go io.Copy(io.Discard, pr)
+
+	if _, err := call(http.MethodPost, base+"/tenant?name=bob&weight=2"); err != nil {
+		t.Fatal(err)
+	}
+	submits := []string{
+		"tenant=alice&app=PR&mode=gerenuk",
+		"tenant=alice&app=PR&mode=baseline",
+		"tenant=bob&app=KM&mode=gerenuk",
+		"tenant=bob&app=IUF&mode=gerenuk",
+		"tenant=mallory&app=PR&mode=gerenuk&chaos=7",
+	}
+	jobs := make([]jobJSON, len(submits))
+	errs := make([]error, len(submits))
+	var wg sync.WaitGroup
+	for i, q := range submits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, err := call(http.MethodPost, base+"/submit?"+q+"&wait=1")
+			if err == nil {
+				err = json.Unmarshal(body, &jobs[i])
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	sha := map[string]string{}
+	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if j.State != "succeeded" || j.OutputSHA == "" {
+			t.Errorf("%s: reply %+v, want succeeded with an output digest", submits[i], j)
+		}
+		sha[j.Tenant+"/"+j.Name] = j.OutputSHA
+	}
+	if sha["alice/PR/gerenuk"] != sha["alice/PR/baseline"] {
+		t.Error("PR: gerenuk output digest differs from baseline")
+	}
+	if sha["mallory/PR/gerenuk"] != sha["alice/PR/gerenuk"] {
+		t.Error("PR: the chaos tenant's output digest differs from the calm tenant's")
+	}
+
+	body, err := call(http.MethodGet, base+"/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var statusz struct {
+		Status struct{ Cluster []cluster.TenantStatus }
+	}
+	if err := json.Unmarshal(body, &statusz); err != nil {
+		t.Fatal(err)
+	}
+	tenants := map[string]cluster.TenantStatus{}
+	for _, ts := range statusz.Status.Cluster {
+		tenants[ts.Tenant] = ts
+		if ts.Done < 1 || ts.P50LatencyNs <= 0 {
+			t.Errorf("tenant %s: done %d, p50 latency %v", ts.Tenant, ts.Done, ts.P50LatencyNs)
+		}
+	}
+	if len(tenants) != 3 || tenants["bob"].Weight != 2 {
+		t.Errorf("/statusz cluster view = %+v, want alice, bob (weight 2) and mallory", statusz.Status.Cluster)
+	}
+	body, err = call(http.MethodGet, base+"/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []jobJSON
+	if err := json.Unmarshal(body, &listed); err != nil || len(listed) != len(submits) {
+		t.Errorf("/jobs lists %d jobs (%v), want %d", len(listed), err, len(submits))
+	}
+	scrape, err := call(http.MethodGet, base+"/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		`cluster_jobs_done_total{tenant="alice"}`,
+		`cluster_jobs_done_total{tenant="mallory"}`,
+		`cluster_job_latency_ns_count{tenant=`,
+		`task_latency_ns_count{tenant="bob"}`,
+		`gc_pause_ns_count{tenant="mallory"`,
+	} {
+		if !strings.Contains(string(scrape), series) {
+			t.Errorf("/metrics has no %s series", series)
+		}
+	}
+
+	if _, err := call(http.MethodPost, base+"/quitz"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	checkArtifacts(t, tf, mf)
+}
+
+// checkArtifacts decodes the drained service's trace and metrics files:
+// the trace holds job, stage, task and cluster events, and the snapshot
+// holds the per-tenant cluster and GC-pause families with positive
+// counts.
+func checkArtifacts(t *testing.T, tracePath, metricsPath string) {
+	t.Helper()
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tf trace.ChromeTraceFile
+	if err := json.Unmarshal(raw, &tf); err != nil {
+		t.Fatalf("%s: not Chrome trace JSON: %v", tracePath, err)
+	}
+	byCat := map[string]int{}
+	for _, e := range tf.TraceEvents {
+		byCat[e.Cat]++
+	}
+	for _, cat := range []string{"job", "stage", "task", "cluster"} {
+		if byCat[cat] == 0 {
+			t.Errorf("trace has no %q events (have %v)", cat, byCat)
+		}
+	}
+	if raw, err = os.ReadFile(metricsPath); err != nil {
+		t.Fatal(err)
+	}
+	var mf trace.MetricsFile
+	if err := json.Unmarshal(raw, &mf); err != nil || mf.Schema != trace.MetricsSchemaVersion {
+		t.Fatalf("%s: not a schema %d metrics file (schema %d, %v)", metricsPath, trace.MetricsSchemaVersion, mf.Schema, err)
+	}
+	for _, family := range []string{"cluster_jobs_submitted_total", "cluster_jobs_done_total", "cluster_job_latency_ns", "gc_pause_ns"} {
+		if !mf.Has(family) {
+			t.Errorf("metrics have no positive %s series", family)
+		}
 	}
 }

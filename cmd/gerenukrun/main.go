@@ -61,8 +61,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync/atomic"
 
@@ -73,32 +75,43 @@ import (
 	"repro/internal/stream"
 )
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "gerenukrun: %v\n", err)
-	os.Exit(1)
+func main() {
+	bench.Exit("gerenukrun", run(os.Args[1:], os.Stdout), 1)
 }
 
-func main() {
+// run parses args, runs the job or stream they name in both modes and
+// writes the report to stdout.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("gerenukrun", flag.ContinueOnError)
 	def := bench.Config{Scale: 2, Partitions: 4, Iters: 3, HeapName: "10GB"}
 	def.Workers = 4
-	shared := bench.BindFlags(flag.CommandLine, "gerenukrun", "workers", def,
+	shared := bench.BindFlags(fs, "gerenukrun", "workers", def,
 		bench.HeapFlag|bench.TuningFlags|bench.CheckpointDirFlag|bench.ObsFlags)
-	app := flag.String("app", "PR", "application name")
-	recoveryFaults := flag.Int64("recovery-faults", 0, "inject recovery chaos (replica loss, kills, checkpoint corruption) with this seed (0 = off)")
-	streamMode := flag.Bool("stream", false, "run the micro-batch streaming pipeline instead of a one-shot job (-app wordcount|streamrank)")
-	streamResume := flag.Bool("stream-resume", false, "resume the stream from checkpointed window state (needs -checkpoint-dir)")
-	flag.Parse()
+	app := fs.String("app", "PR", "application name")
+	recoveryFaults := fs.Int64("recovery-faults", 0, "inject recovery chaos (replica loss, kills, checkpoint corruption) with this seed (0 = off)")
+	streamMode := fs.Bool("stream", false, "run the micro-batch streaming pipeline instead of a one-shot job (-app wordcount|streamrank)")
+	streamResume := fs.Bool("stream-resume", false, "resume the stream from checkpointed window state (needs -checkpoint-dir)")
+	if err := bench.ParseArgs(fs, args); err != nil {
+		return err
+	}
 	// Without a directory the resume would read a fresh in-memory store
 	// and silently restart from record zero.
-	if *streamResume && (!*streamMode || flag.Lookup("checkpoint-dir").Value.String() == "") {
-		fatal(fmt.Errorf("-stream-resume needs -stream and -checkpoint-dir"))
+	if *streamResume && (!*streamMode || fs.Lookup("checkpoint-dir").Value.String() == "") {
+		return errors.New("-stream-resume needs -stream and -checkpoint-dir")
 	}
 
-	sess, err := shared.Open()
+	sess, err := shared.Open(stdout)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := sess.Config
+	rows := map[string]metrics.Breakdown{}
+	// Close on every return: a failed run still ends its trace and server.
+	defer func() {
+		if cerr := sess.Close(map[string]any{"app": *app, "scale": cfg.Scale, "modes": rows}); err == nil {
+			err = cerr
+		}
+	}()
 	var streamStatus atomic.Value
 	streamStatus.Store(map[string]any{"state": "idle"})
 	sess.Server.AddStatus("run", func() any {
@@ -108,7 +121,7 @@ func main() {
 		sess.Server.AddStatus("stream", func() any { return streamStatus.Load() })
 	}
 	if err := sess.Listen(); err != nil {
-		fatal(err)
+		return err
 	}
 	if *recoveryFaults != 0 {
 		cfg.Injector = faults.RecoveryChaos(*recoveryFaults)
@@ -120,12 +133,11 @@ func main() {
 		}
 	}
 
-	rows := map[string]metrics.Breakdown{}
 	if *streamMode {
 		appName := *app
 		if _, err := stream.App(appName); err != nil {
 			appName = "wordcount"
-			fmt.Printf("gerenukrun: -app %s is not a streaming app; running %s (streaming apps: %v)\n",
+			fmt.Fprintf(stdout, "gerenukrun: -app %s is not a streaming app; running %s (streaming apps: %v)\n",
 				*app, appName, stream.AppNames)
 		}
 		t := &metrics.Table{
@@ -137,7 +149,7 @@ func main() {
 		for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
 			sc, err := bench.StreamRunConfig(cfg, appName, mode)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			sc.Resume = *streamResume
 			// Scope checkpoint keys per mode so both runs can share one
@@ -145,7 +157,7 @@ func main() {
 			sc.JobID = appName + "-" + mode.String()
 			res, err := stream.Run(sc)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			rows[mode.String()] = res.Stats
 			order = append(order, res)
@@ -161,20 +173,20 @@ func main() {
 				metrics.D(res.Stats.Total), metrics.D(res.Stats.GC),
 				metrics.FmtBytes(res.Stats.PeakBytes()))
 		}
-		fmt.Println(t.Render())
+		fmt.Fprintln(stdout, t.Render())
 		same := len(order[0].Windows) == len(order[1].Windows)
 		for i := 0; same && i < len(order[0].Windows); i++ {
 			same = bytes.Equal(order[0].Windows[i], order[1].Windows[i])
 		}
 		if !same {
-			fatal(fmt.Errorf("window outputs diverged between modes — the streaming transformation is unsound"))
+			return errors.New("window outputs diverged between modes — the streaming transformation is unsound")
 		}
 		if order[0].RecordsPerSec > 0 && order[1].RecordsPerSec > 0 {
-			fmt.Printf("windows byte-equal across modes; throughput: %.2fx   memory: %.2fx\n",
+			fmt.Fprintf(stdout, "windows byte-equal across modes; throughput: %.2fx   memory: %.2fx\n",
 				metrics.Ratio(order[1].RecordsPerSec, order[0].RecordsPerSec),
 				metrics.Ratio(float64(order[1].Stats.PeakBytes()), float64(order[0].Stats.PeakBytes())))
 		} else {
-			fmt.Println("windows byte-equal across modes (re-emitted from checkpoints; nothing left to stream)")
+			fmt.Fprintln(stdout, "windows byte-equal across modes (re-emitted from checkpoints; nothing left to stream)")
 		}
 	} else {
 		t := &metrics.Table{
@@ -187,7 +199,7 @@ func main() {
 		for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
 			res, err := bench.RunApp(*app, cfg, mode)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			stats := res.Stats
 			rows[mode.String()] = stats
@@ -203,13 +215,10 @@ func main() {
 				fmt.Sprint(stats.PanicsContained), fmt.Sprint(stats.NativeSkips),
 				fmt.Sprintf("%d/%d", stats.Hedges, stats.HedgeWins))
 		}
-		fmt.Println(t.Render())
-		fmt.Printf("speedup: %.2fx   memory: %.2fx\n",
+		fmt.Fprintln(stdout, t.Render())
+		fmt.Fprintf(stdout, "speedup: %.2fx   memory: %.2fx\n",
 			metrics.Ratio(float64(order[0].Total), float64(order[1].Total)),
 			metrics.Ratio(float64(order[1].PeakBytes()), float64(order[0].PeakBytes())))
 	}
-
-	if err := sess.Close(map[string]any{"app": *app, "scale": cfg.Scale, "modes": rows}); err != nil {
-		fatal(err)
-	}
+	return nil
 }

@@ -17,7 +17,6 @@ func makeContext(t *testing.T, mode engine.Mode, topTypes ...string) (*spark.Con
 	ctx := spark.NewContext(comp, mode)
 	ctx.Workers = 2
 	ctx.Partitions = 2
-	ctx.ClosureBytes = 512
 	return ctx, comp
 }
 

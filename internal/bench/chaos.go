@@ -36,9 +36,9 @@ func Chaos(cfg Config, seed int64) (*Result, error) {
 		ctx := spark.NewContext(comp, mode)
 		// Only these knobs of cfg reach the chaos passes: each pass sets
 		// its own injector, breaker and hedge policy.
-		ctx.Env = armed(job.Env{Identity: job.Identity{Breaker: breaker},
+		ctx.Env = job.Env{Identity: job.Identity{Breaker: breaker},
 			Mode: mode, Workers: cfg.Workers, Backend: cfg.Backend, Trace: cfg.Trace,
-			Injector: inj, HedgeAfter: hedgeAfter})
+			Injector: inj, HedgeAfter: hedgeAfter}
 		ctx.Partitions = cfg.Partitions
 		parts, err := workload.Encode(comp.Codec, sparkapps.ClsDoc, docs, cfg.Partitions)
 		if err != nil {

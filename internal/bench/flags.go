@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -90,6 +92,31 @@ func BindFlags(fs *flag.FlagSet, prog, workersFlag string, def Config, groups Fl
 	return f
 }
 
+// errFlags marks a ParseArgs error; the FlagSet has already printed it.
+var errFlags = errors.New("invalid flags")
+
+// ParseArgs parses a command's arguments into fs, a ContinueOnError set.
+func ParseArgs(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
+	return nil
+}
+
+// Exit ends a command whose run returned err: quietly on success or
+// -help, with status 2 on a ParseArgs error, and otherwise by printing
+// err after prog and exiting with code.
+func Exit(prog string, err error, code int) {
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return
+	case errors.Is(err, errFlags):
+		os.Exit(2)
+	}
+	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+	os.Exit(code)
+}
+
 // Session is what the parsed flags started: the resolved Config and the
 // live tracing/observability handles behind it.
 type Session struct {
@@ -107,16 +134,17 @@ type Session struct {
 	GC *obs.GCAttributor
 
 	f         *Flags
+	out       io.Writer
 	flame     *obs.Flame
 	traceFile *os.File
 }
 
-// Open resolves the parsed flags into a Session. The observability
-// plane is strictly opt-in: with none of its flags set no tracer
-// subscriber exists, no runtime/metrics read happens, and no server
-// goroutine ever starts.
-func (f *Flags) Open() (*Session, error) {
-	s := &Session{Config: f.cfg, f: f}
+// Open resolves the parsed flags into a Session that reports what it
+// starts and writes to stdout. The observability plane is strictly
+// opt-in: with none of its flags set no tracer subscriber exists, no
+// runtime/metrics read happens, and no server goroutine ever starts.
+func (f *Flags) Open(stdout io.Writer) (*Session, error) {
+	s := &Session{Config: f.cfg, f: f, out: stdout}
 	cfg := &s.Config
 	var err error
 	if cfg.Backend, err = engine.ParseBackend(f.engine); err != nil {
@@ -124,6 +152,15 @@ func (f *Flags) Open() (*Session, error) {
 	}
 	if cfg.Shuffle.Compression, err = shuffle.ParseCompression(f.compress); err != nil {
 		return nil, err
+	}
+	// Before the trace file is created, so a bad directory leaks no file.
+	if f.ckptDir != "" {
+		ckpts, err := recovery.OpenDiskCheckpointStore(f.ckptDir)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Checkpoints = ckpts
+		fmt.Fprintf(stdout, "%s: checkpoints persist to %s (%d recovered)\n", f.prog, f.ckptDir, ckpts.Len())
 	}
 	obsOn := f.ObsAddr != "" || f.flameOut != ""
 	if f.traceOut != "" || f.metrics != "" || obsOn {
@@ -157,14 +194,6 @@ func (f *Flags) Open() (*Session, error) {
 			stats.GCAttributed += s.GC.StageEnd(app, mode.String(), stage)
 		}
 	}
-	if f.ckptDir != "" {
-		ckpts, err := recovery.OpenDiskCheckpointStore(f.ckptDir)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Checkpoints = ckpts
-		fmt.Printf("%s: checkpoints persist to %s (%d recovered)\n", f.prog, f.ckptDir, ckpts.Len())
-	}
 	return s, nil
 }
 
@@ -177,7 +206,7 @@ func (s *Session) Listen() error {
 	if err := s.Server.Start(s.f.ObsAddr); err != nil {
 		return err
 	}
-	fmt.Printf("%s: serving http://%s/{metrics,healthz,statusz,flamez,debug/pprof}\n", s.f.prog, s.Server.Addr())
+	fmt.Fprintf(s.out, "%s: serving http://%s/{metrics,healthz,statusz,flamez,debug/pprof}\n", s.f.prog, s.Server.Addr())
 	return nil
 }
 
@@ -196,7 +225,7 @@ func (s *Session) Close(extra map[string]any) error {
 	}
 	if s.Server != nil && f.obsHold > 0 {
 		if s.Server.Scrapes() == 0 {
-			fmt.Printf("%s: holding up to %v for a /metrics scrape\n", f.prog, f.obsHold)
+			fmt.Fprintf(s.out, "%s: holding up to %v for a /metrics scrape\n", f.prog, f.obsHold)
 		}
 		if !s.Server.WaitScraped(f.obsHold) {
 			fmt.Fprintf(os.Stderr, "%s: obs-hold expired with no scrape\n", f.prog)
@@ -210,20 +239,20 @@ func (s *Session) Close(extra map[string]any) error {
 		err := s.flame.WriteFoldedFile(f.flameOut)
 		keep(err)
 		if err == nil {
-			fmt.Printf("%s: wrote flame graph %s (%d spans folded; render with flamegraph.pl)\n",
+			fmt.Fprintf(s.out, "%s: wrote flame graph %s (%d spans folded; render with flamegraph.pl)\n",
 				f.prog, f.flameOut, s.flame.Spans())
 		}
 	}
 	if s.traceFile != nil {
 		keep(s.Trace.CloseStream())
 		keep(s.traceFile.Close())
-		fmt.Printf("%s: streamed trace %s (load in Perfetto or chrome://tracing)\n", f.prog, f.traceOut)
+		fmt.Fprintf(s.out, "%s: streamed trace %s (load in Perfetto or chrome://tracing)\n", f.prog, f.traceOut)
 	}
 	if f.metrics != "" {
 		err := s.Trace.WriteMetricsJSONFile(f.metrics, extra)
 		keep(err)
 		if err == nil {
-			fmt.Printf("%s: wrote metrics %s\n", f.prog, f.metrics)
+			fmt.Fprintf(s.out, "%s: wrote metrics %s\n", f.prog, f.metrics)
 		}
 	}
 	if s.Server != nil {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"flag"
+	"io"
 	"testing"
 )
 
@@ -38,7 +39,7 @@ func TestShuffleConfigParsing(t *testing.T) {
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		return f.Open()
+		return f.Open(io.Discard)
 	}
 	sess, err := parse("-shuffle-compress", "lz4", "-shuffle-budget", "9")
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/recovery"
 	"repro/internal/stream"
-	"repro/internal/trace"
 )
 
 // StreamRunConfig maps the bench configuration onto one streaming run
@@ -86,13 +85,9 @@ func StreamCheck(cfg Config) (*Result, error) {
 			}
 
 			outcome := "ok"
-			var appBatches, appWindows, appResumes int64
 
 			// Clean streamed run.
-			tr := trace.New()
-			clean := sc
-			clean.Trace = tr
-			streamed, err := stream.Run(clean)
+			streamed, err := stream.Run(sc)
 			if err != nil {
 				return nil, fmt.Errorf("stream-check %s/%v: streamed: %w", app, mode, err)
 			}
@@ -104,18 +99,11 @@ func StreamCheck(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("stream-check %s/%v: streamed run cut %d batches — no micro-batching",
 					app, mode, streamed.Batches)
 			}
-			reg := tr.Registry()
-			appBatches += reg.Counter("stream_batches_total").Value()
-			appWindows += reg.Counter("stream_windows_total").Value()
 
 			// Chaos streamed run: kills, replica loss, checkpoint rot,
 			// flaky fetches — output must not move.
-			tr = trace.New()
 			chaos := sc
-			chaos.Trace = tr
 			chaos.Injector = faults.RecoveryChaos(11)
-			chaos.VerifyInputs = true
-			chaos.MaxAttempts = 4
 			chaos.CheckpointEvery = 2
 			chaos.StageDeadline = 5 * time.Second
 			chaos.Shuffle.Replicas = 2
@@ -127,7 +115,6 @@ func StreamCheck(cfg Config) (*Result, error) {
 				allEqual = false
 				outcome = "DIVERGED (chaos)"
 			}
-			appBatches += tr.Registry().Counter("stream_batches_total").Value()
 
 			// Kill mid-window, then resume from the checkpoint store.
 			store := recovery.NewCheckpointStore()
@@ -137,9 +124,7 @@ func StreamCheck(cfg Config) (*Result, error) {
 			if _, err := stream.Run(crash); !errors.Is(err, stream.ErrCrashed) {
 				return nil, fmt.Errorf("stream-check %s/%v: crash hook: %v", app, mode, err)
 			}
-			tr = trace.New()
 			resume := sc
-			resume.Trace = tr
 			resume.Checkpoints = store
 			resume.Resume = true
 			resumed, err := stream.Run(resume)
@@ -150,13 +135,12 @@ func StreamCheck(cfg Config) (*Result, error) {
 				allEqual = false
 				outcome = "DIVERGED (resume)"
 			}
-			appResumes += tr.Registry().Counter("stream_window_resumes_total").Value()
-
+			appBatches := streamed.Batches + chaosRes.Batches
 			batches += appBatches
-			resumes += appResumes
+			resumes += resumed.Resumed
 			perMode[mode] = streamed
-			r.Table.AddRow(app, mode.String(), fmt.Sprint(appBatches), fmt.Sprint(appWindows),
-				fmt.Sprint(appResumes), outcome)
+			r.Table.AddRow(app, mode.String(), fmt.Sprint(appBatches), fmt.Sprint(len(streamed.Windows)),
+				fmt.Sprint(resumed.Resumed), outcome)
 		}
 		if !windowsEqual(perMode[engine.Baseline], perMode[engine.Gerenuk]) {
 			allEqual = false

@@ -90,17 +90,6 @@ func (c Config) env(app string, mode engine.Mode) job.Env {
 			c.StageHook(app, mode, stage, stats, wall)
 		}
 	}
-	return armed(e)
-}
-
-// armed applies the chaos rule: injected faults make first attempts fail
-// by design, so a run with an Injector also arms the mutate-input canary
-// and widens the retry budget.
-func armed(e job.Env) job.Env {
-	if e.Injector != nil {
-		e.VerifyInputs = true
-		e.MaxAttempts = 4
-	}
 	return e
 }
 

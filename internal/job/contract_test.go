@@ -186,7 +186,6 @@ func TestStageRunnerContract(t *testing.T) {
 
 		t.Run(fe.name+"/failed-stage-folds-partial-stats", func(t *testing.T) {
 			env := base()
-			env.MaxAttempts = 2
 			env.Injector = &faults.Injector{Seed: 5, TransientRate: 1, Transient: 9}
 			_, stats, err := fe.run(t, env)
 			if err == nil {
@@ -254,7 +253,6 @@ func TestFaultPlanFollowsTaskName(t *testing.T) {
 	for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
 		rt, specs := wordCount(t, mode)
 		rt.Injector = inj
-		rt.MaxAttempts = 4
 		if _, err := rt.RunStage("wcSplitStage", nil, heapCfg, specs); err != nil {
 			t.Fatal(err)
 		}

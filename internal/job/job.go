@@ -74,12 +74,6 @@ type Env struct {
 	Backend engine.Backend
 	// Workers is the executor pool size of every stage (<= 0 means 4).
 	Workers int
-	// ClosureBytes is the simulated per-task closure shipping size both
-	// modes pay (0 means 4 KiB).
-	ClosureBytes int
-	// MaxAttempts bounds attempts per task for retryable faults (0 = the
-	// pool default of 3; 1 disables retries).
-	MaxAttempts int
 	// HedgeAfter, when positive, races the untransformed heap attempt
 	// against any native attempt that outlives this delay (straggler
 	// mitigation); 0 keeps serial recovery.
@@ -95,10 +89,10 @@ type Env struct {
 	// timeout surfaces as the job error. 0 = no watchdog.
 	StageDeadline time.Duration
 	// Injector, when set, derives a deterministic fault plan for every
-	// task and fetch from its name (chaos testing); VerifyInputs arms the
-	// mutate-input canary.
-	Injector     *faults.Injector
-	VerifyInputs bool
+	// task and fetch from its name (chaos testing). Injected faults make
+	// first attempts fail by design, so it also arms the mutate-input
+	// canary and widens the retry budget to chaosAttempts.
+	Injector *faults.Injector
 	// Trace, when set, receives stage spans from the runtime, shuffle
 	// spans from every exchange and task/attempt/phase spans from every
 	// executor. nil disables tracing.
@@ -114,6 +108,15 @@ type Env struct {
 	// per exchange, Injector and Lineage when unset.
 	Shuffle shuffle.Config
 }
+
+const (
+	// closureBytes is the simulated closure every task ships, in both
+	// modes.
+	closureBytes = 4 << 10
+	// chaosAttempts bounds attempts per task when an Injector is set;
+	// otherwise the pool default of 3 holds.
+	chaosAttempts = 4
+)
 
 // Runtime binds an Env to a compiled program and accumulates what the
 // job's stages and exchanges cost. One driver goroutine uses it; the
@@ -201,12 +204,8 @@ func (rt *Runtime) RunStage(name string, parent *trace.Span, hc heap.Config, spe
 	if err := rt.C.CompileDriver(specs[0].Driver); err != nil {
 		return nil, fmt.Errorf("compiling %s: %w", specs[0].Driver, err)
 	}
-	closure := rt.ClosureBytes
-	if closure == 0 {
-		closure = 4 << 10
-	}
 	for i := range specs {
-		specs[i].ClosureBytes = closure
+		specs[i].ClosureBytes = closureBytes
 		specs[i].Faults = rt.Injector.ForTask(specs[i].Name)
 	}
 	if rt.CheckpointEvery > 0 {
@@ -232,11 +231,15 @@ func (rt *Runtime) RunStage(name string, parent *trace.Span, hc heap.Config, spe
 	if workers <= 0 {
 		workers = 4
 	}
-	pool := &engine.Pool{Workers: workers, MaxAttempts: rt.MaxAttempts}
+	chaos := rt.Injector != nil
+	pool := &engine.Pool{Workers: workers}
+	if chaos {
+		pool.MaxAttempts = chaosAttempts
+	}
 	exec := func() *engine.Executor {
 		return &engine.Executor{
 			C: rt.C, Mode: rt.Mode, HeapCfg: hc, Backend: rt.Backend,
-			Breaker: rt.Breaker, VerifyInputs: rt.VerifyInputs,
+			Breaker: rt.Breaker, VerifyInputs: chaos,
 			HedgeAfter: rt.HedgeAfter, Trace: rt.Trace, Tenant: rt.Tenant,
 		}
 	}

@@ -237,7 +237,7 @@ func frameRank(frame string) int {
 // lifecycle categories appear in increasing job → stage → task →
 // attempt → phase order (a task can never sit above its stage). Phases
 // are the one category allowed to repeat: execute phases contain their
-// serde phases. This is the tracelint counterpart for flame output.
+// serde phases. The gerenukrun tests run it over the -flame output.
 func ValidateFolded(r io.Reader) (FoldedStats, error) {
 	var stats FoldedStats
 	sc := bufio.NewScanner(r)

@@ -88,9 +88,9 @@ func (a *GCAttributor) attribute(tenant, job, mode, stage string) time.Duration 
 	var totalNs float64
 	var pauses int64
 	reg := a.tr.Registry()
-	name := MetricName("gc_pause_ns", "job", job, "mode", mode)
+	name := trace.Name("gc_pause_ns", "job", job, "mode", mode)
 	if tenant != "" {
-		name = MetricName("gc_pause_ns", "tenant", tenant, "job", job, "mode", mode)
+		name = trace.Name("gc_pause_ns", "tenant", tenant, "job", job, "mode", mode)
 	}
 	hist := reg.Histogram(name, trace.LatencyBuckets()...)
 	for i, c := range cur {

@@ -28,7 +28,7 @@ func TestGCAttributorChargesPauses(t *testing.T) {
 	}
 
 	snap := tr.Registry().Snapshot()
-	name := MetricName("gc_pause_ns", "job", "PR", "mode", "gerenuk")
+	name := trace.Name("gc_pause_ns", "job", "PR", "mode", "gerenuk")
 	h, ok := snap.Histograms[name]
 	if !ok {
 		var have []string
@@ -87,9 +87,9 @@ func TestGCAttributorNilSafety(t *testing.T) {
 // TestMetricNameEscaping: label values with quotes and backslashes stay
 // one valid label.
 func TestMetricNameEscaping(t *testing.T) {
-	n := MetricName("m", "k", `va"l\ue`)
+	n := trace.Name("m", "k", `va"l\ue`)
 	if n != `m{k="va\"l\\ue"}` {
-		t.Fatalf("MetricName = %q", n)
+		t.Fatalf("trace.Name = %q", n)
 	}
 	base, labels := splitName(n)
 	if base != "m" || !strings.Contains(labels, `va\"l\\ue`) {

@@ -21,19 +21,6 @@ func splitName(name string) (base, labels string) {
 	return name[:i], name[i+1 : len(name)-1]
 }
 
-// MetricName builds a registry metric name carrying an inline label
-// block, e.g. MetricName("gc_pause_ns", "job", "PR", "mode", "gerenuk")
-// → `gc_pause_ns{job="PR",mode="gerenuk"}`. It is trace.Name re-exported
-// for the plane's own callers; the builder lives in the trace package so
-// the execution layers can emit labeled series without importing obs.
-func MetricName(base string, kv ...string) string {
-	return trace.Name(base, kv...)
-}
-
-// sanitizeName maps an arbitrary instrument name onto the Prometheus
-// metric-name alphabet [a-zA-Z0-9_:].
-func sanitizeName(s string) string { return trace.SanitizeMetricName(s) }
-
 // seriesName renders one exposition line's name part: base family plus
 // the series' label block with any extra labels merged in.
 func seriesName(base, labels string, extra ...string) string {
@@ -91,17 +78,17 @@ func WritePrometheus(w io.Writer, s trace.Snapshot) error {
 
 	for name, v := range s.Counters {
 		rawBase, labels := splitName(name)
-		base := sanitizeName(rawBase)
+		base := trace.SanitizeMetricName(rawBase)
 		add(base, "counter", labels, fmt.Sprintf("%s %d", seriesName(base, labels), v))
 	}
 	for name, v := range s.Gauges {
 		rawBase, labels := splitName(name)
-		base := sanitizeName(rawBase)
+		base := trace.SanitizeMetricName(rawBase)
 		add(base, "gauge", labels, fmt.Sprintf("%s %s", seriesName(base, labels), fmtFloat(v)))
 	}
 	for name, h := range s.Histograms {
 		rawBase, labels := splitName(name)
-		base := sanitizeName(rawBase)
+		base := trace.SanitizeMetricName(rawBase)
 		lines := make([]string, 0, len(h.Bounds)+3)
 		var cum int64
 		for i, bound := range h.Bounds {

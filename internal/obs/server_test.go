@@ -20,7 +20,7 @@ func newTestServer(t *testing.T) (*Server, *trace.Tracer) {
 	s := NewServer(tr)
 	r := tr.Registry()
 	r.Counter("tasks_total").Add(7)
-	r.Counter(MetricName("gc_pause_ns_example", "job", "PR")).Add(1)
+	r.Counter(trace.Name("gc_pause_ns_example", "job", "PR")).Add(1)
 	r.Gauge("inflight").Set(3)
 	r.Histogram("task_latency_ns", 1000, 2000).Observe(1500)
 	job := tr.StartSpan("job", "PR")

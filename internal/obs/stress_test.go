@@ -38,7 +38,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 				task.End()
 				job.End()
 				r.Counter("tasks_total").Add(1)
-				r.Histogram(MetricName("gc_pause_ns", "job", fmt.Sprintf("j%d", w), "mode", "gerenuk"),
+				r.Histogram(trace.Name("gc_pause_ns", "job", fmt.Sprintf("j%d", w), "mode", "gerenuk"),
 					trace.LatencyBuckets()...).Observe(float64(i * 100))
 			}
 		}(w)

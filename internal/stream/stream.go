@@ -72,10 +72,9 @@ type Config struct {
 	Backend engine.Backend
 	// Workers sizes the task pool; Reducers the number of shuffle
 	// partitions (= reduce tasks) per window.
-	Workers      int
-	Reducers     int
-	HeapCfg      heap.Config
-	ClosureBytes int
+	Workers  int
+	Reducers int
+	HeapCfg  heap.Config
 
 	// Seed drives the record source and the arrival jitter.
 	Seed int64
@@ -86,15 +85,13 @@ type Config struct {
 	// Windows is how many windows to run to completion.
 	Windows int
 
-	MaxAttempts int
-	Breaker     *engine.Breaker
-	HedgeAfter  time.Duration
+	Breaker    *engine.Breaker
+	HedgeAfter time.Duration
 	// CheckpointEvery is the per-task resume knob; window-state
 	// checkpointing is always on.
 	CheckpointEvery int
 	StageDeadline   time.Duration
 	Injector        *faults.Injector
-	VerifyInputs    bool
 	Trace           *trace.Tracer
 	Shuffle         shuffle.Config
 	// Checkpoints is also where window state persists — pass a
@@ -123,9 +120,8 @@ func (c Config) env() job.Env {
 			Tenant: c.Tenant, JobID: c.JobID, Breaker: c.Breaker,
 			Checkpoints: c.Checkpoints, Lineage: c.Lineage, Canceled: c.Canceled,
 		},
-		Mode: c.Mode, Backend: c.Backend, Workers: c.Workers, ClosureBytes: c.ClosureBytes,
-		MaxAttempts: c.MaxAttempts, HedgeAfter: c.HedgeAfter, CheckpointEvery: c.CheckpointEvery,
-		StageDeadline: c.StageDeadline, Injector: c.Injector, VerifyInputs: c.VerifyInputs,
+		Mode: c.Mode, Backend: c.Backend, Workers: c.Workers, HedgeAfter: c.HedgeAfter,
+		CheckpointEvery: c.CheckpointEvery, StageDeadline: c.StageDeadline, Injector: c.Injector,
 		Trace: c.Trace, Shuffle: c.Shuffle,
 	}
 }
@@ -135,9 +131,8 @@ func (c Config) env() job.Env {
 func (c Config) WithEnv(e job.Env) Config {
 	c.Tenant, c.JobID, c.Breaker = e.Tenant, e.JobID, e.Breaker
 	c.Checkpoints, c.Lineage, c.Canceled = e.Checkpoints, e.Lineage, e.Canceled
-	c.Mode, c.Backend, c.Workers, c.ClosureBytes = e.Mode, e.Backend, e.Workers, e.ClosureBytes
-	c.MaxAttempts, c.HedgeAfter, c.CheckpointEvery = e.MaxAttempts, e.HedgeAfter, e.CheckpointEvery
-	c.StageDeadline, c.Injector, c.VerifyInputs = e.StageDeadline, e.Injector, e.VerifyInputs
+	c.Mode, c.Backend, c.Workers, c.HedgeAfter = e.Mode, e.Backend, e.Workers, e.HedgeAfter
+	c.CheckpointEvery, c.StageDeadline, c.Injector = e.CheckpointEvery, e.StageDeadline, e.Injector
 	c.Trace, c.Shuffle = e.Trace, e.Shuffle
 	return c
 }

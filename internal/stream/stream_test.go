@@ -150,8 +150,6 @@ func TestStreamChaosDifferential(t *testing.T) {
 			cfg := base(t, app, mode)
 			cfg.Trace = tr
 			cfg.Injector = faults.RecoveryChaos(11)
-			cfg.VerifyInputs = true
-			cfg.MaxAttempts = 4
 			cfg.CheckpointEvery = 2
 			cfg.StageDeadline = 5 * time.Second
 			cfg.Shuffle.Replicas = 2

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 )
 
 // ---- Chrome trace_event exporter ----
@@ -204,6 +205,24 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[k] = h.snapshot()
 	}
 	return s
+}
+
+// Has reports whether the snapshot holds a counter or histogram named
+// name with a positive value or count, either exactly or as the family
+// of a labeled series (gc_pause_ns matches gc_pause_ns{job="PR",...}).
+func (s Snapshot) Has(name string) bool {
+	match := func(n string) bool { return n == name || strings.HasPrefix(n, name+"{") }
+	for n, v := range s.Counters {
+		if v > 0 && match(n) {
+			return true
+		}
+	}
+	for n, h := range s.Histograms {
+		if h.Count > 0 && match(n) {
+			return true
+		}
+	}
+	return false
 }
 
 // MetricsFile is the top-level object of the metrics JSON exporter:

@@ -233,6 +233,27 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotHas: an instrument is present when it is positive, named
+// exactly or as the family of a labeled series; a prefix that is not a
+// family, a zero counter and a gauge are not.
+func TestSnapshotHas(t *testing.T) {
+	r := New().Registry()
+	r.Counter("compile_total").Add(2)
+	r.Counter("aborts_total")
+	r.Counter(Name("cluster_jobs_done_total", "tenant", "alice")).Add(1)
+	r.Histogram(Name("gc_pause_ns", "job", "PR"), LatencyBuckets()...).Observe(10)
+	r.Gauge("peak_bytes").SetMax(1)
+	s := r.Snapshot()
+	for name, want := range map[string]bool{
+		"compile_total": true, "cluster_jobs_done_total": true, "gc_pause_ns": true,
+		"compile": false, "aborts_total": false, "peak_bytes": false, "gc_pause": false,
+	} {
+		if got := s.Has(name); got != want {
+			t.Errorf("Has(%q) = %v, want %v", name, got, want)
+		}
+	}
+}
+
 // BenchmarkDisabledSpan pins the overhead contract: the full span tree
 // call chain on a disabled (nil) tracer must cost only nil checks.
 func BenchmarkDisabledSpan(b *testing.B) {
