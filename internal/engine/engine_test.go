@@ -2,6 +2,9 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -138,7 +141,7 @@ func TestOffsRestrictedInvocation(t *testing.T) {
 	}
 }
 
-func TestKeyOfPrimAndString(t *testing.T) {
+func TestKeyReaderPrimAndString(t *testing.T) {
 	prog := pairProgram(t)
 	c := Compile(prog)
 	var buf []byte
@@ -147,24 +150,34 @@ func TestKeyOfPrimAndString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := KeyOf(c.Layouts, "Tagged", "name", buf, 0)
+	names, err := NewKeyReader(c.Layouts, "Tagged", "name")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// [len=3][a][b][c] as UTF-16LE chars.
 	want := []byte{3, 0, 0, 0, 'a', 0, 'b', 0, 'c', 0}
-	if !bytes.Equal(key, want) {
+	if key := names.Key(buf, 0); !bytes.Equal(key, want) {
 		t.Errorf("string key = %x, want %x", key, want)
 	}
-	nkey, err := KeyOf(c.Layouts, "Tagged", "n", buf, 0)
+	ns, err := NewKeyReader(c.Layouts, "Tagged", "n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nkey) != 8 || nkey[0] != 7 {
+	if nkey := ns.Key(buf, 0); len(nkey) != 8 || nkey[0] != 7 {
 		t.Errorf("prim key = %x", nkey)
 	}
-	if _, err := KeyOf(c.Layouts, "Tagged", "missing", buf, 0); err == nil {
+	if _, err := NewKeyReader(c.Layouts, "Tagged", "missing"); err == nil {
 		t.Errorf("missing field accepted")
+	}
+	if _, err := NewKeyReader(c.Layouts, "NoSuch", "n"); err == nil {
+		t.Errorf("missing class accepted")
+	}
+	// The missing field errors at every entry point, even over no records.
+	if _, _, err := GroupByKey(c.Layouts, "Tagged", "missing", nil); err == nil {
+		t.Errorf("GroupByKey accepted a missing field")
+	}
+	if _, err := Partition(c.Layouts, "Tagged", "missing", nil, 2); err == nil {
+		t.Errorf("Partition accepted a missing field")
 	}
 }
 
@@ -195,27 +208,161 @@ func TestPartitionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGroupByKeyGroupsAllRecords(t *testing.T) {
-	prog := pairProgram(t)
-	c := Compile(prog)
+// encodeRuns builds the shape of a fetched reducer buffer: runs
+// key-sorted runs concatenated, keys drawn from [0, distinct) so that
+// keys repeat within a run and recur across runs.
+func encodeRuns(t *testing.T, c *Compiled, runs, perRun, distinct int) []byte {
+	t.Helper()
 	var buf []byte
 	var err error
-	for i := 0; i < 30; i++ {
-		buf, err = c.Codec.Encode("Pair", serde.Obj{"key": int64(i % 5), "value": 1.0}, buf)
+	for r := 0; r < runs; r++ {
+		keys := make([]int64, perRun)
+		for i := range keys {
+			keys[i] = int64((i*7 + r*3) % distinct)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			buf, err = c.Codec.Encode("Pair", serde.Obj{"key": k, "value": float64(r*perRun + i)}, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return buf
+}
+
+// GroupByKey over the exchange's real shape agrees with a naive map
+// grouping over decoded records: the same keys in first-seen order, and
+// every group's offsets in record order.
+func TestGroupByKeyGroupsAllRecords(t *testing.T) {
+	c := Compile(pairProgram(t))
+	for _, tc := range []struct{ runs, perRun, distinct int }{
+		{1, 30, 5}, {4, 25, 9}, {3, 40, 40}, {5, 12, 1},
+	} {
+		buf := encodeRuns(t, c, tc.runs, tc.perRun, tc.distinct)
+		var order []int64
+		ref := map[int64][]int{}
+		for off := 0; off < len(buf); off += serde.RecordSize(buf, off) {
+			v, _, err := c.Codec.Decode("Pair", buf, off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := v.(serde.Obj)["key"].(int64)
+			if _, seen := ref[k]; !seen {
+				order = append(order, k)
+			}
+			ref[k] = append(ref[k], off)
+		}
+		keys, groups, err := GroupByKey(c.Layouts, "Pair", "key", buf)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(keys) != len(order) || len(groups) != len(order) {
+			t.Fatalf("%+v: %d keys, %d groups, want %d", tc, len(keys), len(groups), len(order))
+		}
+		for i, k := range order {
+			if got := int64(binary.LittleEndian.Uint64(keys[i])); got != k {
+				t.Errorf("%+v: key %d = %d, want %d (first-seen order)", tc, i, got, k)
+			}
+			if !slices.Equal(groups[i], ref[k]) {
+				t.Errorf("%+v: group of key %d = %v, want %v", tc, k, groups[i], ref[k])
+			}
+		}
 	}
-	keys, groups, err := GroupByKey(c.Layouts, "Pair", "key", buf)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// SortByKey's allocations do not grow with the record count: one
+// presized (key, offset) slice and one output buffer.
+func TestSortByKeyAllocsConstant(t *testing.T) {
+	c := Compile(pairProgram(t))
+	allocs := func(n int) float64 {
+		buf := encodeRuns(t, c, 4, n/4, n/8)
+		return testing.AllocsPerRun(20, func() { SortByKey(c.Layouts, "Pair", "key", buf) })
 	}
-	if len(keys) != 5 {
-		t.Fatalf("groups = %d, want 5", len(keys))
+	small, large := allocs(64), allocs(4096)
+	if large != small || large > 4 {
+		t.Errorf("SortByKey allocs: %.0f at 64 records, %.0f at 4096; want equal and <= 4", small, large)
 	}
-	for i, g := range groups {
-		if len(g) != 6 {
-			t.Errorf("group %d has %d records", i, len(g))
+}
+
+// GroupByKey allocates per distinct key (its index entry), not per
+// record: groups share one flat offset slice.
+func TestGroupByKeyAllocsPerDistinctKey(t *testing.T) {
+	const slack = 64
+	c := Compile(pairProgram(t))
+	for _, distinct := range []int{1, 16, 1000} {
+		buf := encodeRuns(t, c, 4, 1000, distinct)
+		got := testing.AllocsPerRun(20, func() {
+			if _, _, err := GroupByKey(c.Layouts, "Pair", "key", buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > float64(distinct+slack) {
+			t.Errorf("GroupByKey over 4000 records, %d keys: %.0f allocs, want <= %d", distinct, got, distinct+slack)
+		}
+	}
+}
+
+func TestSortByKeyStableByKey(t *testing.T) {
+	c := Compile(pairProgram(t))
+	buf := encodeRuns(t, c, 3, 20, 6)
+	sorted := SortByKey(c.Layouts, "Pair", "key", buf)
+	if len(sorted) != len(buf) {
+		t.Fatalf("sorted %d bytes, want %d", len(sorted), len(buf))
+	}
+	prevKey, prevVal := int64(-1), -1.0
+	for off := 0; off < len(sorted); off += serde.RecordSize(sorted, off) {
+		v, _, err := c.Codec.Decode("Pair", sorted, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, val := v.(serde.Obj)["key"].(int64), v.(serde.Obj)["value"].(float64)
+		// Values grow with input position, so a stable sort keeps them
+		// ascending within a key.
+		if k < prevKey || (k == prevKey && val <= prevVal) {
+			t.Fatalf("record (%d, %v) after (%d, %v)", k, val, prevKey, prevVal)
+		}
+		prevKey, prevVal = k, val
+	}
+}
+
+func TestForEachLowestIndexError(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 8} {
+		var ran atomic.Int64
+		err := ForEach(workers, 50, func(i int) error {
+			ran.Add(1)
+			if i == 17 || i == 31 {
+				return fmt.Errorf("item %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "item 17" {
+			t.Errorf("workers=%d: err = %v, want item 17", workers, err)
+		}
+		if n := ran.Load(); n < 18 {
+			t.Errorf("workers=%d: %d items ran, want every item up to the failure", workers, n)
+		}
+		seen := make([]atomic.Bool, 40)
+		var inFlight, peak atomic.Int64
+		if err := ForEach(workers, len(seen), func(i int) error {
+			if n := inFlight.Add(1); n > peak.Load() {
+				peak.Store(n)
+			}
+			defer inFlight.Add(-1)
+			if seen[i].Swap(true) {
+				t.Errorf("workers=%d: item %d ran twice", workers, i)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range seen {
+			if !seen[i].Load() {
+				t.Errorf("workers=%d: item %d never ran", workers, i)
+			}
+		}
+		if p := peak.Load(); p > int64(max(workers, 1)) {
+			t.Errorf("workers=%d: %d items in flight", workers, p)
 		}
 	}
 }

@@ -1,15 +1,19 @@
 package engine
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arena"
 	"repro/internal/dsa"
+	"repro/internal/expr"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/serde"
@@ -121,11 +125,25 @@ func (b byteReader) ReadNative(base, off int64, sz int) int64 {
 	}
 }
 
-// KeyOf extracts the canonical key bytes of the named field from a wire
-// record (size prefix at rec[off:]). Both execution modes use the same
-// function, mirroring how shuffle partitioning operates on serialized
-// data in real systems; the inlined format makes key bytes canonical.
-func KeyOf(layouts *dsa.Result, class, field string, buf []byte, off int) ([]byte, error) {
+// KeyReader extracts the canonical key bytes of one field from wire
+// records of one class. The field is resolved against the class layout
+// once, when the reader is built; Key then costs one offset evaluation
+// per record. Both execution modes use it, mirroring how shuffle
+// partitioning operates on serialized data in real systems; the inlined
+// format makes key bytes canonical. A KeyReader is immutable and safe
+// for concurrent use.
+type KeyReader struct {
+	// off is the field offset within the payload, nil when it is a
+	// compile-time constant (konst): evaluating an Expr boxes the payload
+	// as an expr.NativeReader, one allocation per record.
+	off   *expr.Expr
+	konst int64
+	width int64 // byte width of a primitive key; 0 selects a string key
+}
+
+// NewKeyReader resolves field of class against layouts. The field must
+// exist and be a primitive or a string.
+func NewKeyReader(layouts *dsa.Result, class, field string) (*KeyReader, error) {
 	l := layouts.Layout(class)
 	if l == nil {
 		return nil, fmt.Errorf("engine: no layout for %s", class)
@@ -134,18 +152,34 @@ func KeyOf(layouts *dsa.Result, class, field string, buf []byte, off int) ([]byt
 	if !ok {
 		return nil, fmt.Errorf("engine: no field %s.%s", class, field)
 	}
-	payload := buf[off+serde.SizePrefixBytes:]
-	fo := fOff.Eval(byteReader(payload), 0)
+	k := &KeyReader{off: fOff}
+	if fOff.IsConst() {
+		k.off, k.konst = nil, fOff.ConstValue()
+	}
 	f, _ := l.Class.Field(field)
 	switch {
 	case !f.Type.IsRef():
-		return payload[fo : fo+int64(f.Type.Kind.Size())], nil
+		k.width = int64(f.Type.Kind.Size())
 	case f.Type.Class == model.StringClassName:
-		n := byteReader(payload).ReadNative(fo, 0, 4)
-		return payload[fo : fo+4+2*n], nil
 	default:
 		return nil, fmt.Errorf("engine: key field %s.%s has unsupported type %s", class, field, f.Type)
 	}
+	return k, nil
+}
+
+// Key returns the key bytes of the record whose size prefix starts at
+// buf[off:]. The result aliases buf.
+func (k *KeyReader) Key(buf []byte, off int) []byte {
+	payload := byteReader(buf[off+serde.SizePrefixBytes:])
+	fo := k.konst
+	if k.off != nil {
+		fo = k.off.Eval(payload, 0)
+	}
+	n := k.width
+	if n == 0 {
+		n = 4 + 2*payload.ReadNative(fo, 0, 4)
+	}
+	return payload[fo : fo+n : fo+n]
 }
 
 // HashKey hashes canonical key bytes (FNV-1a).
@@ -167,48 +201,104 @@ func RecordOffsets(buf []byte) []int {
 	return offs
 }
 
-// GroupByKey partitions the records of buf into groups keyed by the
-// canonical bytes of the key field, preserving first-seen key order.
-// This is the engine-side shuffle-read grouping; it never deserializes.
-func GroupByKey(layouts *dsa.Result, class, field string, buf []byte) (keys [][]byte, groups [][]int, err error) {
-	index := make(map[string]int)
+// recordCount counts the records of a buffer, so callers can size their
+// per-record slices once.
+func recordCount(buf []byte) int {
+	n := 0
 	for off := 0; off < len(buf); off += serde.RecordSize(buf, off) {
-		key, err := KeyOf(layouts, class, field, buf, off)
-		if err != nil {
-			return nil, nil, err
-		}
-		i, seen := index[string(key)]
-		if !seen {
-			i = len(keys)
-			index[string(key)] = i
-			keys = append(keys, append([]byte(nil), key...))
-			groups = append(groups, nil)
-		}
-		groups[i] = append(groups[i], off)
+		n++
 	}
+	return n
+}
+
+// GroupByKey partitions the records of buf into groups keyed by the
+// canonical bytes of the key field, preserving first-seen key order and,
+// within a group, record order. This is the engine-side shuffle-read
+// grouping; it never deserializes. The keys alias buf.
+func GroupByKey(layouts *dsa.Result, class, field string, buf []byte) (keys [][]byte, groups [][]int, err error) {
+	k, err := NewKeyReader(layouts, class, field)
+	if err != nil {
+		return nil, nil, err
+	}
+	keys, groups = k.group(buf)
 	return keys, groups, nil
+}
+
+// group is GroupByKey over a resolved key. A fetched reducer buffer is
+// a concatenation of key-sorted map blocks, so a record whose key
+// repeats its predecessor's joins that group without a map lookup. The
+// groups share one flat offset slice: a first pass assigns every record
+// its group and counts group sizes, a second fills the offsets in.
+func (k *KeyReader) group(buf []byte) (keys [][]byte, groups [][]int) {
+	n := recordCount(buf)
+	if n == 0 {
+		return nil, nil
+	}
+	gid := make([]int, n)
+	var counts []int
+	index := make(map[string]int)
+	var prev []byte
+	cur := -1
+	i := 0
+	for off := 0; off < len(buf); off += serde.RecordSize(buf, off) {
+		key := k.Key(buf, off)
+		if cur < 0 || !bytes.Equal(key, prev) {
+			g, seen := index[string(key)]
+			if !seen {
+				g = len(keys)
+				index[string(key)] = g
+				keys = append(keys, key)
+				counts = append(counts, 0)
+			}
+			cur, prev = g, key
+		}
+		gid[i] = cur
+		counts[cur]++
+		i++
+	}
+	flat := make([]int, n)
+	groups = make([][]int, len(keys))
+	start := 0
+	for g, c := range counts {
+		groups[g] = flat[start : start : start+c]
+		start += c
+	}
+	i = 0
+	for off := 0; off < len(buf); off += serde.RecordSize(buf, off) {
+		groups[gid[i]] = append(groups[gid[i]], off)
+		i++
+	}
+	return keys, groups
 }
 
 // FoldSpecs builds the reduce-side stage over shuffled blocks: one task
 // per non-empty block, running driver once per key group of that block
-// (source "in"). name(i) names block i's task and blockOf maps each spec
-// back to its block. owned marks the blocks as freshly assembled for
-// their task alone, letting the native attempt adopt them zero-copy.
-func FoldSpecs(layouts *dsa.Result, driver, class, field string, blocks [][]byte,
+// (source "in"). The blocks are grouped on up to workers goroutines;
+// specs stay in block order. name(i) names block i's task and blockOf
+// maps each spec back to its block. owned marks the blocks as freshly
+// assembled for their task alone, letting the native attempt adopt them
+// zero-copy.
+func FoldSpecs(workers int, layouts *dsa.Result, driver, class, field string, blocks [][]byte,
 	owned bool, name func(block int) string) (specs []TaskSpec, blockOf []int, err error) {
-	for i, block := range blocks {
-		if len(block) == 0 {
-			continue
-		}
-		_, groups, err := GroupByKey(layouts, class, field, block)
-		if err != nil {
-			return nil, nil, err
-		}
+	k, err := NewKeyReader(layouts, class, field)
+	if err != nil {
+		return nil, nil, err
+	}
+	perBlock := make([][]map[string]Input, len(blocks))
+	ForEach(workers, len(blocks), func(i int) error {
+		_, groups := k.group(blocks[i])
 		invocations := make([]map[string]Input, 0, len(groups))
 		for _, offs := range groups {
 			invocations = append(invocations, map[string]Input{
-				"in": {Class: class, Buf: block, Offs: offs, Owned: owned},
+				"in": {Class: class, Buf: blocks[i], Offs: offs, Owned: owned},
 			})
+		}
+		perBlock[i] = invocations
+		return nil
+	})
+	for i, invocations := range perBlock {
+		if len(invocations) == 0 {
+			continue
 		}
 		specs = append(specs, TaskSpec{Name: name(i), Driver: driver, Invocations: invocations})
 		blockOf = append(blockOf, i)
@@ -218,42 +308,49 @@ func FoldSpecs(layouts *dsa.Result, driver, class, field string, blocks [][]byte
 
 // SortByKey rebuilds buf with its records sorted by canonical key bytes —
 // the sort over serialized key-value pairs both modes pay identically.
-// The sort is stable, so same-key records keep their order and a fold
-// over the result is deterministic.
+// The sort is stable (record offset breaks key ties), so same-key
+// records keep their order and a fold over the result is deterministic.
 func SortByKey(layouts *dsa.Result, class, field string, buf []byte) []byte {
-	offs := RecordOffsets(buf)
-	keys := make([]string, len(offs))
-	for i, off := range offs {
-		k, err := KeyOf(layouts, class, field, buf, off)
-		if err != nil {
-			// Sorting is engine machinery; schema errors here are bugs.
-			panic(fmt.Sprintf("engine: SortByKey: %v", err))
+	k, err := NewKeyReader(layouts, class, field)
+	if err != nil {
+		// Sorting is engine machinery; schema errors here are bugs.
+		panic(fmt.Sprintf("engine: SortByKey: %v", err))
+	}
+	type keyed struct {
+		key       []byte
+		off, size int
+	}
+	recs := make([]keyed, 0, recordCount(buf))
+	for off := 0; off < len(buf); {
+		size := serde.RecordSize(buf, off)
+		recs = append(recs, keyed{key: k.Key(buf, off), off: off, size: size})
+		off += size
+	}
+	slices.SortFunc(recs, func(a, b keyed) int {
+		if c := bytes.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-		keys[i] = string(k)
-	}
-	idx := make([]int, len(offs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+		return cmp.Compare(a.off, b.off)
+	})
 	out := make([]byte, 0, len(buf))
-	for _, i := range idx {
-		off := offs[i]
-		out = append(out, buf[off:off+serde.RecordSize(buf, off)]...)
+	for _, r := range recs {
+		out = append(out, buf[r.off:r.off+r.size]...)
 	}
 	return out
 }
 
 // Partition splits records of buf into n hash partitions by key field.
 func Partition(layouts *dsa.Result, class, field string, buf []byte, n int) ([][]byte, error) {
+	k, err := NewKeyReader(layouts, class, field)
+	if err != nil {
+		return nil, err
+	}
 	parts := make([][]byte, n)
-	for off := 0; off < len(buf); off += serde.RecordSize(buf, off) {
-		key, err := KeyOf(layouts, class, field, buf, off)
-		if err != nil {
-			return nil, err
-		}
-		p := int(HashKey(key) % uint64(n))
-		parts[p] = append(parts[p], buf[off:off+serde.RecordSize(buf, off)]...)
+	for off := 0; off < len(buf); {
+		size := serde.RecordSize(buf, off)
+		p := int(HashKey(k.Key(buf, off)) % uint64(n))
+		parts[p] = append(parts[p], buf[off:off+size]...)
+		off += size
 	}
 	return parts, nil
 }
@@ -270,6 +367,59 @@ type Pool struct {
 	// MaxAttempts bounds attempts per task for retryable faults
 	// (default 3; 1 disables retries).
 	MaxAttempts int
+}
+
+// ForEach runs fn(0), …, fn(n-1) on at most workers goroutines, the
+// caller's among them (<= 1 runs them in order on the caller's alone),
+// and returns the error of the lowest index that failed, so error
+// reporting does not depend on scheduling. Indices are claimed in
+// ascending order and every claimed index runs, so every index below a
+// failed one has run; once a failure is seen no further index is
+// claimed. This is the one fan-out the front-ends' driver-side work (map
+// writers, reducer fetches, key grouping, sorts) goes through, sized by
+// the same Workers knob as a stage's Pool.
+func ForEach(workers, n int, fn func(i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if errs[i] = fn(i); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // JobResult aggregates a set of task results.

@@ -117,12 +117,14 @@ func run(rt *job.Runtime, conf JobConf, splits [][]byte) (res *Result, err error
 	// sortAll is the sort of serialized key-value pairs — framework work
 	// both modes pay identically (Gerenuk does not change Hadoop's
 	// byte-level sort), measured into the total like any computation.
+	// The buffers sort on up to WorkerCount goroutines.
 	sortAll := func(stage string, bufs [][]byte) {
 		t0 := time.Now()
 		sp := span.Child("stage", stage)
-		for i, buf := range bufs {
-			bufs[i] = engine.SortByKey(c.Layouts, conf.MapOutClass, conf.KeyField, buf)
-		}
+		engine.ForEach(rt.WorkerCount(), len(bufs), func(i int) error {
+			bufs[i] = engine.SortByKey(c.Layouts, conf.MapOutClass, conf.KeyField, bufs[i])
+			return nil
+		})
 		sp.End()
 		rt.Stats.Total += time.Since(t0)
 	}
@@ -184,7 +186,7 @@ func run(rt *job.Runtime, conf JobConf, splits [][]byte) (res *Result, err error
 // fetched-and-merge-sorted buffers).
 func foldGroups(rt *job.Runtime, conf JobConf, driver string, blocks [][]byte,
 	hc heap.Config, phase string, span *trace.Span, owned bool) ([][]byte, error) {
-	specs, blockOf, err := engine.FoldSpecs(rt.C.Layouts, driver, conf.MapOutClass, conf.KeyField, blocks, owned,
+	specs, blockOf, err := engine.FoldSpecs(rt.WorkerCount(), rt.C.Layouts, driver, conf.MapOutClass, conf.KeyField, blocks, owned,
 		func(i int) string { return fmt.Sprintf("%s-%s%d", conf.Name, phase, i) })
 	if err != nil {
 		return nil, fmt.Errorf("hadoop: %s grouping: %w", phase, err)

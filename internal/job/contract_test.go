@@ -18,6 +18,8 @@ import (
 	"repro/internal/heap"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/recovery"
+	"repro/internal/shuffle"
 	"repro/internal/spark"
 	"repro/internal/stream"
 	"repro/internal/trace"
@@ -184,6 +186,23 @@ func TestStageRunnerContract(t *testing.T) {
 			}
 		})
 
+		t.Run(fe.name+"/lineage-released", func(t *testing.T) {
+			// A service shares one lineage registry for its whole life;
+			// every finished job must leave it empty, or each job's map
+			// outputs stay reachable through their rebuild closures.
+			shared := recovery.NewLineage()
+			for j := 0; j < 3; j++ {
+				env := base()
+				env.JobID, env.Lineage = fmt.Sprintf("job-%d", j), shared
+				if _, _, err := fe.run(t, env); err != nil {
+					t.Fatal(err)
+				}
+				if n := shared.Len(); n != 0 {
+					t.Fatalf("after job %d: %d lineage producers retained", j, n)
+				}
+			}
+		})
+
 		t.Run(fe.name+"/failed-stage-folds-partial-stats", func(t *testing.T) {
 			env := base()
 			env.Injector = &faults.Injector{Seed: 5, TransientRate: 1, Transient: 9}
@@ -227,11 +246,16 @@ func TestStageRunnerContract(t *testing.T) {
 // wordCount binds a fresh runtime to the word-count program and returns
 // the split stage's specs over docs; heapCfg sizes its tasks.
 func wordCount(t *testing.T, mode engine.Mode) (*job.Runtime, []engine.TaskSpec) {
+	return wordCountSplits(t, mode, 2)
+}
+
+// wordCountSplits is wordCount over docs cut into splits partitions.
+func wordCountSplits(t *testing.T, mode engine.Mode, splits int) (*job.Runtime, []engine.TaskSpec) {
 	t.Helper()
 	prog := sparkapps.NewProgram(sparkapps.ClsDoc, sparkapps.ClsWordCount)
 	comp := engine.Compile(prog)
 	sparkapps.WordCount{}.Register(prog)
-	in, err := workload.Encode(comp.Codec, sparkapps.ClsDoc, docs, 2)
+	in, err := workload.Encode(comp.Codec, sparkapps.ClsDoc, docs, splits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,12 +313,52 @@ func TestExchangeFailureLeaksNothing(t *testing.T) {
 			dir := t.TempDir()
 			rt.Shuffle.MemoryBudget = 1 // every record spills
 			rt.Shuffle.SpillDir = dir
+			rt.JobID, rt.Lineage = "leaky-job", recovery.NewLineage()
 			tc.setup(rt, parts)
 			if _, _, err := rt.ShuffleBy("leaky", sparkapps.ClsWordCount, "word", 2, parts); err == nil {
 				t.Fatal("exchange succeeded")
 			}
 			assertNoLeak(t, rt, dir)
+			if n := rt.Lineage.Len(); n != 0 {
+				t.Errorf("%d lineage producers left in the shared registry", n)
+			}
 		})
+	}
+}
+
+// ShuffleBy's blocks do not depend on how many writers and reducers run
+// at once: Workers 1 and 4 produce byte-identical blocks, here through a
+// spilling, compressed, replicated exchange in both modes.
+func TestShuffleByDeterministicAcrossWorkers(t *testing.T) {
+	for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
+		var ref [][]byte
+		for _, workers := range []int{1, 4} {
+			rt, specs := wordCountSplits(t, mode, 6)
+			rt.Workers = workers
+			parts, err := rt.RunStage("wcSplitStage", nil, heapCfg, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			rt.Shuffle = shuffle.Config{MemoryBudget: 512, SpillDir: dir, Compression: shuffle.LZ4, Replicas: 2}
+			blocks, st, err := rt.ShuffleBy("det", sparkapps.ClsWordCount, "word", 3, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Spills < int64(len(parts)) {
+				t.Fatalf("%v/workers=%d: %d spills, want >= one per map task", mode, workers, st.Spills)
+			}
+			assertNoLeak(t, rt, dir)
+			if ref == nil {
+				ref = blocks
+				continue
+			}
+			for r := range ref {
+				if !bytes.Equal(blocks[r], ref[r]) {
+					t.Errorf("%v: reducer %d differs between Workers 1 and %d", mode, r, workers)
+				}
+			}
+		}
 	}
 }
 

@@ -72,7 +72,8 @@ type Env struct {
 	// Backend selects the native execution strategy of every executor:
 	// closure-compiled chains (zero value) or the interpreter.
 	Backend engine.Backend
-	// Workers is the executor pool size of every stage (<= 0 means 4).
+	// Workers is the executor pool size of every stage and the bound on
+	// the job's driver-side fan-out (<= 0 means 4; see WorkerCount).
 	Workers int
 	// HedgeAfter, when positive, races the untransformed heap attempt
 	// against any native attempt that outlives this delay (straggler
@@ -109,6 +110,16 @@ type Env struct {
 	Shuffle shuffle.Config
 }
 
+// WorkerCount resolves Workers: the size of every stage's pool and the
+// bound on every driver-side fan-out (map writers, reducer grouping,
+// sorts).
+func (e *Env) WorkerCount() int {
+	if e.Workers <= 0 {
+		return 4
+	}
+	return e.Workers
+}
+
 const (
 	// closureBytes is the simulated closure every task ships, in both
 	// modes.
@@ -120,7 +131,7 @@ const (
 
 // Runtime binds an Env to a compiled program and accumulates what the
 // job's stages and exchanges cost. One driver goroutine uses it; the
-// pools it starts fan out underneath.
+// pools and exchange writers it starts fan out underneath.
 type Runtime struct {
 	Env
 	C *engine.Compiled
@@ -227,12 +238,8 @@ func (rt *Runtime) RunStage(name string, parent *trace.Span, hc heap.Config, spe
 		span = rt.Trace.StartSpan("stage", name, trace.Str("mode", rt.Mode.String()), tasks)
 	}
 
-	workers := rt.Workers
-	if workers <= 0 {
-		workers = 4
-	}
 	chaos := rt.Injector != nil
-	pool := &engine.Pool{Workers: workers}
+	pool := &engine.Pool{Workers: rt.WorkerCount()}
 	if chaos {
 		pool.MaxAttempts = chaosAttempts
 	}
@@ -278,17 +285,19 @@ func (rt *Runtime) RunStage(name string, parent *trace.Span, hc heap.Config, spe
 // optional compression) and a fetch pass assembles the reduce-side
 // blocks, one per partition. parts[i] is everything map task i produced
 // — every front-end hands an exchange its map outputs whole, a streaming
-// window at close — so the writers are written and sealed in order, one
-// map output's buffers live at a time. In Baseline mode the exchange
-// pays real serde per record crossing it; in Gerenuk mode native bytes
-// cross untouched and the fetched blocks can be adopted zero-copy. The
-// fetch is cancel-polled and watchdog-guarded; the exchange's stats fold
-// into the job totals and are returned for callers that report shuffle
-// volume.
+// window at close — and the writers fill and seal them on up to
+// WorkerCount goroutines, so up to that many map outputs' buffers live
+// at once. Writers hold views into parts, which must stay unchanged
+// until ShuffleBy returns. In Baseline mode the exchange pays real serde
+// per record crossing it; in Gerenuk mode native bytes cross untouched
+// and the fetched blocks can be adopted zero-copy. The fetch is
+// cancel-polled and watchdog-guarded; the exchange's stats fold into the
+// job totals and are returned for callers that report shuffle volume.
 //
 // Any error abandons the exchange: spill runs are deleted and published
 // blocks released, so a failed job leaves nothing in SpillDir or the
-// store.
+// store. Lineage producers live from the last write to the end of the
+// fetch, so a shared registry holds nothing for a finished exchange.
 func (rt *Runtime) ShuffleBy(name, class, keyField string, partitions int, parts [][]byte) ([][]byte, shuffle.Stats, error) {
 	cfg := rt.Shuffle
 	cfg.Partitions = partitions
@@ -316,15 +325,17 @@ func (rt *Runtime) ShuffleBy(name, class, keyField string, partitions int, parts
 		ex.Discard()
 		return nil, shuffle.Stats{}, fmt.Errorf("%s: %w", name, err)
 	}
+	if err := engine.ForEach(rt.WorkerCount(), len(parts), func(i int) error {
+		return writeSealed(ex.Writer(i), parts[i])
+	}); err != nil {
+		return fail(err)
+	}
+	// Block lineage: losing every replica of a map task's output re-runs
+	// exactly its write over the retained part, whose determinism makes
+	// the rebuilt blocks byte-identical to the lost ones. The registry may
+	// outlive the job, so the closure captures the exchange, not the
+	// runtime; the exchange releases it when the fetch is over.
 	for i, part := range parts {
-		if err := writeSealed(ex.Writer(i), part); err != nil {
-			return fail(err)
-		}
-		// Block lineage: losing every replica of this map task's output
-		// re-runs exactly this write over the retained part, whose
-		// determinism makes the rebuilt blocks byte-identical to the lost
-		// ones. The registry may outlive the job, so the closure captures
-		// the exchange, not the runtime.
 		cfg.Lineage.Register(name, i, func() error { return writeSealed(ex.RecoveryWriter(i), part) })
 	}
 	if err := engine.Canceled(rt.Canceled); err != nil {

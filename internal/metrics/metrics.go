@@ -34,9 +34,10 @@ type Breakdown struct {
 	HeapTime   time.Duration
 
 	// Shuffle exchange attribution. ShuffleWrite/ShuffleRead are the
-	// map-side and reduce-side exchange wall time excluding serde (the
+	// map-side and reduce-side exchange busy time excluding serde (the
 	// exchange's encode/decode cost lands in Ser/Deser, where Figure 6
-	// attributes it).
+	// attributes it), summed across concurrent writers and reducers the
+	// way task time is summed across tasks — not the exchange's wall.
 	ShuffleWrite time.Duration
 	ShuffleRead  time.Duration
 

@@ -170,7 +170,7 @@ func TestWatchdogTimesOutHungStage(t *testing.T) {
 }
 
 // Two concurrent jobs registering producers for the same-named exchange
-// used to collide on lineageKey(exchange, mapTask): the later Register
+// used to collide on the unscoped (exchange, map task) key: the later Register
 // silently replaced the earlier job's rebuild closure, so a fetch-miss
 // in job A could replay job B's producer. Job-scoped views must keep
 // the registrations separate.
@@ -201,6 +201,14 @@ func TestLineageScopeIsolatesSameNamedExchanges(t *testing.T) {
 	}
 	if jobA.Len() != 1 || jobB.Len() != 1 {
 		t.Fatalf("scoped Len = %d/%d, want 1/1", jobA.Len(), jobB.Len())
+	}
+	// Releasing an exchange drops only the releasing scope's producers.
+	jobA.Release("shuffle-0")
+	if jobA.Len() != 0 || jobB.Len() != 1 || root.Len() != 1 {
+		t.Fatalf("after release Len = %d/%d/%d, want 0/1/1", jobA.Len(), jobB.Len(), root.Len())
+	}
+	if err := jobA.Rebuild("shuffle-0", 0); !errors.Is(err, ErrNoLineage) {
+		t.Fatalf("released producer rebuilt: %v", err)
 	}
 	var nilL *Lineage
 	if nilL.Scope("job") != nil {

@@ -2,26 +2,29 @@ package shuffle
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/serde"
 	"repro/internal/trace"
 )
 
 // FetchAll runs the reduce-side fetch: for every reducer it pulls that
-// reducer's block from each registered map output (bounded concurrency,
-// immediate retries over injected fetch faults, then replica failover
-// and lineage re-execution), decompresses, and concatenates the raw
-// record bytes in ascending map-task order. In Baseline mode every
-// assembled record then pays a real serde decode — the reduce-side
-// deserialization point; in Gerenuk mode the assembled native bytes are
-// returned untouched for zero-copy adoption into the task arena.
+// reducer's block from each registered map output (immediate retries
+// over injected fetch faults, then replica failover and lineage
+// re-execution), decompresses, and concatenates the raw record bytes in
+// ascending map-task order. In Baseline mode every assembled record then
+// pays a real serde decode — the reduce-side deserialization point; in
+// Gerenuk mode the assembled native bytes are returned untouched for
+// zero-copy adoption into the task arena. Up to fetchConcurrency
+// reducers assemble at once; the error reported is the lowest failing
+// reducer's.
 //
 // The returned slice is indexed by reducer; a reducer nothing hashed to
-// gets an empty buffer. The exchange's blocks are released from the
-// store afterwards, and the exchange span closes: FetchAll is terminal.
+// gets an empty buffer. The exchange's blocks and lineage producers are
+// released afterwards, and the exchange span closes: FetchAll is
+// terminal.
 func (ex *Exchange) FetchAll() ([][]byte, error) {
 	ex.mu.Lock()
 	if ex.closed {
@@ -30,17 +33,17 @@ func (ex *Exchange) FetchAll() ([][]byte, error) {
 	}
 	ex.closed = true
 	ex.mu.Unlock()
-	defer ex.store.release(ex.name)
+	defer ex.release()
 
 	maps := ex.mapIDs()
 	out := make([][]byte, ex.cfg.Partitions)
-	var err error
-	for r := 0; r < ex.cfg.Partitions; r++ {
+	err := engine.ForEach(fetchConcurrency, ex.cfg.Partitions, func(r int) (err error) {
 		out[r], err = ex.fetchReducer(r, maps)
-		if err != nil {
-			ex.span.End(trace.Str("error", err.Error()))
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		ex.span.End(trace.Str("error", err.Error()))
+		return nil, err
 	}
 	st := ex.Stats()
 	ex.span.End(trace.I64("bytes_written", st.BytesWritten),
@@ -49,10 +52,9 @@ func (ex *Exchange) FetchAll() ([][]byte, error) {
 	return out, nil
 }
 
-// fetchReducer assembles one reducer's input. Blocks fetch concurrently
-// under the fetchConcurrency semaphore; assembly order is ascending map
-// task, so the result is deterministic regardless of fetch completion
-// order.
+// fetchReducer assembles one reducer's input. Blocks are fetched in
+// ascending map-task order, so the result — and the order the reducer's
+// fault plan is consumed in — is deterministic.
 func (ex *Exchange) fetchReducer(reducer int, maps []int) ([]byte, error) {
 	t0 := time.Now()
 	sp := ex.span.Child("shuffle", "fetch", trace.I64("reducer", int64(reducer)))
@@ -72,40 +74,30 @@ func (ex *Exchange) fetchReducer(reducer int, maps []int) ([]byte, error) {
 		}
 	}
 
-	type fetched struct {
-		raw []byte
-		st  Stats
-		err error
-	}
-	results := make([]fetched, len(maps))
-	sem := make(chan struct{}, fetchConcurrency)
-	var wg sync.WaitGroup
-	for i, mapTask := range maps {
+	var st Stats
+	raws := make([][]byte, 0, len(maps))
+	size := 0
+	for _, mapTask := range maps {
 		id := blockID{ex.name, mapTask, reducer}
 		if !ex.store.has(id) {
 			continue // this map task produced nothing for this reducer
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, id blockID) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			raw, st, err := ex.fetchBlock(sp, id, plan)
-			results[i] = fetched{raw: raw, st: st, err: err}
-		}(i, id)
-	}
-	wg.Wait()
-
-	var st Stats
-	var buf []byte
-	var records int64
-	for _, f := range results {
-		if f.err != nil {
-			return nil, f.err
+		raw, bst, err := ex.fetchBlock(sp, id, plan)
+		st.add(bst)
+		if err != nil {
+			return nil, err
 		}
-		st.add(f.st)
-		buf = append(buf, f.raw...)
+		raws = append(raws, raw)
+		size += len(raw)
 	}
+	var buf []byte
+	if size > 0 {
+		buf = make([]byte, 0, size)
+	}
+	for _, raw := range raws {
+		buf = append(buf, raw...)
+	}
+	var records int64
 	if ex.codec != nil && len(buf) > 0 {
 		// Baseline reduce-side deserialization: one real decode per record.
 		td := time.Now()

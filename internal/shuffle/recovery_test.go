@@ -128,6 +128,59 @@ func TestLineageRebuildRestoresFullyLostBlocks(t *testing.T) {
 	}
 }
 
+// A reducer whose block is fully lost rebuilds it from lineage while the
+// other reducers fetch concurrently: a rebuild re-publishes every block
+// of its map task, including blocks other reducers are reading, and the
+// rebuilt bytes must match. Once the fetch is over the exchange has
+// released its producers.
+func TestLineageRebuildDuringConcurrentFetch(t *testing.T) {
+	c := pairCompiled(t)
+	parts := encodeParts(t, c, 6, 30, 11)
+	base := Config{Partitions: 8, MemoryBudget: 256, Compression: LZ4}
+	ref, _ := runExchange(t, c, base, nil, parts)
+
+	tr := trace.New()
+	store := NewStore()
+	lin := recovery.NewLineage()
+	cfg := base
+	cfg.Replicas, cfg.Lineage, cfg.Trace, cfg.SpillDir = 2, lin, tr, t.TempDir()
+	ex, err := NewExchange(store, cfg, "test", c.Layouts, "Pair", "key", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAll(t, ex, parts)
+	for i, p := range parts {
+		lin.Register("test", i, func() error {
+			rw := ex.RecoveryWriter(i)
+			if err := rw.Add(p); err != nil {
+				return err
+			}
+			return rw.Close()
+		})
+	}
+	// Lose every replica of map task 2's block for reducers 1 and 5.
+	for _, r := range []int{1, 5} {
+		if dropped := store.Drop("test", 2, r, 99); dropped != 2 {
+			t.Fatalf("reducer %d of map 2: dropped %d replicas, want 2", r, dropped)
+		}
+	}
+	blocks, err := ex.FetchAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range blocks {
+		if !bytes.Equal(blocks[r], ref[r]) {
+			t.Errorf("reducer %d diverged after a concurrent lineage rebuild", r)
+		}
+	}
+	if n := tr.Registry().Counter("recovery_reexec_total").Value(); n < 1 {
+		t.Errorf("recovery_reexec_total = %d, want >= 1", n)
+	}
+	if n := lin.Len(); n != 0 {
+		t.Errorf("%d lineage producers left after the fetch", n)
+	}
+}
+
 // Without lineage, a fully lost block still fails the fetch loudly.
 func TestFullReplicaLossWithoutLineageFails(t *testing.T) {
 	c := pairCompiled(t)
@@ -229,7 +282,8 @@ func TestCloseRemovesRunsOnMergeError(t *testing.T) {
 	if err := w.Add(parts[0]); err != nil {
 		t.Fatal(err)
 	}
-	runs, err := filepath.Glob(filepath.Join(dir, "shuffle-*.run"))
+	// A writer spills into a directory of its own under SpillDir.
+	runs, err := filepath.Glob(filepath.Join(dir, "shuffle-*", "shuffle-*.run"))
 	if err != nil || len(runs) == 0 {
 		t.Fatalf("no spill runs on disk (err=%v)", err)
 	}
@@ -240,8 +294,8 @@ func TestCloseRemovesRunsOnMergeError(t *testing.T) {
 	if err := w.Close(); err == nil {
 		t.Fatal("Close over a truncated run succeeded")
 	}
-	left, _ := filepath.Glob(filepath.Join(dir, "shuffle-*.run"))
+	left, _ := os.ReadDir(dir)
 	if len(left) != 0 {
-		t.Errorf("%d spill runs leaked after failed Close: %v", len(left), left)
+		t.Errorf("%d entries leaked into SpillDir after failed Close, first %s", len(left), left[0].Name())
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/dsa"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/recovery"
@@ -41,9 +42,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Fetch policy: each reducer keeps at most fetchConcurrency block
-// fetches in flight, and each replica of a block gets maxFetchRetries
-// attempts (retried at once) before the fetch path fails over.
+// Fetch policy: at most fetchConcurrency reducers assemble at once, each
+// fetching its blocks in map-task order, and each replica of a block
+// gets maxFetchRetries attempts (retried at once) before the fetch path
+// fails over.
 const (
 	fetchConcurrency = 4
 	maxFetchRetries  = 3
@@ -56,8 +58,12 @@ type Config struct {
 	Partitions int
 	// MemoryBudget bounds each writer's buffered bytes; once exceeded the
 	// buffered entries spill to disk as one sorted run. 0 = unbounded.
+	// The bound is per writer: with writers running concurrently, up to
+	// (concurrent writers) × MemoryBudget is buffered at once.
 	MemoryBudget int64
-	// SpillDir is where spill runs are written (default os.TempDir()).
+	// SpillDir is where spill runs are written (default os.TempDir()),
+	// each writer's into a directory of its own that it removes when it
+	// closes or is abandoned.
 	SpillDir string
 	// Compression is the per-block codec applied when a writer seals a
 	// block and undone by the fetch path.
@@ -99,8 +105,11 @@ type Stats struct {
 	FetchRetries     int64 // block fetch attempts beyond each block's first
 	Records          int64 // records fetched
 
-	WriteTime time.Duration // map-side wall time, serde excluded
-	ReadTime  time.Duration // reduce-side wall time, serde excluded
+	// WriteTime and ReadTime are busy time summed across writers and
+	// across reducers — like task time, not the exchange's wall — with
+	// serde excluded.
+	WriteTime time.Duration // map side
+	ReadTime  time.Duration // reduce side
 	SerTime   time.Duration // baseline per-record encode cost (map side)
 	DeserTime time.Duration // baseline per-record decode cost (reduce side)
 }
@@ -120,7 +129,7 @@ func (s *Stats) add(o Stats) {
 }
 
 // AddTo folds the exchange accounting into a job cost breakdown: shuffle
-// wall time into the ShuffleWrite/ShuffleRead attribution buckets, the
+// busy time into the ShuffleWrite/ShuffleRead attribution buckets, the
 // exchange serde into Ser/Deser (it is real serialization cost, the very
 // cost Gerenuk eliminates), and the volume counters.
 func (s Stats) AddTo(bd *metrics.Breakdown) {
@@ -245,15 +254,15 @@ func (s *Store) Len() int {
 }
 
 // Exchange is one shuffle: a set of map-side writers publishing into a
-// store and a reduce-side fetch pass consuming them. Writers run one at
-// a time (driver-side map loop); FetchAll fetches blocks concurrently.
+// store and a reduce-side fetch pass consuming them. Writers of distinct
+// map tasks may run concurrently; FetchAll assembles reducers
+// concurrently.
 type Exchange struct {
-	store    *Store
-	cfg      Config
-	name     string
-	layouts  *dsa.Result
-	class    string
-	keyField string
+	store *Store
+	cfg   Config
+	name  string
+	class string
+	keys  *engine.KeyReader
 	// codec non-nil selects the baseline exchange: every record crossing
 	// pays a decode+encode on the write side and a decode on the fetch
 	// side. nil is the Gerenuk exchange: bytes cross untouched.
@@ -267,17 +276,14 @@ type Exchange struct {
 	closed bool
 }
 
-// NewExchange validates the key field against the class layout — even an
-// exchange whose every partition turns out empty must reject a missing
-// key field loudly — and opens the exchange span.
+// NewExchange resolves the key field against the class layout once, for
+// every writer — even an exchange whose every partition turns out empty
+// must reject a missing key field loudly — and opens the exchange span.
 func NewExchange(store *Store, cfg Config, name string, layouts *dsa.Result,
 	class, keyField string, codec *serde.Codec) (*Exchange, error) {
-	l := layouts.Layout(class)
-	if l == nil {
-		return nil, fmt.Errorf("shuffle: no layout for class %s", class)
-	}
-	if _, ok := l.FieldOff[keyField]; !ok {
-		return nil, fmt.Errorf("shuffle: no key field %s.%s", class, keyField)
+	keys, err := engine.NewKeyReader(layouts, class, keyField)
+	if err != nil {
+		return nil, fmt.Errorf("shuffle: %w", err)
 	}
 	if store == nil {
 		store = NewStore()
@@ -285,7 +291,7 @@ func NewExchange(store *Store, cfg Config, name string, layouts *dsa.Result,
 	cfg = cfg.withDefaults()
 	ex := &Exchange{
 		store: store, cfg: cfg, name: name,
-		layouts: layouts, class: class, keyField: keyField, codec: codec,
+		class: class, keys: keys, codec: codec,
 	}
 	ex.span = cfg.Trace.StartSpan("shuffle", name,
 		trace.Str("class", class), trace.Str("key", keyField),
@@ -295,11 +301,12 @@ func NewExchange(store *Store, cfg Config, name string, layouts *dsa.Result,
 }
 
 // Discard abandons the exchange without fetching: every block published
-// into the store under this exchange's name is released and the exchange
-// is closed (a later FetchAll or Discard errors/no-ops). This is the
-// cleanup path of an exchange that fails before its fetch — a writer
-// that could not be filled or sealed, a canceled job — so the store
-// holds no orphaned blocks.
+// into the store under this exchange's name is released, as is every
+// lineage producer registered for it, and the exchange is closed (a
+// later FetchAll or Discard errors/no-ops). This is the cleanup path of
+// an exchange that fails before its fetch — a writer that could not be
+// filled or sealed, a canceled job — so neither the store nor a shared
+// lineage registry holds orphaned state.
 func (ex *Exchange) Discard() {
 	ex.mu.Lock()
 	if ex.closed {
@@ -308,8 +315,17 @@ func (ex *Exchange) Discard() {
 	}
 	ex.closed = true
 	ex.mu.Unlock()
-	ex.store.release(ex.name)
+	ex.release()
 	ex.span.End(trace.Str("outcome", "discarded"))
+}
+
+// release drops the exchange's blocks from the store and its producers
+// from the lineage registry. Lineage is only consulted during the fetch,
+// so once the fetch is over (or will never happen) a rebuild closure —
+// which retains its map output — is dead weight.
+func (ex *Exchange) release() {
+	ex.store.release(ex.name)
+	ex.cfg.Lineage.Release(ex.name)
 }
 
 // Stats returns the exchange accounting so far.

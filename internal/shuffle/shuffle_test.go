@@ -45,6 +45,21 @@ func encodeParts(t *testing.T, c *engine.Compiled, nParts, n, keyMod int) [][]by
 	return parts
 }
 
+// writeAll fills and seals one writer per part, the writers running
+// concurrently the way the job runtime runs them.
+func writeAll(t *testing.T, ex *Exchange, parts [][]byte) {
+	t.Helper()
+	if err := engine.ForEach(4, len(parts), func(i int) error {
+		w := ex.Writer(i)
+		if err := w.Add(parts[i]); err != nil {
+			return err
+		}
+		return w.Close()
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // runExchange pushes parts through one exchange and returns the fetched
 // reducer blocks plus the accounting.
 func runExchange(t *testing.T, c *engine.Compiled, cfg Config, codec *serde.Codec, parts [][]byte) ([][]byte, Stats) {
@@ -54,15 +69,7 @@ func runExchange(t *testing.T, c *engine.Compiled, cfg Config, codec *serde.Code
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range parts {
-		w := ex.Writer(i)
-		if err := w.Add(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeAll(t, ex, parts)
 	blocks, err := ex.FetchAll()
 	if err != nil {
 		t.Fatal(err)
@@ -82,10 +89,11 @@ func countRecords(blocks [][]byte) int {
 
 // The determinism contract: unbounded in-memory, tiny spill budgets, and
 // every compression codec must produce byte-identical reducer blocks, in
-// both the baseline (serde-paying) and gerenuk (native bytes) exchanges.
+// both the baseline (serde-paying) and gerenuk (native bytes) exchanges,
+// with the writers and the reducers' fetches running concurrently.
 func TestExchangeDeterministicAcrossConfigs(t *testing.T) {
 	c := pairCompiled(t)
-	parts := encodeParts(t, c, 3, 40, 17)
+	parts := encodeParts(t, c, 6, 40, 17)
 
 	for _, mode := range []string{"gerenuk", "baseline"} {
 		var codec *serde.Codec
@@ -96,8 +104,8 @@ func TestExchangeDeterministicAcrossConfigs(t *testing.T) {
 		if refStats.Spills != 0 {
 			t.Fatalf("%s: unbounded config spilled %d times", mode, refStats.Spills)
 		}
-		if got := countRecords(ref); got != 120 {
-			t.Fatalf("%s: fetched %d records, want 120", mode, got)
+		if got := countRecords(ref); got != 240 {
+			t.Fatalf("%s: fetched %d records, want 240", mode, got)
 		}
 		cases := []struct {
 			name string

@@ -2,10 +2,11 @@ package shuffle
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -23,18 +24,19 @@ type entry struct {
 	rec []byte
 }
 
-func entryLess(a, b entry) bool {
+func entryCompare(a, b entry) int {
 	if c := bytes.Compare(a.key, b.key); c != 0 {
-		return c < 0
+		return c
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // Writer stages one map task's output: records are hash-partitioned by
 // key into per-reducer buffers; when the buffered bytes exceed the
 // memory budget everything spills to disk as one sorted run, and Close
 // merges the runs back into per-reducer blocks registered in the store.
-// Not safe for concurrent use (one writer per map task).
+// A writer is not safe for concurrent use, but the writers of distinct
+// map tasks run concurrently.
 type Writer struct {
 	ex      *Exchange
 	mapTask int
@@ -43,6 +45,7 @@ type Writer struct {
 	buf      [][]entry // per-reducer staged entries
 	bufBytes int64
 	seq      uint64
+	dir      string   // this writer's spill directory, made at its first spill
 	runs     []string // sorted spill run files, merge order
 	st       Stats
 	closed   bool
@@ -73,19 +76,26 @@ func (ex *Exchange) RecoveryWriter(mapTask int) *Writer {
 	}
 }
 
-// discardRuns removes any spill run files still on disk — the error-path
-// cleanup that keeps a failed merge or close from leaking temp files.
+// discardRuns removes any spill run files still on disk, and the
+// writer's spill directory — the cleanup that also keeps a failed merge
+// or close from leaking temp files.
 func (w *Writer) discardRuns() {
 	for _, path := range w.runs {
 		os.Remove(path)
 	}
 	w.runs = nil
+	if w.dir != "" {
+		os.Remove(w.dir)
+		w.dir = ""
+	}
 }
 
 // Add stages every size-prefixed record in buf. In Baseline mode each
 // record pays a real decode + canonical re-encode here — the map-side
 // serialization point of a conventional runtime; in Gerenuk mode the
-// native bytes are staged untouched.
+// native bytes are staged untouched and uncopied: staged entries alias
+// buf (keys do in both modes), so buf must stay unchanged until Close,
+// which copies every record into its block.
 func (w *Writer) Add(buf []byte) error {
 	if w.closed {
 		return fmt.Errorf("shuffle: add on closed writer for map task %d", w.mapTask)
@@ -97,6 +107,7 @@ func (w *Writer) Add(buf []byte) error {
 		w.st.SerTime += serT
 	}()
 	ex := w.ex
+	encodes := ex.reg().Counter("shuffle_write_encodes_total")
 	for off := 0; off < len(buf); {
 		if off+serde.SizePrefixBytes > len(buf) {
 			return fmt.Errorf("shuffle: corrupt record at offset %d of map task %d", off, w.mapTask)
@@ -106,10 +117,7 @@ func (w *Writer) Add(buf []byte) error {
 			return fmt.Errorf("shuffle: corrupt record at offset %d of map task %d", off, w.mapTask)
 		}
 		rec := buf[off : off+sz]
-		key, err := engine.KeyOf(ex.layouts, ex.class, ex.keyField, buf, off)
-		if err != nil {
-			return fmt.Errorf("shuffle: map task %d: %w", w.mapTask, err)
-		}
+		key := ex.keys.Key(buf, off)
 		if ex.codec != nil {
 			ts := time.Now()
 			v, _, err := ex.codec.Decode(ex.class, buf, off)
@@ -126,9 +134,7 @@ func (w *Writer) Add(buf []byte) error {
 			}
 			rec = enc // canonical: byte-identical to the input record
 			serT += time.Since(ts)
-			ex.reg().Counter("shuffle_write_encodes_total").Add(1)
-		} else {
-			rec = append([]byte(nil), rec...)
+			encodes.Add(1)
 		}
 		reducer := int(engine.HashKey(key) % uint64(ex.cfg.Partitions))
 		w.buf[reducer] = append(w.buf[reducer], entry{key: key, seq: w.seq, rec: rec})
@@ -150,34 +156,46 @@ func (w *Writer) Add(buf []byte) error {
 func (w *Writer) spill() error {
 	sp := w.span.Child("shuffle", "spill",
 		trace.I64("map_task", int64(w.mapTask)), trace.I64("bytes", w.bufBytes))
-	f, err := os.CreateTemp(w.ex.cfg.SpillDir, "shuffle-*.run")
+	if w.dir == "" {
+		// Each writer spills into a directory of its own: writers run
+		// concurrently, and run files created and unlinked in one shared
+		// directory contend on that directory in the kernel.
+		dir, err := os.MkdirTemp(w.ex.cfg.SpillDir, "shuffle-*")
+		if err != nil {
+			return fmt.Errorf("shuffle: spill: %w", err)
+		}
+		w.dir = dir
+	}
+	f, err := os.CreateTemp(w.dir, "shuffle-*.run")
 	if err != nil {
 		return fmt.Errorf("shuffle: spill: %w", err)
 	}
-	bw := bytes.Buffer{}
-	var u32 [4]byte
-	var u64 [8]byte
+	// The run is built in one buffer sized up front: 8 header bytes per
+	// reducer group, 16 bytes of framing per entry, plus the payloads.
+	size := 0
+	for _, es := range w.buf {
+		size += 8
+		for _, e := range es {
+			size += 16 + len(e.key) + len(e.rec)
+		}
+	}
+	run := make([]byte, 0, size)
 	for r, es := range w.buf {
 		if len(es) == 0 {
 			continue
 		}
-		sort.Slice(es, func(i, j int) bool { return entryLess(es[i], es[j]) })
-		binary.LittleEndian.PutUint32(u32[:], uint32(r))
-		bw.Write(u32[:])
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(es)))
-		bw.Write(u32[:])
+		slices.SortFunc(es, entryCompare)
+		run = binary.LittleEndian.AppendUint32(run, uint32(r))
+		run = binary.LittleEndian.AppendUint32(run, uint32(len(es)))
 		for _, e := range es {
-			binary.LittleEndian.PutUint32(u32[:], uint32(len(e.key)))
-			bw.Write(u32[:])
-			bw.Write(e.key)
-			binary.LittleEndian.PutUint64(u64[:], e.seq)
-			bw.Write(u64[:])
-			binary.LittleEndian.PutUint32(u32[:], uint32(len(e.rec)))
-			bw.Write(u32[:])
-			bw.Write(e.rec)
+			run = binary.LittleEndian.AppendUint32(run, uint32(len(e.key)))
+			run = append(run, e.key...)
+			run = binary.LittleEndian.AppendUint64(run, e.seq)
+			run = binary.LittleEndian.AppendUint32(run, uint32(len(e.rec)))
+			run = append(run, e.rec...)
 		}
 	}
-	n, err := f.Write(bw.Bytes())
+	n, err := f.Write(run)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -191,7 +209,7 @@ func (w *Writer) spill() error {
 	w.ex.reg().Counter("shuffle_spills_total").Add(1)
 	w.ex.reg().Counter("shuffle_bytes_spilled_total").Add(int64(n))
 	for r := range w.buf {
-		w.buf[r] = nil
+		w.buf[r] = w.buf[r][:0] // the run holds the entries; reuse the slices
 	}
 	w.bufBytes = 0
 	sp.End(trace.I64("run_bytes", int64(n)))
@@ -253,8 +271,12 @@ func readRun(path string, partitions int) ([][]entry, error) {
 
 // mergeRuns k-way merges per-reducer sorted runs by (key, seq). Every
 // seq is unique within the writer, so the merge order equals the global
-// sort order the in-memory path produces.
+// sort order the in-memory path produces. A lone run is already merged
+// and is returned as is.
 func mergeRuns(runs [][]entry) []entry {
+	if len(runs) == 1 {
+		return runs[0]
+	}
 	total := 0
 	for _, r := range runs {
 		total += len(r)
@@ -267,7 +289,7 @@ func mergeRuns(runs [][]entry) []entry {
 			if cur[i] >= len(r) {
 				continue
 			}
-			if best < 0 || entryLess(r[cur[i]], runs[best][cur[best]]) {
+			if best < 0 || entryCompare(r[cur[i]], runs[best][cur[best]]) < 0 {
 				best = i
 			}
 		}
@@ -279,7 +301,7 @@ func mergeRuns(runs [][]entry) []entry {
 
 // assemble merges every spill run on disk and the still-buffered
 // entries into one (key, seq)-ordered slice per reducer, consuming both
-// (the runs are deleted). Both sources are sorted by entryLess and every
+// (the runs are deleted). Both sources are sorted by entryCompare and every
 // seq is unique within the writer, so the k-way merge yields exactly the
 // order an in-memory sort would — the spill path is byte-identical by
 // construction.
@@ -307,7 +329,7 @@ func (w *Writer) assemble() ([][]entry, error) {
 		if len(es) == 0 {
 			continue
 		}
-		sort.Slice(es, func(i, j int) bool { return entryLess(es[i], es[j]) })
+		slices.SortFunc(es, entryCompare)
 		perReducer[r] = append(perReducer[r], es)
 	}
 
@@ -341,18 +363,22 @@ func (w *Writer) publish(merged [][]entry) (written, records int64, err error) {
 		if len(es) == 0 {
 			continue
 		}
-		var raw bytes.Buffer
+		size := 0
 		for _, e := range es {
-			raw.Write(e.rec)
+			size += len(e.rec)
 		}
-		payload, err := compressBlock(ex.cfg.Compression, raw.Bytes())
+		raw := make([]byte, 0, size)
+		for _, e := range es {
+			raw = append(raw, e.rec...)
+		}
+		payload, err := compressBlock(ex.cfg.Compression, raw)
 		if err != nil {
 			return written, records, err
 		}
 		ex.store.put(blockID{ex.name, w.mapTask, r}, &Block{
-			Payload: payload, RawLen: raw.Len(), Records: len(es), Codec: ex.cfg.Compression,
+			Payload: payload, RawLen: len(raw), Records: len(es), Codec: ex.cfg.Compression,
 		}, ex.cfg.Replicas)
-		written += int64(raw.Len())
+		written += int64(len(raw))
 		records += int64(len(es))
 	}
 	return written, records, nil

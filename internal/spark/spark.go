@@ -149,7 +149,7 @@ func (r *RDD) ReduceByKey(combineDriver, keyField string) (*RDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs, _, err := engine.FoldSpecs(r.ctx.C.Layouts, combineDriver, r.Class, keyField, blocks, true,
+	specs, _, err := engine.FoldSpecs(r.ctx.WorkerCount(), r.ctx.C.Layouts, combineDriver, r.Class, keyField, blocks, true,
 		func(i int) string { return fmt.Sprintf("%s-r%d", combineDriver, i) })
 	if err != nil {
 		return nil, err
@@ -199,6 +199,8 @@ func (r *RDD) JoinMany(other *RDD, joinDriver, leftKey, rightKey, outClass strin
 // then per reducer run the driver once per key present on both sides.
 // Left keys must be unique; uniqueRight demands the same of the right
 // side (JoinPairs). tag distinguishes the two operators' task names.
+// Reducers are grouped and matched on up to WorkerCount goroutines;
+// specs stay in reducer order.
 func (r *RDD) join(other *RDD, joinDriver, leftKey, rightKey, outClass, tag string, uniqueRight bool) (*RDD, error) {
 	lBlocks, err := r.shuffle(leftKey)
 	if err != nil {
@@ -208,17 +210,17 @@ func (r *RDD) join(other *RDD, joinDriver, leftKey, rightKey, outClass, tag stri
 	if err != nil {
 		return nil, err
 	}
-	var specs []engine.TaskSpec
-	for i := range lBlocks {
+	perBlock := make([][]map[string]engine.Input, len(lBlocks))
+	err = engine.ForEach(r.ctx.WorkerCount(), len(lBlocks), func(i int) error {
 		lKeys, lGroups, err := engine.GroupByKey(r.ctx.C.Layouts, r.Class, leftKey, lBlocks[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rIndex := make(map[string][]int)
 		rKeys, rGroups, err := engine.GroupByKey(other.ctx.C.Layouts, other.Class, rightKey, rBlocks[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
+		rIndex := make(map[string][]int, len(rKeys))
 		for k, key := range rKeys {
 			rIndex[string(key)] = rGroups[k]
 		}
@@ -229,7 +231,7 @@ func (r *RDD) join(other *RDD, joinDriver, leftKey, rightKey, outClass, tag stri
 				continue
 			}
 			if len(lGroups[k]) != 1 || (uniqueRight && len(ro) != 1) {
-				return nil, fmt.Errorf("spark: join %s requires unique keys (key has %d left, %d right)",
+				return fmt.Errorf("spark: join %s requires unique keys (key has %d left, %d right)",
 					joinDriver, len(lGroups[k]), len(ro))
 			}
 			invocations = append(invocations, map[string]engine.Input{
@@ -237,6 +239,14 @@ func (r *RDD) join(other *RDD, joinDriver, leftKey, rightKey, outClass, tag stri
 				"right": {Class: other.Class, Buf: rBlocks[i], Offs: ro, Owned: true},
 			})
 		}
+		perBlock[i] = invocations
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var specs []engine.TaskSpec
+	for i, invocations := range perBlock {
 		if len(invocations) == 0 {
 			continue
 		}

@@ -11,7 +11,8 @@ import (
 )
 
 // A run that stops while windows are still open must leave no spill run
-// in SpillDir and no block in the store: whether window 0's fetch
+// in SpillDir, no block in the store and no producer in a shared lineage
+// registry: whether window 0's fetch
 // exhausts its retries while the sliding windows behind it hold slot
 // bytes, or the crash hook stops the run mid-window. The crash stop must
 // get there without discarding recovery state — the store keeps every
@@ -65,6 +66,7 @@ func TestFailedRunLeaksNothing(t *testing.T) {
 				WindowBy: Window{Size: 8 * time.Millisecond, Slide: 4 * time.Millisecond}, Windows: 4,
 			}
 			cfg.Shuffle.MemoryBudget, cfg.Shuffle.SpillDir = 1, dir // every record spills
+			cfg.JobID, cfg.Lineage = "leaky-stream", recovery.NewLineage()
 			tc.setup(&cfg)
 			r := newRunner(cfg)
 			if err := r.run(); err == nil {
@@ -80,6 +82,9 @@ func TestFailedRunLeaksNothing(t *testing.T) {
 			}
 			if n := r.rt.LiveBlocks(); n != 0 {
 				t.Errorf("%d blocks left in the store", n)
+			}
+			if n := cfg.Lineage.Len(); n != 0 {
+				t.Errorf("%d lineage producers left in the shared registry", n)
 			}
 		})
 	}

@@ -549,10 +549,12 @@ func (r *runner) foldWindow(span *trace.Span, st *windowState) ([]byte, error) {
 	// (map-side blocks are each key-sorted; this is the reduce-side
 	// merge), then fold groups. The sort is stable, so same-key records
 	// stay in shuffle (key, seq) order and fold order is deterministic.
-	for i, block := range blocks {
-		blocks[i] = engine.SortByKey(r.rt.C.Layouts, app.MapOutClass, app.KeyField, block)
-	}
-	specs, _, err := engine.FoldSpecs(r.rt.C.Layouts, app.ReduceDriver, app.MapOutClass, app.KeyField, blocks, true,
+	// Blocks sort on up to WorkerCount goroutines.
+	engine.ForEach(r.rt.WorkerCount(), len(blocks), func(i int) error {
+		blocks[i] = engine.SortByKey(r.rt.C.Layouts, app.MapOutClass, app.KeyField, blocks[i])
+		return nil
+	})
+	specs, _, err := engine.FoldSpecs(r.rt.WorkerCount(), r.rt.C.Layouts, app.ReduceDriver, app.MapOutClass, app.KeyField, blocks, true,
 		func(i int) string { return fmt.Sprintf("stream-%s-w%d-red%d", app.Name, st.idx, i) })
 	if err != nil {
 		return nil, fmt.Errorf("grouping: %w", err)

@@ -114,6 +114,19 @@ var structureRules = []rule{
 		},
 	},
 	{
+		// Driver-side fan-out (map writers, grouping, sorts) goes through
+		// engine.ForEach, bounded by the pool's Workers; a front-end that
+		// starts its own goroutines escapes that bound and its
+		// deterministic error order.
+		name:  "one fan-out: no go statement in internal/{spark,hadoop,stream,job}",
+		max:   0,
+		scope: under("internal/spark", "internal/hadoop", "internal/stream", "internal/job"),
+		match: func(s *srcFile, n ast.Node) bool {
+			_, ok := n.(*ast.GoStmt)
+			return ok
+		},
+	},
+	{
 		// "Decide a task from its attempts" lives once (speculate,
 		// settleNative, settleHeap): a native attempt's error is
 		// classified as failed speculation at one comparison.
