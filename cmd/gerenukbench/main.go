@@ -57,20 +57,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
 
 	"repro/internal/bench"
 )
-
-// show prints r, if any, then exits 1 on err.
-func show(r *bench.Result, err error) {
-	if r != nil {
-		fmt.Println(r.Render())
-	}
-	bench.Exit("gerenukbench", err, 1)
-}
 
 // experiment is one -only id: a figure or table of the paper, or a
 // verification pass, which runs only when named.
@@ -140,44 +133,58 @@ func experiments(cfg *bench.Config) []experiment {
 }
 
 func main() {
+	bench.Exit("gerenukbench", run(os.Args[1:], os.Stdout), 1)
+}
+
+// run parses args and runs the chaos mode or the selected experiments,
+// printing each table; the first failure ends the run. The session is
+// closed on every return, so a failed run still leaves whole artifacts.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("gerenukbench", flag.ContinueOnError)
 	def := bench.Config{Scale: 2, Partitions: 4, Iters: 3}
 	def.Workers = 4
-	shared := bench.BindFlags(flag.CommandLine, "gerenukbench", "workers", def, bench.TuningFlags|bench.ObsFlags)
-	only := flag.String("only", "", "comma-separated experiment and pass ids (default: every experiment, no pass)")
-	faultSeed := flag.Int64("faults", 0, "run chaos mode with this fault-injection seed (0 = off)")
-	flag.Parse()
-
+	shared := bench.BindFlags(fs, "gerenukbench", "workers", def, bench.TuningFlags|bench.ObsFlags)
 	var cfg bench.Config
 	exps := experiments(&cfg)
-	run, err := parseOnly(*only, exps)
-	if err != nil {
-		bench.Exit("gerenukbench", err, 2)
+	selected, _ := parseOnly("", exps)
+	fs.Func("only", "comma-separated experiment and pass ids (default: every experiment, no pass)", func(v string) (err error) {
+		selected, err = parseOnly(v, exps)
+		return err
+	})
+	faultSeed := fs.Int64("faults", 0, "run chaos mode with this fault-injection seed (0 = off)")
+	if err := bench.ParseArgs(fs, args); err != nil {
+		return err
 	}
 
-	sess, err := shared.Open(os.Stdout)
+	sess, err := shared.Open(stdout)
 	if err != nil {
-		bench.Exit("gerenukbench", err, 1)
+		return err
 	}
 	cfg = sess.Config
-	sess.Server.AddStatus("bench", func() any {
-		return map[string]any{"scale": cfg.Scale, "workers": cfg.Workers}
-	})
-	if err := sess.Listen(); err != nil {
-		bench.Exit("gerenukbench", err, 1)
-	}
+	extra := map[string]any{"scale": cfg.Scale, "workers": cfg.Workers}
 	defer func() {
-		if err := sess.Close(map[string]any{"scale": cfg.Scale, "workers": cfg.Workers}); err != nil {
-			fmt.Fprintf(os.Stderr, "gerenukbench: %v\n", err)
+		if cerr := sess.Close(extra); err == nil {
+			err = cerr
 		}
 	}()
+	sess.Server.AddStatus("bench", func() any { return extra })
+	if err := sess.Listen(); err != nil {
+		return err
+	}
 
 	if *faultSeed != 0 {
-		show(bench.Chaos(cfg, *faultSeed))
-		return
+		selected = []experiment{{run: func() (*bench.Result, error) { return bench.Chaos(cfg, *faultSeed) }}}
 	}
-	for _, e := range run {
-		show(e.run())
+	for _, e := range selected {
+		r, err := e.run()
+		if r != nil {
+			fmt.Fprintln(stdout, r.Render())
+		}
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // parseOnly returns, in run order, the experiments the -only list names,

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/trace"
 )
 
 func ids(exps []experiment) []string {
@@ -75,5 +79,49 @@ func TestParseOnlyEmptySelectsEveryExperimentNoPass(t *testing.T) {
 		if got := strings.Join(ids(run), ","); got != strings.Join(want, ",") {
 			t.Errorf("-only %q selected %s, want %s", only, got, strings.Join(want, ","))
 		}
+	}
+}
+
+// TestFailedExperimentCloses: an experiment that fails still closes the
+// session — the streamed trace ends as valid JSON and the metrics
+// snapshot is written — and the failure is run's error.
+func TestFailedExperimentCloses(t *testing.T) {
+	dir := t.TempDir()
+	tf, mf := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json")
+	var out strings.Builder
+	err := run([]string{"-only", "recovery-check", "-stage-deadline", "1ns", "-scale", "1",
+		"-trace", tf, "-metrics-json", mf}, &out)
+	if err == nil {
+		t.Fatal("recovery-check passed under a 1ns stage deadline")
+	}
+	decode(t, tf, new(trace.ChromeTraceFile))
+	var mfile trace.MetricsFile
+	decode(t, mf, &mfile)
+	if mfile.Schema != trace.MetricsSchemaVersion {
+		t.Errorf("%s: schema %d, want %d", mf, mfile.Schema, trace.MetricsSchemaVersion)
+	}
+}
+
+// TestUnknownOnlyIsFlagError: an unknown -only id is rejected while the
+// flags parse — before anything runs — so it exits 2 like any bad flag.
+func TestUnknownOnlyIsFlagError(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-only", "fig99"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `unknown -only id "fig99"`) {
+		t.Fatalf("err = %v, want the unknown -only id", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("wrote %q before failing", out.String())
+	}
+}
+
+func decode(t *testing.T, path string, v any) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }

@@ -57,13 +57,11 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -169,10 +167,7 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Charge real GC pauses at every stage boundary to this
 		// submission's tenant, so /metrics answers "whose jobs are eating
 		// the pause budget".
-		gc, tn := d.gcAttr, tenant
-		cfg.StageHook = func(app string, m engine.Mode, stage string, stats *metrics.Breakdown, wall time.Duration) {
-			stats.GCAttributed += gc.StageEndTenant(tn, app, m.String(), stage)
-		}
+		cfg.StageHook = d.gcAttr.StageHook(tenant)
 	}
 	spec, err := bench.ClusterJob(app, cfg, mode)
 	if err != nil {

@@ -176,7 +176,7 @@ func TestIMCCombinerReducesShuffleVolume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.ShuffleBytes
+		return res.Stats.ShuffleBytesFetched
 	}
 	withCombiner := run(IMC)
 	without := run(TFC)

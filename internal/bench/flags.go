@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/shuffle"
@@ -190,9 +189,7 @@ func (f *Flags) Open(stdout io.Writer) (*Session, error) {
 		// charge into the stage's breakdown (it propagates into job
 		// totals).
 		s.GC = obs.NewGCAttributor(s.Trace)
-		cfg.StageHook = func(app string, mode engine.Mode, stage string, stats *metrics.Breakdown, wall time.Duration) {
-			stats.GCAttributed += s.GC.StageEnd(app, mode.String(), stage)
-		}
+		cfg.StageHook = s.GC.StageHook("")
 	}
 	return s, nil
 }

@@ -49,7 +49,7 @@ func ShuffleCheck(cfg Config) (*Result, error) {
 			var spills, fetched, decodes int64
 			outcome := "ok"
 			for _, v := range shuffleVariants[1:] {
-				out, reg, err := runShuffleVariant(app, cfg, mode, v)
+				out, counters, err := runShuffleVariant(app, cfg, mode, v)
 				if err != nil {
 					return nil, fmt.Errorf("shuffle-check %s/%v/%s: %w", app, mode, v.name, err)
 				}
@@ -57,14 +57,14 @@ func ShuffleCheck(cfg Config) (*Result, error) {
 					allEqual = false
 					outcome = fmt.Sprintf("DIVERGED (%s)", v.name)
 				}
-				sp := reg.Counter("shuffle_spills_total").Value()
+				sp := counters["shuffle_spills_total"]
 				if sp == 0 {
 					allEqual = false
 					outcome = fmt.Sprintf("NO SPILLS (%s)", v.name)
 				}
 				spills += sp
-				fetched = reg.Counter("shuffle_records_fetched_total").Value()
-				decodes = reg.Counter("shuffle_read_decodes_total").Value()
+				fetched = counters["shuffle_records_fetched_total"]
+				decodes = counters["shuffle_read_decodes_total"]
 			}
 			// The serde ledger: baseline pays one decode per fetched
 			// record on shuffle read, gerenuk pays zero.
@@ -102,12 +102,12 @@ func ShuffleCheck(cfg Config) (*Result, error) {
 
 // runShuffleVariant executes one app under one exchange configuration
 // with a private tracer, returning the canonical output bytes and the
-// run's metrics registry.
-func runShuffleVariant(app string, cfg Config, mode engine.Mode, v shuffleVariant) ([]byte, *trace.Registry, error) {
+// run's registry counters.
+func runShuffleVariant(app string, cfg Config, mode engine.Mode, v shuffleVariant) ([]byte, map[string]int64, error) {
 	tr := trace.New()
 	cfg.Trace = tr
 	cfg.Shuffle.MemoryBudget = v.budget
 	cfg.Shuffle.Compression = v.compress
 	res, err := RunApp(app, cfg, mode)
-	return res.Out, tr.Registry(), err
+	return res.Out, tr.Registry().Snapshot().Counters, err
 }

@@ -147,7 +147,6 @@ type AppRun struct {
 	HeapName string
 	Mode     engine.Mode
 	Stats    metrics.Breakdown
-	Wall     time.Duration
 }
 
 // Suite holds paired measurements: every app (at every heap size) in both
@@ -189,7 +188,6 @@ func (s *Suite) pairs() [][2]AppRun {
 type AppResult struct {
 	Out   []byte
 	Stats metrics.Breakdown
-	Wall  time.Duration
 }
 
 // sparkApp is one Table 1 program as the paper presents and bench runs
@@ -327,7 +325,7 @@ func runSparkApp(app string, cfg Config, mode engine.Mode) (AppResult, error) {
 	if err != nil {
 		return AppResult{}, err
 	}
-	return AppResult{Out: out, Stats: ctx.Stats, Wall: ctx.Wall}, nil
+	return AppResult{Out: out, Stats: ctx.Stats}, nil
 }
 
 // Reps is how many times each configuration runs; the median total is
@@ -364,7 +362,7 @@ func runSuite(cfg Config, heaps, apps []string) (*Suite, error) {
 					if err != nil {
 						return AppRun{}, fmt.Errorf("%s/%v: %w", path.Join(app, heapName), mode, err)
 					}
-					return AppRun{App: app, HeapName: heapName, Mode: mode, Stats: res.Stats, Wall: res.Wall}, nil
+					return AppRun{App: app, HeapName: heapName, Mode: mode, Stats: res.Stats}, nil
 				}
 			}
 			runs, err := medianRuns(variant(engine.Baseline), variant(engine.Gerenuk))
@@ -470,7 +468,7 @@ func RunApp(app string, cfg Config, mode engine.Mode) (AppResult, error) {
 		if err != nil {
 			return AppResult{Stats: res.Stats}, err
 		}
-		return AppResult{Out: res.Out, Stats: res.Stats, Wall: res.Wall}, nil
+		return AppResult{Out: res.Out, Stats: res.Stats}, nil
 	}
 	return AppResult{}, fmt.Errorf("bench: unknown app %q", app)
 }

@@ -299,7 +299,6 @@ func (e *Executor) RunTask(spec TaskSpec) (TaskResult, error) {
 		// Open breaker: skip the doomed native attempt.
 		t.bd.NativeSkips++
 		t.span.Instant("breaker", "native-skip", trace.Str("driver", spec.Driver))
-		e.Trace.Registry().Counter("native_skips_total").Add(1)
 	}
 	return t.heapOnly()
 }
@@ -318,6 +317,8 @@ type taskRun struct {
 	sum   uint64 // input checksum before any attempt ran (VerifyInputs)
 }
 
+// finish closes the task's record and publishes the registry series that
+// mirror its fields: their one bump site, so the two always agree.
 func (t *taskRun) finish(outcome string) {
 	t.bd.Total = time.Since(t.start)
 	t.span.End(trace.Str("outcome", outcome),
@@ -326,7 +327,12 @@ func (t *taskRun) finish(outcome string) {
 	if t.e.Tenant != "" {
 		latency = trace.Name(latency, "tenant", t.e.Tenant)
 	}
-	t.e.Trace.Registry().Histogram(latency, trace.LatencyBuckets()...).Observe(float64(t.bd.Total))
+	reg := t.e.Trace.Registry()
+	reg.Histogram(latency, trace.LatencyBuckets()...).Observe(float64(t.bd.Total))
+	reg.Counter("aborts_total").Add(t.bd.Aborts)
+	reg.Counter("native_skips_total").Add(t.bd.NativeSkips)
+	reg.Counter("hedges_total").Add(t.bd.Hedges)
+	reg.Counter("hedge_wins_total").Add(t.bd.HedgeWins)
 }
 
 func (t *taskRun) ok(out []byte) (TaskResult, error) {
@@ -408,10 +414,8 @@ func (t *taskRun) settleNative(att *trace.Span, o attemptOutcome, stopped bool) 
 	t.bd.Aborts++
 	t.span.Instant("abort", "speculation-abort",
 		trace.Str("class", class.String()), trace.Str("reason", o.err.Error()))
-	reg := t.e.Trace.Registry()
-	reg.Counter("aborts_total").Add(1)
 	if o.compiled {
-		reg.Counter("deopt_total").Add(1)
+		t.e.Trace.Registry().Counter("deopt_total").Add(1)
 	}
 	return aborted
 }

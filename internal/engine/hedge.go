@@ -122,7 +122,6 @@ func (t *taskRun) race(natt *trace.Span, delay time.Duration,
 
 	t.span.Instant("hedge", "hedge-launch",
 		trace.Str("driver", t.spec.Driver), trace.I64("delay_ns", int64(delay)))
-	t.e.Trace.Registry().Counter("hedges_total").Add(1)
 	t.bd.Hedges++
 	hatt := t.span.Child("attempt", "heap-hedge")
 	h := launch(false, hatt)
@@ -160,7 +159,6 @@ func (t *taskRun) settleHedge(att *trace.Span, o attemptOutcome, stopped bool) a
 	s := t.settleHeap(att, o, stopped)
 	if s == succeeded {
 		t.span.Instant("hedge", "hedge-win", trace.Str("driver", t.spec.Driver))
-		t.e.Trace.Registry().Counter("hedge_wins_total").Add(1)
 		t.bd.HedgeWins++
 	}
 	return s

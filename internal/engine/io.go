@@ -528,6 +528,8 @@ func (p *Pool) runWithRetry(worker *Executor, exec func() *Executor, spec TaskSp
 		maxAttempts = 3
 	}
 	var agg metrics.Breakdown
+	// The task's retries are published once, from its aggregated record.
+	defer func() { worker.Trace.Registry().Counter("retries_total").Add(agg.Retries) }()
 	oomRetries := 0
 	var lastErr error
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
@@ -541,7 +543,6 @@ func (p *Pool) runWithRetry(worker *Executor, exec func() *Executor, spec TaskSp
 				trace.Str("task", spec.Name), trace.I64("attempt", int64(attempt)),
 				trace.Str("cause", Classify(lastErr).String()),
 				trace.I64("heap_escalations", int64(oomRetries)))
-			e.Trace.Registry().Counter("retries_total").Add(1)
 		}
 		res, err := e.RunTask(spec)
 		if attempt > 1 {

@@ -12,7 +12,6 @@ package hadoop
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/heap"
@@ -82,16 +81,11 @@ func (c JobConf) Drivers() []string {
 	return out
 }
 
-// Result is the outcome of a job.
+// Result is a job's output and cost record; its shuffle volume, after
+// any map-side combining, is Stats.ShuffleBytesFetched.
 type Result struct {
-	Out         []byte
-	Stats       metrics.Breakdown
-	Wall        time.Duration
-	MapTasks    int
-	ReduceTasks int
-	// ShuffleBytes is the volume transferred from mappers to reducers
-	// (after map-side combining, if any).
-	ShuffleBytes int64
+	Out   []byte
+	Stats metrics.Breakdown
 }
 
 // Run executes the job over the given input splits. Even a failed job
@@ -102,32 +96,16 @@ func Run(c *engine.Compiled, conf JobConf, splits [][]byte) (*Result, error) {
 }
 
 func run(rt *job.Runtime, conf JobConf, splits [][]byte) (res *Result, err error) {
-	c := rt.C
 	res = &Result{}
-	start := time.Now()
 	span := conf.Trace.StartSpan("job", conf.Name, trace.Str("mode", conf.Mode.String()))
 	defer func() {
-		res.Stats, res.Wall = rt.Stats, time.Since(start)
+		res.Stats = rt.Stats
 		outcome := "ok"
 		if err != nil {
 			outcome = "error"
 		}
 		span.End(trace.Str("outcome", outcome))
 	}()
-	// sortAll is the sort of serialized key-value pairs — framework work
-	// both modes pay identically (Gerenuk does not change Hadoop's
-	// byte-level sort), measured into the total like any computation.
-	// The buffers sort on up to WorkerCount goroutines.
-	sortAll := func(stage string, bufs [][]byte) {
-		t0 := time.Now()
-		sp := span.Child("stage", stage)
-		engine.ForEach(rt.WorkerCount(), len(bufs), func(i int) error {
-			bufs[i] = engine.SortByKey(c.Layouts, conf.MapOutClass, conf.KeyField, bufs[i])
-			return nil
-		})
-		sp.End()
-		rt.Stats.Total += time.Since(t0)
-	}
 
 	// ---- map phase ----
 	mapSpecs := make([]engine.TaskSpec, len(splits))
@@ -145,10 +123,9 @@ func run(rt *job.Runtime, conf JobConf, splits [][]byte) (res *Result, err error
 	if err != nil {
 		return res, fmt.Errorf("hadoop: map phase: %w", err)
 	}
-	res.MapTasks = len(mapSpecs)
 
 	// ---- map-side sort (+ optional combine) ----
-	sortAll("map-sort", mapOuts)
+	rt.SortBlocks("map-sort", span, conf.MapOutClass, conf.KeyField, mapOuts)
 	if conf.CombineDriver != "" {
 		mapOuts, err = foldGroups(rt, conf, conf.CombineDriver, mapOuts, conf.MapHeap, "combine", span, false)
 		if err != nil {
@@ -157,23 +134,17 @@ func run(rt *job.Runtime, conf JobConf, splits [][]byte) (res *Result, err error
 	}
 
 	// ---- shuffle: route map outputs through the exchange ----
-	shufStart := time.Now()
-	shufSpan := span.Child("stage", "shuffle")
-	blocks, shuf, err := rt.ShuffleBy(conf.Name+"-shuffle", conf.MapOutClass, conf.KeyField, conf.Reducers, mapOuts)
+	blocks, err := rt.ShuffleBy(conf.Name+"-shuffle", conf.MapOutClass, conf.KeyField, conf.Reducers, mapOuts)
 	if err != nil {
 		return res, fmt.Errorf("hadoop: shuffle: %w", err)
 	}
-	rt.Stats.Total += time.Since(shufStart)
-	res.ShuffleBytes = shuf.BytesFetched
-	shufSpan.End(trace.I64("shuffle_bytes", res.ShuffleBytes), trace.I64("spills", shuf.Spills))
 
 	// ---- reduce phase: merge-sort each reducer's blocks and fold ----
-	sortAll("merge-sort", blocks)
+	rt.SortBlocks("merge-sort", span, conf.MapOutClass, conf.KeyField, blocks)
 	outs, err := foldGroups(rt, conf, conf.ReduceDriver, blocks, conf.ReduceHeap, "reduce", span, true)
 	if err != nil {
 		return res, err
 	}
-	res.ReduceTasks = len(blocks)
 	for _, o := range outs {
 		res.Out = append(res.Out, o...)
 	}

@@ -315,7 +315,7 @@ func TestExchangeFailureLeaksNothing(t *testing.T) {
 			rt.Shuffle.SpillDir = dir
 			rt.JobID, rt.Lineage = "leaky-job", recovery.NewLineage()
 			tc.setup(rt, parts)
-			if _, _, err := rt.ShuffleBy("leaky", sparkapps.ClsWordCount, "word", 2, parts); err == nil {
+			if _, err := rt.ShuffleBy("leaky", sparkapps.ClsWordCount, "word", 2, parts); err == nil {
 				t.Fatal("exchange succeeded")
 			}
 			assertNoLeak(t, rt, dir)
@@ -341,12 +341,12 @@ func TestShuffleByDeterministicAcrossWorkers(t *testing.T) {
 			}
 			dir := t.TempDir()
 			rt.Shuffle = shuffle.Config{MemoryBudget: 512, SpillDir: dir, Compression: shuffle.LZ4, Replicas: 2}
-			blocks, st, err := rt.ShuffleBy("det", sparkapps.ClsWordCount, "word", 3, parts)
+			blocks, err := rt.ShuffleBy("det", sparkapps.ClsWordCount, "word", 3, parts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Spills < int64(len(parts)) {
-				t.Fatalf("%v/workers=%d: %d spills, want >= one per map task", mode, workers, st.Spills)
+			if rt.Stats.Spills < int64(len(parts)) {
+				t.Fatalf("%v/workers=%d: %d spills, want >= one per map task", mode, workers, rt.Stats.Spills)
 			}
 			assertNoLeak(t, rt, dir)
 			if ref == nil {

@@ -19,6 +19,7 @@ package job
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -130,14 +131,16 @@ const (
 )
 
 // Runtime binds an Env to a compiled program and accumulates what the
-// job's stages and exchanges cost. One driver goroutine uses it; the
-// pools and exchange writers it starts fan out underneath.
+// job costs. One driver goroutine uses it; the pools, exchange writers
+// and sorts it starts fan out underneath.
 type Runtime struct {
 	Env
 	C *engine.Compiled
 
-	// Stats sums every stage's and exchange's breakdown; Wall sums the
-	// time stage pools ran; Stages and Tasks count what ran.
+	// Stats is the job's one cost record, charged only by RunStage,
+	// ShuffleBy and SortBlocks under the rule metrics.Breakdown states;
+	// the front-ends never write it. Wall sums the time stage pools ran;
+	// Stages and Tasks count what ran.
 	Stats  metrics.Breakdown
 	Wall   time.Duration
 	Stages int
@@ -291,14 +294,14 @@ func (rt *Runtime) RunStage(name string, parent *trace.Span, hc heap.Config, spe
 // until ShuffleBy returns. In Baseline mode the exchange pays real serde
 // per record crossing it; in Gerenuk mode native bytes cross untouched
 // and the fetched blocks can be adopted zero-copy. The fetch is
-// cancel-polled and watchdog-guarded; the exchange's stats fold into the
-// job totals and are returned for callers that report shuffle volume.
+// cancel-polled and watchdog-guarded. A finished exchange folds its
+// stats into Stats, where callers read shuffle volume.
 //
 // Any error abandons the exchange: spill runs are deleted and published
 // blocks released, so a failed job leaves nothing in SpillDir or the
 // store. Lineage producers live from the last write to the end of the
 // fetch, so a shared registry holds nothing for a finished exchange.
-func (rt *Runtime) ShuffleBy(name, class, keyField string, partitions int, parts [][]byte) ([][]byte, shuffle.Stats, error) {
+func (rt *Runtime) ShuffleBy(name, class, keyField string, partitions int, parts [][]byte) ([][]byte, error) {
 	cfg := rt.Shuffle
 	cfg.Partitions = partitions
 	cfg.Trace = rt.Trace
@@ -319,11 +322,11 @@ func (rt *Runtime) ShuffleBy(name, class, keyField string, partitions int, parts
 	// when every partition turns out empty.
 	ex, err := shuffle.NewExchange(rt.store, cfg, name, rt.C.Layouts, class, keyField, codec)
 	if err != nil {
-		return nil, shuffle.Stats{}, err
+		return nil, err
 	}
-	fail := func(err error) ([][]byte, shuffle.Stats, error) {
+	fail := func(err error) ([][]byte, error) {
 		ex.Discard()
-		return nil, shuffle.Stats{}, fmt.Errorf("%s: %w", name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	if err := engine.ForEach(rt.WorkerCount(), len(parts), func(i int) error {
 		return writeSealed(ex.Writer(i), parts[i])
@@ -347,8 +350,26 @@ func (rt *Runtime) ShuffleBy(name, class, keyField string, partitions int, parts
 	}
 	st := ex.Stats()
 	st.AddTo(&rt.Stats)
+	// Exactly what AddTo attributed: the exchange nets to zero in Compute.
+	rt.Stats.Total += st.WriteTime + st.ReadTime + st.SerTime + st.DeserTime
 	blocks, _ := res.([][]byte)
-	return blocks, st, nil
+	return blocks, nil
+}
+
+// SortBlocks replaces each buffer with engine.SortByKey's sort of it, a
+// byte-level sort both modes pay alike, on up to WorkerCount goroutines
+// under the stage span parent/stage, and charges the summed sort time.
+func (rt *Runtime) SortBlocks(stage string, parent *trace.Span, class, field string, bufs [][]byte) {
+	span := parent.Child("stage", stage)
+	var took atomic.Int64
+	engine.ForEach(rt.WorkerCount(), len(bufs), func(i int) error {
+		t0 := time.Now()
+		bufs[i] = engine.SortByKey(rt.C.Layouts, class, field, bufs[i])
+		took.Add(int64(time.Since(t0)))
+		return nil
+	})
+	rt.Stats.Total += time.Duration(took.Load())
+	span.End()
 }
 
 // writeSealed feeds part through w in one Add and seals it. A failed Add

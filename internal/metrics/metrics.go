@@ -12,8 +12,13 @@ import (
 	"time"
 )
 
-// Breakdown is the per-run cost breakdown. Compute is derived: total
-// minus the attributed GC/serialization/deserialization time.
+// Breakdown is a run's cost breakdown: a job's one record of what it
+// cost, from which the registry series mirroring a field are published.
+// internal/job charges it by one rule: Total is busy time summed across
+// concurrent workers, never a wall. A stage adds its tasks' times; an
+// exchange its write, read and serde time, which it also attributes to
+// ShuffleWrite/ShuffleRead/Ser/Deser; a key sort its per-buffer times.
+// Driver-side key grouping is not charged.
 type Breakdown struct {
 	Total time.Duration
 	GC    time.Duration
@@ -67,8 +72,10 @@ type Breakdown struct {
 	ShuffleFetchRetries int64 // block fetch attempts beyond each block's first
 }
 
-// Compute returns the portion of the total not attributed to GC, serde,
-// or the shuffle exchange's fetch/spill work.
+// Compute returns the portion of the total not attributed to GC, serde
+// or the shuffle exchange, clamped at zero: task computation plus key
+// sorts. An exchange charges Total exactly its attributed columns, so it
+// adds nothing here; driver-side grouping is charged nowhere.
 func (b Breakdown) Compute() time.Duration {
 	c := b.Total - b.GC - b.Ser - b.Deser - b.ShuffleWrite - b.ShuffleRead
 	if c < 0 {

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -27,8 +29,8 @@ import (
 // the attributor forces one runtime.GC() and re-reads, so every traced
 // job carries at least one attributed pause.
 //
-// A nil *GCAttributor is the disabled attributor; StageEnd is a no-op
-// returning 0.
+// A nil *GCAttributor is the disabled attributor; StageEndTenant is a
+// no-op returning 0.
 type GCAttributor struct {
 	mu     sync.Mutex
 	tr     *trace.Tracer
@@ -47,18 +49,10 @@ func NewGCAttributor(tr *trace.Tracer) *GCAttributor {
 	return a
 }
 
-// StageEnd attributes every GC pause since the previous read to the
-// given (job, mode) pair, returning the total attributed pause time.
-// Call it at each stage boundary, after the stage's work completes.
-func (a *GCAttributor) StageEnd(job, mode, stage string) time.Duration {
-	return a.StageEndTenant("", job, mode, stage)
-}
-
-// StageEndTenant is StageEnd with a tenant dimension: the pause
-// histogram series gains a tenant label (gc_pause_ns{tenant,job,mode}),
-// so a multi-tenant service can answer "whose jobs are eating GC pause
-// budget". tenant "" degenerates to the unlabeled-by-tenant StageEnd
-// behavior.
+// StageEndTenant charges every GC pause since the previous read to
+// (tenant, job, mode) and returns their total; call it at each stage
+// boundary. A tenant labels the series (gc_pause_ns{tenant,job,mode}):
+// whose jobs eat the pause budget. "" keeps gc_pause_ns{job,mode}.
 func (a *GCAttributor) StageEndTenant(tenant, job, mode, stage string) time.Duration {
 	if a == nil {
 		return 0
@@ -76,6 +70,15 @@ func (a *GCAttributor) StageEndTenant(tenant, job, mode, stage string) time.Dura
 		}
 	}
 	return total
+}
+
+// StageHook returns the stage hook (bench.Config.StageHook) that charges
+// each stage's pauses to tenant's (app, mode) and folds the charge into
+// the stage's breakdown, whence it reaches the job totals.
+func (a *GCAttributor) StageHook(tenant string) func(app string, mode engine.Mode, stage string, stats *metrics.Breakdown, wall time.Duration) {
+	return func(app string, mode engine.Mode, stage string, stats *metrics.Breakdown, _ time.Duration) {
+		stats.GCAttributed += a.StageEndTenant(tenant, app, mode.String(), stage)
+	}
 }
 
 // attribute performs one read-diff-observe cycle under the lock.

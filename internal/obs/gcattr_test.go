@@ -22,9 +22,9 @@ func TestGCAttributorChargesPauses(t *testing.T) {
 	}
 	_ = sink
 
-	total := a.StageEnd("PR", "gerenuk", "s0")
+	total := a.StageEndTenant("", "PR", "gerenuk", "s0")
 	if total <= 0 {
-		t.Fatalf("StageEnd attributed %v, want > 0 (forced GC fallback should guarantee a pause)", total)
+		t.Fatalf("StageEndTenant attributed %v, want > 0 (forced GC fallback should guarantee a pause)", total)
 	}
 
 	snap := tr.Registry().Snapshot()
@@ -65,9 +65,9 @@ func TestGCAttributorChargesPauses(t *testing.T) {
 func TestGCAttributorForcesOncePerJob(t *testing.T) {
 	tr := trace.New()
 	a := NewGCAttributor(tr)
-	a.StageEnd("J", "gerenuk", "s0") // may force
+	a.StageEndTenant("", "J", "gerenuk", "s0") // may force
 	before := ReadRuntime().GCCycles
-	a.StageEnd("J", "gerenuk", "s1") // must not force
+	a.StageEndTenant("", "J", "gerenuk", "s1") // must not force
 	after := ReadRuntime().GCCycles
 	// a natural cycle could still land in between; only assert the
 	// attributor didn't add one when nothing else allocates
@@ -79,8 +79,8 @@ func TestGCAttributorForcesOncePerJob(t *testing.T) {
 // TestGCAttributorNilSafety: nil attributor and nil tracer paths.
 func TestGCAttributorNilSafety(t *testing.T) {
 	var a *GCAttributor
-	if d := a.StageEnd("x", "y", "z"); d != 0 {
-		t.Fatalf("nil StageEnd = %v, want 0", d)
+	if d := a.StageEndTenant("", "x", "y", "z"); d != 0 {
+		t.Fatalf("nil StageEndTenant = %v, want 0", d)
 	}
 }
 

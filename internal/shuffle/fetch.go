@@ -116,7 +116,6 @@ func (ex *Exchange) fetchReducer(reducer int, maps []int) ([]byte, error) {
 	// ReadTime is the fetch/assembly wall excluding the serde cost, which
 	// Stats.AddTo reports under Deser instead.
 	st.ReadTime = time.Since(t0) - st.DeserTime
-	ex.reg().Counter("shuffle_records_fetched_total").Add(st.Records)
 	ex.addStats(st)
 	sp.End(trace.I64("bytes", int64(len(buf))), trace.I64("blocks", int64(len(maps))),
 		trace.I64("decoded_records", records))
@@ -194,7 +193,6 @@ func (ex *Exchange) fetchReplica(parent *trace.Span, id blockID, b *Block,
 	for attempt := 1; attempt <= maxFetchRetries; attempt++ {
 		if *attempts++; *attempts > 1 {
 			st.FetchRetries++
-			ex.reg().Counter("shuffle_fetch_retries_total").Add(1)
 		}
 		t0 := time.Now()
 		if plan != nil && plan.TakeFetchAttempt() {
@@ -229,6 +227,5 @@ func (ex *Exchange) fetchReplica(parent *trace.Span, id blockID, b *Block,
 	st.BytesFetched += int64(len(raw))
 	st.Records += int64(b.Records)
 	ex.reg().Counter("shuffle_blocks_fetched_total").Add(1)
-	ex.reg().Counter("shuffle_bytes_fetched_total").Add(int64(len(raw)))
 	return raw, st, nil
 }

@@ -335,10 +335,20 @@ func (ex *Exchange) Stats() Stats {
 	return ex.stats
 }
 
+// addStats folds a writer's or reducer's accounting into the exchange and
+// publishes the series that mirror its fields, their one bump site. A
+// lineage-rebuild writer folds nothing, so no series counts a rewrite.
 func (ex *Exchange) addStats(o Stats) {
 	ex.mu.Lock()
 	ex.stats.add(o)
 	ex.mu.Unlock()
+	reg := ex.reg()
+	reg.Counter("shuffle_spills_total").Add(o.Spills)
+	reg.Counter("shuffle_bytes_spilled_total").Add(o.BytesSpilled)
+	reg.Counter("shuffle_bytes_written_total").Add(o.BytesWritten)
+	reg.Counter("shuffle_bytes_fetched_total").Add(o.BytesFetched)
+	reg.Counter("shuffle_fetch_retries_total").Add(o.FetchRetries)
+	reg.Counter("shuffle_records_fetched_total").Add(o.Records)
 }
 
 func (ex *Exchange) addMap(mapTask int) {

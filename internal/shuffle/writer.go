@@ -206,8 +206,6 @@ func (w *Writer) spill() error {
 	w.runs = append(w.runs, f.Name())
 	w.st.Spills++
 	w.st.BytesSpilled += int64(n)
-	w.ex.reg().Counter("shuffle_spills_total").Add(1)
-	w.ex.reg().Counter("shuffle_bytes_spilled_total").Add(int64(n))
 	for r := range w.buf {
 		w.buf[r] = w.buf[r][:0] // the run holds the entries; reuse the slices
 	}
@@ -423,7 +421,6 @@ func (w *Writer) Close() error {
 	}
 	w.buf = nil
 	w.st.BytesWritten += written
-	ex.reg().Counter("shuffle_bytes_written_total").Add(written)
 	w.st.WriteTime += time.Since(t0)
 	if !w.rebuild {
 		ex.addMap(w.mapTask)

@@ -14,7 +14,6 @@ package spark
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/heap"
@@ -126,15 +125,12 @@ func (r *RDD) MapPartitions(driver, outClass string) (*RDD, error) {
 // shuffle routes every wide operation through the job's exchange: one
 // map-side writer per input partition and a fetch pass assembling the
 // Partitions reduce-side blocks, which come back Owned — adopted
-// zero-copy by the reduce tasks. The driver-side time counts toward the
-// job total.
+// zero-copy by the reduce tasks.
 func (r *RDD) shuffle(keyField string) ([][]byte, error) {
 	ctx := r.ctx
-	start := time.Now()
-	defer func() { ctx.Stats.Total += time.Since(start) }()
 	ctx.shuffleSeq++
 	name := fmt.Sprintf("shuffle-%d-%s.%s", ctx.shuffleSeq, r.Class, keyField)
-	blocks, _, err := ctx.ShuffleBy(name, r.Class, keyField, ctx.Partitions, r.Parts)
+	blocks, err := ctx.ShuffleBy(name, r.Class, keyField, ctx.Partitions, r.Parts)
 	if err != nil {
 		return nil, fmt.Errorf("spark: %w", err)
 	}

@@ -181,7 +181,7 @@ type Result struct {
 	Rebuilt int64
 	Wall    time.Duration
 	Stats   metrics.Breakdown
-	// ShuffleBytes is the total volume fetched across window exchanges.
+	// ShuffleBytes is Stats.ShuffleBytesFetched: the window exchanges' volume.
 	ShuffleBytes int64
 	// BatchP50/BatchP99 are batch processing latency quantiles;
 	// RecordsPerSec is sustained ingest throughput over the run's wall
@@ -248,6 +248,7 @@ func (r *runner) run() error {
 	err := r.loop()
 	r.res.Wall = time.Since(start)
 	r.res.Stats = r.rt.Stats
+	r.res.ShuffleBytes = r.rt.Stats.ShuffleBytesFetched
 	r.finishStats()
 	outcome := "ok"
 	switch {
@@ -540,20 +541,15 @@ func (r *runner) closeWindow(w int) error {
 // with them the block bytes, of any batching.
 func (r *runner) foldWindow(span *trace.Span, st *windowState) ([]byte, error) {
 	app := r.cfg.App
-	blocks, shuf, err := r.rt.ShuffleBy(r.exName(st.idx), app.MapOutClass, app.KeyField, r.cfg.Reducers, st.acc)
+	blocks, err := r.rt.ShuffleBy(r.exName(st.idx), app.MapOutClass, app.KeyField, r.cfg.Reducers, st.acc)
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: %w", err)
 	}
-	r.res.ShuffleBytes += shuf.BytesFetched
 	// Canonical reduce order: merge-sort each fetched block by key
 	// (map-side blocks are each key-sorted; this is the reduce-side
 	// merge), then fold groups. The sort is stable, so same-key records
 	// stay in shuffle (key, seq) order and fold order is deterministic.
-	// Blocks sort on up to WorkerCount goroutines.
-	engine.ForEach(r.rt.WorkerCount(), len(blocks), func(i int) error {
-		blocks[i] = engine.SortByKey(r.rt.C.Layouts, app.MapOutClass, app.KeyField, blocks[i])
-		return nil
-	})
+	r.rt.SortBlocks(fmt.Sprintf("stream-%s-w%d-sort", app.Name, st.idx), span, app.MapOutClass, app.KeyField, blocks)
 	specs, _, err := engine.FoldSpecs(r.rt.WorkerCount(), r.rt.C.Layouts, app.ReduceDriver, app.MapOutClass, app.KeyField, blocks, true,
 		func(i int) string { return fmt.Sprintf("stream-%s-w%d-red%d", app.Name, st.idx, i) })
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,13 +53,13 @@ func (s *srcFile) calls(n ast.Node, importPath, fn string) bool {
 	return named(c.Fun, fn)
 }
 
-// rule is one structural bound: at most max nodes matching match in the
-// files scope selects.
+// rule is one structural bound: at least min and at most max nodes
+// matching match in the files scope selects.
 type rule struct {
-	name  string
-	max   int
-	scope func(rel string) bool
-	match func(s *srcFile, n ast.Node) bool
+	name     string
+	min, max int
+	scope    func(rel string) bool
+	match    func(s *srcFile, n ast.Node) bool
 }
 
 func under(dirs ...string) func(string) bool {
@@ -88,7 +89,41 @@ var (
 	}
 )
 
-var structureRules = []rule{
+// mirroredSeries are the registry counters that mirror a
+// metrics.Breakdown or shuffle.Stats field. Each is published from the
+// record where its layer folds it (engine: taskRun.finish and
+// Pool.runWithRetry; shuffle: Exchange.addStats), so a second bump site
+// could only make the registry disagree with the breakdown.
+var mirroredSeries = []string{
+	"aborts_total", "native_skips_total", "hedges_total", "hedge_wins_total", "retries_total",
+	"shuffle_spills_total", "shuffle_bytes_spilled_total", "shuffle_bytes_written_total",
+	"shuffle_bytes_fetched_total", "shuffle_fetch_retries_total", "shuffle_records_fetched_total",
+}
+
+// mirrorRules holds each mirrored series to exactly one Counter call
+// naming it in the non-test source.
+func mirrorRules() []rule {
+	var rules []rule
+	for _, series := range mirroredSeries {
+		rules = append(rules, rule{
+			name:  fmt.Sprintf("one record: exactly one Counter(%q) call", series),
+			min:   1,
+			max:   1,
+			scope: outside(),
+			match: func(s *srcFile, n ast.Node) bool {
+				c, ok := n.(*ast.CallExpr)
+				if !ok || !named(c.Fun, "Counter") || len(c.Args) != 1 {
+					return false
+				}
+				lit, ok := c.Args[0].(*ast.BasicLit)
+				return ok && lit.Value == strconv.Quote(series)
+			},
+		})
+	}
+	return rules
+}
+
+var structureRules = append([]rule{
 	{
 		// The stage runner's pool and watchdog are built only by the job
 		// runtime (internal/job: RunStage) and the packages it runs on.
@@ -202,7 +237,29 @@ var structureRules = []rule{
 			return ok && flagDefiners[sel.Sel.Name] && len(c.Args) >= 3
 		},
 	},
-}
+	{
+		// A job's cost is charged by internal/job alone (RunStage,
+		// ShuffleBy, SortBlocks), under one rule: Total is summed busy
+		// time. A front-end timing its own work into Total would charge
+		// a second rule beside it.
+		name:  "one record: no assignment to a Total field in internal/{spark,hadoop,stream}",
+		max:   0,
+		scope: under("internal/spark", "internal/hadoop", "internal/stream"),
+		match: func(s *srcFile, n ast.Node) bool {
+			total := func(e ast.Expr) bool {
+				sel, ok := e.(*ast.SelectorExpr)
+				return ok && sel.Sel.Name == "Total"
+			}
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				return slices.ContainsFunc(n.Lhs, total)
+			case *ast.IncDecStmt:
+				return total(n.X)
+			}
+			return false
+		},
+	},
+}, mirrorRules()...)
 
 // named reports whether e is the identifier name, or a selector x.name.
 func named(e ast.Expr, name string) bool {
@@ -284,6 +341,9 @@ func TestStructuralRules(t *testing.T) {
 		t.Logf("%s: %d sites", r.name, len(sites))
 		if len(sites) > r.max {
 			t.Errorf("%s: %d sites, bound %d:\n\t%s", r.name, len(sites), r.max, strings.Join(sites, "\n\t"))
+		}
+		if len(sites) < r.min {
+			t.Errorf("%s: %d sites, want at least %d", r.name, len(sites), r.min)
 		}
 	}
 }
