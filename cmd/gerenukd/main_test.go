@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,7 +79,10 @@ func TestQueryParams(t *testing.T) {
 
 // call sends one request and returns the reply body; a status other
 // than 200 is an error.
-func call(method, url string) ([]byte, error) {
+func call(method, url string) ([]byte, error) { return callStatus(method, url, http.StatusOK) }
+
+// callStatus is call expecting status want.
+func callStatus(method, url string, want int) ([]byte, error) {
 	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
 		return nil, err
@@ -89,7 +93,7 @@ func call(method, url string) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	if err == nil && resp.StatusCode != http.StatusOK {
+	if err == nil && resp.StatusCode != want {
 		err = fmt.Errorf("%s %s: status %d: %s", method, url, resp.StatusCode, body)
 	}
 	return body, err
@@ -98,7 +102,8 @@ func call(method, url string) ([]byte, error) {
 // TestService boots the service on a free port and drives it over HTTP
 // the way three tenants would: concurrent jobs, one tenant weighted, one
 // under the chaos fault plan. Output digests must agree across modes and
-// across the calm and chaos tenants; /statusz, /jobs and /metrics carry
+// across the calm and chaos tenants; /await and /cancel find a finished
+// job by id and 404 an unknown one; /statusz, /jobs and /metrics carry
 // the per-tenant view; /quitz drains it and run returns.
 func TestService(t *testing.T) {
 	dir := t.TempDir()
@@ -164,7 +169,34 @@ func TestService(t *testing.T) {
 		t.Error("PR: the chaos tenant's output digest differs from the calm tenant's")
 	}
 
-	body, err := call(http.MethodGet, base+"/statusz")
+	id := url.QueryEscape(jobs[0].ID) // ids hold '#'
+	var awaited jobJSON
+	body, err := call(http.MethodGet, base+"/await?id="+id)
+	if err == nil {
+		err = json.Unmarshal(body, &awaited)
+	}
+	if err != nil || awaited != jobs[0] {
+		t.Errorf("/await?id=%s = %+v (%v), want the submit reply %+v", jobs[0].ID, awaited, err, jobs[0])
+	}
+	var canceled struct {
+		ID       string
+		Dequeued bool
+		State    string
+	}
+	body, err = call(http.MethodPost, base+"/cancel?id="+id)
+	if err == nil {
+		err = json.Unmarshal(body, &canceled)
+	}
+	if err != nil || canceled.ID != jobs[0].ID || canceled.Dequeued || canceled.State != "succeeded" {
+		t.Errorf("/cancel of a finished job = %+v (%v), want it left succeeded, not dequeued", canceled, err)
+	}
+	for _, path := range []string{"/await?id=nope", "/cancel?id=nope"} {
+		if _, err := callStatus(http.MethodPost, base+path, http.StatusNotFound); err != nil {
+			t.Error(err)
+		}
+	}
+
+	body, err = call(http.MethodGet, base+"/statusz")
 	if err != nil {
 		t.Fatal(err)
 	}

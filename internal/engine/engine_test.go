@@ -271,20 +271,6 @@ func TestGroupByKeyGroupsAllRecords(t *testing.T) {
 	}
 }
 
-// SortByKey's allocations do not grow with the record count: one
-// presized (key, offset) slice and one output buffer.
-func TestSortByKeyAllocsConstant(t *testing.T) {
-	c := Compile(pairProgram(t))
-	allocs := func(n int) float64 {
-		buf := encodeRuns(t, c, 4, n/4, n/8)
-		return testing.AllocsPerRun(20, func() { SortByKey(c.Layouts, "Pair", "key", buf) })
-	}
-	small, large := allocs(64), allocs(4096)
-	if large != small || large > 4 {
-		t.Errorf("SortByKey allocs: %.0f at 64 records, %.0f at 4096; want equal and <= 4", small, large)
-	}
-}
-
 // GroupByKey allocates per distinct key (its index entry), not per
 // record: groups share one flat offset slice.
 func TestGroupByKeyAllocsPerDistinctKey(t *testing.T) {
@@ -300,29 +286,6 @@ func TestGroupByKeyAllocsPerDistinctKey(t *testing.T) {
 		if got > float64(distinct+slack) {
 			t.Errorf("GroupByKey over 4000 records, %d keys: %.0f allocs, want <= %d", distinct, got, distinct+slack)
 		}
-	}
-}
-
-func TestSortByKeyStableByKey(t *testing.T) {
-	c := Compile(pairProgram(t))
-	buf := encodeRuns(t, c, 3, 20, 6)
-	sorted := SortByKey(c.Layouts, "Pair", "key", buf)
-	if len(sorted) != len(buf) {
-		t.Fatalf("sorted %d bytes, want %d", len(sorted), len(buf))
-	}
-	prevKey, prevVal := int64(-1), -1.0
-	for off := 0; off < len(sorted); off += serde.RecordSize(sorted, off) {
-		v, _, err := c.Codec.Decode("Pair", sorted, off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k, val := v.(serde.Obj)["key"].(int64), v.(serde.Obj)["value"].(float64)
-		// Values grow with input position, so a stable sort keeps them
-		// ascending within a key.
-		if k < prevKey || (k == prevKey && val <= prevVal) {
-			t.Fatalf("record (%d, %v) after (%d, %v)", k, val, prevKey, prevVal)
-		}
-		prevKey, prevVal = k, val
 	}
 }
 

@@ -2,11 +2,9 @@ package engine
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -225,10 +223,11 @@ func GroupByKey(layouts *dsa.Result, class, field string, buf []byte) (keys [][]
 }
 
 // group is GroupByKey over a resolved key. A fetched reducer buffer is
-// a concatenation of key-sorted map blocks, so a record whose key
-// repeats its predecessor's joins that group without a map lookup. The
-// groups share one flat offset slice: a first pass assigns every record
-// its group and counts group sizes, a second fills the offsets in.
+// key-ordered, or a concatenation of key-ordered map blocks, so a record
+// whose key repeats its predecessor's joins that group without a map
+// lookup. The groups share one flat offset slice: a first pass assigns
+// every record its group and counts group sizes, a second fills the
+// offsets in.
 func (k *KeyReader) group(buf []byte) (keys [][]byte, groups [][]int) {
 	n := recordCount(buf)
 	if n == 0 {
@@ -304,39 +303,6 @@ func FoldSpecs(workers int, layouts *dsa.Result, driver, class, field string, bl
 		blockOf = append(blockOf, i)
 	}
 	return specs, blockOf, nil
-}
-
-// SortByKey rebuilds buf with its records sorted by canonical key bytes —
-// the sort over serialized key-value pairs both modes pay identically.
-// The sort is stable (record offset breaks key ties), so same-key
-// records keep their order and a fold over the result is deterministic.
-func SortByKey(layouts *dsa.Result, class, field string, buf []byte) []byte {
-	k, err := NewKeyReader(layouts, class, field)
-	if err != nil {
-		// Sorting is engine machinery; schema errors here are bugs.
-		panic(fmt.Sprintf("engine: SortByKey: %v", err))
-	}
-	type keyed struct {
-		key       []byte
-		off, size int
-	}
-	recs := make([]keyed, 0, recordCount(buf))
-	for off := 0; off < len(buf); {
-		size := serde.RecordSize(buf, off)
-		recs = append(recs, keyed{key: k.Key(buf, off), off: off, size: size})
-		off += size
-	}
-	slices.SortFunc(recs, func(a, b keyed) int {
-		if c := bytes.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.off, b.off)
-	})
-	out := make([]byte, 0, len(buf))
-	for _, r := range recs {
-		out = append(out, buf[r.off:r.off+r.size]...)
-	}
-	return out
 }
 
 // Partition splits records of buf into n hash partitions by key field.

@@ -1,7 +1,9 @@
 // Package hadoop implements an in-process MapReduce engine over the
-// Gerenuk execution layer: map tasks over input splits, map-side sort
-// and optional combining (the paper's IMC workload), a hash partition to
-// reducers, and reduce tasks that fold key groups.
+// Gerenuk execution layer: map tasks over input splits, optional
+// combining of each map output's key groups (the paper's IMC workload),
+// a hash partition to reducers, and reduce tasks that fold key groups.
+// Key order is the exchange's: its writers sort each map output (Hadoop's
+// spill-time sort) and each reducer's fetch merges them (Hadoop's merge).
 //
 // As in internal/spark, each task is one speculative execution region:
 // the map driver spans WritableDeserializer.deserialize (the paper's
@@ -124,8 +126,7 @@ func run(rt *job.Runtime, conf JobConf, splits [][]byte) (res *Result, err error
 		return res, fmt.Errorf("hadoop: map phase: %w", err)
 	}
 
-	// ---- map-side sort (+ optional combine) ----
-	rt.SortBlocks("map-sort", span, conf.MapOutClass, conf.KeyField, mapOuts)
+	// ---- optional combine ----
 	if conf.CombineDriver != "" {
 		mapOuts, err = foldGroups(rt, conf, conf.CombineDriver, mapOuts, conf.MapHeap, "combine", span, false)
 		if err != nil {
@@ -133,14 +134,13 @@ func run(rt *job.Runtime, conf JobConf, splits [][]byte) (res *Result, err error
 		}
 	}
 
-	// ---- shuffle: route map outputs through the exchange ----
-	blocks, err := rt.ShuffleBy(conf.Name+"-shuffle", conf.MapOutClass, conf.KeyField, conf.Reducers, mapOuts)
+	// ---- shuffle: sort map outputs, merge each reducer's blocks ----
+	blocks, err := rt.ShuffleBy(conf.Name+"-shuffle", conf.MapOutClass, conf.KeyField, conf.Reducers, true, mapOuts)
 	if err != nil {
 		return res, fmt.Errorf("hadoop: shuffle: %w", err)
 	}
 
-	// ---- reduce phase: merge-sort each reducer's blocks and fold ----
-	rt.SortBlocks("merge-sort", span, conf.MapOutClass, conf.KeyField, blocks)
+	// ---- reduce phase: fold each reducer's key groups ----
 	outs, err := foldGroups(rt, conf, conf.ReduceDriver, blocks, conf.ReduceHeap, "reduce", span, true)
 	if err != nil {
 		return res, err
@@ -153,8 +153,8 @@ func run(rt *job.Runtime, conf JobConf, splits [][]byte) (res *Result, err error
 
 // foldGroups runs a reduce-style driver once per key group of each
 // block; outputs stay aligned with blocks. owned marks the blocks as
-// freshly assembled for their task alone (the reduce side's
-// fetched-and-merge-sorted buffers).
+// freshly assembled for their task alone (the reduce side's fetched,
+// key-merged buffers).
 func foldGroups(rt *job.Runtime, conf JobConf, driver string, blocks [][]byte,
 	hc heap.Config, phase string, span *trace.Span, owned bool) ([][]byte, error) {
 	specs, blockOf, err := engine.FoldSpecs(rt.WorkerCount(), rt.C.Layouts, driver, conf.MapOutClass, conf.KeyField, blocks, owned,

@@ -198,34 +198,6 @@ func TestWordCountYakEpochs(t *testing.T) {
 	_ = res
 }
 
-func TestSortByKeyOrdersRecords(t *testing.T) {
-	prog := wordCountProgram(t)
-	comp := engine.Compile(prog)
-	var buf []byte
-	var err error
-	for _, w := range []string{"zebra", "apple", "mango"} {
-		buf, err = comp.Codec.Encode("WordCount", serde.Obj{"word": w, "n": int64(1)}, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	sorted := engine.SortByKey(comp.Layouts, "WordCount", "word", buf)
-	var order []string
-	for off := 0; off < len(sorted); {
-		v, next, err := comp.Codec.Decode("WordCount", sorted, off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		order = append(order, v.(serde.Obj)["word"].(string))
-		off = next
-	}
-	// Canonical key bytes start with the length, so equal-length words
-	// sort lexicographically.
-	if !reflect.DeepEqual(order, []string{"apple", "mango", "zebra"}) {
-		t.Errorf("order = %v", order)
-	}
-}
-
 // A job whose shuffle fetch exhausts its retries fails without leaving
 // spill runs in SpillDir or blocks in the store. (A corrupt record
 // cannot reach this exchange — its input is map-task output — so the

@@ -315,7 +315,7 @@ func TestExchangeFailureLeaksNothing(t *testing.T) {
 			rt.Shuffle.SpillDir = dir
 			rt.JobID, rt.Lineage = "leaky-job", recovery.NewLineage()
 			tc.setup(rt, parts)
-			if _, err := rt.ShuffleBy("leaky", sparkapps.ClsWordCount, "word", 2, parts); err == nil {
+			if _, err := rt.ShuffleBy("leaky", sparkapps.ClsWordCount, "word", 2, false, parts); err == nil {
 				t.Fatal("exchange succeeded")
 			}
 			assertNoLeak(t, rt, dir)
@@ -328,7 +328,7 @@ func TestExchangeFailureLeaksNothing(t *testing.T) {
 
 // ShuffleBy's blocks do not depend on how many writers and reducers run
 // at once: Workers 1 and 4 produce byte-identical blocks, here through a
-// spilling, compressed, replicated exchange in both modes.
+// spilling, compressed, replicated, key-merging exchange in both modes.
 func TestShuffleByDeterministicAcrossWorkers(t *testing.T) {
 	for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
 		var ref [][]byte
@@ -341,7 +341,7 @@ func TestShuffleByDeterministicAcrossWorkers(t *testing.T) {
 			}
 			dir := t.TempDir()
 			rt.Shuffle = shuffle.Config{MemoryBudget: 512, SpillDir: dir, Compression: shuffle.LZ4, Replicas: 2}
-			blocks, err := rt.ShuffleBy("det", sparkapps.ClsWordCount, "word", 3, parts)
+			blocks, err := rt.ShuffleBy("det", sparkapps.ClsWordCount, "word", 3, true, parts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,7 +19,6 @@ package job
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -106,14 +105,13 @@ type Env struct {
 	// is the stage's own breakdown, wall the time its pool ran.
 	OnStage func(stage string, stats *metrics.Breakdown, wall time.Duration)
 	// Shuffle configures every exchange: memory budget (spill threshold),
-	// block compression and replication. Partitions and Trace are filled
-	// per exchange, Injector and Lineage when unset.
+	// block compression and replication. Partitions, KeyOrder and Trace
+	// are filled per exchange, Injector and Lineage when unset.
 	Shuffle shuffle.Config
 }
 
 // WorkerCount resolves Workers: the size of every stage's pool and the
-// bound on every driver-side fan-out (map writers, reducer grouping,
-// sorts).
+// bound on every driver-side fan-out (map writers, reducer grouping).
 func (e *Env) WorkerCount() int {
 	if e.Workers <= 0 {
 		return 4
@@ -131,16 +129,16 @@ const (
 )
 
 // Runtime binds an Env to a compiled program and accumulates what the
-// job costs. One driver goroutine uses it; the pools, exchange writers
-// and sorts it starts fan out underneath.
+// job costs. One driver goroutine uses it; the pools and exchange
+// writers it starts fan out underneath.
 type Runtime struct {
 	Env
 	C *engine.Compiled
 
-	// Stats is the job's one cost record, charged only by RunStage,
-	// ShuffleBy and SortBlocks under the rule metrics.Breakdown states;
-	// the front-ends never write it. Wall sums the time stage pools ran;
-	// Stages and Tasks count what ran.
+	// Stats is the job's one cost record, charged only by RunStage and
+	// ShuffleBy under the rule metrics.Breakdown states; the front-ends
+	// never write it. Wall sums the time stage pools ran; Stages and
+	// Tasks count what ran.
 	Stats  metrics.Breakdown
 	Wall   time.Duration
 	Stages int
@@ -286,7 +284,9 @@ func (rt *Runtime) RunStage(name string, parent *trace.Span, hc heap.Config, spe
 // ShuffleBy is the job's one exchange: map-side writers hash-partition
 // records by canonical key bytes (budgeted buffering with sorted spills,
 // optional compression) and a fetch pass assembles the reduce-side
-// blocks, one per partition. parts[i] is everything map task i produced
+// blocks, one per partition — merged into key order when keyOrder is
+// set (the consumer folds key groups in key order), else concatenated
+// in map-task order. parts[i] is everything map task i produced
 // — every front-end hands an exchange its map outputs whole, a streaming
 // window at close — and the writers fill and seal them on up to
 // WorkerCount goroutines, so up to that many map outputs' buffers live
@@ -301,9 +301,10 @@ func (rt *Runtime) RunStage(name string, parent *trace.Span, hc heap.Config, spe
 // blocks released, so a failed job leaves nothing in SpillDir or the
 // store. Lineage producers live from the last write to the end of the
 // fetch, so a shared registry holds nothing for a finished exchange.
-func (rt *Runtime) ShuffleBy(name, class, keyField string, partitions int, parts [][]byte) ([][]byte, error) {
+func (rt *Runtime) ShuffleBy(name, class, keyField string, partitions int, keyOrder bool, parts [][]byte) ([][]byte, error) {
 	cfg := rt.Shuffle
 	cfg.Partitions = partitions
+	cfg.KeyOrder = keyOrder
 	cfg.Trace = rt.Trace
 	if cfg.Injector == nil {
 		cfg.Injector = rt.Injector
@@ -354,22 +355,6 @@ func (rt *Runtime) ShuffleBy(name, class, keyField string, partitions int, parts
 	rt.Stats.Total += st.WriteTime + st.ReadTime + st.SerTime + st.DeserTime
 	blocks, _ := res.([][]byte)
 	return blocks, nil
-}
-
-// SortBlocks replaces each buffer with engine.SortByKey's sort of it, a
-// byte-level sort both modes pay alike, on up to WorkerCount goroutines
-// under the stage span parent/stage, and charges the summed sort time.
-func (rt *Runtime) SortBlocks(stage string, parent *trace.Span, class, field string, bufs [][]byte) {
-	span := parent.Child("stage", stage)
-	var took atomic.Int64
-	engine.ForEach(rt.WorkerCount(), len(bufs), func(i int) error {
-		t0 := time.Now()
-		bufs[i] = engine.SortByKey(rt.C.Layouts, class, field, bufs[i])
-		took.Add(int64(time.Since(t0)))
-		return nil
-	})
-	rt.Stats.Total += time.Duration(took.Load())
-	span.End()
 }
 
 // writeSealed feeds part through w in one Add and seals it. A failed Add

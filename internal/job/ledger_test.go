@@ -1,7 +1,6 @@
 package job_test
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -19,8 +18,8 @@ import (
 	"repro/internal/workload"
 )
 
-// The one-record rule: a job's Breakdown is charged only by RunStage,
-// ShuffleBy and SortBlocks, Total is summed busy time, and every
+// The one-record rule: a job's Breakdown is charged only by RunStage and
+// ShuffleBy, Total is summed busy time, and every
 // registry series that mirrors a breakdown field is published from the
 // record itself.
 
@@ -45,50 +44,27 @@ func wordCountParts(t *testing.T, mode engine.Mode) (*engine.Compiled, [][]byte)
 }
 
 // An exchange nets to zero in Compute: it charges Total exactly the busy
-// time it attributes to the shuffle and serde columns.
+// time it attributes to the shuffle and serde columns, its key-order
+// merge included.
 func TestShuffleByChargesItsBusyTime(t *testing.T) {
 	for _, mode := range modes {
 		c, parts := wordCountParts(t, mode)
-		rt := &job.Runtime{Env: job.Env{Mode: mode, Workers: 2}, C: c}
-		rt.Shuffle = shuffle.Config{MemoryBudget: 512, SpillDir: t.TempDir(), Compression: shuffle.LZ4, Replicas: 2}
-		if _, err := rt.ShuffleBy("ledger", sparkapps.ClsWordCount, "word", 3, parts); err != nil {
-			t.Fatal(err)
-		}
-		st := rt.Stats
-		if st.Total <= 0 || st.Spills == 0 {
-			t.Fatalf("%v: total %v, %d spills: the exchange did no measurable work", mode, st.Total, st.Spills)
-		}
-		if want := st.ShuffleWrite + st.ShuffleRead + st.Ser + st.Deser; st.Total != want {
-			t.Errorf("%v: Total = %v, want write+read+ser+deser = %v", mode, st.Total, want)
-		}
-		if c := unclamped(st); c != 0 {
-			t.Errorf("%v: unclamped compute = %v, want 0", mode, c)
-		}
-	}
-}
-
-// SortBlocks sorts every buffer as engine.SortByKey does and charges its
-// summed sort time to Total, and nothing else.
-func TestSortBlocksChargesSortTime(t *testing.T) {
-	c, parts := wordCountParts(t, engine.Gerenuk)
-	for _, workers := range []int{1, 4} {
-		rt := &job.Runtime{Env: job.Env{Workers: workers}, C: c}
-		bufs := append([][]byte(nil), parts...)
-		start := time.Now()
-		rt.SortBlocks("sort", nil, sparkapps.ClsWordCount, "word", bufs)
-		wall := time.Since(start)
-		for i, buf := range bufs {
-			if want := engine.SortByKey(c.Layouts, sparkapps.ClsWordCount, "word", parts[i]); !bytes.Equal(buf, want) {
-				t.Errorf("workers=%d: buffer %d is not key-sorted", workers, i)
+		for _, keyOrder := range []bool{false, true} {
+			rt := &job.Runtime{Env: job.Env{Mode: mode, Workers: 2}, C: c}
+			rt.Shuffle = shuffle.Config{MemoryBudget: 512, SpillDir: t.TempDir(), Compression: shuffle.LZ4, Replicas: 2}
+			if _, err := rt.ShuffleBy("ledger", sparkapps.ClsWordCount, "word", 3, keyOrder, parts); err != nil {
+				t.Fatal(err)
 			}
-		}
-		st := rt.Stats
-		if st.Total <= 0 || st.Total > time.Duration(workers)*wall {
-			t.Errorf("workers=%d: Total = %v, want in (0, %d × %v wall]", workers, st.Total, workers, wall)
-		}
-		st.Total = 0
-		if st != (metrics.Breakdown{}) {
-			t.Errorf("workers=%d: SortBlocks charged more than Total: %+v", workers, st)
+			st := rt.Stats
+			if st.Total <= 0 || st.Spills == 0 {
+				t.Fatalf("%v/keyOrder=%v: total %v, %d spills: the exchange did no measurable work", mode, keyOrder, st.Total, st.Spills)
+			}
+			if want := st.ShuffleWrite + st.ShuffleRead + st.Ser + st.Deser; st.Total != want {
+				t.Errorf("%v/keyOrder=%v: Total = %v, want write+read+ser+deser = %v", mode, keyOrder, st.Total, want)
+			}
+			if c := unclamped(st); c != 0 {
+				t.Errorf("%v/keyOrder=%v: unclamped compute = %v, want 0", mode, keyOrder, c)
+			}
 		}
 	}
 }

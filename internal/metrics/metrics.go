@@ -16,8 +16,8 @@ import (
 // cost, from which the registry series mirroring a field are published.
 // internal/job charges it by one rule: Total is busy time summed across
 // concurrent workers, never a wall. A stage adds its tasks' times; an
-// exchange its write, read and serde time, which it also attributes to
-// ShuffleWrite/ShuffleRead/Ser/Deser; a key sort its per-buffer times.
+// exchange its write, read and serde time — its key order included —
+// which it also attributes to ShuffleWrite/ShuffleRead/Ser/Deser.
 // Driver-side key grouping is not charged.
 type Breakdown struct {
 	Total time.Duration
@@ -73,9 +73,9 @@ type Breakdown struct {
 }
 
 // Compute returns the portion of the total not attributed to GC, serde
-// or the shuffle exchange, clamped at zero: task computation plus key
-// sorts. An exchange charges Total exactly its attributed columns, so it
-// adds nothing here; driver-side grouping is charged nowhere.
+// or the shuffle exchange, clamped at zero: task computation. An
+// exchange charges Total exactly its attributed columns, so it adds
+// nothing here; driver-side grouping is charged nowhere.
 func (b Breakdown) Compute() time.Duration {
 	c := b.Total - b.GC - b.Ser - b.Deser - b.ShuffleWrite - b.ShuffleRead
 	if c < 0 {

@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -13,13 +14,14 @@ import (
 // FetchAll runs the reduce-side fetch: for every reducer it pulls that
 // reducer's block from each registered map output (immediate retries
 // over injected fetch faults, then replica failover and lineage
-// re-execution), decompresses, and concatenates the raw record bytes in
-// ascending map-task order. In Baseline mode every assembled record then
-// pays a real serde decode — the reduce-side deserialization point; in
-// Gerenuk mode the assembled native bytes are returned untouched for
-// zero-copy adoption into the task arena. Up to fetchConcurrency
-// reducers assemble at once; the error reported is the lowest failing
-// reducer's.
+// re-execution), decompresses, and assembles the raw record bytes:
+// concatenated in ascending map-task order, or with Config.KeyOrder
+// merged into key order (mergeBlocks). In Baseline mode every assembled
+// record then pays a real serde decode — the reduce-side
+// deserialization point; in Gerenuk mode the assembled native bytes are
+// returned untouched for zero-copy adoption into the task arena. Up to
+// fetchConcurrency reducers assemble at once; the error reported is the
+// lowest failing reducer's.
 //
 // The returned slice is indexed by reducer; a reducer nothing hashed to
 // gets an empty buffer. The exchange's blocks and lineage producers are
@@ -94,8 +96,12 @@ func (ex *Exchange) fetchReducer(reducer int, maps []int) ([]byte, error) {
 	if size > 0 {
 		buf = make([]byte, 0, size)
 	}
-	for _, raw := range raws {
-		buf = append(buf, raw...)
+	if ex.cfg.KeyOrder && len(raws) > 1 {
+		buf = ex.mergeBlocks(buf, raws)
+	} else {
+		for _, raw := range raws {
+			buf = append(buf, raw...)
+		}
 	}
 	var records int64
 	if ex.codec != nil && len(buf) > 0 {
@@ -120,6 +126,39 @@ func (ex *Exchange) fetchReducer(reducer int, maps []int) ([]byte, error) {
 	sp.End(trace.I64("bytes", int64(len(buf))), trace.I64("blocks", int64(len(maps))),
 		trace.I64("decoded_records", records))
 	return buf, nil
+}
+
+// mergeBlocks appends the records of raws, each block already ordered
+// by its writer, to buf in (key, block, position) order — exactly a
+// stable key sort of the blocks' concatenation. Each block is its own
+// cursor (raws is consumed) with one current key: the lowest block
+// holding the least key appends its whole run of that key at once, as
+// every other block holding the key comes later.
+func (ex *Exchange) mergeBlocks(buf []byte, raws [][]byte) []byte {
+	keys := make([][]byte, len(raws))
+	for i, raw := range raws {
+		keys[i] = ex.keys.Key(raw, 0)
+	}
+	for {
+		best := -1
+		for i, k := range keys {
+			if len(raws[i]) > 0 && (best < 0 || bytes.Compare(k, keys[best]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return buf
+		}
+		raw, n := raws[best], 0
+		for n < len(raw) {
+			if k := ex.keys.Key(raw, n); !bytes.Equal(k, keys[best]) {
+				keys[best] = k
+				break
+			}
+			n += serde.RecordSize(raw, n)
+		}
+		buf, raws[best] = append(buf, raw[:n]...), raw[n:]
+	}
 }
 
 // fetchBlock pulls one block, failing over replica by replica and — when

@@ -1,11 +1,11 @@
-// Package shuffle is the exchange subsystem both drivers (spark, hadoop)
-// route their wide operations through: a map-side Writer that hash-
-// partitions wire records into per-reducer blocks under a bounded memory
-// budget — spilling sorted runs to disk and merging them on close — a
-// Store registering every sealed block, and a reduce-side fetch path
+// Package shuffle is the exchange every front-end (spark, hadoop,
+// stream) routes its wide operations through: a map-side Writer that
+// hash-partitions wire records into per-reducer blocks under a bounded
+// memory budget — spilling sorted runs to disk and merging them on close
+// — a Store registering every sealed block, and a reduce-side fetch path
 // that pulls blocks with bounded concurrency, undoes optional block
-// compression, and retries injected fetch faults before failing over
-// to a replica or the block's lineage.
+// compression, and retries injected fetch faults before failing over to
+// a replica or the block's lineage. Key order is decided here alone.
 //
 // The exchange is where the paper's S/D elimination becomes measurable
 // per phase. In Baseline mode the exchange pays real serde per record:
@@ -19,12 +19,14 @@
 // transfer copy.
 //
 // Determinism contract: for a fixed input, every storage configuration —
-// unbounded in-memory, any spill budget, any compression — produces
-// byte-identical per-reducer blocks. Writers order each reducer's records
-// by (canonical key bytes, arrival sequence); the in-memory path sorts
-// once at close, the spill path writes runs already in that order and
-// k-way merges them, and both orders are total, so they agree. The
-// gerenukbench shuffle pass pins this across every app in both modes.
+// unbounded in-memory, any spill budget, any compression or replica
+// count — produces byte-identical per-reducer blocks and fetches. Writers
+// order each reducer's records by (canonical key bytes, arrival
+// sequence): the in-memory path sorts once at close, the spill path
+// writes runs in that order and k-way merges them; the order is total,
+// so both agree. A fetch concatenates a reducer's blocks in map-task
+// order or, with KeyOrder, merges them: a stable key sort of that
+// concatenation. The gerenukbench shuffle pass pins this in both modes.
 package shuffle
 
 import (
@@ -56,6 +58,10 @@ const (
 type Config struct {
 	// Partitions is the reducer count (filled by the driver).
 	Partitions int
+	// KeyOrder (filled by the driver) merges each reducer's fetched
+	// blocks into key order, ties in map-task order; false concatenates
+	// them in map-task order.
+	KeyOrder bool
 	// MemoryBudget bounds each writer's buffered bytes; once exceeded the
 	// buffered entries spill to disk as one sorted run. 0 = unbounded.
 	// The bound is per writer: with writers running concurrently, up to

@@ -3,6 +3,7 @@ package shuffle_test
 import (
 	"bytes"
 	"os"
+	"sort"
 	"testing"
 
 	"repro/internal/engine"
@@ -133,6 +134,100 @@ func TestExchangeDeterministicAcrossConfigs(t *testing.T) {
 				t.Errorf("%s/%s: fetched %d bytes, reference fetched %d", mode, tc.name, st.BytesFetched, refStats.BytesFetched)
 			}
 		}
+	}
+}
+
+// stableKeySort is the naive reference for a key-ordered fetch: buf's
+// records stably sorted by canonical key bytes.
+func stableKeySort(keys *engine.KeyReader, buf []byte) []byte {
+	var offs []int
+	for off := 0; off < len(buf); off += serde.RecordSize(buf, off) {
+		offs = append(offs, off)
+	}
+	sort.SliceStable(offs, func(i, j int) bool {
+		return bytes.Compare(keys.Key(buf, offs[i]), keys.Key(buf, offs[j])) < 0
+	})
+	out := make([]byte, 0, len(buf))
+	for _, off := range offs {
+		out = append(out, buf[off:off+serde.RecordSize(buf, off)]...)
+	}
+	return out
+}
+
+// The two fetch orders, in both modes and under every storage
+// configuration: an arrival-order fetch is the plain concatenation of
+// each reducer's per-map blocks in map-task order (a lone map task's
+// exchange fetches exactly its blocks), and a key-ordered fetch is that
+// concatenation stably sorted by key, byte for byte.
+func TestKeyOrderedFetchIsStableKeySort(t *testing.T) {
+	c := pairCompiled(t)
+	parts := encodeParts(t, c, 6, 40, 17)
+	keys, err := engine.NewKeyReader(c.Layouts, "Pair", "key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"gerenuk", "baseline"} {
+		var codec *serde.Codec
+		if mode == "baseline" {
+			codec = c.Codec
+		}
+		concat := make([][]byte, 4)
+		for _, p := range parts {
+			blocks, _ := runExchange(t, c, Config{Partitions: 4}, codec, [][]byte{p})
+			for r, b := range blocks {
+				concat[r] = append(concat[r], b...)
+			}
+		}
+		for _, budget := range []int64{0, 512} {
+			for _, comp := range []Compression{None, LZ4} {
+				for _, replicas := range []int{1, 2} {
+					cfg := Config{Partitions: 4, MemoryBudget: budget, Compression: comp, Replicas: replicas}
+					arrival, _ := runExchange(t, c, cfg, codec, parts)
+					cfg.KeyOrder = true
+					merged, _ := runExchange(t, c, cfg, codec, parts)
+					for r := range concat {
+						if !bytes.Equal(arrival[r], concat[r]) {
+							t.Errorf("%s/budget=%d/%v/replicas=%d: reducer %d: arrival-order fetch is not the blocks' concatenation",
+								mode, budget, comp, replicas, r)
+						}
+						if !bytes.Equal(merged[r], stableKeySort(keys, concat[r])) {
+							t.Errorf("%s/budget=%d/%v/replicas=%d: reducer %d: key-ordered fetch is not a stable key sort",
+								mode, budget, comp, replicas, r)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// The merge allocates its per-block keys and nothing per record.
+func TestMergeBlocksAllocsConstant(t *testing.T) {
+	c := pairCompiled(t)
+	ex, err := NewExchange(nil, Config{}, "allocs", c.Layouts, "Pair", "key", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Discard()
+	allocs := func(n int) float64 {
+		var raws [][]byte
+		size := 0
+		for _, p := range encodeParts(t, c, 4, n/4, n/8) {
+			blocks, _ := runExchange(t, c, Config{Partitions: 1}, nil, [][]byte{p})
+			raws = append(raws, blocks[0])
+			size += len(blocks[0])
+		}
+		buf, cursors := make([]byte, 0, size), make([][]byte, len(raws))
+		return testing.AllocsPerRun(20, func() {
+			copy(cursors, raws) // the merge consumes its cursors
+			if got := ex.MergeBlocks(buf, cursors); len(got) != size {
+				t.Fatalf("merged %d bytes of %d", len(got), size)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(4096)
+	if large != small || large > 1 {
+		t.Errorf("merge allocs: %.0f at 64 records, %.0f at 4096; want equal and <= 1", small, large)
 	}
 }
 

@@ -180,11 +180,11 @@ func (w *Writer) spill() error {
 		}
 	}
 	run := make([]byte, 0, size)
+	w.sortBuf()
 	for r, es := range w.buf {
 		if len(es) == 0 {
 			continue
 		}
-		slices.SortFunc(es, entryCompare)
 		run = binary.LittleEndian.AppendUint32(run, uint32(r))
 		run = binary.LittleEndian.AppendUint32(run, uint32(len(es)))
 		for _, e := range es {
@@ -212,6 +212,13 @@ func (w *Writer) spill() error {
 	w.bufBytes = 0
 	sp.End(trace.I64("run_bytes", int64(n)))
 	return nil
+}
+
+// sortBuf orders each reducer's staged entries: the exchange's one sort.
+func (w *Writer) sortBuf() {
+	for _, es := range w.buf {
+		slices.SortFunc(es, entryCompare)
+	}
 }
 
 // readRun loads one spill run back as per-reducer entry groups, each
@@ -323,12 +330,11 @@ func (w *Writer) assemble() ([][]entry, error) {
 			}
 		}
 	}
+	w.sortBuf()
 	for r, es := range w.buf {
-		if len(es) == 0 {
-			continue
+		if len(es) > 0 {
+			perReducer[r] = append(perReducer[r], es)
 		}
-		slices.SortFunc(es, entryCompare)
-		perReducer[r] = append(perReducer[r], es)
 	}
 
 	var mergeSpan *trace.Span

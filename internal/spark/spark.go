@@ -61,15 +61,6 @@ func (ctx *Context) Parallelize(class string, parts [][]byte) *RDD {
 	return &RDD{ctx: ctx, Class: class, Parts: parts}
 }
 
-// Count returns the number of records across partitions.
-func (r *RDD) Count() int {
-	n := 0
-	for _, p := range r.Parts {
-		n += len(engine.RecordOffsets(p))
-	}
-	return n
-}
-
 // CollectBytes concatenates all partitions' wire records.
 func (r *RDD) CollectBytes() []byte {
 	var out []byte
@@ -130,7 +121,7 @@ func (r *RDD) shuffle(keyField string) ([][]byte, error) {
 	ctx := r.ctx
 	ctx.shuffleSeq++
 	name := fmt.Sprintf("shuffle-%d-%s.%s", ctx.shuffleSeq, r.Class, keyField)
-	blocks, err := ctx.ShuffleBy(name, r.Class, keyField, ctx.Partitions, r.Parts)
+	blocks, err := ctx.ShuffleBy(name, r.Class, keyField, ctx.Partitions, false, r.Parts)
 	if err != nil {
 		return nil, fmt.Errorf("spark: %w", err)
 	}

@@ -508,7 +508,7 @@ func (r *runner) checkpoint() {
 }
 
 // closeWindow finishes window w: its slot bytes are shuffled, the reduce
-// fold runs over the fetched (merge-sorted) blocks, and the window's
+// fold runs over the fetched (key-merged) blocks, and the window's
 // output is emitted and durably saved.
 func (r *runner) closeWindow(w int) error {
 	wspan := r.span.Child("stream", "window", trace.I64("idx", int64(w)))
@@ -541,15 +541,13 @@ func (r *runner) closeWindow(w int) error {
 // with them the block bytes, of any batching.
 func (r *runner) foldWindow(span *trace.Span, st *windowState) ([]byte, error) {
 	app := r.cfg.App
-	blocks, err := r.rt.ShuffleBy(r.exName(st.idx), app.MapOutClass, app.KeyField, r.cfg.Reducers, st.acc)
+	// Canonical reduce order: each fetched block arrives merged into key
+	// order, same-key records in (map slot, seq) order, so fold order is
+	// deterministic.
+	blocks, err := r.rt.ShuffleBy(r.exName(st.idx), app.MapOutClass, app.KeyField, r.cfg.Reducers, true, st.acc)
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: %w", err)
 	}
-	// Canonical reduce order: merge-sort each fetched block by key
-	// (map-side blocks are each key-sorted; this is the reduce-side
-	// merge), then fold groups. The sort is stable, so same-key records
-	// stay in shuffle (key, seq) order and fold order is deterministic.
-	r.rt.SortBlocks(fmt.Sprintf("stream-%s-w%d-sort", app.Name, st.idx), span, app.MapOutClass, app.KeyField, blocks)
 	specs, _, err := engine.FoldSpecs(r.rt.WorkerCount(), r.rt.C.Layouts, app.ReduceDriver, app.MapOutClass, app.KeyField, blocks, true,
 		func(i int) string { return fmt.Sprintf("stream-%s-w%d-red%d", app.Name, st.idx, i) })
 	if err != nil {

@@ -208,10 +208,12 @@ func TestKillMidWindowResume(t *testing.T) {
 	}
 }
 
-// TestResumeRebuildsCorruptWindow rots one slot checkpoint between
-// crash and resume; the resumed run must detect it, recompute that
-// window from the deterministic source, and still match byte-for-byte.
-func TestResumeRebuildsCorruptWindow(t *testing.T) {
+// resumeDamaged crashes a checkpointed wordcount run after two batches,
+// lets damage rot the checkpoint store, then resumes: the resumed run
+// must recompute the damaged window from the deterministic source and
+// still match the uninterrupted run byte-for-byte.
+func resumeDamaged(t *testing.T, damage func(*recovery.CheckpointStore)) {
+	t.Helper()
 	ref := mustRun(t, base(t, "wordcount", engine.Gerenuk))
 
 	store := recovery.NewCheckpointStore()
@@ -221,17 +223,38 @@ func TestResumeRebuildsCorruptWindow(t *testing.T) {
 	if _, err := Run(cfg); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crash hook: %v", err)
 	}
-	if !store.Corrupt("stream/wordcount/w0/m0") {
-		t.Fatal("no slot checkpoint to corrupt — crash left no open window state")
-	}
+	damage(store)
 
 	cfg.CrashAfterBatches = 0
 	cfg.Resume = true
 	resumed := mustRun(t, cfg)
-	assertWindowsEqual(t, "corrupt-resume", resumed, ref)
+	assertWindowsEqual(t, "damaged-resume", resumed, ref)
 	if resumed.Rebuilt == 0 {
-		t.Fatal("corrupt slot checkpoint did not trigger a source rebuild")
+		t.Fatal("damaged checkpoint did not trigger a source rebuild")
 	}
+}
+
+// TestResumeRebuildsCorruptWindow rots one slot checkpoint between
+// crash and resume.
+func TestResumeRebuildsCorruptWindow(t *testing.T) {
+	resumeDamaged(t, func(store *recovery.CheckpointStore) {
+		if !store.Corrupt("stream/wordcount/w0/m0") {
+			t.Fatal("no slot checkpoint to corrupt — crash left no open window state")
+		}
+	})
+}
+
+// TestResumeRebuildsLostMeta loses a window's meta checkpoint between
+// crash and resume: a source scan finds records in the window, so it is
+// rebuilt rather than skipped as empty.
+func TestResumeRebuildsLostMeta(t *testing.T) {
+	const meta = "stream/wordcount/w0/meta"
+	resumeDamaged(t, func(store *recovery.CheckpointStore) {
+		if _, ok, _ := store.Load(meta); !ok {
+			t.Fatal("no meta checkpoint to lose — crash left no open window state")
+		}
+		store.Drop(meta)
+	})
 }
 
 // TestDiskCheckpointSurvivesRestart is the end-to-end durability story:

@@ -238,10 +238,39 @@ var structureRules = append([]rule{
 		},
 	},
 	{
+		// Key order is the exchange's: its writers sort each reducer's
+		// records once (Writer.sortBuf) and a key-ordered fetch merges
+		// them. A front-end or the job runtime sorting records would be a
+		// second definition of the order and a second pass over the data.
+		name:  "one key order: no call into package sort and no slices.Sort* call in internal/{spark,hadoop,job}",
+		max:   0,
+		scope: under("internal/spark", "internal/hadoop", "internal/job"),
+		match: func(s *srcFile, n ast.Node) bool {
+			c, ok := n.(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			sel, ok := c.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			return ok && (s.imports[pkg.Name] == "sort" ||
+				s.imports[pkg.Name] == "slices" && strings.HasPrefix(sel.Sel.Name, "Sort"))
+		},
+	},
+	{
+		name:  "one key order: exactly one slices.SortFunc call in internal/shuffle",
+		min:   1,
+		max:   1,
+		scope: under("internal/shuffle"),
+		match: func(s *srcFile, n ast.Node) bool { return s.calls(n, "slices", "SortFunc") },
+	},
+	{
 		// A job's cost is charged by internal/job alone (RunStage,
-		// ShuffleBy, SortBlocks), under one rule: Total is summed busy
-		// time. A front-end timing its own work into Total would charge
-		// a second rule beside it.
+		// ShuffleBy), under one rule: Total is summed busy time. A
+		// front-end timing its own work into Total would charge a second
+		// rule beside it.
 		name:  "one record: no assignment to a Total field in internal/{spark,hadoop,stream}",
 		max:   0,
 		scope: under("internal/spark", "internal/hadoop", "internal/stream"),
