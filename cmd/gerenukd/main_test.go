@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,9 +168,8 @@ func TestService(t *testing.T) {
 		t.Error("PR: the chaos tenant's output digest differs from the calm tenant's")
 	}
 
-	id := url.QueryEscape(jobs[0].ID) // ids hold '#'
 	var awaited jobJSON
-	body, err := call(http.MethodGet, base+"/await?id="+id)
+	body, err := call(http.MethodGet, base+"/await?id="+jobs[0].ID)
 	if err == nil {
 		err = json.Unmarshal(body, &awaited)
 	}
@@ -183,7 +181,7 @@ func TestService(t *testing.T) {
 		Dequeued bool
 		State    string
 	}
-	body, err = call(http.MethodPost, base+"/cancel?id="+id)
+	body, err = call(http.MethodPost, base+"/cancel?id="+jobs[0].ID)
 	if err == nil {
 		err = json.Unmarshal(body, &canceled)
 	}

@@ -185,6 +185,7 @@ func (c Config) withDefaults() Config {
 // Job is the handle a Submit returns: await the outcome, cancel, or
 // poll the state.
 type Job struct {
+	// ID is tenant/name.N: no URL metacharacter, so a query takes it raw.
 	ID     string
 	Tenant string
 	Name   string
@@ -370,7 +371,7 @@ func (s *Service) Submit(tenant string, spec JobSpec) (*Job, error) {
 	}
 	s.seq++
 	j := &Job{
-		ID:        fmt.Sprintf("%s/%s#%d", tenant, spec.Name, s.seq),
+		ID:        fmt.Sprintf("%s/%s.%d", tenant, spec.Name, s.seq),
 		Tenant:    tenant,
 		Name:      spec.Name,
 		svc:       s,

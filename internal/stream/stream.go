@@ -24,7 +24,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"time"
 
@@ -199,9 +198,11 @@ type windowState struct {
 	acc [][]byte
 	// records counts records folded into this window (drives the
 	// round-robin slot assignment); flushes counts the batches that fed
-	// it (the checkpoint sequence number).
+	// it (the checkpoint sequence number); saved is flushes as of the
+	// window's last checkpoint.
 	records int64
 	flushes int
+	saved   int
 }
 
 type runner struct {
@@ -326,14 +327,7 @@ func (r *runner) arrival(i int64) time.Duration {
 	if half <= 0 {
 		return base
 	}
-	h := fnv.New64a()
-	var b [16]byte
-	for k := 0; k < 8; k++ {
-		b[k] = byte(uint64(r.cfg.Seed) >> (8 * k))
-		b[8+k] = byte(uint64(i) >> (8 * k))
-	}
-	h.Write(b[:])
-	return base + time.Duration(h.Sum64()%uint64(half))
+	return base + time.Duration(workload.Hash(r.cfg.Seed, i)%uint64(half))
 }
 
 func (r *runner) windowEnd(w int) time.Duration {
@@ -495,10 +489,15 @@ func (r *runner) mapSpec(name string, buf []byte) engine.TaskSpec {
 	}
 }
 
-// checkpoint persists the cursor and every open window's slot state, so
-// a killed run resumes mid-window instead of recomputing.
+// checkpoint persists the cursor and the slot state of every window a
+// batch fed since its last save (the others' stored state is current),
+// so a killed run resumes mid-window instead of recomputing.
 func (r *runner) checkpoint() {
 	for w, st := range r.open {
+		if st.flushes == st.saved {
+			continue
+		}
+		st.saved = st.flushes
 		for m := range st.acc {
 			r.ckpts.Save(r.slotKey(w, m), st.flushes, st.acc[m])
 		}
@@ -608,6 +607,7 @@ func (r *runner) resume() error {
 		st := r.window(w)
 		st.records = leU64(meta.Data)
 		st.flushes = meta.Seq
+		st.saved = meta.Seq
 		intact := true
 		for m := 0; m < mapSlots; m++ {
 			sc, ok, corrupt := r.ckpts.Load(r.slotKey(w, m))

@@ -257,6 +257,39 @@ func TestResumeRebuildsLostMeta(t *testing.T) {
 	})
 }
 
+// TestRebuiltWindowIsCheckpointed crashes twice. The first resume
+// rebuilds a corrupt window that its one batch does not feed; that
+// window must still be checkpointed, so the second resume restores it
+// instead of rebuilding it again.
+func TestRebuiltWindowIsCheckpointed(t *testing.T) {
+	ref := mustRun(t, base(t, "wordcount", engine.Gerenuk))
+
+	store := recovery.NewCheckpointStore()
+	cfg := base(t, "wordcount", engine.Gerenuk)
+	cfg.Checkpoints = store
+	cfg.CrashAfterBatches = 2
+	if _, err := Run(cfg); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("crash hook: %v", err)
+	}
+	if !store.Corrupt("stream/wordcount/w0/m0") {
+		t.Fatal("no slot checkpoint to corrupt — crash left no open window state")
+	}
+
+	cfg.Resume = true
+	cfg.CrashAfterBatches = 1
+	first, err := Run(cfg)
+	if !errors.Is(err, ErrCrashed) || first.Rebuilt != 1 {
+		t.Fatalf("first resume: err = %v, %d windows rebuilt; want ErrCrashed and 1", err, first.Rebuilt)
+	}
+
+	cfg.CrashAfterBatches = 0
+	second := mustRun(t, cfg)
+	assertWindowsEqual(t, "second-resume", second, ref)
+	if second.Rebuilt != 0 {
+		t.Fatalf("second resume rebuilt %d windows: the first resume's rebuild was never checkpointed", second.Rebuilt)
+	}
+}
+
 // TestDiskCheckpointSurvivesRestart is the end-to-end durability story:
 // crash with a disk-backed store, reopen the directory in a fresh store
 // (a new process), resume, and match the uninterrupted run.

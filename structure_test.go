@@ -53,6 +53,18 @@ func (s *srcFile) calls(n ast.Node, importPath, fn string) bool {
 	return named(c.Fun, fn)
 }
 
+// inFuncLit reports whether n lies inside a function literal.
+func (s *srcFile) inFuncLit(n ast.Node) bool {
+	in := false
+	ast.Inspect(s.f, func(m ast.Node) bool {
+		if fl, ok := m.(*ast.FuncLit); ok && fl.Pos() <= n.Pos() && n.End() <= fl.End() {
+			in = true
+		}
+		return !in
+	})
+	return in
+}
+
 // rule is one structural bound: at least min and at most max nodes
 // matching match in the files scope selects.
 type rule struct {
@@ -265,6 +277,31 @@ var structureRules = append([]rule{
 		max:   1,
 		scope: under("internal/shuffle"),
 		match: func(s *srcFile, n ast.Node) bool { return s.calls(n, "slices", "SortFunc") },
+	},
+	{
+		// An unbounded source's At runs once per record, inside a
+		// function literal; seeding a math/rand source there costs the
+		// full 607-entry seeding per record. Per-record draws go
+		// through workload's lazily seeded recSource instead.
+		name:  "per-record sources never seed math/rand: no rand.NewSource call inside a function literal in internal/{workload,stream}",
+		max:   0,
+		scope: under("internal/workload", "internal/stream"),
+		match: func(s *srcFile, n ast.Node) bool {
+			return s.calls(n, "math/rand", "NewSource") && s.inFuncLit(n)
+		},
+	},
+	{
+		// The per-dataset generators in workload.go seed once per
+		// dataset, at function top level. A new call site is either one
+		// more such generator, raising this bound, or a per-record seed
+		// hidden behind a named helper.
+		name:  "per-record sources never seed math/rand: exactly 7 top-level rand.NewSource calls in internal/{workload,stream}",
+		min:   7,
+		max:   7,
+		scope: under("internal/workload", "internal/stream"),
+		match: func(s *srcFile, n ast.Node) bool {
+			return s.calls(n, "math/rand", "NewSource") && !s.inFuncLit(n)
+		},
 	},
 	{
 		// A job's cost is charged by internal/job alone (RunStage,
