@@ -1,4 +1,8 @@
 package shuffle
 
-// MergeBlocks exposes the fetch's key-order merge to the external tests.
-func (ex *Exchange) MergeBlocks(buf []byte, raws [][]byte) []byte { return ex.mergeBlocks(buf, raws) }
+import "repro/internal/engine"
+
+// MergeByKey exposes the exchange's key merge to the external tests.
+func MergeByKey(kr *engine.KeyReader, buf []byte, raws [][]byte) []byte {
+	return mergeByKey(kr, buf, raws)
+}

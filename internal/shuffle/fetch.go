@@ -16,7 +16,7 @@ import (
 // over injected fetch faults, then replica failover and lineage
 // re-execution), decompresses, and assembles the raw record bytes:
 // concatenated in ascending map-task order, or with Config.KeyOrder
-// merged into key order (mergeBlocks). In Baseline mode every assembled
+// merged into key order (mergeByKey). In Baseline mode every assembled
 // record then pays a real serde decode — the reduce-side
 // deserialization point; in Gerenuk mode the assembled native bytes are
 // returned untouched for zero-copy adoption into the task arena. Up to
@@ -96,8 +96,8 @@ func (ex *Exchange) fetchReducer(reducer int, maps []int) ([]byte, error) {
 	if size > 0 {
 		buf = make([]byte, 0, size)
 	}
-	if ex.cfg.KeyOrder && len(raws) > 1 {
-		buf = ex.mergeBlocks(buf, raws)
+	if ex.cfg.KeyOrder {
+		buf = mergeByKey(ex.keys, buf, raws)
 	} else {
 		for _, raw := range raws {
 			buf = append(buf, raw...)
@@ -128,16 +128,21 @@ func (ex *Exchange) fetchReducer(reducer int, maps []int) ([]byte, error) {
 	return buf, nil
 }
 
-// mergeBlocks appends the records of raws, each block already ordered
-// by its writer, to buf in (key, block, position) order — exactly a
-// stable key sort of the blocks' concatenation. Each block is its own
-// cursor (raws is consumed) with one current key: the lowest block
-// holding the least key appends its whole run of that key at once, as
-// every other block holding the key comes later.
-func (ex *Exchange) mergeBlocks(buf []byte, raws [][]byte) []byte {
+// mergeByKey appends the records of raws, each block already in key
+// order, to buf in (key, block, position) order — exactly a stable key
+// sort of the blocks' concatenation. It is the exchange's one merge: the
+// fetch merges a reducer's map blocks with it, and Writer.Close a
+// reducer's spill-run blocks and its tail. Each block is its own cursor
+// (raws is consumed) with one current key: the lowest block holding the
+// least key appends its whole run of that key at once, as every other
+// block holding the key comes later. A lone block is appended as is.
+func mergeByKey(kr *engine.KeyReader, buf []byte, raws [][]byte) []byte {
+	if len(raws) == 1 {
+		return append(buf, raws[0]...)
+	}
 	keys := make([][]byte, len(raws))
 	for i, raw := range raws {
-		keys[i] = ex.keys.Key(raw, 0)
+		keys[i] = kr.Key(raw, 0)
 	}
 	for {
 		best := -1
@@ -151,7 +156,7 @@ func (ex *Exchange) mergeBlocks(buf []byte, raws [][]byte) []byte {
 		}
 		raw, n := raws[best], 0
 		for n < len(raw) {
-			if k := ex.keys.Key(raw, n); !bytes.Equal(k, keys[best]) {
+			if k := kr.Key(raw, n); !bytes.Equal(k, keys[best]) {
 				keys[best] = k
 				break
 			}

@@ -248,6 +248,11 @@ func TestTinyBudgetMergeDegenerateRuns(t *testing.T) {
 		if st.Spills != 30 {
 			t.Errorf("spilled %d runs, want one per record (30)", st.Spills)
 		}
+		// Each run is one record in one group: the record's own bytes
+		// behind an 8-byte [reducer][bytes] header, no per-record framing.
+		if want := int64(len(parts[0])+len(parts[1])) + 8*st.Spills; st.BytesSpilled != want {
+			t.Errorf("spilled %d bytes, want the records' bytes plus 8 per run (%d)", st.BytesSpilled, want)
+		}
 		for r := range got {
 			if !bytes.Equal(got[r], ref[r]) {
 				t.Errorf("reducer %d diverged with one-record runs", r)

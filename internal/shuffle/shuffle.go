@@ -22,11 +22,13 @@
 // unbounded in-memory, any spill budget, any compression or replica
 // count — produces byte-identical per-reducer blocks and fetches. Writers
 // order each reducer's records by (canonical key bytes, arrival
-// sequence): the in-memory path sorts once at close, the spill path
-// writes runs in that order and k-way merges them; the order is total,
-// so both agree. A fetch concatenates a reducer's blocks in map-task
-// order or, with KeyOrder, merges them: a stable key sort of that
-// concatenation. The gerenukbench shuffle pass pins this in both modes.
+// sequence): the in-memory path sorts once at close; a spill run holds
+// the sorted blocks of the records staged before it, and Close merges a
+// reducer's run blocks and its sorted tail with the fetch's key merge,
+// ties to the earlier block — whose sequences all come first — so both
+// agree. A fetch concatenates a reducer's blocks in map-task order or,
+// with KeyOrder, merges them: a stable key sort of that concatenation.
+// The gerenukbench shuffle pass pins this in both modes.
 package shuffle
 
 import (

@@ -202,13 +202,12 @@ func TestKeyOrderedFetchIsStableKeySort(t *testing.T) {
 }
 
 // The merge allocates its per-block keys and nothing per record.
-func TestMergeBlocksAllocsConstant(t *testing.T) {
+func TestMergeByKeyAllocsConstant(t *testing.T) {
 	c := pairCompiled(t)
-	ex, err := NewExchange(nil, Config{}, "allocs", c.Layouts, "Pair", "key", nil)
+	keys, err := engine.NewKeyReader(c.Layouts, "Pair", "key")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ex.Discard()
 	allocs := func(n int) float64 {
 		var raws [][]byte
 		size := 0
@@ -220,7 +219,7 @@ func TestMergeBlocksAllocsConstant(t *testing.T) {
 		buf, cursors := make([]byte, 0, size), make([][]byte, len(raws))
 		return testing.AllocsPerRun(20, func() {
 			copy(cursors, raws) // the merge consumes its cursors
-			if got := ex.MergeBlocks(buf, cursors); len(got) != size {
+			if got := MergeByKey(keys, buf, cursors); len(got) != size {
 				t.Fatalf("merged %d bytes of %d", len(got), size)
 			}
 		})
@@ -228,6 +227,36 @@ func TestMergeBlocksAllocsConstant(t *testing.T) {
 	small, large := allocs(64), allocs(4096)
 	if large != small || large > 1 {
 		t.Errorf("merge allocs: %.0f at 64 records, %.0f at 4096; want equal and <= 1", small, large)
+	}
+}
+
+// An in-memory Close seals every reducer's sorted entries into one
+// buffer whose slices are the published blocks; a 4-reducer writer's
+// Close may allocate at most 21 objects.
+func TestInMemoryCloseAllocs(t *testing.T) {
+	c := pairCompiled(t)
+	parts := encodeParts(t, c, 1, 40, 17)
+	const runs = 20
+	ws := make([]*Writer, runs+1) // AllocsPerRun closes one more to warm up
+	for i := range ws {
+		ex, err := NewExchange(nil, Config{Partitions: 4}, "allocs", c.Layouts, "Pair", "key", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = ex.Writer(0)
+		if err := ws[i].Add(parts[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := ws[i].Close(); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 21 {
+		t.Errorf("in-memory Close: %.0f allocations, want <= 21", allocs)
 	}
 }
 

@@ -33,8 +33,9 @@ func entryCompare(a, b entry) int {
 
 // Writer stages one map task's output: records are hash-partitioned by
 // key into per-reducer buffers; when the buffered bytes exceed the
-// memory budget everything spills to disk as one sorted run, and Close
-// merges the runs back into per-reducer blocks registered in the store.
+// memory budget everything spills to disk as one run of sorted
+// per-reducer blocks, and Close merges the runs and the buffered tail
+// into the per-reducer blocks it registers in the store.
 // A writer is not safe for concurrent use, but the writers of distinct
 // map tasks run concurrently.
 type Writer struct {
@@ -45,6 +46,7 @@ type Writer struct {
 	buf      [][]entry // per-reducer staged entries
 	bufBytes int64
 	seq      uint64
+	records  []int    // per-reducer records added, spilled ones included
 	dir      string   // this writer's spill directory, made at its first spill
 	runs     []string // sorted spill run files, merge order
 	st       Stats
@@ -54,12 +56,8 @@ type Writer struct {
 
 // Writer opens the map-side writer for one map task.
 func (ex *Exchange) Writer(mapTask int) *Writer {
-	return &Writer{
-		ex: ex, mapTask: mapTask,
-		buf: make([][]entry, ex.cfg.Partitions),
-		span: ex.span.Child("shuffle", "shuffle-write",
-			trace.I64("map_task", int64(mapTask))),
-	}
+	return ex.newWriter(mapTask, false, ex.span.Child("shuffle", "shuffle-write",
+		trace.I64("map_task", int64(mapTask))))
 }
 
 // RecoveryWriter opens a writer that re-runs an already-registered map
@@ -68,12 +66,13 @@ func (ex *Exchange) Writer(mapTask int) *Writer {
 // assembly order is unchanged. The writer is deterministic, so the
 // rebuilt blocks are byte-identical to the lost ones.
 func (ex *Exchange) RecoveryWriter(mapTask int) *Writer {
-	return &Writer{
-		ex: ex, mapTask: mapTask, rebuild: true,
-		buf: make([][]entry, ex.cfg.Partitions),
-		span: ex.span.Child("recovery", "rebuild-write",
-			trace.I64("map_task", int64(mapTask))),
-	}
+	return ex.newWriter(mapTask, true, ex.span.Child("recovery", "rebuild-write",
+		trace.I64("map_task", int64(mapTask))))
+}
+
+func (ex *Exchange) newWriter(mapTask int, rebuild bool, span *trace.Span) *Writer {
+	return &Writer{ex: ex, mapTask: mapTask, rebuild: rebuild, span: span,
+		buf: make([][]entry, ex.cfg.Partitions), records: make([]int, ex.cfg.Partitions)}
 }
 
 // discardRuns removes any spill run files still on disk, and the
@@ -138,6 +137,7 @@ func (w *Writer) Add(buf []byte) error {
 		}
 		reducer := int(engine.HashKey(key) % uint64(ex.cfg.Partitions))
 		w.buf[reducer] = append(w.buf[reducer], entry{key: key, seq: w.seq, rec: rec})
+		w.records[reducer]++
 		w.seq++
 		w.bufBytes += int64(len(key) + len(rec))
 		off += sz
@@ -150,9 +150,7 @@ func (w *Writer) Add(buf []byte) error {
 	return nil
 }
 
-// spill sorts the staged entries and writes them to disk as one run:
-// per-reducer groups in ascending reducer order, each group's entries in
-// (key, seq) order — exactly the order Close's merge consumes.
+// spill writes the staged entries to disk as one run (seal).
 func (w *Writer) spill() error {
 	sp := w.span.Child("shuffle", "spill",
 		trace.I64("map_task", int64(w.mapTask)), trace.I64("bytes", w.bufBytes))
@@ -170,31 +168,7 @@ func (w *Writer) spill() error {
 	if err != nil {
 		return fmt.Errorf("shuffle: spill: %w", err)
 	}
-	// The run is built in one buffer sized up front: 8 header bytes per
-	// reducer group, 16 bytes of framing per entry, plus the payloads.
-	size := 0
-	for _, es := range w.buf {
-		size += 8
-		for _, e := range es {
-			size += 16 + len(e.key) + len(e.rec)
-		}
-	}
-	run := make([]byte, 0, size)
-	w.sortBuf()
-	for r, es := range w.buf {
-		if len(es) == 0 {
-			continue
-		}
-		run = binary.LittleEndian.AppendUint32(run, uint32(r))
-		run = binary.LittleEndian.AppendUint32(run, uint32(len(es)))
-		for _, e := range es {
-			run = binary.LittleEndian.AppendUint32(run, uint32(len(e.key)))
-			run = append(run, e.key...)
-			run = binary.LittleEndian.AppendUint64(run, e.seq)
-			run = binary.LittleEndian.AppendUint32(run, uint32(len(e.rec)))
-			run = append(run, e.rec...)
-		}
-	}
+	run, _ := w.seal()
 	n, err := f.Write(run)
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -214,176 +188,152 @@ func (w *Writer) spill() error {
 	return nil
 }
 
-// sortBuf orders each reducer's staged entries: the exchange's one sort.
-func (w *Writer) sortBuf() {
+// runHeaderBytes frames each reducer's group in a spill run: the
+// reducer id and the group's byte length, both uint32.
+const runHeaderBytes = 8
+
+// seal orders each reducer's staged entries by (key, seq) — the
+// exchange's one sort — and lays them out as one spill run: for each
+// non-empty reducer in ascending order, a [reducer][bytes] header and
+// then its block, the entries' wire records in that order. blocks holds
+// each reducer's block (nil when empty), aliasing run: the blocks Close
+// publishes or merges, and exactly what decodeRun returns for run.
+func (w *Writer) seal() (run []byte, blocks [][]byte) {
+	size := runHeaderBytes * len(w.buf) // a header per reducer bounds the framing
 	for _, es := range w.buf {
 		slices.SortFunc(es, entryCompare)
+		for _, e := range es {
+			size += len(e.rec)
+		}
 	}
+	run, blocks = make([]byte, 0, size), make([][]byte, len(w.buf))
+	for r, es := range w.buf {
+		if len(es) == 0 {
+			continue
+		}
+		h := len(run) + runHeaderBytes
+		run = binary.LittleEndian.AppendUint32(run, uint32(r))
+		run = binary.LittleEndian.AppendUint32(run, 0)
+		for _, e := range es {
+			run = append(run, e.rec...)
+		}
+		binary.LittleEndian.PutUint32(run[h-4:], uint32(len(run)-h))
+		blocks[r] = run[h:len(run):len(run)]
+	}
+	return run, blocks
 }
 
-// readRun loads one spill run back as per-reducer entry groups, each
-// already in (key, seq) order.
-func readRun(path string, partitions int) ([][]entry, error) {
+// readRun loads one spill run back as per-reducer blocks.
+func readRun(path string, partitions int) ([][]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: merge: %w", err)
 	}
-	groups := make([][]entry, partitions)
-	p := 0
-	need := func(n int) error {
-		if p+n > len(data) {
-			return fmt.Errorf("shuffle: merge: truncated run %s at offset %d", path, p)
-		}
-		return nil
+	blocks, err := decodeRun(data, partitions)
+	if err != nil {
+		return nil, fmt.Errorf("shuffle: merge: run %s: %w", path, err)
 	}
-	for p < len(data) {
-		if err := need(8); err != nil {
-			return nil, err
+	return blocks, nil
+}
+
+// decodeRun splits a spill run into its per-reducer blocks, indexed by
+// reducer (nil where the run holds none) and aliasing data. The format
+// is canonical — groups in strictly ascending reducer order, none empty,
+// each tiled exactly by whole record frames — so a damaged run is an
+// error, never a block the merge would misread.
+func decodeRun(data []byte, partitions int) ([][]byte, error) {
+	blocks := make([][]byte, partitions)
+	for p, last := 0, -1; p < len(data); {
+		if len(data)-p < runHeaderBytes {
+			return nil, fmt.Errorf("truncated group header at offset %d", p)
 		}
 		r := int(binary.LittleEndian.Uint32(data[p:]))
-		count := int(binary.LittleEndian.Uint32(data[p+4:]))
-		p += 8
-		if r < 0 || r >= partitions {
-			return nil, fmt.Errorf("shuffle: merge: run %s names reducer %d of %d", path, r, partitions)
+		n := int(binary.LittleEndian.Uint32(data[p+4:]))
+		p += runHeaderBytes
+		switch {
+		case r <= last || r >= partitions:
+			return nil, fmt.Errorf("group of reducer %d of %d follows reducer %d", r, partitions, last)
+		case n == 0:
+			return nil, fmt.Errorf("empty group of reducer %d", r)
+		case n > len(data)-p:
+			return nil, fmt.Errorf("reducer %d's %d-byte group overruns the run at offset %d", r, n, p)
 		}
-		es := make([]entry, 0, count)
-		for i := 0; i < count; i++ {
-			if err := need(4); err != nil {
-				return nil, err
+		b := data[p : p+n : p+n]
+		for off := 0; off < n; off += serde.RecordSize(b, off) {
+			if n-off < serde.SizePrefixBytes || serde.RecordSize(b, off) > n-off {
+				return nil, fmt.Errorf("record at offset %d crosses reducer %d's group", p+off, r)
 			}
-			kl := int(binary.LittleEndian.Uint32(data[p:]))
-			p += 4
-			if err := need(kl + 12); err != nil {
-				return nil, err
-			}
-			key := data[p : p+kl : p+kl]
-			p += kl
-			seq := binary.LittleEndian.Uint64(data[p:])
-			p += 8
-			rl := int(binary.LittleEndian.Uint32(data[p:]))
-			p += 4
-			if err := need(rl); err != nil {
-				return nil, err
-			}
-			rec := data[p : p+rl : p+rl]
-			p += rl
-			es = append(es, entry{key: key, seq: seq, rec: rec})
 		}
-		groups[r] = append(groups[r], es...)
+		blocks[r], last, p = b, r, p+n
 	}
-	return groups, nil
+	return blocks, nil
 }
 
-// mergeRuns k-way merges per-reducer sorted runs by (key, seq). Every
-// seq is unique within the writer, so the merge order equals the global
-// sort order the in-memory path produces. A lone run is already merged
-// and is returned as is.
-func mergeRuns(runs [][]entry) []entry {
-	if len(runs) == 1 {
-		return runs[0]
-	}
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]entry, 0, total)
-	cur := make([]int, len(runs))
-	for len(out) < total {
-		best := -1
-		for i, r := range runs {
-			if cur[i] >= len(r) {
-				continue
-			}
-			if best < 0 || entryCompare(r[cur[i]], runs[best][cur[best]]) < 0 {
-				best = i
-			}
-		}
-		out = append(out, runs[best][cur[best]])
-		cur[best]++
-	}
-	return out
-}
-
-// assemble merges every spill run on disk and the still-buffered
-// entries into one (key, seq)-ordered slice per reducer, consuming both
-// (the runs are deleted). Both sources are sorted by entryCompare and every
-// seq is unique within the writer, so the k-way merge yields exactly the
-// order an in-memory sort would — the spill path is byte-identical by
-// construction.
-func (w *Writer) assemble() ([][]entry, error) {
+// assemble returns each reducer's block in (key, seq) order, consuming
+// the tail and the spill runs (they are deleted): the sealed tail's
+// block alone, or the reducer's run blocks and then its tail block
+// merged by mergeByKey. Ties go to the earlier block, whose seqs all
+// come first, so the spill path is byte-identical to the in-memory one.
+func (w *Writer) assemble() ([][]byte, error) {
 	ex := w.ex
-	perReducer := make([][][]entry, ex.cfg.Partitions)
-	if len(w.runs) > 0 && w.bufBytes > 0 {
-		// Flush the tail so the merge sees every record as a sorted run.
-		if err := w.spill(); err != nil {
-			return nil, err
-		}
+	defer w.discardRuns()
+	_, merged := w.seal()
+	w.buf = nil
+	if len(w.runs) == 0 {
+		return merged, nil
 	}
+	blocks := make([][][]byte, ex.cfg.Partitions)
 	for _, path := range w.runs {
-		groups, err := readRun(path, ex.cfg.Partitions)
+		run, err := readRun(path, ex.cfg.Partitions)
 		if err != nil {
 			return nil, err
 		}
-		for r, g := range groups {
-			if len(g) > 0 {
-				perReducer[r] = append(perReducer[r], g)
+		for r, b := range run {
+			if b != nil {
+				blocks[r] = append(blocks[r], b)
 			}
 		}
 	}
-	w.sortBuf()
-	for r, es := range w.buf {
-		if len(es) > 0 {
-			perReducer[r] = append(perReducer[r], es)
-		}
-	}
-
-	var mergeSpan *trace.Span
-	if len(w.runs) > 0 {
-		mergeSpan = w.span.Child("shuffle", "merge",
-			trace.I64("map_task", int64(w.mapTask)), trace.I64("runs", int64(len(w.runs))))
-	}
-	merged := make([][]entry, ex.cfg.Partitions)
+	sp := w.span.Child("shuffle", "merge",
+		trace.I64("map_task", int64(w.mapTask)), trace.I64("runs", int64(len(w.runs))))
 	var records int64
-	for r := range perReducer {
-		merged[r] = mergeRuns(perReducer[r])
-		records += int64(len(merged[r]))
+	for r, bs := range blocks {
+		if len(bs) == 0 {
+			continue // the tail block alone
+		}
+		if merged[r] != nil {
+			bs = append(bs, merged[r])
+		}
+		size := 0
+		for _, b := range bs {
+			size += len(b)
+		}
+		merged[r] = mergeByKey(ex.keys, make([]byte, 0, size), bs)
+		records += int64(w.records[r])
 	}
-	mergeSpan.End(trace.I64("records", records))
-	w.discardRuns()
-	for r := range w.buf {
-		w.buf[r] = nil
-	}
-	w.bufBytes = 0
+	sp.End(trace.I64("records", records))
 	return merged, nil
 }
 
-// publish compresses each non-empty reducer's merged entries and
-// registers the block in the store with the configured replica count.
-// put replaces the whole replica slice, so a lineage rebuild's publish
-// restores every replica the lost block had.
-func (w *Writer) publish(merged [][]entry) (written, records int64, err error) {
+// publish compresses each non-empty reducer's block and registers it in
+// the store with the configured replica count. put replaces the whole
+// replica slice, so a lineage rebuild's publish restores every replica
+// the lost block had.
+func (w *Writer) publish(merged [][]byte) (written, records int64, err error) {
 	ex := w.ex
-	for r, es := range merged {
-		if len(es) == 0 {
+	for r, raw := range merged {
+		if len(raw) == 0 {
 			continue
-		}
-		size := 0
-		for _, e := range es {
-			size += len(e.rec)
-		}
-		raw := make([]byte, 0, size)
-		for _, e := range es {
-			raw = append(raw, e.rec...)
 		}
 		payload, err := compressBlock(ex.cfg.Compression, raw)
 		if err != nil {
 			return written, records, err
 		}
 		ex.store.put(blockID{ex.name, w.mapTask, r}, &Block{
-			Payload: payload, RawLen: len(raw), Records: len(es), Codec: ex.cfg.Compression,
+			Payload: payload, RawLen: len(raw), Records: w.records[r], Codec: ex.cfg.Compression,
 		}, ex.cfg.Replicas)
 		written += int64(len(raw))
-		records += int64(len(es))
+		records += int64(w.records[r])
 	}
 	return written, records, nil
 }
@@ -399,15 +349,14 @@ func (w *Writer) Abandon() {
 	w.closed = true
 	w.discardRuns()
 	w.buf = nil
-	w.bufBytes = 0
 	w.span.End(trace.Str("outcome", "abandoned"))
 }
 
-// Close seals the map output: spilled runs are merged with any
-// still-buffered entries, each reducer's records are concatenated in
-// (key, seq) order, compressed per the exchange config, and registered
-// in the block store with the configured replica count. The spill files are deleted — on the error
-// paths too. Closing an already-closed writer is a no-op.
+// Close seals the map output: each reducer's records, in (key, seq)
+// order (assemble), make one block, compressed per the exchange config
+// and registered in the block store with the configured replica count.
+// The spill files are deleted — on the error paths too. Closing an
+// already-closed writer is a no-op.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
@@ -418,14 +367,12 @@ func (w *Writer) Close() error {
 
 	merged, err := w.assemble()
 	if err != nil {
-		w.discardRuns()
 		return err
 	}
 	written, records, err := w.publish(merged)
 	if err != nil {
 		return err
 	}
-	w.buf = nil
 	w.st.BytesWritten += written
 	w.st.WriteTime += time.Since(t0)
 	if !w.rebuild {
