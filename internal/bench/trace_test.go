@@ -26,7 +26,10 @@ func TestTraceSmoke(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := tr.StreamTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
 	var tf trace.ChromeTraceFile

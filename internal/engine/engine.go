@@ -808,9 +808,7 @@ func countRecords(invs []map[string]Input) int64 {
 			if in.Offs != nil {
 				n += int64(len(in.Offs))
 			} else {
-				for off := 0; off < len(in.Buf); off += serde.RecordSize(in.Buf, off) {
-					n++
-				}
+				n += int64(recordCount(in.Buf))
 			}
 		}
 	}

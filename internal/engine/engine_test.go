@@ -28,8 +28,13 @@ func pairProgram(t *testing.T) *ir.Program {
 		{Name: "name", Type: model.Object(model.StringClassName)},
 		{Name: "n", Type: model.Prim(model.KindLong)},
 	}})
+	reg.Define(model.ClassDef{Name: "Labeled", Fields: []model.FieldDef{
+		{Name: "label", Type: model.Object(model.StringClassName)},
+		{Name: "name", Type: model.Object(model.StringClassName)},
+		{Name: "n", Type: model.Prim(model.KindLong)},
+	}})
 	prog := ir.NewProgram(reg)
-	prog.TopTypes = []string{"Pair", "Tagged"}
+	prog.TopTypes = []string{"Pair", "Tagged", "Labeled"}
 
 	b := ir.NewFuncBuilder(prog, "incUDF", model.Type{})
 	rec := b.Param("rec", model.Object("Pair"))
@@ -178,6 +183,109 @@ func TestKeyReaderPrimAndString(t *testing.T) {
 	}
 	if _, err := Partition(c.Layouts, "Tagged", "missing", nil, 2); err == nil {
 		t.Errorf("Partition accepted a missing field")
+	}
+}
+
+// Next decides record validity: every way a frame or its key field can
+// overrun its bytes is an error, for a constant and a symbolic key
+// offset alike, and a valid buffer validates with Next's keys equal to
+// Key's.
+func TestKeyReaderNextRejectsDamage(t *testing.T) {
+	c := Compile(pairProgram(t))
+	reader := func(class, field string) *KeyReader {
+		k, err := NewKeyReader(c.Layouts, class, field)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	// pairs' key is at a constant offset, names' is a string, ns' lies
+	// after a string (a symbolic offset) and labeled's after two (an
+	// offset read at a symbolic offset).
+	pairs, names, ns := reader("Pair", "key"), reader("Tagged", "name"), reader("Tagged", "n")
+	labeledN := reader("Labeled", "n")
+	pair := encode(t, c, 2)
+	tagged, err := c.Codec.Encode("Tagged", serde.Obj{"name": "abc", "n": int64(7)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labeled, err := c.Codec.Encode("Labeled", serde.Obj{"label": "ab", "name": "c", "n": int64(7)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		k   *KeyReader
+		buf []byte
+	}{{pairs, pair}, {names, tagged}, {ns, tagged}, {labeledN, labeled}} {
+		if err := tc.k.Validate(tc.buf); err != nil {
+			t.Fatalf("valid buffer rejected: %v", err)
+		}
+		for _, off := range RecordOffsets(tc.buf) {
+			if key, _, _ := tc.k.Next(tc.buf, off); !bytes.Equal(key, tc.k.Key(tc.buf, off)) {
+				t.Errorf("Next's key %x differs from Key's %x", key, tc.k.Key(tc.buf, off))
+			}
+		}
+	}
+	frame := func(payload ...byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	// withLen is rec with its first string's length field set to n.
+	withLen := func(rec []byte, n int32) []byte {
+		b := slices.Clone(rec)
+		binary.LittleEndian.PutUint32(b[serde.SizePrefixBytes:], uint32(n))
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		k    *KeyReader
+		buf  []byte
+	}{
+		{"size prefix cut", pairs, pair[:len(pair)/2+3]},
+		{"frame overruns the buffer", pairs, pair[:len(pair)-1]},
+		{"empty payload", pairs, frame()},
+		{"payload shorter than the key field", pairs, frame(0, 0, 0, 0)},
+		{"string length field cut", names, frame(1, 0)},
+		{"negative string length", names, withLen(tagged, -1)},
+		{"string overruns the payload", names, withLen(tagged, 100)},
+		{"symbolic offset reads past the payload", ns, frame(1, 0)},
+		{"symbolic offset past the payload", ns, withLen(tagged, 100)},
+		{"negative symbolic offset", ns, withLen(tagged, -3)},
+		// The label's length puts the name's length slot at offset -2;
+		// read as 0, it would leave the key in range.
+		{"symbolic offset reads before the payload", labeledN, withLen(labeled, -3)},
+	} {
+		if err := tc.k.Validate(tc.buf); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// The checked step costs no allocation over a constant key offset, a
+// primitive key's or a string key's.
+func TestValidateAllocs(t *testing.T) {
+	c := Compile(pairProgram(t))
+	pairs, tagged := encode(t, c, 10000), []byte(nil)
+	for i := 0; i < 10000; i++ {
+		var err error
+		if tagged, err = c.Codec.Encode("Tagged", serde.Obj{"name": "abc", "n": int64(i)}, tagged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		class, field string
+		buf          []byte
+	}{{"Pair", "key", pairs}, {"Tagged", "name", tagged}} {
+		k, err := NewKeyReader(c.Layouts, tc.class, tc.field)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(20, func() {
+			if err := k.Validate(tc.buf); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("Validate over 10000 %s records keyed by %s: %.0f allocations, want 0", tc.class, tc.field, got)
+		}
 	}
 }
 

@@ -103,24 +103,21 @@ func (s *nativeSink) Bytes() []byte { return s.out }
 
 // ---- record/key utilities over wire bytes ----
 
-// byteReader adapts a record payload (no prefix) to expr.NativeReader
-// with base interpreted as an offset into the slice.
-type byteReader []byte
+// lenReader adapts a record payload (no prefix) to expr.NativeReader,
+// base being an offset into it. Layout expressions read only 4-byte
+// length slots; a read outside the payload returns 0 and marks the
+// reader bad, which Next reports as an error.
+type lenReader struct {
+	b   []byte
+	bad bool
+}
 
-func (b byteReader) ReadNative(base, off int64, sz int) int64 {
-	m := b[base+off:]
-	switch sz {
-	case 1:
-		return int64(int8(m[0]))
-	case 2:
-		return int64(int16(binary.LittleEndian.Uint16(m)))
-	case 4:
-		return int64(int32(binary.LittleEndian.Uint32(m)))
-	case 8:
-		return int64(binary.LittleEndian.Uint64(m))
-	default:
-		panic(fmt.Sprintf("engine: read of size %d", sz))
+func (r *lenReader) ReadNative(base, off int64, sz int) int64 {
+	at := base + off
+	if r.bad = r.bad || sz != 4 || at < 0 || at > int64(len(r.b))-4; r.bad {
+		return 0
 	}
+	return int64(int32(binary.LittleEndian.Uint32(r.b[at:])))
 }
 
 // KeyReader extracts the canonical key bytes of one field from wire
@@ -166,18 +163,56 @@ func NewKeyReader(layouts *dsa.Result, class, field string) (*KeyReader, error) 
 }
 
 // Key returns the key bytes of the record whose size prefix starts at
-// buf[off:]. The result aliases buf.
+// buf[off:]. The result aliases buf. Key checks nothing: buf must hold
+// records Next accepted or this process encoded.
 func (k *KeyReader) Key(buf []byte, off int) []byte {
-	payload := byteReader(buf[off+serde.SizePrefixBytes:])
+	payload := buf[off+serde.SizePrefixBytes:]
 	fo := k.konst
 	if k.off != nil {
-		fo = k.off.Eval(payload, 0)
+		fo = k.off.Eval(&lenReader{b: payload}, 0)
 	}
 	n := k.width
 	if n == 0 {
-		n = 4 + 2*payload.ReadNative(fo, 0, 4)
+		n = 4 + 2*int64(int32(binary.LittleEndian.Uint32(payload[fo:])))
 	}
 	return payload[fo : fo+n : fo+n]
+}
+
+// Next is Key checked, the one decision that record bytes are well
+// formed: the size prefix and its frame lie inside buf, and the key
+// field inside the payload. It returns the key and the record's size,
+// prefix included. A constant key offset allocates nothing.
+func (k *KeyReader) Next(buf []byte, off int) (key []byte, size int, err error) {
+	if len(buf)-off >= serde.SizePrefixBytes {
+		size = serde.RecordSize(buf, off)
+	}
+	if size == 0 || size > len(buf)-off {
+		return nil, 0, fmt.Errorf("engine: record at offset %d overruns its %d-byte buffer", off, len(buf))
+	}
+	p := buf[off+serde.SizePrefixBytes : off+size]
+	fo, n, bad := k.konst, k.width, false
+	if k.off != nil {
+		r := &lenReader{b: p}
+		fo = k.off.Eval(r, 0)
+		bad = r.bad
+	}
+	if n == 0 { // a string key: [len:4][len*2]
+		r := lenReader{b: p}
+		l := r.ReadNative(fo, 0, 4)
+		n, bad = 4+2*l, bad || r.bad || l < 0
+	}
+	if bad || fo < 0 || fo > int64(len(p))-n {
+		return nil, 0, fmt.Errorf("engine: key field of the record at offset %d overruns its %d-byte payload", off, len(p))
+	}
+	return p[fo : fo+n : fo+n], size, nil
+}
+
+// Validate checks that buf is whole records Next accepts.
+func (k *KeyReader) Validate(buf []byte) (err error) {
+	for off, size := 0, 0; off < len(buf) && err == nil; off += size {
+		_, size, err = k.Next(buf, off)
+	}
+	return err
 }
 
 // HashKey hashes canonical key bytes (FNV-1a).

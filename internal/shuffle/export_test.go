@@ -6,3 +6,8 @@ import "repro/internal/engine"
 func MergeByKey(kr *engine.KeyReader, buf []byte, raws [][]byte) []byte {
 	return mergeByKey(kr, buf, raws)
 }
+
+// DecodeRun exposes the spill-run decoder to the external tests.
+func DecodeRun(data []byte, keys *engine.KeyReader, partitions int) ([][]byte, error) {
+	return decodeRun(data, keys, partitions)
+}

@@ -29,6 +29,14 @@
 // agree. A fetch concatenates a reducer's blocks in map-task order or,
 // with KeyOrder, merges them: a stable key sort of that concatenation.
 // The gerenukbench shuffle pass pins this in both modes.
+//
+// Record bytes are checked once, where they enter the exchange from
+// outside its own memory: Writer.Add takes every record through
+// engine.KeyReader.Next, and a spill run read back from disk passes
+// KeyReader.Validate (decodeRun). A frame or key field overrunning its
+// bytes is an error there, not a panic later. Every block in the store
+// was published by a Close whose bytes passed one of the two, so the
+// fetch, mergeByKey and the reduce side's grouping walk them unchecked.
 package shuffle
 
 import (

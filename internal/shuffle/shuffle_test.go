@@ -15,7 +15,10 @@ import (
 	"repro/internal/trace"
 )
 
-func pairCompiled(t *testing.T) *engine.Compiled {
+// pairCompiled compiles the two record classes the tests shuffle: Pair,
+// keyed by a long at a constant offset, and Named, whose long key lies
+// after a string, at a symbolic offset.
+func pairCompiled(t testing.TB) *engine.Compiled {
 	t.Helper()
 	reg := model.NewRegistry()
 	reg.DefineString()
@@ -23,9 +26,23 @@ func pairCompiled(t *testing.T) *engine.Compiled {
 		{Name: "key", Type: model.Prim(model.KindLong)},
 		{Name: "value", Type: model.Prim(model.KindDouble)},
 	}})
+	reg.Define(model.ClassDef{Name: "Named", Fields: []model.FieldDef{
+		{Name: "name", Type: model.Object(model.StringClassName)},
+		{Name: "key", Type: model.Prim(model.KindLong)},
+	}})
 	prog := ir.NewProgram(reg)
-	prog.TopTypes = []string{"Pair"}
+	prog.TopTypes = []string{"Pair", "Named"}
 	return engine.Compile(prog)
+}
+
+// keyReader resolves class's "key" field against c's layouts.
+func keyReader(t testing.TB, c *engine.Compiled, class string) *engine.KeyReader {
+	t.Helper()
+	keys, err := engine.NewKeyReader(c.Layouts, class, "key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }
 
 // encodeParts builds nParts map-side partitions of n records each, keys
@@ -114,6 +131,10 @@ func TestExchangeDeterministicAcrossConfigs(t *testing.T) {
 		}{
 			{"spill-1b", Config{Partitions: 4, MemoryBudget: 1}},
 			{"spill-256b", Config{Partitions: 4, MemoryBudget: 256}},
+			// A writer stages 40 records of 28 B (key + record); 300 B
+			// spills runs of 11 and leaves a 7-record tail for Close to
+			// merge after them. The other budgets divide 40 evenly.
+			{"spill-300b", Config{Partitions: 4, MemoryBudget: 300}},
 			{"spill-lz4", Config{Partitions: 4, MemoryBudget: 128, Compression: LZ4}},
 			{"inmem-lz4", Config{Partitions: 4, Compression: LZ4}},
 		}

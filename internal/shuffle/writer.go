@@ -89,12 +89,14 @@ func (w *Writer) discardRuns() {
 	}
 }
 
-// Add stages every size-prefixed record in buf. In Baseline mode each
-// record pays a real decode + canonical re-encode here — the map-side
-// serialization point of a conventional runtime; in Gerenuk mode the
-// native bytes are staged untouched and uncopied: staged entries alias
-// buf (keys do in both modes), so buf must stay unchanged until Close,
-// which copies every record into its block.
+// Add stages every size-prefixed record in buf, each checked by
+// engine.KeyReader.Next: a record whose frame or key field overruns its
+// bytes fails Add there, the records before it staged (perhaps spilled).
+// In Baseline mode each record pays a real decode + canonical re-encode
+// here — the map-side serialization point of a conventional runtime; in
+// Gerenuk mode the native bytes are staged untouched and uncopied:
+// staged entries alias buf (keys do in both modes), so buf must stay
+// unchanged until Close, which copies every record into its block.
 func (w *Writer) Add(buf []byte) error {
 	if w.closed {
 		return fmt.Errorf("shuffle: add on closed writer for map task %d", w.mapTask)
@@ -108,15 +110,11 @@ func (w *Writer) Add(buf []byte) error {
 	ex := w.ex
 	encodes := ex.reg().Counter("shuffle_write_encodes_total")
 	for off := 0; off < len(buf); {
-		if off+serde.SizePrefixBytes > len(buf) {
-			return fmt.Errorf("shuffle: corrupt record at offset %d of map task %d", off, w.mapTask)
-		}
-		sz := serde.RecordSize(buf, off)
-		if off+sz > len(buf) {
-			return fmt.Errorf("shuffle: corrupt record at offset %d of map task %d", off, w.mapTask)
+		key, sz, err := ex.keys.Next(buf, off)
+		if err != nil {
+			return fmt.Errorf("shuffle: map task %d: %w", w.mapTask, err)
 		}
 		rec := buf[off : off+sz]
-		key := ex.keys.Key(buf, off)
 		if ex.codec != nil {
 			ts := time.Now()
 			v, _, err := ex.codec.Decode(ex.class, buf, off)
@@ -224,12 +222,12 @@ func (w *Writer) seal() (run []byte, blocks [][]byte) {
 }
 
 // readRun loads one spill run back as per-reducer blocks.
-func readRun(path string, partitions int) ([][]byte, error) {
+func readRun(path string, keys *engine.KeyReader, partitions int) ([][]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: merge: %w", err)
 	}
-	blocks, err := decodeRun(data, partitions)
+	blocks, err := decodeRun(data, keys, partitions)
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: merge: run %s: %w", path, err)
 	}
@@ -237,11 +235,12 @@ func readRun(path string, partitions int) ([][]byte, error) {
 }
 
 // decodeRun splits a spill run into its per-reducer blocks, indexed by
-// reducer (nil where the run holds none) and aliasing data. The format
-// is canonical — groups in strictly ascending reducer order, none empty,
-// each tiled exactly by whole record frames — so a damaged run is an
-// error, never a block the merge would misread.
-func decodeRun(data []byte, partitions int) ([][]byte, error) {
+// reducer (nil where the run holds none) and aliasing data. A run is
+// read back from disk, so it is the second place record bytes enter the
+// exchange: the format is canonical — groups in strictly ascending
+// reducer order, none empty, each whole records keys.Validate accepts —
+// so a damaged run is an error, never a block the merge would misread.
+func decodeRun(data []byte, keys *engine.KeyReader, partitions int) ([][]byte, error) {
 	blocks := make([][]byte, partitions)
 	for p, last := 0, -1; p < len(data); {
 		if len(data)-p < runHeaderBytes {
@@ -259,10 +258,8 @@ func decodeRun(data []byte, partitions int) ([][]byte, error) {
 			return nil, fmt.Errorf("reducer %d's %d-byte group overruns the run at offset %d", r, n, p)
 		}
 		b := data[p : p+n : p+n]
-		for off := 0; off < n; off += serde.RecordSize(b, off) {
-			if n-off < serde.SizePrefixBytes || serde.RecordSize(b, off) > n-off {
-				return nil, fmt.Errorf("record at offset %d crosses reducer %d's group", p+off, r)
-			}
+		if err := keys.Validate(b); err != nil {
+			return nil, fmt.Errorf("reducer %d's group at offset %d: %w", r, p, err)
 		}
 		blocks[r], last, p = b, r, p+n
 	}
@@ -284,7 +281,7 @@ func (w *Writer) assemble() ([][]byte, error) {
 	}
 	blocks := make([][][]byte, ex.cfg.Partitions)
 	for _, path := range w.runs {
-		run, err := readRun(path, ex.cfg.Partitions)
+		run, err := readRun(path, ex.keys, ex.cfg.Partitions)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 )
 
@@ -42,18 +41,6 @@ func toChrome(e Event) ChromeEvent {
 	}
 }
 
-// ChromeTrace converts the recorded events to the Chrome trace file
-// structure, sorted by timestamp.
-func (t *Tracer) ChromeTrace() ChromeTraceFile {
-	events := t.Events()
-	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
-	out := ChromeTraceFile{DisplayTimeUnit: "ns", TraceEvents: make([]ChromeEvent, len(events))}
-	for i, e := range events {
-		out.TraceEvents[i] = toChrome(e)
-	}
-	return out
-}
-
 // ---- streaming Chrome exporter ----
 
 // streamWriter incrementally writes the Chrome trace JSON object as
@@ -87,9 +74,9 @@ func (sw *streamWriter) event(e Event) {
 // StreamTo switches the tracer into streaming mode: the Chrome trace
 // JSON header and every already-buffered event are written to w
 // immediately, each future event is appended as it is emitted (and not
-// retained in memory), and CloseStream terminates the JSON object. The
-// streamed file holds events in emission order — spans appear when they
-// End — which Perfetto accepts; only the buffered exporter sorts.
+// retained in memory), and CloseStream terminates the JSON object. It
+// is the one Chrome exporter. The file holds events in emission order —
+// spans appear when they End — which Perfetto accepts.
 func (t *Tracer) StreamTo(w io.Writer) error {
 	if t == nil {
 		return nil
@@ -135,13 +122,6 @@ func (t *Tracer) CloseStream() error {
 		return fmt.Errorf("trace: %w", err)
 	}
 	return nil
-}
-
-// WriteChromeTrace writes the Chrome trace JSON to w.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(t.ChromeTrace())
 }
 
 // ---- metrics JSON exporter ----

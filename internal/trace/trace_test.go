@@ -26,9 +26,10 @@ func fakeClock(step time.Duration) func() time.Time {
 	}
 }
 
-// TestChromeTraceGolden pins the exporter's wire format: a miniature
-// job → task → attempt → phase span tree with GC/abort instants and a
-// counter sample must serialize byte-identically to the golden file.
+// TestChromeTraceGolden pins the streaming exporter's wire format: a
+// miniature job → task → attempt → phase span tree with GC/abort
+// instants and a counter sample, buffered and then flushed by StreamTo,
+// must serialize byte-identically to the golden file.
 func TestChromeTraceGolden(t *testing.T) {
 	tr := NewWithClock(fakeClock(time.Millisecond))
 
@@ -48,7 +49,10 @@ func TestChromeTraceGolden(t *testing.T) {
 	job.End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := tr.StreamTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_trace.golden.json")
@@ -161,12 +165,18 @@ func TestConcurrentSpans(t *testing.T) {
 		t.Errorf("got %d events, want %d", len(events), want)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := tr.StreamTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
 	var file ChromeTraceFile
 	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
 		t.Fatalf("concurrent trace does not parse: %v", err)
+	}
+	if len(file.TraceEvents) != want {
+		t.Errorf("exported %d events, want %d", len(file.TraceEvents), want)
 	}
 	if err := tr.WriteMetricsJSON(&buf, map[string]any{"test": true}); err != nil {
 		t.Fatal(err)

@@ -214,19 +214,11 @@ func GenDocs(nDocs, wordsPerDoc int, seed int64) []serde.Obj {
 	return objs
 }
 
-// Post is a StackOverflow-like post record of class "Post"
-// ({user long, score long, hour long, body String}).
-type Post struct {
-	User  int64
-	Score int64
-	Hour  int64
-	Body  string
-}
-
-// GenPosts produces posts with skewed posts-per-user: most users post
-// about avgPosts times, and roughly one in ten is a heavy user with ~5x
-// the volume (the heavy tail that makes SOA's vectors resize) — the
-// StackOverflow stand-in.
+// GenPosts produces StackOverflow-like records of class "Post" ({user
+// long, score long, hour long, body String}) with skewed posts-per-user:
+// most users post about avgPosts times, and roughly one in ten is a
+// heavy user with ~5x the volume (the heavy tail that makes SOA's
+// vectors resize) — the StackOverflow stand-in.
 func GenPosts(nUsers, avgPosts int, seed int64) []serde.Obj {
 	r := rand.New(rand.NewSource(seed))
 	var objs []serde.Obj

@@ -304,6 +304,21 @@ var structureRules = append([]rule{
 		},
 	},
 	{
+		// Record bytes are checked once, where they enter the exchange:
+		// engine.KeyReader.Next, the one serde.RecordSize call below that
+		// checks what it reads, under Writer.Add and a spill run's
+		// decodeRun. Every other call is an unchecked walk over bytes
+		// that passed that check or that this process encoded: the
+		// engine's record sources, offsets, counts, grouping and
+		// partitioning, the fetch's merge and baseline decode, the
+		// interpreter's deserialize span and one figure's footprint scan.
+		// A new walk needs a place behind the check, and a raised bound.
+		name:  "one record check: at most 11 serde.RecordSize calls outside internal/serde",
+		max:   11,
+		scope: outside("internal/serde"),
+		match: func(s *srcFile, n ast.Node) bool { return s.calls(n, "repro/internal/serde", "RecordSize") },
+	},
+	{
 		// A job's cost is charged by internal/job alone (RunStage,
 		// ShuffleBy), under one rule: Total is summed busy time. A
 		// front-end timing its own work into Total would charge a second
