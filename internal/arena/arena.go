@@ -19,6 +19,7 @@ package arena
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/trace"
@@ -233,9 +234,18 @@ func (r *Region) Append(n int) Addr {
 		panic(fmt.Sprintf("arena: append to freed region %q", r.name))
 	}
 	off := len(r.buf)
-	r.buf = append(r.buf, make([]byte, n)...)
+	r.extend(n)
 	r.arena.account(int64(n))
 	return r.AddrOf(off)
+}
+
+// extend appends n zero bytes to the region's buffer. It allocates only
+// when the buffer's capacity runs out — append(buf, make(n)...) does the
+// same, but not when the build is race-instrumented.
+func (r *Region) extend(n int) {
+	off := len(r.buf)
+	r.buf = slices.Grow(r.buf, n)[:off+n]
+	clear(r.buf[off:])
 }
 
 // AppendBytes appends a prebuilt byte payload (e.g. a serialized record)
@@ -306,7 +316,7 @@ func (r *Region) grow(to int) {
 		panic(fmt.Sprintf("arena: grow of freed region %q", r.name))
 	}
 	delta := to - len(r.buf)
-	r.buf = append(r.buf, make([]byte, delta)...)
+	r.extend(delta)
 	r.arena.account(int64(delta))
 }
 

@@ -113,7 +113,8 @@ func TestAdoptBytes(t *testing.T) {
 func TestRecordBuilderInOrder(t *testing.T) {
 	a := New()
 	r := a.NewRegion("t")
-	b := r.NewRecord()
+	var b RecordBuilder
+	b.Reset(r)
 
 	lenB := expr.ReadNative(1, expr.Konst(4), 4)
 	offC := expr.Konst(8).Add(lenB.Scale(8))
@@ -145,7 +146,8 @@ func TestRecordBuilderInOrder(t *testing.T) {
 func TestRecordBuilderOutOfOrder(t *testing.T) {
 	a := New()
 	r := a.NewRegion("t")
-	b := r.NewRecord()
+	var b RecordBuilder
+	b.Reset(r)
 
 	lenB := expr.ReadNative(1, expr.Konst(4), 4)
 	offC := expr.Konst(8).Add(lenB.Scale(8))
@@ -168,7 +170,8 @@ func TestRecordBuilderOutOfOrder(t *testing.T) {
 func TestRecordBuilderSealFailsOnMissingArray(t *testing.T) {
 	a := New()
 	r := a.NewRegion("t")
-	b := r.NewRecord()
+	var b RecordBuilder
+	b.Reset(r)
 	off := expr.Konst(8).Add(expr.ReadNative(8, expr.Konst(4), 4))
 	b.WriteAt(b.Base(), off, 8, 1)
 	if _, _, err := b.Seal(); err == nil {
@@ -180,7 +183,8 @@ func TestNestedSymbolicArrays(t *testing.T) {
 	// Record: [len1:4][len1 int32s][len2:4][len2 int32s][tail:4]
 	a := New()
 	r := a.NewRegion("t")
-	b := r.NewRecord()
+	var b RecordBuilder
+	b.Reset(r)
 
 	len1 := expr.ReadNative(1, expr.Konst(0), 4)
 	off2 := expr.Konst(4).Add(len1.Scale(4)) // len2 slot
@@ -377,7 +381,9 @@ func TestResetRecyclesOwnStorageOnly(t *testing.T) {
 	want = append(want, 8, 7, 6, 5, 4, 3, 2, 1)
 	r.AppendBytes([]byte{9, 9, 9})
 	want = append(want, 9, 9, 9)
-	r.NewRecord().Reserve(5)
+	var rb RecordBuilder
+	rb.Reset(r)
+	rb.Reserve(5)
 	want = append(want, make([]byte, 5)...)
 	if got := a.Slice(p, r.Len()); string(got) != string(want) {
 		t.Fatalf("recycled region reads %v, want %v", got, want)

@@ -35,12 +35,12 @@ type pendingWrite struct {
 	val  int64
 }
 
-// NewRecord starts building a record at the current end of the region.
-func (r *Region) NewRecord() *RecordBuilder {
-	return &RecordBuilder{
-		region: r,
-		base:   r.AddrOf(len(r.buf)),
-	}
+// Reset starts b on a new record at the current end of r, keeping the
+// storage of its length and pending-write lists: one builder serves
+// every record an Env builds.
+func (b *RecordBuilder) Reset(r *Region) {
+	b.region, b.base = r, r.AddrOf(len(r.buf))
+	b.lengths, b.pending = b.lengths[:0], b.pending[:0]
 }
 
 // Base returns the record's base address.

@@ -10,8 +10,10 @@
 //   - variable slots resolved to integer indices at compile time,
 //   - constant offsets folded into direct arena reads/writes,
 //   - float-vs-int operator selection done once instead of per record,
-//   - GetAddress sources bound to a per-run array slot instead of a
-//     per-record map lookup, and
+//   - GetAddress sources bound to an array slot once per Machine
+//     instead of a per-record map lookup,
+//   - frames cut from one per-Machine stack, a call writing its
+//     arguments straight into the callee's frame, and
 //   - arena record operations pre-bound to the shared *interp.Env
 //     methods (nativeops), so both backends run byte-identical record
 //     protocols.
@@ -68,18 +70,50 @@ type cfn struct {
 	body   []step
 }
 
-// mach is the per-run machine state shared by all frames of one
-// execution: the environment, the lazily bound native sources, and the
+// mach is the machine state shared by all frames of a Machine's runs:
+// the environment, the bound native sources, the frame stack, and the
 // last-resolved arena region (records stream from one input region, so
 // the cache almost always hits).
 type mach struct {
-	env  *interp.Env
-	srcs []interp.NativeSource
+	env   *interp.Env
+	entry *cfn
+	srcs  []interp.NativeSource
+
+	// stack holds the running calls' frames; sp is its first free slot.
+	stack []int64
+	sp    int
 
 	regID int64
 	reg   *arena.Region
 
 	ret retSig
+}
+
+// frame cuts f's slots, zeroed, from the top of the stack. A grown
+// stack moves to new storage; the frames below keep theirs, which only
+// their own calls read, so nothing is copied.
+func (m *mach) frame(f *cfn) []int64 {
+	lo, hi := m.sp, m.sp+f.nslots
+	if hi > len(m.stack) {
+		m.stack = make([]int64, 2*hi)
+	}
+	sl := m.stack[lo:hi:hi]
+	clear(sl)
+	m.sp = hi
+	return sl
+}
+
+// call runs f over sl, the frame m.frame cut for it, and pops the frame.
+func (m *mach) call(f *cfn, sl []int64) (int64, error) {
+	err := runSteps(m, f.name, sl, f.body)
+	m.sp -= f.nslots
+	if err != nil {
+		if r, ok := err.(*retSig); ok {
+			return r.val, nil
+		}
+		return 0, err
+	}
+	return 0, nil
 }
 
 // bytesAt returns the backing bytes and intra-region offset of base,
@@ -114,39 +148,44 @@ func (*retSig) Error() string { return "compile: internal return signal" }
 // A *retSig error propagates a Return; any other error aborts the run.
 type step func(m *mach, sl []int64) error
 
-// Run executes the compiled driver with the given argument values (raw
+// Machine is a Prog bound to one Env: the Env's native sources
+// resolved by name once, and one frame stack every run and call reuses.
+// Bind one per attempt or binding and Run it once per driver run. A
+// Machine is for one goroutine at a time; a Prog is shared.
+type Machine struct{ mach }
+
+// Bind resolves p's sources against env.NativeSources, which must hold
+// them by now; a missing source fails the run that reads it.
+func (p *Prog) Bind(env *interp.Env) *Machine {
+	mc := &Machine{mach{env: env, entry: p.entry}}
+	if len(p.srcNames) > 0 {
+		mc.srcs = make([]interp.NativeSource, len(p.srcNames))
+		for i, name := range p.srcNames {
+			mc.srcs[i] = env.NativeSources[name]
+		}
+	}
+	return mc
+}
+
+// Run executes the driver once with the given argument values (raw
 // bits), against the same Env contract as interp.New(env).Run(fn, ...).
-func (p *Prog) Run(env *interp.Env, args ...int64) (int64, error) {
-	if env.MaxSteps == 0 {
-		env.MaxSteps = interp.DefaultMaxSteps
+func (mc *Machine) Run(args ...int64) (int64, error) {
+	m := &mc.mach
+	if m.env.MaxSteps == 0 {
+		m.env.MaxSteps = interp.DefaultMaxSteps
 	}
 	// regID -1 forces the first access through RegionAt: id 0 is never
 	// valid, and a null/heap-range base must fault there, not here.
-	m := &mach{env: env, regID: -1}
-	if len(p.srcNames) > 0 {
-		m.srcs = make([]interp.NativeSource, len(p.srcNames))
-		for i, name := range p.srcNames {
-			m.srcs[i] = env.NativeSources[name]
-		}
-	}
-	return callFn(m, p.entry, args)
-}
-
-func callFn(m *mach, f *cfn, args []int64) (int64, error) {
+	m.regID, m.reg, m.sp = -1, nil, 0
+	f := m.entry
 	if len(args) != len(f.params) {
 		return 0, fmt.Errorf("compile: %s expects %d args, got %d", f.name, len(f.params), len(args))
 	}
-	sl := make([]int64, f.nslots)
+	sl := m.frame(f)
 	for i, a := range args {
 		sl[f.params[i]] = a
 	}
-	if err := runSteps(m, f.name, sl, f.body); err != nil {
-		if r, ok := err.(*retSig); ok {
-			return r.val, nil
-		}
-		return 0, err
-	}
-	return 0, nil
+	return m.call(f, sl)
 }
 
 // runSteps is the compiled analogue of the interpreter's block loop:
@@ -453,12 +492,19 @@ func (c *compiler) stmt(fn *ir.Func, s ir.Stmt) (step, error) {
 		if t.Dst != nil {
 			dst = t.Dst.Slot
 		}
+		// The callee's params are set before it is memoized, so they are
+		// known here even for a recursive call.
+		params := callee.params
+		if len(argSlots) != len(params) {
+			errv := fmt.Errorf("compile: %s expects %d args, got %d", callee.name, len(params), len(argSlots))
+			return func(*mach, []int64) error { return errv }, nil
+		}
 		return func(m *mach, sl []int64) error {
-			args := make([]int64, len(argSlots))
+			csl := m.frame(callee)
 			for i, s := range argSlots {
-				args[i] = sl[s]
+				csl[params[i]] = sl[s]
 			}
-			v, err := callFn(m, callee, args)
+			v, err := m.call(callee, csl)
 			if err != nil {
 				return err
 			}

@@ -287,7 +287,7 @@ func TestCompiledMatchesInterpAndHeap(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			cenv, csink := nativeEnv(prog, layouts, a, in, "LabeledPoint")
-			cv, err := cprog.Run(cenv)
+			cv, err := cprog.Bind(cenv).Run()
 			if err != nil {
 				t.Fatalf("compiled run: %v", err)
 			}
@@ -336,7 +336,7 @@ func TestGuardAbortParity(t *testing.T) {
 
 	cenv, csink := nativeEnv(prog, layouts, a, in, "LabeledPoint")
 	cenv.AbortAfterRecords = 2
-	_, cerr := cprog.Run(cenv)
+	_, cerr := cprog.Bind(cenv).Run()
 
 	for _, err := range []error{ierr, cerr} {
 		if !errors.Is(err, interp.ErrAbort) {
@@ -369,7 +369,7 @@ func TestExplicitGuardAborts(t *testing.T) {
 	a := arena.New()
 	in := a.AdoptBytes("input", nil)
 	env, _ := nativeEnv(prog, layouts, a, in, "LabeledPoint")
-	_, cerr := cprog.Run(env)
+	_, cerr := cprog.Bind(env).Run()
 	if !errors.Is(cerr, interp.ErrAbort) {
 		t.Fatalf("expected ErrAbort, got %v", cerr)
 	}
@@ -404,7 +404,7 @@ func TestUnknownNativeMethodAborts(t *testing.T) {
 	a := arena.New()
 	in := a.AdoptBytes("input", nil)
 	cenv, _ := nativeEnv(prog, layouts, a, in, "LabeledPoint")
-	_, cerr := cprog.Run(cenv)
+	_, cerr := cprog.Bind(cenv).Run()
 	ienv, _ := nativeEnv(prog, layouts, a, in, "LabeledPoint")
 	_, ierr := interp.New(ienv).Run(fn)
 	if cerr == nil || ierr == nil || cerr.Error() != ierr.Error() {
@@ -434,7 +434,7 @@ func TestCancelParity(t *testing.T) {
 	flag.Store(true)
 	for name, run := range map[string]func(*interp.Env) error{
 		"interp":   func(env *interp.Env) error { _, err := interp.New(env).Run(native); return err },
-		"compiled": func(env *interp.Env) error { _, err := cprog.Run(env); return err },
+		"compiled": func(env *interp.Env) error { _, err := cprog.Bind(env).Run(); return err },
 	} {
 		env, _ := nativeEnv(prog, layouts, a, in, "LabeledPoint")
 		env.Cancel = &flag
@@ -474,7 +474,7 @@ func TestStepBudgetParity(t *testing.T) {
 		return err == nil
 	}
 	iRun := func(env *interp.Env) error { _, err := interp.New(env).Run(native); return err }
-	cRun := func(env *interp.Env) error { _, err := cprog.Run(env); return err }
+	cRun := func(env *interp.Env) error { _, err := cprog.Bind(env).Run(); return err }
 
 	// Binary-search the interpreter's minimal budget.
 	lo, hi := int64(1), int64(1<<20)
@@ -527,7 +527,7 @@ func benchKernel(b *testing.B, build func(*ir.Program) *ir.Func, pts [][]float64
 		}
 		var err error
 		if compiled {
-			_, err = cprog.Run(env)
+			_, err = cprog.Bind(env).Run()
 		} else {
 			_, err = interp.New(env).Run(native)
 		}
@@ -570,4 +570,70 @@ func BenchmarkGuardKernelInterp(b *testing.B) {
 }
 func BenchmarkGuardKernelCompiled(b *testing.B) {
 	benchKernel(b, buildFoldDriver, genPts(2048, 2), true)
+}
+
+// buildPairFold builds the reduce driver's shape over Pair records: acc
+// = combine(acc, rec) for every record after the first, combine
+// building a fresh Pair, then acc is written out.
+func buildPairFold(prog *ir.Program) {
+	cb := ir.NewFuncBuilder(prog, "combine", model.Object("Pair"))
+	a := cb.Param("a", model.Object("Pair"))
+	bb := cb.Param("b", model.Object("Pair"))
+	key := cb.Load(a, "key")
+	sum := cb.Bin(ir.OpAdd, cb.Load(a, "value"), cb.Load(bb, "value"))
+	acc := cb.New("Pair")
+	cb.Store(acc, "key", key)
+	cb.Store(acc, "value", sum)
+	cb.Ret(acc)
+	cb.Done()
+
+	b := ir.NewFuncBuilder(prog, "driver", model.Type{})
+	zero := b.IConst(0)
+	fold := b.Local("acc", model.Object("Pair"))
+	rec := b.Local("rec", model.Object("Pair"))
+	b.Emit(&ir.Deserialize{Dst: fold, Source: "in"})
+	b.Emit(&ir.Deserialize{Dst: rec, Source: "in"})
+	b.While(ir.CmpNE, rec, zero, func() {
+		b.Assign(fold, b.Call("combine", model.Object("Pair"), fold, rec))
+		b.Emit(&ir.Deserialize{Dst: rec, Source: "in"})
+	})
+	b.WriteRecord("out", fold)
+	b.Ret(nil)
+	b.Done()
+}
+
+// A compiled fold allocates nothing per record: folding 2n records
+// allocates exactly what folding n does. Each combine call cuts its
+// frame from the Machine's stack, with its arguments written straight
+// into it, and each record it builds reuses the Env's record builder.
+func TestCompiledFoldAllocsPerRecord(t *testing.T) {
+	prog, layouts, c := lrProgram(t)
+	buildPairFold(prog)
+	cprog, err := compile.Compile(prog, gerenukTransform(t, prog, layouts, "driver"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		var input []byte
+		for i := 0; i < n; i++ {
+			if input, err = c.Encode("Pair", serde.Obj{"key": int64(1), "value": float64(i)}, input); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a := arena.New()
+		sink := &nativeCollectSink{a: a}
+		return testing.AllocsPerRun(20, func() {
+			// The arena hands each run's regions the last run's storage.
+			a.Reset()
+			sink.out = sink.out[:0]
+			env, _ := nativeEnv(prog, layouts, a, a.AdoptBytes("input", input), "Pair")
+			env.NativeSink = sink
+			if _, err := cprog.Bind(env).Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if n, twice := allocs(512), allocs(1024); twice != n {
+		t.Errorf("compiled fold: %.0f allocs over 512 records, %.0f over 1024", n, twice)
+	}
 }

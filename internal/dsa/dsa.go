@@ -46,6 +46,10 @@ type Layout struct {
 	Size *expr.Expr
 	// Fixed reports whether Size is a compile-time constant.
 	Fixed bool
+	// Prefix is the byte length of the leading primitive fields at
+	// constant offsets, which appendToBuffer reserves when it opens a
+	// record of the class; arrays and sub-records reserve their own.
+	Prefix int
 }
 
 // Result holds the layouts for every class reachable from the analyzed
@@ -130,7 +134,7 @@ func (a *analyzer) classLayout(name string) (*Layout, error) {
 
 	l := &Layout{Class: cls, FieldOff: make(map[string]*expr.Expr)}
 	cur := expr.Konst(0)
-	fixed := true
+	fixed, inPrefix := true, true
 	for i, f := range cls.Fields {
 		if cur == nil {
 			return nil, fmt.Errorf(
@@ -138,6 +142,9 @@ func (a *analyzer) classLayout(name string) (*Layout, error) {
 				name, f.Name)
 		}
 		l.FieldOff[f.Name] = cur
+		if inPrefix = inPrefix && cur.IsConst() && !f.Type.IsRef(); inPrefix {
+			l.Prefix = int(cur.ConstValue()) + f.Type.Kind.Size()
+		}
 		next, fldFixed, err := a.advance(cur, f.Type, name, f.Name)
 		if err != nil {
 			return nil, err

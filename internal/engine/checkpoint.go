@@ -8,12 +8,12 @@ import (
 
 // restoreCheckpoint loads the task's persisted partial-fold state, if
 // any: seedFn receives the checkpointed output bytes (the completed
-// invocations' fold results — deterministic and byte-identical in both
+// driver runs' fold results — deterministic and byte-identical in both
 // modes, so a checkpoint saved by a native attempt soundly resumes a
-// heap attempt and vice versa) and the returned index is the invocation
-// to resume from. A corrupt checkpoint (checksum mismatch) is discarded
-// and counted; the attempt then restarts from record zero — slower,
-// never wrong.
+// heap attempt and vice versa) and the returned index is the driver run
+// to resume from, counted across bindings. A corrupt checkpoint
+// (checksum mismatch) is discarded and counted; the attempt then
+// restarts from record zero — slower, never wrong.
 func (e *Executor) restoreCheckpoint(spec TaskSpec, att *trace.Span, seedFn func([]byte)) int {
 	if spec.CheckpointEvery <= 0 || spec.Checkpoints == nil {
 		return 0
@@ -23,7 +23,12 @@ func (e *Executor) restoreCheckpoint(spec TaskSpec, att *trace.Span, seedFn func
 		att.Instant("recovery", "checkpoint-corrupt", trace.Str("task", spec.Name))
 		e.Trace.Registry().Counter("recovery_checkpoint_corrupt_total").Add(1)
 	}
-	if !ok || ck.Seq <= 0 || ck.Seq > len(spec.Invocations) {
+	runs := 0
+	for _, inv := range spec.Invocations {
+		n, _ := runsOf(inv) // a malformed binding runs none; the walk reports it
+		runs += n
+	}
+	if !ok || ck.Seq <= 0 || ck.Seq > runs {
 		return 0
 	}
 	if len(ck.Data) > 0 {
@@ -36,7 +41,7 @@ func (e *Executor) restoreCheckpoint(spec TaskSpec, att *trace.Span, seedFn func
 }
 
 // maybeCheckpoint persists the fold output after the done'th completed
-// invocation when the cadence hits. Hedged attempts may save
+// driver run when the cadence hits. Hedged attempts may save
 // concurrently; any saved prefix is a sound resume point, so the race
 // is benign.
 func (e *Executor) maybeCheckpoint(spec TaskSpec, att *trace.Span, done int, out []byte) {
@@ -51,7 +56,7 @@ func (e *Executor) maybeCheckpoint(spec TaskSpec, att *trace.Span, done int, out
 
 // killHook returns a per-record hook firing the spec's injected task
 // kill, or nil when none is planned. The kill triggers on the attempt's
-// cumulative record count — invocations share one counter, the
+// cumulative record count — driver runs share one counter, the
 // granularity a shot executor dies at — and fires once per plan, so the
 // retry runs to completion. When the plan also calls for checkpoint
 // corruption, the dying "executor" mangles its last checkpoint write on

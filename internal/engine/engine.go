@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -158,14 +159,20 @@ func (c *Compiled) CanRunNative(entry string) bool {
 	return c.Natives[entry] != nil
 }
 
-// Input is one bound source of a task invocation: wire records in Buf.
-// If Offs is non-nil it lists the record start offsets to read (e.g. one
-// key group of a shuffle partition); otherwise the whole buffer is
-// scanned sequentially.
+// Input is one bound source of a binding: wire records in Buf. If Offs
+// is non-nil it lists the record start offsets to read (e.g. the key
+// groups of a shuffle partition); otherwise the whole buffer is scanned
+// sequentially.
 type Input struct {
 	Class string
 	Buf   []byte
 	Offs  []int
+	// Groups, when non-nil, cuts Offs into key groups: Groups[g] is the
+	// end index in Offs of group g, which starts where group g-1 ends.
+	// A binding runs its driver once per group, each run reading every
+	// input's window for that group, so all inputs of a binding carry
+	// the same group count; an input without Groups is one group.
+	Groups []int
 	// Owned marks Buf as freshly assembled for this task alone (e.g. a
 	// shuffle fetch's concatenation) with ownership transferred to the
 	// executor: the native attempt may adopt it into its arena zero-copy
@@ -175,31 +182,32 @@ type Input struct {
 	Owned bool
 }
 
-// TaskSpec describes one task: a driver run once per invocation (map
-// tasks have a single invocation over a split; reduce tasks have one
-// invocation per key group).
+// TaskSpec describes one task: a driver run over each binding (map
+// tasks have a single binding over a split; a reduce task's binding runs
+// the driver once per key group of its block).
 type TaskSpec struct {
 	Name   string
 	Driver string
-	// Invocations bind source names to inputs, once per driver run.
+	// Invocations are the task's bindings of source names to inputs: one
+	// driver run each, or one per group when the inputs carry Groups.
 	Invocations []map[string]Input
 	// ClosureBytes simulates shipping the serialized closure/task binary
 	// to the executor; both modes pay it (the paper's residual serde).
 	ClosureBytes int
-	// EpochPerInvocation wraps each invocation in a Yak epoch
+	// EpochPerInvocation wraps each driver run in a Yak epoch
 	// (PolicyRegion heaps only).
 	EpochPerInvocation bool
-	// AbortAfterRecords forces a speculative abort after N records, for
-	// the Figure 10(b) experiment.
+	// AbortAfterRecords forces a speculative abort after N records of
+	// one driver run, for the Figure 10(b) experiment.
 	AbortAfterRecords int64
 	// Faults, when non-nil, injects deterministic failures into this
 	// task (see internal/faults). The plan carries the cross-attempt
 	// counter, so retries of the same spec see successive attempts.
 	Faults *faults.Plan
 	// CheckpointEvery persists the partial fold output every N completed
-	// invocations (0 = off): a killed or faulted attempt then resumes
+	// driver runs (0 = off): a killed or faulted attempt then resumes
 	// from the last checkpoint instead of record zero. Checkpoints cover
-	// only completed invocations — deterministic, byte-equal across the
+	// only completed runs — deterministic, byte-equal across the
 	// native and heap paths — so a checkpoint saved by either path
 	// soundly resumes the other. Requires Checkpoints.
 	CheckpointEvery int
@@ -259,8 +267,10 @@ type Executor struct {
 // returned, so failed attempts stay visible in the job accounting.
 func (e *Executor) RunTask(spec TaskSpec) (TaskResult, error) {
 	t := taskRun{e: e, spec: &spec, start: time.Now()}
-	t.span = e.Trace.StartSpan("task", spec.Name,
-		trace.Str("driver", spec.Driver), trace.Str("mode", e.Mode.String()))
+	if e.Trace != nil { // span arguments allocate even for a nil tracer
+		t.span = e.Trace.StartSpan("task", spec.Name,
+			trace.Str("driver", spec.Driver), trace.Str("mode", e.Mode.String()))
+	}
 	t.bd.Attempts++
 
 	// Closure shipping: serialize on the "driver", deserialize here.
@@ -321,8 +331,10 @@ type taskRun struct {
 // mirror its fields: their one bump site, so the two always agree.
 func (t *taskRun) finish(outcome string) {
 	t.bd.Total = time.Since(t.start)
-	t.span.End(trace.Str("outcome", outcome),
-		trace.I64("attempts", t.bd.Attempts), trace.I64("aborts", t.bd.Aborts))
+	if t.span != nil {
+		t.span.End(trace.Str("outcome", outcome),
+			trace.I64("attempts", t.bd.Attempts), trace.I64("aborts", t.bd.Aborts))
+	}
 	latency := "task_latency_ns"
 	if t.e.Tenant != "" {
 		latency = trace.Name(latency, "tenant", t.e.Tenant)
@@ -557,40 +569,37 @@ func (e *Executor) runHeapAttempt(spec TaskSpec, att *trace.Span, cancel *cancel
 	hook := killHook(spec)
 
 	// Resume from the last checkpoint, if one survives: the persisted
-	// fold output seeds the sink (serialized heap state) and the loop
-	// skips the invocations it covers.
+	// fold output seeds the sink (serialized heap state) and the walk
+	// skips the driver runs it covers.
 	resume := e.restoreCheckpoint(spec, att, func(seed []byte) {
 		sink.out = append(sink.out, seed...)
 	})
-	for i := resume; i < len(spec.Invocations); i++ {
-		inv := spec.Invocations[i]
+	records, err := e.walk(&spec, att, phaseName, resume, &sink.out, bd, func(inv map[string]Input) (*interp.Env, []*cursor, func() error) {
 		sources := make(map[string]interp.Source, len(inv))
+		curs := make([]*cursor, 0, len(inv))
 		for name, in := range inv {
-			sources[name] = newWireSource(in)
+			s := &wireSource{cursor{in: in}}
+			sources[name] = s
+			curs = append(curs, &s.cursor)
 		}
-		ph := att.Child("phase", phaseName)
 		env := &interp.Env{
 			Mode: interp.ModeHeap, Prog: e.C.Prog, Heap: h, Codec: e.C.Codec,
 			Layouts: e.C.Layouts, Sources: sources, Sink: sink,
-			RecordHook: hook,
-			Trace:      ph, Cancel: cancel.cancelFlag(),
+			RecordHook: hook, Cancel: cancel.cancelFlag(),
 		}
-		if spec.EpochPerInvocation {
-			h.EpochStart()
-		}
-		_, o.err = interp.New(env).Run(fn)
-		bd.Ser += env.SerTime
-		bd.Deser += env.DeserTime
-		ph.End(trace.I64("ser_bytes", env.SerBytes), trace.I64("deser_bytes", env.DeserBytes))
-		if o.err != nil {
-			return o
-		}
-		if spec.EpochPerInvocation {
-			if o.err = h.EpochEnd(); o.err != nil {
-				return o
+		ip := interp.New(env)
+		return env, curs, func() error {
+			if spec.EpochPerInvocation {
+				h.EpochStart()
 			}
+			if _, err := ip.Run(fn); err != nil || !spec.EpochPerInvocation {
+				return err
+			}
+			return h.EpochEnd()
 		}
-		e.maybeCheckpoint(spec, att, i+1, sink.out)
+	})
+	if o.err = err; err != nil {
+		return o
 	}
 	foldHeapStats(bd, h.Stats())
 	// The serialized shuffle-output buffer is process memory too (the
@@ -599,9 +608,72 @@ func (e *Executor) runHeapAttempt(spec TaskSpec, att *trace.Span, cancel *cancel
 	if out := int64(len(sink.out)); out > bd.PeakNativeBytes {
 		bd.PeakNativeBytes = out
 	}
-	bd.Records += countRecords(spec.Invocations[resume:])
+	bd.Records += records
 	o.out = sink.out
 	return o
+}
+
+// walk is both attempts' binding walk: it makes the task's driver runs
+// from run from (a checkpoint's Seq) on. bind builds a binding's sources
+// and Env once, with the function running the driver over them; each
+// run reads its group's window on a rewound Env under its own phase
+// span, then checkpoints out on the cadence. It returns records read.
+func (e *Executor) walk(spec *TaskSpec, att *trace.Span, phase string, from int, out *[]byte, bd *metrics.Breakdown,
+	bind func(inv map[string]Input) (*interp.Env, []*cursor, func() error)) (records int64, err error) {
+	done := 0 // driver runs before the current binding
+	for _, inv := range spec.Invocations {
+		n, err := runsOf(inv)
+		if err != nil {
+			return 0, &TaskError{Task: spec.Name, Class: FaultPermanent, Err: err}
+		}
+		g := max(from-done, 0)
+		if g >= n {
+			done += n
+			continue
+		}
+		env, curs, run := bind(inv)
+		for ; g < n; g++ {
+			for _, c := range curs {
+				records += c.window(g)
+			}
+			env.Rewind()
+			ph := att.Child("phase", phase)
+			env.Trace = ph
+			err := run()
+			bd.Ser += env.SerTime
+			bd.Deser += env.DeserTime
+			ph.End(trace.I64("ser_bytes", env.SerBytes), trace.I64("deser_bytes", env.DeserBytes))
+			if err != nil {
+				return 0, err
+			}
+			e.maybeCheckpoint(*spec, att, done+g+1, *out)
+		}
+		done += n
+	}
+	return records, nil
+}
+
+// runsOf returns how many driver runs binding inv makes: the group count
+// its inputs share, each input's Groups cutting its Offs whole.
+func runsOf(inv map[string]Input) (int, error) {
+	n := -1
+	for name, in := range inv {
+		m, g := 1, in.Groups
+		if g != nil {
+			m = len(g)
+			if m > 0 && (in.Offs == nil || g[0] < 0 || g[m-1] != len(in.Offs) || !slices.IsSorted(g)) {
+				return 0, fmt.Errorf("engine: groups of input %q do not cut its %d offsets", name, len(in.Offs))
+			}
+		}
+		if n >= 0 && m != n {
+			return 0, fmt.Errorf("engine: binding inputs disagree on their group count (%d and %d)", n, m)
+		}
+		n = m
+	}
+	if n < 0 {
+		return 1, nil // a binding of no inputs runs once
+	}
+	return n, nil
 }
 
 // foldHeapStats charges an attempt's simulated-heap activity — the data
@@ -704,35 +776,30 @@ func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canc
 		r := a.AdoptBytes("ckpt-restore", seed)
 		sink.out = append(sink.out, a.Slice(r.AddrOf(0), r.Len())...)
 	})
-	for i := resume; i < len(spec.Invocations); i++ {
-		inv := spec.Invocations[i]
+	records, err := e.walk(&spec, att, "native-execute", resume, &sink.out, bd, func(inv map[string]Input) (*interp.Env, []*cursor, func() error) {
 		sources := make(map[string]interp.NativeSource, len(inv))
+		curs := make([]*cursor, 0, len(inv))
 		for name, in := range inv {
-			sources[name] = newRegionSource(a, regionFor(in), in)
+			s := &regionSource{cursor: cursor{in: in}, a: a, region: regionFor(in)}
+			sources[name] = s
+			curs = append(curs, &s.cursor)
 		}
-		ph := att.Child("phase", "native-execute")
 		env := &interp.Env{
 			Mode: interp.ModeNative, Prog: e.C.Prog, Heap: h, Arena: a,
 			Layouts: e.C.Layouts, Out: outRegion,
 			NativeSources: sources, NativeSink: sink,
 			AbortAfterRecords: spec.AbortAfterRecords,
 			RecordHook:        hook,
-			Trace:             ph,
 			Cancel:            cancel.cancelFlag(),
 		}
 		if cp != nil {
-			_, o.err = cp.Run(env)
-		} else {
-			_, o.err = interp.New(env).Run(fn)
+			m := cp.Bind(env)
+			return env, curs, func() error { _, err := m.Run(); return err }
 		}
-		bd.Ser += env.SerTime
-		bd.Deser += env.DeserTime
-		ph.End()
-		if o.err != nil {
-			break
-		}
-		e.maybeCheckpoint(spec, att, i+1, sink.out)
-	}
+		ip := interp.New(env)
+		return env, curs, func() error { _, err := ip.Run(fn); return err }
+	})
+	o.err = err
 	if h != nil {
 		foldHeapStats(bd, h.Stats())
 	}
@@ -742,7 +809,7 @@ func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canc
 	if o.err != nil {
 		return o
 	}
-	bd.Records += countRecords(spec.Invocations[resume:])
+	bd.Records += records
 	// Copy output bytes out — the only bytes that leave the attempt —
 	// then free all regions wholesale (putSink), the region-based
 	// reclamation the confinement guarantee enables.
@@ -752,8 +819,8 @@ func (e *Executor) runNativeAttempt(spec TaskSpec, att *trace.Span, cancel *canc
 
 // recordHook builds the per-record fault hook for a native attempt, or
 // nil when the spec injects no record-targeted faults. Record numbers
-// are per driver invocation (1-based); the injected kill (killHook)
-// instead counts cumulatively across invocations.
+// are per driver run (1-based); the injected kill (killHook) instead
+// counts cumulatively across runs.
 func recordHook(spec TaskSpec, a *arena.Arena) func(int64) error {
 	p := spec.Faults
 	kill := killHook(spec)
@@ -799,20 +866,6 @@ func flipInputBit(spec TaskSpec) {
 			}
 		}
 	}
-}
-
-func countRecords(invs []map[string]Input) int64 {
-	var n int64
-	for _, inv := range invs {
-		for _, in := range inv {
-			if in.Offs != nil {
-				n += int64(len(in.Offs))
-			} else {
-				n += int64(recordCount(in.Buf))
-			}
-		}
-	}
-	return n
 }
 
 // simulateClosure models serializing and deserializing the task closure

@@ -520,12 +520,14 @@ func TestOwnedInputMatchesCopiedInput(t *testing.T) {
 }
 
 // TestSerialTaskAllocs pins the fixed cost of an unhedged native task
-// with tracing off: an empty task allocates at most 6 objects per
-// RunTask. That pins that the serial path starts no goroutine, channel
-// or timer, keeps its per-task state off the heap and takes its attempt
-// memory from the free lists — each of those would allocate.
+// with tracing off: an empty task allocates at most 2 objects per
+// RunTask — the attempt's output region and the boxed outcome of its
+// span end. That pins that the serial path starts no goroutine, channel
+// or timer, keeps its per-task state off the heap, builds no task span
+// arguments with tracing off and takes its attempt memory from the free
+// lists — each of those would allocate.
 func TestSerialTaskAllocs(t *testing.T) {
-	const maxAllocs = 6
+	const maxAllocs = 2
 	prog := pairProgram(t)
 	c := Compile(prog)
 	if err := c.CompileDriver("incStage"); err != nil {

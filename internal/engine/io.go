@@ -18,21 +18,43 @@ import (
 	"repro/internal/trace"
 )
 
-// wireSource iterates size-prefixed records in a byte buffer, optionally
-// restricted to explicit record offsets (one shuffle key group).
-type wireSource struct {
-	in  Input
-	pos int // sequential scan offset, or index into Offs
+// cursor is a source's read position in one driver run: offs is the
+// run's window of its input's offsets (nil scans the whole buffer) and
+// pos how far into the window, or into the buffer, the run has read.
+type cursor struct {
+	in   Input
+	offs []int
+	pos  int
 }
 
-func newWireSource(in Input) *wireSource { return &wireSource{in: in} }
+// window points the cursor at group g of its input, from the start —
+// Offs[Groups[g-1]:Groups[g]], or all of Offs without Groups — and
+// returns how many records the window holds.
+func (c *cursor) window(g int) int64 {
+	c.offs, c.pos = c.in.Offs, 0
+	if gs := c.in.Groups; gs != nil {
+		lo := 0
+		if g > 0 {
+			lo = gs[g-1]
+		}
+		c.offs = c.in.Offs[lo:gs[g]]
+	}
+	if c.offs == nil {
+		return int64(recordCount(c.in.Buf))
+	}
+	return int64(len(c.offs))
+}
+
+// wireSource iterates size-prefixed records in a byte buffer, optionally
+// restricted to explicit record offsets (one shuffle key group).
+type wireSource struct{ cursor }
 
 func (s *wireSource) NextWire() ([]byte, int, bool) {
-	if s.in.Offs != nil {
-		if s.pos >= len(s.in.Offs) {
+	if s.offs != nil {
+		if s.pos >= len(s.offs) {
 			return nil, 0, false
 		}
-		off := s.in.Offs[s.pos]
+		off := s.offs[s.pos]
 		s.pos++
 		return s.in.Buf, off, true
 	}
@@ -49,22 +71,17 @@ func (s *wireSource) Class() string { return s.in.Class }
 // regionSource iterates the same records as native addresses within an
 // adopted region.
 type regionSource struct {
+	cursor
 	a      *arena.Arena
 	region *arena.Region
-	in     Input
-	pos    int
-}
-
-func newRegionSource(a *arena.Arena, r *arena.Region, in Input) *regionSource {
-	return &regionSource{a: a, region: r, in: in}
 }
 
 func (s *regionSource) NextAddr() (int64, bool) {
-	if s.in.Offs != nil {
-		if s.pos >= len(s.in.Offs) {
+	if s.offs != nil {
+		if s.pos >= len(s.offs) {
 			return 0, false
 		}
-		addr := s.region.AddrOf(s.in.Offs[s.pos] + serde.SizePrefixBytes)
+		addr := s.region.AddrOf(s.offs[s.pos] + serde.SizePrefixBytes)
 		s.pos++
 		return addr, true
 	}
@@ -247,26 +264,34 @@ func recordCount(buf []byte) int {
 // GroupByKey partitions the records of buf into groups keyed by the
 // canonical bytes of the key field, preserving first-seen key order and,
 // within a group, record order. This is the engine-side shuffle-read
-// grouping; it never deserializes. The keys alias buf.
+// grouping; it never deserializes. The keys alias buf, and the groups
+// share one offset slice.
 func GroupByKey(layouts *dsa.Result, class, field string, buf []byte) (keys [][]byte, groups [][]int, err error) {
 	k, err := NewKeyReader(layouts, class, field)
 	if err != nil {
 		return nil, nil, err
 	}
-	keys, groups = k.group(buf)
+	keys, offs, ends := k.group(buf)
+	groups = make([][]int, len(ends))
+	start := 0
+	for g, end := range ends {
+		groups[g] = offs[start:end:end]
+		start = end
+	}
 	return keys, groups, nil
 }
 
-// group is GroupByKey over a resolved key. A fetched reducer buffer is
+// group is GroupByKey over a resolved key, in the form Input.Groups
+// takes: offs lists every record's offset, group by group, and ends[g]
+// is the end index of group g in offs. A fetched reducer buffer is
 // key-ordered, or a concatenation of key-ordered map blocks, so a record
 // whose key repeats its predecessor's joins that group without a map
-// lookup. The groups share one flat offset slice: a first pass assigns
-// every record its group and counts group sizes, a second fills the
-// offsets in.
-func (k *KeyReader) group(buf []byte) (keys [][]byte, groups [][]int) {
+// lookup. A first pass assigns every record its group and counts group
+// sizes, a second fills the offsets in.
+func (k *KeyReader) group(buf []byte) (keys [][]byte, offs, ends []int) {
 	n := recordCount(buf)
 	if n == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	gid := make([]int, n)
 	var counts []int
@@ -290,51 +315,51 @@ func (k *KeyReader) group(buf []byte) (keys [][]byte, groups [][]int) {
 		counts[cur]++
 		i++
 	}
-	flat := make([]int, n)
-	groups = make([][]int, len(keys))
-	start := 0
+	// counts becomes each group's fill position: its start in offs.
+	ends = make([]int, len(counts))
+	end := 0
 	for g, c := range counts {
-		groups[g] = flat[start : start : start+c]
-		start += c
+		counts[g] = end
+		end += c
+		ends[g] = end
 	}
+	offs = make([]int, n)
 	i = 0
 	for off := 0; off < len(buf); off += serde.RecordSize(buf, off) {
-		groups[gid[i]] = append(groups[gid[i]], off)
+		offs[counts[gid[i]]] = off
+		counts[gid[i]]++
 		i++
 	}
-	return keys, groups
+	return keys, offs, ends
 }
 
 // FoldSpecs builds the reduce-side stage over shuffled blocks: one task
-// per non-empty block, running driver once per key group of that block
-// (source "in"). The blocks are grouped on up to workers goroutines;
-// specs stay in block order. name(i) names block i's task and blockOf
-// maps each spec back to its block. owned marks the blocks as freshly
-// assembled for their task alone, letting the native attempt adopt them
-// zero-copy.
+// per non-empty block, whose one binding runs driver once per key group
+// of the block (source "in"). The blocks are grouped on up to workers
+// goroutines; specs stay in block order. name(i) names block i's task
+// and blockOf maps each spec back to its block. owned marks the blocks
+// as freshly assembled for their task alone, letting the native attempt
+// adopt them zero-copy.
 func FoldSpecs(workers int, layouts *dsa.Result, driver, class, field string, blocks [][]byte,
 	owned bool, name func(block int) string) (specs []TaskSpec, blockOf []int, err error) {
 	k, err := NewKeyReader(layouts, class, field)
 	if err != nil {
 		return nil, nil, err
 	}
-	perBlock := make([][]map[string]Input, len(blocks))
+	bindings := make([]map[string]Input, len(blocks))
 	ForEach(workers, len(blocks), func(i int) error {
-		_, groups := k.group(blocks[i])
-		invocations := make([]map[string]Input, 0, len(groups))
-		for _, offs := range groups {
-			invocations = append(invocations, map[string]Input{
-				"in": {Class: class, Buf: blocks[i], Offs: offs, Owned: owned},
-			})
+		if _, offs, ends := k.group(blocks[i]); len(ends) > 0 {
+			bindings[i] = map[string]Input{
+				"in": {Class: class, Buf: blocks[i], Offs: offs, Groups: ends, Owned: owned},
+			}
 		}
-		perBlock[i] = invocations
 		return nil
 	})
-	for i, invocations := range perBlock {
-		if len(invocations) == 0 {
+	for i, b := range bindings {
+		if b == nil {
 			continue
 		}
-		specs = append(specs, TaskSpec{Name: name(i), Driver: driver, Invocations: invocations})
+		specs = append(specs, TaskSpec{Name: name(i), Driver: driver, Invocations: bindings[i : i+1 : i+1]})
 		blockOf = append(blockOf, i)
 	}
 	return specs, blockOf, nil
@@ -457,7 +482,8 @@ func (p *Pool) Run(exec func() *Executor, specs []TaskSpec) (*JobResult, error) 
 	}
 	results := make([]outcome, len(specs))
 	var wg sync.WaitGroup
-	next := make(chan int)
+	// Workers claim task indices from one counter, as ForEach does.
+	var next atomic.Int64
 	workerPeaks := make([]metrics.Breakdown, workers)
 
 	for w := 0; w < workers; w++ {
@@ -465,7 +491,11 @@ func (p *Pool) Run(exec func() *Executor, specs []TaskSpec) (*JobResult, error) 
 		go func(w int) {
 			defer wg.Done()
 			e := exec()
-			for i := range next {
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(specs) {
+					return
+				}
 				res, err := p.runWithRetry(e, exec, specs[i])
 				results[i] = outcome{res, err}
 				if res.Stats.PeakHeapBytes > workerPeaks[w].PeakHeapBytes {
@@ -477,10 +507,6 @@ func (p *Pool) Run(exec func() *Executor, specs []TaskSpec) (*JobResult, error) 
 			}
 		}(w)
 	}
-	for i := range specs {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 
 	job := &JobResult{}

@@ -46,8 +46,26 @@ func reduceProgram(t *testing.T) *ir.Program {
 }
 
 // foldSpec builds a reduce task over nKeys key groups of nPerKey records
-// each — one driver invocation per key group.
+// each — one binding, hence one driver run, per key group.
 func foldSpec(t *testing.T, c *Compiled, nKeys, nPerKey int) TaskSpec {
+	t.Helper()
+	buf := pairBlock(t, c, nKeys, nPerKey)
+	_, groups, err := GroupByKey(c.Layouts, "Pair", "key", buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invs := make([]map[string]Input, 0, len(groups))
+	for _, offs := range groups {
+		invs = append(invs, map[string]Input{
+			"in": {Class: "Pair", Buf: buf, Offs: offs},
+		})
+	}
+	return TaskSpec{Name: "fold-r0", Driver: "sumStage", Invocations: invs}
+}
+
+// pairBlock encodes nKeys key groups of nPerKey Pair records each, in key
+// order, as a fetched reduce block holds them.
+func pairBlock(t *testing.T, c *Compiled, nKeys, nPerKey int) []byte {
 	t.Helper()
 	var buf []byte
 	var err error
@@ -60,17 +78,7 @@ func foldSpec(t *testing.T, c *Compiled, nKeys, nPerKey int) TaskSpec {
 			}
 		}
 	}
-	_, groups, err := GroupByKey(c.Layouts, "Pair", "key", buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	invs := make([]map[string]Input, 0, len(groups))
-	for _, offs := range groups {
-		invs = append(invs, map[string]Input{
-			"in": {Class: "Pair", Buf: buf, Offs: offs},
-		})
-	}
-	return TaskSpec{Name: "fold-r0", Driver: "sumStage", Invocations: invs}
+	return buf
 }
 
 func runFold(t *testing.T, mode Mode, mutate func(*TaskSpec), tr *trace.Tracer) ([]byte, error) {

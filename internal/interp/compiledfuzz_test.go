@@ -53,7 +53,7 @@ func TestDifferentialCompiledVsInterp(t *testing.T) {
 		retI, errI := interp.New(envI).Run(xf.Native)
 
 		envC, outC := c.NewNativeEnv()
-		retC, errC := prog.Run(envC)
+		retC, errC := prog.Bind(envC).Run()
 
 		if (errI == nil) != (errC == nil) {
 			t.Logf("seed %d: error mismatch: interp=%v compiled=%v", seed, errI, errC)

@@ -158,7 +158,10 @@ type Env struct {
 	// slow path (cancel-poll boundary or step limit); see checkStepSlow.
 	nextPause int64
 	records   int64
-	builder   *openRecord
+	// builder is the record under construction, nil when none is open.
+	// It points at open, whose builder every record of the Env reuses.
+	builder *openRecord
+	open    openRecord
 	// scanCur caches (index, position) cursors for inlined
 	// variable-size-element arrays, making the sequential access
 	// pattern O(1) amortized per element.
@@ -172,10 +175,20 @@ type scanCursor struct {
 
 // openRecord tracks the record under construction in native mode.
 type openRecord struct {
-	b     *arena.RecordBuilder
+	b     arena.RecordBuilder
 	class string
 	// prefixOff is the region offset of the 4-byte size prefix.
 	prefixOff int
+}
+
+// Rewind readies the Env for another driver run over the same sources
+// (their owner rewinds them): the step budget, record count, open
+// record, scan cursors and serde counters start over, storage kept.
+func (e *Env) Rewind() {
+	e.steps, e.nextPause, e.records = 0, 0, 0
+	e.builder = nil
+	clear(e.scanCur)
+	e.SerTime, e.DeserTime, e.SerBytes, e.DeserBytes = 0, 0, 0, 0
 }
 
 // Interp executes functions against an Env.

@@ -86,27 +86,13 @@ func (e *Env) NativeBounds(base, idx int64) error {
 	return nil
 }
 
-// constPrefix returns the leading bytes of a class layout whose offsets
-// are compile-time constants and primitive-valued — the part AppendRecord
-// reserves eagerly. Arrays and sub-records reserve their own storage when
-// they are created (sequential construction protocol).
+// constPrefix returns the bytes AppendRecord reserves eagerly for a
+// record of class: its layout's constant primitive prefix.
 func (e *Env) constPrefix(class string) int {
-	l := e.Layouts.Layout(class)
-	if l == nil {
-		return 0
+	if l := e.Layouts.Layout(class); l != nil {
+		return l.Prefix
 	}
-	end := 0
-	for _, f := range l.Class.Fields {
-		off, ok := l.FieldOff[f.Name]
-		if !ok || !off.IsConst() {
-			break
-		}
-		if f.Type.IsRef() {
-			break // array length slot or sub-record: created explicitly
-		}
-		end = int(off.ConstValue()) + f.Type.Kind.Size()
-	}
-	return end
+	return 0
 }
 
 func (e *Env) isTopLevel(class string) bool {
@@ -132,10 +118,11 @@ func (e *Env) AppendRecord(class string) (int64, error) {
 		// would.
 		prefixOff := e.Out.Len()
 		e.Out.Append(serde.SizePrefixBytes)
-		b := e.Out.NewRecord()
-		e.builder = &openRecord{b: b, class: class, prefixOff: prefixOff}
-		b.Reserve(e.constPrefix(class))
-		return b.Base(), nil
+		e.open.b.Reset(e.Out)
+		e.open.class, e.open.prefixOff = class, prefixOff
+		e.builder = &e.open
+		e.open.b.Reserve(e.constPrefix(class))
+		return e.open.b.Base(), nil
 	}
 	if e.builder == nil {
 		return 0, &AbortError{Reason: fmt.Sprintf("sub-record %s allocated outside record construction", class)}

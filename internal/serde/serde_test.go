@@ -1,6 +1,7 @@
 package serde
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -315,5 +316,52 @@ func TestCanonicalWireProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Decode reads no byte outside the record's frame: a frame past the
+// buffer, a field past the frame, and a negative or overlong array or
+// string length are errors, never a panic or an allocation the frame
+// cannot back.
+func TestDecodeBoundedByFrame(t *testing.T) {
+	reg, layouts := lrSchema()
+	c := NewCodec(reg, layouts)
+	wire, err := c.Encode("Account", Obj{"userId": int64(42), "posts": []string{"hi"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// [size 4][userId 8][posts len 4][post 0: len 4][chars 4]
+	const postsLen, strLen = 12, 16
+	if _, _, err := c.Decode("Account", wire, 0); err != nil {
+		t.Fatal(err)
+	}
+	patch := func(at int, v int32) []byte {
+		b := append([]byte(nil), wire...)
+		binary.LittleEndian.PutUint32(b[at:], uint32(v))
+		return b
+	}
+	cases := map[string][]byte{
+		"frame past the buffer":  wire[:len(wire)-1],
+		"no size prefix":         wire[:3],
+		"payload short of field": patch(0, 6),
+		"negative array length":  patch(postsLen, -1),
+		"overlong array length":  patch(postsLen, 1<<30),
+		"negative string length": patch(strLen, -1),
+		"overlong string length": patch(strLen, 3),
+	}
+	for name, b := range cases {
+		if _, _, err := c.Decode("Account", b, 0); err == nil {
+			t.Errorf("%s: Decode accepted the record", name)
+		}
+	}
+	// A LabeledPoint whose payload ends inside its features.
+	lpWire, err := c.Encode("LabeledPoint", lp(1, []float64{1, 2}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := binary.LittleEndian.AppendUint32(nil, 10)
+	short = append(short, lpWire[4:14]...)
+	if _, _, err := c.Decode("LabeledPoint", short, 0); err == nil {
+		t.Error("Decode accepted a LabeledPoint cut inside its features")
 	}
 }

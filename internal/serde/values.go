@@ -154,10 +154,19 @@ func primBits(k model.Kind, v any) (uint64, error) {
 
 // Decode reads the size-prefixed record of class top at buf[off:] into an
 // Obj, returning the value and the offset past the record. Mode-agnostic
-// output verification in tests uses it.
+// output verification in tests uses it, and Baseline's shuffle writer
+// decodes every record it is handed with it. Every read is bounded by
+// the record's frame: a frame that overruns buf, a field, array or
+// string that overruns the frame, and a negative length are errors.
 func (c *Codec) Decode(top string, buf []byte, off int) (any, int, error) {
+	if off < 0 || len(buf)-off < SizePrefixBytes {
+		return nil, 0, fmt.Errorf("serde: no size prefix at offset %d of a %d-byte buffer", off, len(buf))
+	}
 	end := off + RecordSize(buf, off)
-	v, noff, err := c.decodeClass(top, buf, off+SizePrefixBytes)
+	if end > len(buf) {
+		return nil, 0, fmt.Errorf("serde: record at offset %d overruns its %d-byte buffer", off, len(buf))
+	}
+	v, noff, err := c.decodeClass(top, buf[:end:end], off+SizePrefixBytes)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -167,6 +176,8 @@ func (c *Codec) Decode(top string, buf []byte, off int) (any, int, error) {
 	}
 	return v, noff, nil
 }
+
+// The decoders below read a record whose frame ends at len(buf).
 
 func (c *Codec) decodeClass(clsName string, buf []byte, off int) (any, int, error) {
 	if clsName == model.StringClassName {
@@ -192,31 +203,37 @@ func (c *Codec) decodeField(f model.Field, buf []byte, off int) (any, int, error
 	t := f.Type
 	switch {
 	case !t.IsRef():
-		bits, sz := readPrim(buf, off, t.Kind.Size())
-		return primValue(t.Kind, bits), off + sz, nil
+		bits, noff, err := readPrim(buf, off, t.Kind.Size())
+		return primValue(t.Kind, bits), noff, err
 	case t.Array && !t.Elem.IsRef():
-		n := int(int32(binary.LittleEndian.Uint32(buf[off:])))
-		off += 4
 		k := t.Elem.Kind
+		n, off, err := readLen(buf, off, k.Size())
+		if err != nil {
+			return nil, 0, err
+		}
 		if k == model.KindDouble || k == model.KindFloat {
 			vals := make([]float64, n)
 			for i := range vals {
-				bits, sz := readPrim(buf, off, k.Size())
+				bits, _, _ := readPrim(buf, off, k.Size())
 				vals[i] = heap.Float64FromBits(bits)
-				off += sz
+				off += k.Size()
 			}
 			return vals, off, nil
 		}
 		vals := make([]int64, n)
 		for i := range vals {
-			bits, sz := readPrim(buf, off, k.Size())
+			bits, _, _ := readPrim(buf, off, k.Size())
 			vals[i] = signExtend(bits, k)
-			off += sz
+			off += k.Size()
 		}
 		return vals, off, nil
 	case t.Array:
-		n := int(int32(binary.LittleEndian.Uint32(buf[off:])))
-		off += 4
+		// Every record class has a field, so an element takes a byte or
+		// more: the length is bounded like a byte array's.
+		n, off, err := readLen(buf, off, 1)
+		if err != nil {
+			return nil, 0, err
+		}
 		elems := make([]any, 0, n)
 		for i := 0; i < n; i++ {
 			v, noff, err := c.decodeClass(t.Elem.Class, buf, off)
@@ -233,8 +250,10 @@ func (c *Codec) decodeField(f model.Field, buf []byte, off int) (any, int, error
 }
 
 func decodeString(buf []byte, off int) (string, int, error) {
-	n := int(int32(binary.LittleEndian.Uint32(buf[off:])))
-	off += 4
+	n, off, err := readLen(buf, off, 2)
+	if err != nil {
+		return "", 0, err
+	}
 	runes := make([]rune, n)
 	for i := 0; i < n; i++ {
 		runes[i] = rune(binary.LittleEndian.Uint16(buf[off:]))
@@ -243,12 +262,32 @@ func decodeString(buf []byte, off int) (string, int, error) {
 	return string(runes), off, nil
 }
 
-func readPrim(buf []byte, off, sz int) (uint64, int) {
+// readLen reads an array or string length at buf[off:] and checks that
+// its elements, elemSize bytes each, fit before the frame's end. It
+// returns the length and the offset of the first element.
+func readLen(buf []byte, off, elemSize int) (int, int, error) {
+	bits, off, err := readPrim(buf, off, 4)
+	if err != nil {
+		return 0, 0, err
+	}
+	n := int(int32(bits))
+	if n < 0 || n > (len(buf)-off)/elemSize {
+		return 0, 0, fmt.Errorf("serde: length %d at offset %d overruns the record's end at %d", n, off-4, len(buf))
+	}
+	return n, off, nil
+}
+
+// readPrim reads a little-endian value of sz bytes at buf[off:],
+// returning it and the offset past it.
+func readPrim(buf []byte, off, sz int) (uint64, int, error) {
+	if off < 0 || sz > len(buf)-off {
+		return 0, 0, fmt.Errorf("serde: %d-byte field at offset %d overruns the record's end at %d", sz, off, len(buf))
+	}
 	var v uint64
 	for i := 0; i < sz; i++ {
 		v |= uint64(buf[off+i]) << (8 * i)
 	}
-	return v, sz
+	return v, off + sz, nil
 }
 
 func signExtend(bits uint64, k model.Kind) int64 {

@@ -64,6 +64,28 @@ func TestShortPayloadIsAnError(t *testing.T) {
 	})
 }
 
+// A Baseline exchange decodes every record Add is handed. A Pair whose
+// frame and key field are intact but whose 8-byte payload stops short of
+// its value field, last in its buffer, is an error there, not a read
+// past the buffer's end.
+func TestBaselineShortPayloadIsAnError(t *testing.T) {
+	c := pairCompiled(t)
+	buf := append(encodeParts(t, c, 1, 2, 2)[0], frame(8)...)
+	if err := keyReader(t, c, "Pair").Validate(buf); err != nil {
+		t.Fatalf("the key check rejects the record: %v", err)
+	}
+	ex, err := NewExchange(nil, Config{Partitions: 2}, "short-baseline", c.Layouts, "Pair", "key", c.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Discard()
+	w := ex.Writer(0)
+	if err := w.Add(buf); err == nil || !strings.Contains(err.Error(), "overruns the record's end") {
+		t.Fatalf("Add = %v, want the decode's overrun error", err)
+	}
+	w.Abandon()
+}
+
 // FuzzRecordBuffer feeds arbitrary bytes, as records of a class keyed at
 // a constant offset (Pair) or at a symbolic one (Named), to the check
 // where record bytes enter the exchange and to the unchecked walks
@@ -71,7 +93,10 @@ func TestShortPayloadIsAnError(t *testing.T) {
 // valid one no walk may panic — GroupByKey, Partition, FoldSpecs,
 // MergeByKey over the buffer split into one block per record, and a
 // spilling, key-ordered Gerenuk exchange's Add, Close and FetchAll — and
-// the merge and the fetch must keep every byte.
+// the merge and the fetch must keep every byte. serde's Decode must
+// never panic on the bytes, and a Baseline Pair exchange, which decodes
+// every record, must fail Add exactly when Validate or a record's Decode
+// fails.
 func FuzzRecordBuffer(f *testing.F) {
 	c := pairCompiled(f)
 	if c.Layouts.Layout("Named").FieldOff["key"].IsConst() {
@@ -109,6 +134,23 @@ func FuzzRecordBuffer(f *testing.F) {
 		verr, aerr := keys.Validate(buf), w.Add(buf)
 		if (verr == nil) != (aerr == nil) {
 			t.Fatalf("Validate says %v, Add says %v", verr, aerr)
+		}
+		c.Codec.Decode(cls, buf, 0)
+		if cls == "Pair" {
+			derr := verr
+			for off := 0; derr == nil && off < len(buf); off += serde.RecordSize(buf, off) {
+				_, _, derr = c.Codec.Decode(cls, buf, off)
+			}
+			bex, err := NewExchange(nil, Config{Partitions: 3}, "fuzz-baseline", c.Layouts, cls, "key", c.Codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bw := bex.Writer(0)
+			if berr := bw.Add(buf); (derr == nil) != (berr == nil) {
+				t.Fatalf("Validate and Decode say %v, Baseline Add says %v", derr, berr)
+			}
+			bw.Abandon()
+			bex.Discard()
 		}
 		if verr != nil {
 			w.Abandon()

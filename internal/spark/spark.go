@@ -183,7 +183,8 @@ func (r *RDD) JoinMany(other *RDD, joinDriver, leftKey, rightKey, outClass strin
 }
 
 // join is the shared hash-join body: shuffle both sides by their key,
-// then per reducer run the driver once per key present on both sides.
+// then per reducer run the driver once per key present on both sides,
+// all of a reducer's runs one binding.
 // Left keys must be unique; uniqueRight demands the same of the right
 // side (JoinPairs). tag distinguishes the two operators' task names.
 // Reducers are grouped and matched on up to WorkerCount goroutines;
@@ -197,7 +198,7 @@ func (r *RDD) join(other *RDD, joinDriver, leftKey, rightKey, outClass, tag stri
 	if err != nil {
 		return nil, err
 	}
-	perBlock := make([][]map[string]engine.Input, len(lBlocks))
+	bindings := make([]map[string]engine.Input, len(lBlocks))
 	err = engine.ForEach(r.ctx.WorkerCount(), len(lBlocks), func(i int) error {
 		lKeys, lGroups, err := engine.GroupByKey(r.ctx.C.Layouts, r.Class, leftKey, lBlocks[i])
 		if err != nil {
@@ -211,7 +212,10 @@ func (r *RDD) join(other *RDD, joinDriver, leftKey, rightKey, outClass, tag stri
 		for k, key := range rKeys {
 			rIndex[string(key)] = rGroups[k]
 		}
-		var invocations []map[string]engine.Input
+		// One binding per reducer: a driver run per key present on both
+		// sides, reading that key's group of each.
+		n := min(len(lKeys), len(rKeys))
+		lOffs, lEnds, rOffs, rEnds := make([]int, 0, n), make([]int, 0, n), make([]int, 0, n), make([]int, 0, n)
 		for k, key := range lKeys {
 			ro, ok := rIndex[string(key)]
 			if !ok {
@@ -221,26 +225,31 @@ func (r *RDD) join(other *RDD, joinDriver, leftKey, rightKey, outClass, tag stri
 				return fmt.Errorf("spark: join %s requires unique keys (key has %d left, %d right)",
 					joinDriver, len(lGroups[k]), len(ro))
 			}
-			invocations = append(invocations, map[string]engine.Input{
-				"left":  {Class: r.Class, Buf: lBlocks[i], Offs: lGroups[k], Owned: true},
-				"right": {Class: other.Class, Buf: rBlocks[i], Offs: ro, Owned: true},
-			})
+			lOffs = append(lOffs, lGroups[k][0])
+			lEnds = append(lEnds, len(lOffs))
+			rOffs = append(rOffs, ro...)
+			rEnds = append(rEnds, len(rOffs))
 		}
-		perBlock[i] = invocations
+		if len(lEnds) > 0 {
+			bindings[i] = map[string]engine.Input{
+				"left":  {Class: r.Class, Buf: lBlocks[i], Offs: lOffs, Groups: lEnds, Owned: true},
+				"right": {Class: other.Class, Buf: rBlocks[i], Offs: rOffs, Groups: rEnds, Owned: true},
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	var specs []engine.TaskSpec
-	for i, invocations := range perBlock {
-		if len(invocations) == 0 {
+	for i, b := range bindings {
+		if b == nil {
 			continue
 		}
 		specs = append(specs, engine.TaskSpec{
 			Name:        fmt.Sprintf("%s-%s%d", joinDriver, tag, i),
 			Driver:      joinDriver,
-			Invocations: invocations,
+			Invocations: bindings[i : i+1 : i+1],
 		})
 	}
 	return r.ctx.runStage(joinDriver, outClass, specs)
