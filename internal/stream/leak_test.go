@@ -49,9 +49,11 @@ func TestFailedRunLeaksNothing(t *testing.T) {
 				if _, ok, _ := r.ckpts.Load(r.metaKey(w)); !ok {
 					t.Errorf("window %d: meta checkpoint gone after the crash", w)
 				}
-				for m := range st.acc {
-					if _, ok, _ := r.ckpts.Load(r.slotKey(w, m)); r.slotExpected(st, m) && !ok {
-						t.Errorf("window %d: slot %d checkpoint gone after the crash", w, m)
+				for m, segs := range st.segs {
+					for b := range segs {
+						if _, ok, _ := r.ckpts.Load(r.segKey(w, m, b)); !ok {
+							t.Errorf("window %d: slot %d segment %d checkpoint gone after the crash", w, m, b)
+						}
 					}
 				}
 			}

@@ -4,11 +4,14 @@
 // fixed input.
 //
 // Records arrive on a deterministic simulated clock; the driver cuts
-// them into micro-batches (by count or by time-slice), assigns each
-// record to its tumbling or sliding window(s), runs the map driver over
-// the batch, and appends the map output to each open window's per-slot
-// bytes — the window's only live state, and what its checkpoints hold.
-// When the watermark passes a window's end, the window closes: its bytes
+// them into micro-batches (by count or by time-slice). One feed puts a
+// batch into windows: it assigns each record to its tumbling or sliding
+// window(s), runs the map driver over the batch, and appends each map
+// slot's output to its window as that batch's segment — the window's
+// only live state. The feed checkpoints exactly the segments it added
+// and the window's meta; a rebuild after a lost checkpoint replays the
+// run's own batches through the same feed. When the watermark passes a
+// window's end, the window closes: each slot's segments, joined once,
 // cross one job.Runtime.ShuffleBy exchange (the one Spark and Hadoop
 // use), the reduce fold runs over the fetched blocks, and the window's
 // canonical output bytes are emitted.
@@ -22,8 +25,10 @@
 package stream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -103,11 +108,14 @@ type Config struct {
 	Canceled <-chan struct{}
 
 	// CrashAfterBatches > 0 stops the run with ErrCrashed after that
-	// many batches, before closing any window the watermark has passed —
-	// the kill-mid-window test hook. Resume picks checkpointed state
-	// back up: already-closed windows are emitted from their saved
-	// outputs and open windows are rebuilt from their slot checkpoints
-	// (or recomputed from the source when a checkpoint is corrupt).
+	// many batches, once the last batch's cursor is saved and before
+	// closing any window the watermark has passed — the kill-mid-window
+	// test hook. Resume picks checkpointed state back up: already-closed
+	// windows are emitted from their saved outputs and open windows are
+	// restored from their saved segments. A window whose checkpoint is
+	// missing, corrupt, of another format, or ahead of the saved cursor
+	// (a kill between a batch's window saves and its cursor save) is
+	// rebuilt by replaying the run's batches up to the cursor.
 	CrashAfterBatches int
 	Resume            bool
 }
@@ -190,19 +198,17 @@ type Result struct {
 	RecordsPerSec float64
 }
 
-// windowState is one open window's live aggregation state: the per-slot
-// accumulated map-output bytes, which are both the checkpoint payload and
-// the parts the window's exchange shuffles at close.
+// windowState is one open window's live aggregation state: segs[m][b]
+// is map slot m's output from the b-th batch that fed the window (empty
+// when that batch put no record in the slot). Each segment is saved
+// once, by the feed that made it; joined per slot, they are the parts
+// the window's exchange shuffles at close.
 type windowState struct {
-	idx int
-	acc [][]byte
+	idx  int
+	segs [][][]byte
 	// records counts records folded into this window (drives the
-	// round-robin slot assignment); flushes counts the batches that fed
-	// it (the checkpoint sequence number); saved is flushes as of the
-	// window's last checkpoint.
+	// round-robin slot assignment).
 	records int64
-	flushes int
-	saved   int
 }
 
 type runner struct {
@@ -273,23 +279,25 @@ func (r *runner) loop() error {
 		}
 	}
 	stopT := r.windowEnd(r.cfg.Windows - 1)
+	stage := fmt.Sprintf("stream-%s-map", r.cfg.App.Name)
 	crashed := 0
 	for r.closed < r.cfg.Windows {
 		if err := engine.Canceled(r.cfg.Canceled); err != nil {
 			return fmt.Errorf("stream: %s: %w", r.cfg.App.Name, err)
 		}
-		lo, hi := r.cutBatch(stopT)
+		lo := r.cursor
+		hi := r.cutBatch(lo)
 		if hi > lo {
 			bspan := r.span.Child("stream", "batch", trace.I64("records", hi-lo))
 			bstart := time.Now()
-			if err := r.processBatch(bspan, lo, hi); err != nil {
+			if err := r.feed(bspan, stage, lo, hi, -1); err != nil {
 				bspan.End(trace.Str("outcome", "error"))
 				return err
 			}
 			r.cursor = hi
 			r.res.Batches++
 			r.res.Records += hi - lo
-			r.checkpoint()
+			r.ckpts.Save(r.cursorKey(), int(r.res.Batches), binary.LittleEndian.AppendUint64(nil, uint64(hi)))
 			lat := time.Since(bstart)
 			r.lats = append(r.lats, lat)
 			r.hist.Observe(float64(lat.Nanoseconds()))
@@ -345,11 +353,11 @@ func (r *runner) windowRange(t time.Duration) (int, int) {
 	return lo, hi
 }
 
-// cutBatch applies the cut policy from the current cursor: the batch
-// [lo, hi) closes at Count records, at a Slice of arrival time, or when
-// the source passes the last requested window's end.
-func (r *runner) cutBatch(stopT time.Duration) (int64, int64) {
-	lo := r.cursor
+// cutBatch applies the cut policy from record lo and returns the batch's
+// end: the batch [lo, hi) closes at Count records, at a Slice of arrival
+// time, or when the source passes the last requested window's end.
+func (r *runner) cutBatch(lo int64) int64 {
+	stopT := r.windowEnd(r.cfg.Windows - 1)
 	first := r.arrival(lo)
 	hi := lo
 	for {
@@ -365,17 +373,7 @@ func (r *runner) cutBatch(stopT time.Duration) (int64, int64) {
 		}
 		hi++
 	}
-	return lo, hi
-}
-
-// window returns (creating on first touch) window w's live state.
-func (r *runner) window(w int) *windowState {
-	st, ok := r.open[w]
-	if !ok {
-		st = &windowState{idx: w, acc: make([][]byte, mapSlots)}
-		r.open[w] = st
-	}
-	return st
+	return hi
 }
 
 func (r *runner) exName(w int) string {
@@ -387,8 +385,8 @@ func (r *runner) exName(w int) string {
 func (r *runner) cursorKey() string {
 	return fmt.Sprintf("stream/%s/cursor", r.cfg.App.Name)
 }
-func (r *runner) slotKey(w, m int) string {
-	return fmt.Sprintf("stream/%s/w%d/m%d", r.cfg.App.Name, w, m)
+func (r *runner) segKey(w, m, b int) string {
+	return fmt.Sprintf("stream/%s/w%d/m%d/b%d", r.cfg.App.Name, w, m, b)
 }
 func (r *runner) metaKey(w int) string {
 	return fmt.Sprintf("stream/%s/w%d/meta", r.cfg.App.Name, w)
@@ -397,38 +395,34 @@ func (r *runner) outKey(w int) string {
 	return fmt.Sprintf("stream/%s/out/w%d", r.cfg.App.Name, w)
 }
 
-func u64le(v int64) []byte {
-	b := make([]byte, 8)
-	for k := 0; k < 8; k++ {
-		b[k] = byte(uint64(v) >> (8 * k))
-	}
-	return b
-}
-
-func leU64(b []byte) int64 {
-	var v uint64
-	for k := 0; k < 8 && k < len(b); k++ {
-		v |= uint64(b[k]) << (8 * k)
-	}
-	return int64(v)
-}
-
-// processBatch stages records [lo, hi) into their windows' per-slot
-// input buffers, runs the map driver over every staged buffer in one
-// pooled phase, and appends the outputs to each window's slot bytes.
-func (r *runner) processBatch(span *trace.Span, lo, hi int64) error {
+// feed is the one way records reach a window. It stages records
+// [lo, hi) into the slots of the open windows they fall in (only window
+// only, when only >= 0), runs the map driver over every staged slot in
+// one stage named stage, and appends each slot's output to its window as
+// this batch's segment. It then saves exactly those segments and, after
+// them, the window's meta: the segment count (as Seq), the record count
+// and hi, which lets resume tell a window saved past the cursor.
+func (r *runner) feed(span *trace.Span, stage string, lo, hi int64, only int) error {
 	staged := map[int][][]byte{}
 	var order []int
 	for i := lo; i < hi; i++ {
 		wlo, whi := r.windowRange(r.arrival(i))
+		// Windows past the requested horizon never close; don't build
+		// state for them.
+		wlo, whi = max(wlo, r.closed), min(whi, r.cfg.Windows-1)
+		if only >= 0 {
+			wlo, whi = max(wlo, only), min(whi, only)
+		}
+		if wlo > whi {
+			continue
+		}
 		obj := r.src.At(i)
 		for w := wlo; w <= whi; w++ {
-			// Windows past the requested horizon never close; don't
-			// build state for them.
-			if w >= r.cfg.Windows || w < r.closed {
-				continue
+			st := r.open[w]
+			if st == nil {
+				st = &windowState{idx: w, segs: make([][][]byte, mapSlots)}
+				r.open[w] = st
 			}
-			st := r.window(w)
 			bufs, ok := staged[w]
 			if !ok {
 				bufs = make([][]byte, mapSlots)
@@ -447,63 +441,37 @@ func (r *runner) processBatch(span *trace.Span, lo, hi int64) error {
 	sort.Ints(order)
 
 	var specs []engine.TaskSpec
-	type target struct{ w, m int }
-	var targets []target
 	for _, w := range order {
-		st := r.open[w]
+		b := len(r.open[w].segs[0])
 		for m, buf := range staged[w] {
-			if len(buf) == 0 {
-				continue
+			if len(buf) > 0 {
+				specs = append(specs, engine.TaskSpec{
+					Name:        fmt.Sprintf("stream-%s-w%d-b%d-m%d", r.cfg.App.Name, w, b, m),
+					Driver:      r.cfg.App.MapDriver,
+					Invocations: []map[string]engine.Input{{"in": {Class: r.cfg.App.InClass, Buf: buf}}},
+				})
 			}
-			specs = append(specs, r.mapSpec(
-				fmt.Sprintf("stream-%s-w%d-b%d-m%d", r.cfg.App.Name, w, st.flushes, m), buf))
-			targets = append(targets, target{w, m})
 		}
 	}
-	if len(specs) == 0 {
-		return nil
-	}
-	outs, err := r.rt.RunStage(fmt.Sprintf("stream-%s-map", r.cfg.App.Name), span, r.cfg.HeapCfg, specs)
+	outs, err := r.rt.RunStage(stage, span, r.cfg.HeapCfg, specs)
 	if err != nil {
 		return fmt.Errorf("stream: map phase: %w", err)
 	}
-	for k, out := range outs {
-		tg := targets[k]
-		st := r.open[tg.w]
-		st.acc[tg.m] = append(st.acc[tg.m], out...)
-	}
 	for _, w := range order {
-		r.open[w].flushes++
+		st := r.open[w]
+		b := len(st.segs[0])
+		for m, buf := range staged[w] {
+			var seg []byte
+			if len(buf) > 0 {
+				seg, outs = outs[0], outs[1:]
+			}
+			st.segs[m] = append(st.segs[m], seg)
+			r.ckpts.Save(r.segKey(w, m, b), b, seg)
+		}
+		meta := binary.LittleEndian.AppendUint64(nil, uint64(st.records))
+		r.ckpts.Save(r.metaKey(w), b+1, binary.LittleEndian.AppendUint64(meta, uint64(hi)))
 	}
 	return nil
-}
-
-// mapSpec is one map task over one staged slot buffer.
-func (r *runner) mapSpec(name string, buf []byte) engine.TaskSpec {
-	return engine.TaskSpec{
-		Name:   name,
-		Driver: r.cfg.App.MapDriver,
-		Invocations: []map[string]engine.Input{
-			{"in": {Class: r.cfg.App.InClass, Buf: buf}},
-		},
-	}
-}
-
-// checkpoint persists the cursor and the slot state of every window a
-// batch fed since its last save (the others' stored state is current),
-// so a killed run resumes mid-window instead of recomputing.
-func (r *runner) checkpoint() {
-	for w, st := range r.open {
-		if st.flushes == st.saved {
-			continue
-		}
-		st.saved = st.flushes
-		for m := range st.acc {
-			r.ckpts.Save(r.slotKey(w, m), st.flushes, st.acc[m])
-		}
-		r.ckpts.Save(r.metaKey(w), st.flushes, u64le(st.records))
-	}
-	r.ckpts.Save(r.cursorKey(), int(r.res.Batches), u64le(r.cursor))
 }
 
 // closeWindow finishes window w: its slot bytes are shuffled, the reduce
@@ -521,11 +489,13 @@ func (r *runner) closeWindow(w int) error {
 			return fmt.Errorf("stream: window %d: %w", w, err)
 		}
 		delete(r.open, w)
+		for m, segs := range st.segs {
+			for b := range segs {
+				r.ckpts.Drop(r.segKey(w, m, b))
+			}
+		}
 	}
 	// else: no record landed in this window — its output is empty.
-	for m := 0; m < mapSlots; m++ {
-		r.ckpts.Drop(r.slotKey(w, m))
-	}
 	r.ckpts.Drop(r.metaKey(w))
 	r.ckpts.Save(r.outKey(w), w, out)
 	r.res.Windows = append(r.res.Windows, out)
@@ -535,15 +505,19 @@ func (r *runner) closeWindow(w int) error {
 }
 
 // foldWindow shuffles a window's slot bytes — one map task per slot —
-// and folds each key group. A slot's bytes are everything it was fed, in
-// arrival order, so one Add reproduces the shuffle sequence numbers, and
-// with them the block bytes, of any batching.
+// and folds each key group. A slot's bytes are its segments joined: all
+// it was fed, in arrival order, so one Add reproduces the shuffle
+// sequence numbers, and with them the block bytes, of any batching.
 func (r *runner) foldWindow(span *trace.Span, st *windowState) ([]byte, error) {
 	app := r.cfg.App
+	parts := make([][]byte, mapSlots)
+	for m, segs := range st.segs {
+		parts[m] = slices.Concat(segs...)
+	}
 	// Canonical reduce order: each fetched block arrives merged into key
 	// order, same-key records in (map slot, seq) order, so fold order is
 	// deterministic.
-	blocks, err := r.rt.ShuffleBy(r.exName(st.idx), app.MapOutClass, app.KeyField, r.cfg.Reducers, true, st.acc)
+	blocks, err := r.rt.ShuffleBy(r.exName(st.idx), app.MapOutClass, app.KeyField, r.cfg.Reducers, true, parts)
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: %w", err)
 	}
@@ -566,15 +540,15 @@ func (r *runner) foldWindow(span *trace.Span, st *windowState) ([]byte, error) {
 
 // resume restores a prior run's progress from the checkpoint store:
 // the ingest cursor, every already-closed window's saved output, and
-// every open window's slot bytes. A corrupt or missing
-// slot checkpoint falls back to recomputing that window from the
-// deterministic source — slower, never wrong.
+// every open window's segments. A cursor of the wrong size counts as no
+// checkpoint (a fresh start); an open window that restore refuses is
+// rebuilt from the deterministic source — slower, never wrong.
 func (r *runner) resume() error {
 	ck, ok, _ := r.ckpts.Load(r.cursorKey())
-	if !ok {
+	if !ok || len(ck.Data) != 8 {
 		return nil
 	}
-	r.cursor = leU64(ck.Data)
+	r.cursor = int64(binary.LittleEndian.Uint64(ck.Data))
 	// Closed windows are a prefix: emit their saved outputs verbatim.
 	for r.closed < r.cfg.Windows {
 		oc, ok, _ := r.ckpts.Load(r.outKey(r.closed))
@@ -591,105 +565,68 @@ func (r *runner) resume() error {
 	if _, hi := r.windowRange(r.arrival(r.cursor - 1)); hi+1 < maxW {
 		maxW = hi + 1
 	}
-	reg := r.cfg.Trace.Registry()
 	for w := r.closed; w < maxW; w++ {
-		meta, ok, _ := r.ckpts.Load(r.metaKey(w))
-		if !ok {
-			// Never checkpointed: either untouched (fine — empty) or its
-			// meta rotted; a source scan below decides which.
-			if r.sourceTouches(w) {
-				if err := r.rebuildFromSource(w); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		st := r.window(w)
-		st.records = leU64(meta.Data)
-		st.flushes = meta.Seq
-		st.saved = meta.Seq
-		intact := true
-		for m := 0; m < mapSlots; m++ {
-			sc, ok, corrupt := r.ckpts.Load(r.slotKey(w, m))
-			if corrupt || (!ok && r.slotExpected(st, m)) {
-				intact = false
-				break
-			}
-			if ok && len(sc.Data) > 0 {
-				st.acc[m] = sc.Data
-			}
-		}
-		if !intact {
-			// Drop the half-restored state and recompute.
-			delete(r.open, w)
-			if err := r.rebuildFromSource(w); err != nil {
+		if !r.restore(w) {
+			if err := r.rebuild(w); err != nil {
 				return err
 			}
 			continue
 		}
 		r.res.Resumed++
-		reg.Counter("stream_window_resumes_total").Add(1)
+		r.cfg.Trace.Registry().Counter("stream_window_resumes_total").Add(1)
 		r.cfg.Trace.Instant("stream", "window-resume",
-			trace.I64("idx", int64(w)), trace.I64("records", st.records))
+			trace.I64("idx", int64(w)), trace.I64("records", r.open[w].records))
 	}
 	return nil
 }
 
-// slotExpected reports whether round-robin assignment has placed at
-// least one record in slot m of a window holding st.records records.
-func (r *runner) slotExpected(st *windowState, m int) bool {
-	return st.records > int64(m)
-}
-
-// sourceTouches reports whether any ingested record maps into window w.
-func (r *runner) sourceTouches(w int) bool {
-	for i := int64(0); i < r.cursor; i++ {
-		lo, hi := r.windowRange(r.arrival(i))
-		if lo <= w && w <= hi {
-			return true
+// restore loads window w's segments, every one its meta counts. It
+// refuses — leaving w unopened — when the meta is missing, corrupt or
+// not 16 bytes (a checkpoint of another format), when the meta was
+// saved by a batch past the cursor (a kill between that batch's window
+// saves and its cursor save), or when a counted segment is missing or
+// corrupt.
+func (r *runner) restore(w int) bool {
+	meta, ok, _ := r.ckpts.Load(r.metaKey(w))
+	if !ok || len(meta.Data) != 16 || int64(binary.LittleEndian.Uint64(meta.Data[8:])) > r.cursor {
+		return false
+	}
+	st := &windowState{idx: w, segs: make([][][]byte, mapSlots),
+		records: int64(binary.LittleEndian.Uint64(meta.Data))}
+	for m := range st.segs {
+		for b := 0; b < meta.Seq; b++ {
+			sc, ok, _ := r.ckpts.Load(r.segKey(w, m, b))
+			if !ok {
+				return false
+			}
+			st.segs[m] = append(st.segs[m], sc.Data)
 		}
 	}
-	return false
+	r.open[w] = st
+	return true
 }
 
-// rebuildFromSource recomputes window w's state by replaying the
-// deterministic source over the already-ingested prefix — the fallback
-// when a window checkpoint is lost or corrupt. The map phase re-runs
-// (with fault injection live) over records in the original order, so
-// the recovered slot bytes stay byte-identical.
-func (r *runner) rebuildFromSource(w int) error {
-	st := r.window(w)
-	bufs := make([][]byte, mapSlots)
-	for i := int64(0); i < r.cursor; i++ {
-		lo, hi := r.windowRange(r.arrival(i))
-		if w < lo || hi < w {
-			continue
+// rebuild recomputes window w after its checkpoint is lost by replaying
+// the run's own cuts from record 0 up to the cursor through feed: the
+// map stages re-run (fault injection live) over the same batches, so
+// the segments it re-saves are the ones the lost checkpoint held.
+func (r *runner) rebuild(w int) error {
+	stage := fmt.Sprintf("stream-%s-w%d-rebuild", r.cfg.App.Name, w)
+	for lo := int64(0); lo < r.cursor; {
+		hi := min(r.cutBatch(lo), r.cursor)
+		if hi == lo {
+			break
 		}
-		slot := int(st.records % int64(mapSlots))
-		var err error
-		bufs[slot], err = r.rt.C.Codec.Encode(r.cfg.App.InClass, r.src.At(i), bufs[slot])
-		if err != nil {
+		if err := r.feed(r.span, stage, lo, hi, w); err != nil {
 			return fmt.Errorf("stream: rebuild window %d: %w", w, err)
 		}
-		st.records++
+		lo = hi
 	}
-	var specs []engine.TaskSpec
-	var slots []int
-	for m, buf := range bufs {
-		if len(buf) == 0 {
-			continue
-		}
-		specs = append(specs, r.mapSpec(fmt.Sprintf("stream-%s-w%d-rb-m%d", r.cfg.App.Name, w, m), buf))
-		slots = append(slots, m)
+	st := r.open[w]
+	if st == nil {
+		// No ingested record falls in w: there was nothing to lose.
+		return nil
 	}
-	outs, err := r.rt.RunStage(fmt.Sprintf("stream-%s-w%d-rebuild", r.cfg.App.Name, w), r.span, r.cfg.HeapCfg, specs)
-	if err != nil {
-		return fmt.Errorf("stream: rebuild window %d: %w", w, err)
-	}
-	for k, out := range outs {
-		st.acc[slots[k]] = out
-	}
-	st.flushes = 1
 	r.res.Rebuilt++
 	r.cfg.Trace.Registry().Counter("stream_window_rebuilds_total").Add(1)
 	r.cfg.Trace.Instant("stream", "window-rebuild",

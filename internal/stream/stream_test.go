@@ -238,7 +238,7 @@ func resumeDamaged(t *testing.T, damage func(*recovery.CheckpointStore)) {
 // crash and resume.
 func TestResumeRebuildsCorruptWindow(t *testing.T) {
 	resumeDamaged(t, func(store *recovery.CheckpointStore) {
-		if !store.Corrupt("stream/wordcount/w0/m0") {
+		if !store.Corrupt("stream/wordcount/w0/m0/b0") {
 			t.Fatal("no slot checkpoint to corrupt — crash left no open window state")
 		}
 	})
@@ -271,7 +271,7 @@ func TestRebuiltWindowIsCheckpointed(t *testing.T) {
 	if _, err := Run(cfg); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crash hook: %v", err)
 	}
-	if !store.Corrupt("stream/wordcount/w0/m0") {
+	if !store.Corrupt("stream/wordcount/w0/m0/b0") {
 		t.Fatal("no slot checkpoint to corrupt — crash left no open window state")
 	}
 
@@ -360,5 +360,58 @@ func TestJobIDScoping(t *testing.T) {
 		cfg.Resume = true
 		resumed := mustRun(t, cfg)
 		assertWindowsEqual(t, id+"/resume", resumed, ref)
+	}
+}
+
+// TestResumeRebuildsOldFormatMeta puts an 8-byte meta — the format
+// before metas carried their batch's end record — in the store: that
+// window counts as lost and is rebuilt, never decoded from too few
+// bytes.
+func TestResumeRebuildsOldFormatMeta(t *testing.T) {
+	const meta = "stream/wordcount/w0/meta"
+	resumeDamaged(t, func(store *recovery.CheckpointStore) {
+		ck, ok, _ := store.Load(meta)
+		if !ok {
+			t.Fatal("no meta checkpoint to shorten — crash left no open window state")
+		}
+		store.Save(meta, ck.Seq, ck.Data[:8])
+	})
+}
+
+// TestResumeTornBatch resumes from a store torn by a kill between a
+// batch's window saves and its cursor save: every entry of a run
+// crashed after three batches, but the cursor of the same run crashed
+// after two. The windows batch 3 fed are saved past the cursor; resume
+// must rebuild them up to the cursor, not restore them and then feed
+// batch 3 a second time.
+func TestResumeTornBatch(t *testing.T) {
+	const cursor = "stream/wordcount/cursor"
+	for _, mode := range []engine.Mode{engine.Gerenuk, engine.Baseline} {
+		ref := mustRun(t, base(t, "wordcount", mode))
+
+		crash := func(batches int) *recovery.CheckpointStore {
+			cfg := base(t, "wordcount", mode)
+			cfg.Checkpoints = recovery.NewCheckpointStore()
+			cfg.CrashAfterBatches = batches
+			if _, err := Run(cfg); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("%s: crash hook after %d batches: %v", mode, batches, err)
+			}
+			return cfg.Checkpoints
+		}
+		torn, early := crash(3), crash(2)
+		ck, ok, _ := early.Load(cursor)
+		if !ok {
+			t.Fatalf("%s: no cursor checkpoint after two batches", mode)
+		}
+		torn.Save(cursor, ck.Seq, ck.Data)
+
+		cfg := base(t, "wordcount", mode)
+		cfg.Checkpoints = torn
+		cfg.Resume = true
+		resumed := mustRun(t, cfg)
+		assertWindowsEqual(t, mode.String()+"/torn-resume", resumed, ref)
+		if resumed.Rebuilt == 0 {
+			t.Fatalf("%s: no window rebuilt from a store saved past its cursor", mode)
+		}
 	}
 }

@@ -319,6 +319,17 @@ var structureRules = append([]rule{
 		match: func(s *srcFile, n ast.Node) bool { return s.calls(n, "repro/internal/serde", "RecordSize") },
 	},
 	{
+		// Records reach a streaming window through one feed
+		// (runner.feed: a live batch, or a rebuild replaying the run's
+		// batches), and a window's bytes are folded in one place
+		// (foldWindow). A third stage would be a second way to build
+		// window state.
+		name:  "one window feed: at most two RunStage calls in internal/stream",
+		max:   2,
+		scope: under("internal/stream"),
+		match: func(s *srcFile, n ast.Node) bool { return s.calls(n, "", "RunStage") },
+	},
+	{
 		// A job's cost is charged by internal/job alone (RunStage,
 		// ShuffleBy), under one rule: Total is summed busy time. A
 		// front-end timing its own work into Total would charge a second
