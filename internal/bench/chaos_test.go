@@ -29,6 +29,9 @@ func TestChaosQuick(t *testing.T) {
 			t.Fatalf("no attempt was hedged under stragglers\n%s", res.Render())
 		}
 		if res.Checks["hedge_faster"] == 1 || raceDetector {
+			if err == nil {
+				chaosPin.check(t, res)
+			}
 			return
 		}
 		t.Logf("measurement %d of %d: %v", i, measurements, err)

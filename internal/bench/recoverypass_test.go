@@ -32,6 +32,7 @@ func TestRecoveryCheckQuick(t *testing.T) {
 			if res.Checks["corrupt_detected"] == 0 {
 				t.Error("no corrupt checkpoints detected")
 			}
+			recoveryPin.check(t, res)
 		})
 	}
 }

@@ -27,6 +27,7 @@ func TestShuffleCheckQuick(t *testing.T) {
 	if r.Checks["spills"] == 0 {
 		t.Error("budgeted variants recorded zero spills")
 	}
+	shufflePin.check(t, r)
 }
 
 // TestShuffleConfigParsing drives the shuffle knobs through the shared

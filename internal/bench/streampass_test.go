@@ -22,6 +22,7 @@ func TestStreamCheckQuick(t *testing.T) {
 			t.Errorf("check %q = 0", check)
 		}
 	}
+	streamPin.check(t, res)
 }
 
 // TestStreamReportQuick checks the throughput report (gerenukbench
