@@ -1,27 +1,38 @@
 package bench
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/trace"
 )
 
-// backendDiffPlans are the fault environments the backend differential
-// runs under: clean, the abort-heavy chaos plan (panics, wild reads,
-// OOMs — the guard-failure → deopt paths), and the durable-recovery
-// plan (replica loss, kills, checkpoint corruption). A fresh injector
-// per run keeps the deterministic plans independent across backends.
-var backendDiffPlans = []struct {
-	name string
-	mk   func() *faults.Injector
-}{
-	{"clean", func() *faults.Injector { return nil }},
-	{"chaos", func() *faults.Injector { return faults.Chaos(7) }},
-	{"recovery-chaos", func() *faults.Injector { return faults.RecoveryChaos(7) }},
-}
+// backendVariants is the backend differential's table: under each fault
+// plan — clean, the abort-heavy chaos plan (panics, wild reads, OOMs:
+// the guard-failure → deopt paths) and the durable-recovery plan
+// (replica loss, kills, checkpoint corruption) — the pure-heap Baseline
+// run is the reference, and Gerenuk on the interpreter and on the
+// closure-compiled backend must equal it. A fresh injector per run keeps
+// the deterministic plans independent across backends.
+var backendVariants = func() []Variant {
+	var vs []Variant
+	for _, plan := range []struct {
+		name string
+		mk   func() *faults.Injector
+	}{
+		{"clean", func() *faults.Injector { return nil }},
+		{"chaos", func() *faults.Injector { return faults.Chaos(7) }},
+		{"recovery-chaos", func() *faults.Injector { return faults.RecoveryChaos(7) }},
+	} {
+		vs = append(vs, Variant{Name: plan.name, Only: mode(engine.Baseline),
+			Mutate: func(c *Config) { c.Injector = plan.mk() }})
+		for _, backend := range []engine.Backend{engine.BackendInterp, engine.BackendCompiled} {
+			vs = append(vs, Variant{Name: plan.name + "/" + backend.String(), Only: mode(engine.Gerenuk), Ref: plan.name,
+				Mutate: func(c *Config) { c.Injector, c.Backend = plan.mk(), backend }})
+		}
+	}
+	return vs
+}()
 
 // TestCompiledBackendDifferential is the soundness proof for the
 // closure-compiled backend: for every application in both drivers,
@@ -30,44 +41,11 @@ var backendDiffPlans = []struct {
 // output. Run under -race in CI this also covers the compiled closures'
 // interaction with hedging and recovery concurrency.
 func TestCompiledBackendDifferential(t *testing.T) {
-	apps := allApps()
-	for _, app := range apps {
-		app := app
+	for _, app := range allApps() {
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			for _, plan := range backendDiffPlans {
-				cfg := Quick()
-				cfg.Injector = plan.mk()
-				heapRun, err := RunApp(app, cfg, engine.Baseline)
-				if err != nil {
-					t.Fatalf("%s baseline: %v", plan.name, err)
-				}
-
-				cfg = Quick()
-				cfg.Injector = plan.mk()
-				cfg.Backend = engine.BackendInterp
-				interpRun, err := RunApp(app, cfg, engine.Gerenuk)
-				if err != nil {
-					t.Fatalf("%s gerenuk/interp: %v", plan.name, err)
-				}
-
-				cfg = Quick()
-				cfg.Injector = plan.mk()
-				cfg.Backend = engine.BackendCompiled
-				compiledRun, err := RunApp(app, cfg, engine.Gerenuk)
-				if err != nil {
-					t.Fatalf("%s gerenuk/compiled: %v", plan.name, err)
-				}
-
-				compiledOut, interpOut, heapOut := compiledRun.Out, interpRun.Out, heapRun.Out
-				if !bytes.Equal(compiledOut, interpOut) {
-					t.Errorf("%s: compiled output differs from interp (%d vs %d bytes)",
-						plan.name, len(compiledOut), len(interpOut))
-				}
-				if !bytes.Equal(compiledOut, heapOut) {
-					t.Errorf("%s: compiled output differs from baseline heap (%d vs %d bytes)",
-						plan.name, len(compiledOut), len(heapOut))
-				}
+			if _, err := (Matrix{Apps: []string{app}, Variants: backendVariants}).Run(Quick()); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -79,26 +57,16 @@ func TestCompiledBackendDifferential(t *testing.T) {
 // and record at least one deoptimization (deopt_total > 0), and still
 // produce output identical to the clean baseline.
 func TestCompiledBackendDeoptCounters(t *testing.T) {
-	want, err := RunApp("PR", Quick(), engine.Baseline)
-	if err != nil {
+	if _, err := (Matrix{Apps: []string{"PR"}, Counters: true, Variants: deoptVariants}).Run(Quick()); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Quick()
-	cfg.Injector = faults.Chaos(42)
-	cfg.Backend = engine.BackendCompiled
-	cfg.Trace = trace.New()
-	got, err := RunApp("PR", cfg, engine.Gerenuk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Out, want.Out) {
-		t.Fatalf("chaos compiled output differs from clean baseline")
-	}
-	snap := cfg.Trace.Registry().Snapshot()
-	if snap.Counters["compile_total"] == 0 {
-		t.Errorf("compile_total = 0, want > 0 (counters: %v)", snap.Counters)
-	}
-	if snap.Counters["deopt_total"] == 0 {
-		t.Errorf("deopt_total = 0, want > 0 (counters: %v)", snap.Counters)
-	}
+}
+
+// deoptVariants judges a compiled chaos run against the clean baseline
+// and holds it to compiling drivers and deopting.
+var deoptVariants = []Variant{
+	{Name: "clean", Only: mode(engine.Baseline)},
+	{Name: "chaos/compiled", Only: mode(engine.Gerenuk), Ref: "clean",
+		Mutate: func(c *Config) { c.Injector, c.Backend = faults.Chaos(42), engine.BackendCompiled },
+		Check:  func(c *Cell) error { return ticked([]*Cell{c}, "compile_total", "deopt_total") }},
 }

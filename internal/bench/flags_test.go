@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -49,5 +50,33 @@ func TestExitStatus(t *testing.T) {
 		if code != c.code || strings.Count(stderr.String(), c.stderr) != 1 {
 			t.Errorf("%s: exit %d, stderr %q; want exit %d and %q once", c.args, code, stderr.String(), c.code, c.stderr)
 		}
+	}
+}
+
+// TestShuffleConfigParsing drives the shuffle knobs through the shared
+// flag binder: they land in the Config's exchange configuration, and an
+// unknown codec is rejected when the flags are resolved.
+func TestShuffleConfigParsing(t *testing.T) {
+	parse := func(args ...string) (*Session, error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := BindFlags(fs, "test", "workers", Quick(), TuningFlags)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return f.Open(io.Discard)
+	}
+	sess, err := parse("-shuffle-compress", "lz4", "-shuffle-budget", "9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := sess.Config.Shuffle
+	if scfg.MemoryBudget != 9 || scfg.Compression.String() != "lz4" {
+		t.Errorf("shuffle config = %+v", scfg)
+	}
+	if sess.Trace != nil || sess.Server != nil {
+		t.Error("tracing or the obs plane started without their flags")
+	}
+	if _, err := parse("-shuffle-compress", "zstd"); err == nil {
+		t.Error("unknown codec accepted")
 	}
 }

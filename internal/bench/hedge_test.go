@@ -1,39 +1,38 @@
 package bench
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 )
 
+// hedged is a Gerenuk run whose hedge fires on effectively every task
+// (1ns delay), so the heap attempt races the native one end to end; its
+// output must equal ref's.
+func hedged(ref string) Variant {
+	return Variant{Name: "hedged", Only: mode(engine.Gerenuk), Ref: ref,
+		Mutate: func(c *Config) { c.HedgeAfter = time.Nanosecond }}
+}
+
+// hedgeVariants judges a hedged Gerenuk run against the unhedged one;
+// hedgeVsHeap against the Baseline (pure heap) mode.
+var (
+	hedgeVariants = []Variant{{Name: "unhedged", Only: mode(engine.Gerenuk)}, hedged("unhedged")}
+	hedgeVsHeap   = []Variant{{Name: "heap", Only: mode(engine.Baseline)}, hedged("heap")}
+)
+
 // TestHedgedOutputMatchesUnhedged is the end-to-end differential
 // guarantee behind enabling hedging anywhere: for every bench
-// application, Spark and Hadoop alike, a Gerenuk run with an
-// aggressive always-fire hedge delay produces byte-identical output to
-// the unhedged run. Run under -race this also proves the racing
-// attempts share nothing mutable.
+// application, Spark and Hadoop alike, a hedged Gerenuk run produces
+// byte-identical output to the unhedged run. Run under -race this also
+// proves the racing attempts share nothing mutable.
 func TestHedgedOutputMatchesUnhedged(t *testing.T) {
-	apps := allApps()
-	for _, app := range apps {
-		app := app
+	for _, app := range allApps() {
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			cfg := Quick()
-			want, err := RunApp(app, cfg, engine.Gerenuk)
-			if err != nil {
-				t.Fatalf("unhedged run: %v", err)
-			}
-			// 1ns delay: the hedge fires on effectively every task, so the
-			// heap attempt races the native one end to end.
-			cfg.HedgeAfter = time.Nanosecond
-			got, err := RunApp(app, cfg, engine.Gerenuk)
-			if err != nil {
-				t.Fatalf("hedged run: %v", err)
-			}
-			if !bytes.Equal(got.Out, want.Out) {
-				t.Fatalf("hedged output differs from unhedged (%d vs %d bytes)", len(got.Out), len(want.Out))
+			if _, err := (Matrix{Apps: []string{app}, Variants: hedgeVariants}).Run(Quick()); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -43,19 +42,7 @@ func TestHedgedOutputMatchesUnhedged(t *testing.T) {
 // modes for one representative app per framework: hedged Gerenuk output
 // equals the Baseline (pure heap) mode output too.
 func TestHedgedOutputMatchesBaselineMode(t *testing.T) {
-	for _, app := range []string{"PR", "IUF"} {
-		cfg := Quick()
-		want, err := RunApp(app, cfg, engine.Baseline)
-		if err != nil {
-			t.Fatalf("%s baseline: %v", app, err)
-		}
-		cfg.HedgeAfter = time.Nanosecond
-		got, err := RunApp(app, cfg, engine.Gerenuk)
-		if err != nil {
-			t.Fatalf("%s hedged gerenuk: %v", app, err)
-		}
-		if !bytes.Equal(got.Out, want.Out) {
-			t.Fatalf("%s: hedged gerenuk output differs from baseline mode", app)
-		}
+	if _, err := (Matrix{Apps: []string{"PR", "IUF"}, Variants: hedgeVsHeap}).Run(Quick()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"repro/internal/engine"
 )
 
 // TestAppOutputsPinned runs every Table 1 and Table 2 application in both
@@ -20,17 +18,17 @@ func TestAppOutputsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got strings.Builder
-	for _, app := range allApps() {
-		for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
-			res, err := RunApp(app, Quick(), mode)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", app, mode, err)
-			}
-			fmt.Fprintf(&got, "%s %v %x\n", app, mode, sha256.Sum256(res.Out))
+	_, err = Matrix{Variants: []Variant{{Name: "pinned"}}, Check: func(cells []*Cell) error {
+		var got strings.Builder
+		for _, c := range cells {
+			fmt.Fprintf(&got, "%s %v %x\n", c.App, c.Mode, sha256.Sum256(c.Out))
 		}
-	}
-	if got.String() != string(want) {
-		t.Errorf("app outputs differ from testdata/app_outputs.sha256; got:\n%s", got.String())
+		if got.String() != string(want) {
+			return fmt.Errorf("app outputs differ from testdata/app_outputs.sha256; got:\n%s", got.String())
+		}
+		return nil
+	}}.Run(Quick())
+	if err != nil {
+		t.Error(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -19,10 +18,8 @@ func TestTraceSmoke(t *testing.T) {
 	tr := trace.New()
 	cfg := sized(2, 2, 1, 2)
 	cfg.Trace, cfg.HeapName = tr, "10GB"
-	for _, mode := range []engine.Mode{engine.Baseline, engine.Gerenuk} {
-		if _, err := RunApp("PR", cfg, mode); err != nil {
-			t.Fatalf("%v run: %v", mode, err)
-		}
+	if _, err := (Matrix{Apps: []string{"PR"}, Variants: []Variant{{Name: "traced"}}}).Run(cfg); err != nil {
+		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer

@@ -19,12 +19,13 @@ import (
 // shape: a task is one SER, decided from its attempts in one place, run
 // by one stage runner and moved through one exchange. Each rule counts
 // sites in the non-test source (perfbench/, testdata and hidden
-// directories excluded) and fails, naming every site, when a count
-// exceeds its bound.
+// directories excluded; test files too, unless a rule counts them) and
+// fails, naming every site, when a count exceeds its bound.
 
 // srcFile is one parsed non-test Go file.
 type srcFile struct {
 	rel     string // slash-separated path from the repo root
+	test    bool   // a _test.go file
 	f       *ast.File
 	imports map[string]string // local package name → import path
 }
@@ -66,10 +67,12 @@ func (s *srcFile) inFuncLit(n ast.Node) bool {
 }
 
 // rule is one structural bound: at least min and at most max nodes
-// matching match in the files scope selects.
+// matching match in the files scope selects, test files included when
+// tests is set.
 type rule struct {
 	name     string
 	min, max int
+	tests    bool
 	scope    func(rel string) bool
 	match    func(s *srcFile, n ast.Node) bool
 }
@@ -330,6 +333,25 @@ var structureRules = append([]rule{
 		match: func(s *srcFile, n ast.Node) bool { return s.calls(n, "", "RunStage") },
 	},
 	{
+		// The central promise (gerenuk == baseline == interp == compiled
+		// == streamed == recovered) is checked by one runner, bench.Matrix:
+		// a pass or differential test is a table of variants over it, not
+		// another loop over the modes. The one literal left is the
+		// matrix's default modes.
+		name:  "one differential loop: at most one []engine.Mode{…} literal in internal/bench, test files included",
+		max:   1,
+		tests: true,
+		scope: under("internal/bench"),
+		match: func(s *srcFile, n ast.Node) bool {
+			cl, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return false
+			}
+			at, ok := cl.Type.(*ast.ArrayType)
+			return ok && at.Len == nil && s.pkgSel(at.Elt, "repro/internal/engine", "Mode")
+		},
+	},
+	{
 		// A job's cost is charged by internal/job alone (RunStage,
 		// ShuffleBy), under one rule: Total is summed busy time. A
 		// front-end timing its own work into Total would charge a second
@@ -364,8 +386,8 @@ func named(e ast.Expr, name string) bool {
 	return false
 }
 
-// parseSource parses every non-test .go file under root, skipping
-// perfbench/, testdata and hidden directories.
+// parseSource parses every .go file under root, skipping perfbench/,
+// testdata and hidden directories.
 func parseSource(t *testing.T, root string) (*token.FileSet, []*srcFile) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -382,14 +404,14 @@ func parseSource(t *testing.T, root string) (*token.FileSet, []*srcFile) {
 			}
 			return nil
 		}
-		if path.Ext(rel) != ".go" || strings.HasSuffix(rel, "_test.go") {
+		if path.Ext(rel) != ".go" {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		s := &srcFile{rel: rel, f: f, imports: map[string]string{}}
+		s := &srcFile{rel: rel, test: strings.HasSuffix(rel, "_test.go"), f: f, imports: map[string]string{}}
 		for _, im := range f.Imports {
 			ip, _ := strconv.Unquote(im.Path.Value)
 			local := path.Base(ip)
@@ -413,7 +435,7 @@ func TestStructuralRules(t *testing.T) {
 		var sites []string
 		scoped := 0
 		for _, s := range files {
-			if !r.scope(s.rel) {
+			if s.test && !r.tests || !r.scope(s.rel) {
 				continue
 			}
 			scoped++
