@@ -321,13 +321,13 @@ func Table3(sp, hd *Suite) *Result {
 
 // sparkJob builds what one measured Spark run starts from, all of it
 // fresh so no run inherits another's compilation caches: app's program,
-// compiled; a context in the given mode; and objs encoded into the
-// context's partitions.
+// compiled; a context in the given mode under cfg's run environment; and
+// objs encoded into the context's partitions.
 func sparkJob(cfg Config, mode engine.Mode, app sparkapps.App,
 	class string, objs []serde.Obj) (*spark.Context, *spark.RDD, error) {
 	comp := engine.Compile(app.Program())
 	ctx := spark.NewContext(comp, mode)
-	ctx.Workers = cfg.Workers
+	ctx.Env = cfg.env(app.Name, mode)
 	ctx.Partitions = cfg.Partitions
 	parts, err := workload.Encode(comp.Codec, class, objs, cfg.Partitions)
 	if err != nil {
@@ -370,7 +370,7 @@ func (f figure8) run(cfg Config) (*Result, error) {
 	}
 	names := []string{"baseline", "gerenuk", "tungsten"}
 	runs, err := medianRuns(rdd(engine.Baseline), rdd(engine.Gerenuk), func() (AppRun, error) {
-		tungsten := sparkapps.App{Types: f.tungstenTypes, Register: f.tungsten.Register}
+		tungsten := sparkapps.App{Name: f.app.Name + "-tungsten", Types: f.tungstenTypes, Register: f.tungsten.Register}
 		ctx, in, err := sparkJob(cfg, engine.Gerenuk, tungsten, f.class, f.objs)
 		if err != nil {
 			return AppRun{}, err

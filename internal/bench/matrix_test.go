@@ -122,6 +122,8 @@ func TestPredicatesReject(t *testing.T) {
 		{"hedged slower", variantCheck(t, chaos, "gerenuk (stragglers, hedged)"), hedgedRun(2, time.Millisecond), hedgedRun(2, 20*time.Millisecond)},
 		{"compiled never compiled", variantCheck(t, deoptVariants, "chaos/compiled"), deopt(1, 1), deopt(0, 1)},
 		{"compiled never deopted", variantCheck(t, deoptVariants, "chaos/compiled"), deopt(1, 1), deopt(1, 0)},
+		{"replica-failover never failed over", variantCheck(t, recoveryMatrix.Variants, "replica-failover"),
+			&Cell{Counters: map[string]int64{"recovery_replica_failover_total": 1}}, &Cell{Counters: map[string]int64{}}},
 	} {
 		if err := tc.check(tc.good); err != nil {
 			t.Errorf("%s: good cell rejected: %v", tc.name, err)
@@ -214,10 +216,11 @@ func TestMatrixCountsPerCell(t *testing.T) {
 // Spark and one Hadoop app and, after each cell, waits up to 1 s for the
 // goroutine count to fall back to its value before the cell: a hedge
 // loser, a watchdog or a rebuild left running fails it. It is not
-// parallel, so no other test's goroutines count.
+// parallel, so no other test's goroutines count. Cells count, as the
+// recovery table's do, so the variants' counter predicates hold.
 func TestMatrixLeaksNoGoroutines(t *testing.T) {
 	for _, variants := range [][]Variant{hedgeVariants, recoveryMatrix.Variants} {
-		m := Matrix{Apps: []string{"PR", "IUF"}, Variants: slices.Clone(variants)}
+		m := Matrix{Apps: []string{"PR", "IUF"}, Variants: slices.Clone(variants), Counters: true}
 		for i := range m.Variants {
 			v := &m.Variants[i]
 			mutate, check := v.Mutate, v.Check

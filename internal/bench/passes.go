@@ -82,11 +82,11 @@ var recoveryMatrix = Matrix{
 	Header:   []string{"app", "mode", "reexecs", "failovers", "resumes", "corrupt", "outcome"},
 	Counters: true,
 	Variants: []Variant{
-		loss("fault-free", 0, 0, nil),
-		loss("replica-failover", 2, 0, &faults.Injector{Seed: 101, ReplicaLossRate: 1, ReplicaLosses: 1}),
-		loss("replica-loss-reexec", 2, 0, &faults.Injector{Seed: 102, ReplicaLossRate: 1, ReplicaLosses: 99}),
-		loss("reduce-kill", 0, 1, &faults.Injector{Seed: 103, KillRate: 1, MaxRecord: 6}),
-		loss("kill+ckpt-corrupt", 0, 1, &faults.Injector{Seed: 104, KillRate: 1, CheckpointCorruptRate: 1, MaxRecord: 6}),
+		loss("fault-free", 0, 0, nil, nil),
+		loss("replica-failover", 2, 0, &faults.Injector{Seed: 101, ReplicaLossRate: 1, ReplicaLosses: 1}, failedOver),
+		loss("replica-loss-reexec", 2, 0, &faults.Injector{Seed: 102, ReplicaLossRate: 1, ReplicaLosses: 99}, nil),
+		loss("reduce-kill", 0, 1, &faults.Injector{Seed: 103, KillRate: 1, MaxRecord: 6}, nil),
+		loss("kill+ckpt-corrupt", 0, 1, &faults.Injector{Seed: 104, KillRate: 1, CheckpointCorruptRate: 1, MaxRecord: 6}, nil),
 	},
 	Row: func(cells []*Cell) []string {
 		return appRow(cells, total(cells, "recovery_reexec_total"), total(cells, "recovery_replica_failover_total"),
@@ -106,15 +106,24 @@ var recoveryMatrix = Matrix{
 
 // loss is one recovery variant: replicas, checkpointing and a fault
 // plan (an Injector holds no state), judged against the fault-free run
-// (plan nil).
-func loss(name string, replicas, checkpointEvery int, plan *faults.Injector) Variant {
-	v := Variant{Name: name, Mutate: func(c *Config) {
+// (plan nil) and by check.
+func loss(name string, replicas, checkpointEvery int, plan *faults.Injector, check func(*Cell) error) Variant {
+	v := Variant{Name: name, Check: check, Mutate: func(c *Config) {
 		c.Shuffle.Replicas, c.CheckpointEvery, c.Injector = replicas, checkpointEvery, plan
 	}}
 	if plan != nil {
 		v.Ref = "fault-free"
 	}
 	return v
+}
+
+// failedOver holds a run that lost one copy of each reducer's first
+// block to reading another.
+func failedOver(c *Cell) error {
+	if c.Counters["recovery_replica_failover_total"] == 0 {
+		return errors.New("no read failed over to a surviving replica")
+	}
+	return nil
 }
 
 // ticked holds cells to each of counters ticking in some cell.
@@ -339,7 +348,6 @@ func runWordCount(c *Cell, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	ctx.Env = cfg.env(c.App, c.Mode)
 	counts, err := sparkapps.WordCount{}.Run(ctx, in)
 	c.Stats, c.Wall, c.Tasks = ctx.Stats, ctx.Wall, ctx.Tasks
 	if err != nil {

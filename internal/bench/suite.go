@@ -319,7 +319,6 @@ func runSparkApp(app string, cfg Config, mode engine.Mode) (AppResult, error) {
 	if err != nil {
 		return AppResult{}, err
 	}
-	ctx.Env = cfg.env(app, mode)
 	ctx.HeapCfg = appHeap(cfg)
 	out, err := row.run(ctx, in, cfg.Iters)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	. "repro/internal/engine"
 	"repro/internal/faults"
@@ -185,5 +186,55 @@ func TestReduceAllocsIndependentOfGroupCount(t *testing.T) {
 	t.Logf("Baseline: %.0f allocs at 16 groups, %.0f at 1024: %.2f per added group", few, many, perRun)
 	if perRun > baselinePerRun {
 		t.Errorf("Baseline: %.2f allocs per added key group, want <= %d", perRun, baselinePerRun)
+	}
+}
+
+// Tracing stops at the binding: a traced task emits the same events,
+// name for name, whatever its record count (1× and 4×) or key-group
+// count (1 and 1 024) — on the heap path, the native path, a native
+// attempt forced to abort and a straggler raced by a heap hedge. GC
+// instants and counter samples are left out: they follow memory growth
+// (one per collection, one per 64 KiB of arena), not records.
+func TestTraceEventsIndependentOfRecordsAndGroups(t *testing.T) {
+	cases := []struct {
+		name   string
+		mode   Mode
+		hedge  time.Duration
+		mutate func(*TaskSpec)
+	}{
+		{"baseline", Baseline, 0, nil},
+		{"gerenuk", Gerenuk, 0, nil},
+		{"forced-abort", Gerenuk, 0, func(s *TaskSpec) { s.Faults = &faults.Plan{PanicAtRecord: 1} }},
+		{"hedged", Gerenuk, time.Millisecond, func(s *TaskSpec) { s.Faults = &faults.Plan{NativeDelay: 30 * time.Second} }},
+	}
+	shapes := []struct{ groups, perGroup int }{{1, 1024}, {1, 4096}, {1024, 1}, {1024, 4}}
+	for _, tc := range cases {
+		var want map[string]int
+		for i, sh := range shapes {
+			c := sumCompiled(t) // fresh, so every run compiles its driver
+			spec := groupedSpec(t, c, pairBlock(t, c, sh.groups, sh.perGroup))
+			if tc.mutate != nil {
+				tc.mutate(&spec)
+			}
+			tr := trace.New()
+			e := &Executor{C: c, Mode: tc.mode, HeapCfg: heap.Config{YoungSize: 4 << 20, OldSize: 16 << 20},
+				Trace: tr, HedgeAfter: tc.hedge}
+			if _, err := e.RunTask(spec); err != nil {
+				t.Fatalf("%s, %d×%d: %v", tc.name, sh.groups, sh.perGroup, err)
+			}
+			got := map[string]int{}
+			for _, ev := range tr.Events() {
+				if ev.Cat != "gc" && ev.Ph != "C" {
+					got[ev.Cat+":"+ev.Name]++
+				}
+			}
+			if i == 0 {
+				want = got
+				t.Logf("%s: %v", tc.name, got)
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d groups of %d records emit %v, %d of %d emit %v", tc.name,
+					sh.groups, sh.perGroup, got, shapes[0].groups, shapes[0].perGroup, want)
+			}
+		}
 	}
 }

@@ -616,8 +616,10 @@ func (e *Executor) runHeapAttempt(spec TaskSpec, att *trace.Span, cancel *cancel
 // walk is both attempts' binding walk: it makes the task's driver runs
 // from run from (a checkpoint's Seq) on. bind builds a binding's sources
 // and Env once, with the function running the driver over them; each
-// run reads its group's window on a rewound Env under its own phase
-// span, then checkpoints out on the cadence. It returns records read.
+// run reads its group's window on a rewound Env, then checkpoints out on
+// the cadence. A binding is traced as one phase span whose end args sum
+// its runs, so a task's event count does not grow with its records or
+// key groups. It returns records read.
 func (e *Executor) walk(spec *TaskSpec, att *trace.Span, phase string, from int, out *[]byte, bd *metrics.Breakdown,
 	bind func(inv map[string]Input) (*interp.Env, []*cursor, func() error)) (records int64, err error) {
 	done := 0 // driver runs before the current binding
@@ -632,22 +634,30 @@ func (e *Executor) walk(spec *TaskSpec, att *trace.Span, phase string, from int,
 			continue
 		}
 		env, curs, run := bind(inv)
-		for ; g < n; g++ {
+		ph := att.Child("phase", phase)
+		var runs, recs, ser, deser int64
+		for ; g < n && err == nil; g++ {
 			for _, c := range curs {
-				records += c.window(g)
+				recs += c.window(g)
 			}
 			env.Rewind()
-			ph := att.Child("phase", phase)
-			env.Trace = ph
-			err := run()
+			err = run()
+			runs++
 			bd.Ser += env.SerTime
 			bd.Deser += env.DeserTime
-			ph.End(trace.I64("ser_bytes", env.SerBytes), trace.I64("deser_bytes", env.DeserBytes))
-			if err != nil {
-				return 0, err
+			ser, deser = ser+env.SerBytes, deser+env.DeserBytes
+			if err == nil {
+				e.maybeCheckpoint(*spec, att, done+g+1, *out)
 			}
-			e.maybeCheckpoint(*spec, att, done+g+1, *out)
 		}
+		if ph != nil { // span arguments allocate even for a nil span
+			ph.End(trace.I64("runs", runs), trace.I64("records", recs),
+				trace.I64("ser_bytes", ser), trace.I64("deser_bytes", deser))
+		}
+		if err != nil {
+			return 0, err
+		}
+		records += recs
 		done += n
 	}
 	return records, nil

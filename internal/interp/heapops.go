@@ -9,7 +9,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/model"
 	"repro/internal/serde"
-	"repro/internal/trace"
 )
 
 // heapFieldLoad executes dst = obj.field against the simulated heap,
@@ -89,13 +88,10 @@ func (in *Interp) deserialize(t *ir.Deserialize) (int64, error) {
 	if !more {
 		return 0, nil
 	}
-	sp := in.env.Trace.Child("phase", "deserialize")
 	start := time.Now()
 	a, _, err := in.env.Codec.Deserialize(in.env.Heap, buf, off, src.Class())
 	in.env.DeserTime += time.Since(start)
-	n := int64(serde.RecordSize(buf, off))
-	in.env.DeserBytes += n
-	sp.End(trace.I64("bytes", n))
+	in.env.DeserBytes += int64(serde.RecordSize(buf, off))
 	if err != nil {
 		return 0, err
 	}
@@ -114,12 +110,10 @@ func (in *Interp) serialize(class string, a int64) error {
 	if in.env.Sink == nil {
 		return fmt.Errorf("interp: no sink configured")
 	}
-	sp := in.env.Trace.Child("phase", "serialize")
 	start := time.Now()
 	wire, err := in.env.Codec.Serialize(in.env.Heap, a, class, nil)
 	in.env.SerTime += time.Since(start)
 	in.env.SerBytes += int64(len(wire))
-	sp.End(trace.I64("bytes", int64(len(wire))))
 	if err != nil {
 		return err
 	}

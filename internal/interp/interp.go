@@ -32,7 +32,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/model"
 	"repro/internal/serde"
-	"repro/internal/trace"
 )
 
 // Mode selects the data backend.
@@ -134,12 +133,6 @@ type Env struct {
 	DeserTime  time.Duration
 	SerBytes   int64
 	DeserBytes int64
-
-	// Trace, when set, is the enclosing execution-phase span; the
-	// interpreter emits per-record deserialize/serialize child spans
-	// (with byte counts) under it. nil disables serde tracing at the
-	// cost of one nil check per record.
-	Trace *trace.Span
 
 	// ForcedAborts aborts the Nth executed Abort-eligible record loop
 	// (used by the Figure 10(b) forced-abort experiment); 0 disables.

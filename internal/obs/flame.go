@@ -58,7 +58,8 @@ func NewFlame() *Flame {
 func ctxCat(cat string) bool { return cat == "job" || cat == "stage" }
 
 // catRank orders the lifecycle categories (job 0 … phase 4); -1 for
-// categories outside the spine.
+// categories outside the spine (shuffle, gc, obs... may appear anywhere
+// below their parent).
 func catRank(cat string) int {
 	switch cat {
 	case "job":
@@ -208,36 +209,13 @@ type FoldedStats struct {
 	FullChains int   // stacks containing the full job→stage→task→attempt→phase spine
 }
 
-// frameRank orders the lifecycle categories; -1 for categories outside
-// the spine (shuffle, gc, obs... may appear anywhere below their
-// parent).
-func frameRank(frame string) int {
-	cat, _, ok := strings.Cut(frame, ":")
-	if !ok {
-		return -1
-	}
-	switch cat {
-	case "job":
-		return 0
-	case "stage":
-		return 1
-	case "task":
-		return 2
-	case "attempt":
-		return 3
-	case "phase":
-		return 4
-	}
-	return -1
-}
-
 // ValidateFolded parses collapsed-stack text and checks its structural
 // invariants: every line is `frame(;frame)* weight` with a positive
 // integer weight, every frame is `cat:name`, and within each stack the
-// lifecycle categories appear in increasing job → stage → task →
-// attempt → phase order (a task can never sit above its stage). Phases
-// are the one category allowed to repeat: execute phases contain their
-// serde phases. The gerenukrun tests run it over the -flame output.
+// lifecycle categories appear in strictly increasing job → stage → task
+// → attempt → phase order (a task can never sit above its stage, nor a
+// phase above a phase). The gerenukrun tests run it over the -flame
+// output.
 func ValidateFolded(r io.Reader) (FoldedStats, error) {
 	var stats FoldedStats
 	sc := bufio.NewScanner(r)
@@ -261,17 +239,15 @@ func ValidateFolded(r io.Reader) (FoldedStats, error) {
 		lastRank := -1
 		spine := 0
 		for _, fr := range frames {
-			if fr == "" || !strings.Contains(fr, ":") {
+			cat, _, ok := strings.Cut(fr, ":")
+			if !ok {
 				return stats, fmt.Errorf("line %d: bad frame %q", line, fr)
 			}
-			if rk := frameRank(fr); rk >= 0 {
-				phaseNest := rk == 4 && lastRank == 4
-				if rk <= lastRank && !phaseNest {
+			if rk := catRank(cat); rk >= 0 {
+				if rk <= lastRank {
 					return stats, fmt.Errorf("line %d: frame %q out of lifecycle order", line, fr)
 				}
-				if lastRank != rk {
-					spine++
-				}
+				spine++
 				lastRank = rk
 			}
 		}

@@ -103,28 +103,26 @@ func (ex *Exchange) fetchReducer(reducer int, maps []int) ([]byte, error) {
 			buf = append(buf, raw...)
 		}
 	}
-	var records int64
+	var decodes int64
 	if ex.codec != nil && len(buf) > 0 {
 		// Baseline reduce-side deserialization: one real decode per record.
 		td := time.Now()
-		decodes := ex.reg().Counter("shuffle_read_decodes_total")
 		for off := 0; off < len(buf); {
 			if _, _, err := ex.codec.Decode(ex.class, buf, off); err != nil {
 				return nil, fmt.Errorf("shuffle: reducer %d: deserialize: %w", reducer, err)
 			}
-			sp.Instant("shuffle", "shuffle-record-decode", trace.I64("off", int64(off)))
-			decodes.Add(1)
-			records++
+			decodes++
 			off += serde.RecordSize(buf, off)
 		}
 		st.DeserTime = time.Since(td)
+		ex.reg().Counter("shuffle_read_decodes_total").Add(decodes)
 	}
 	// ReadTime is the fetch/assembly wall excluding the serde cost, which
 	// Stats.AddTo reports under Deser instead.
 	st.ReadTime = time.Since(t0) - st.DeserTime
 	ex.addStats(st)
 	sp.End(trace.I64("bytes", int64(len(buf))), trace.I64("blocks", int64(len(maps))),
-		trace.I64("decoded_records", records))
+		trace.I64("decodes", decodes))
 	return buf, nil
 }
 
@@ -189,9 +187,10 @@ func (ex *Exchange) fetchBlock(parent *trace.Span, id blockID, plan *faults.Plan
 }
 
 // fetchReplicas walks the block's live replicas in slot order, fetching
-// each until one succeeds. prior is the attempt count already consumed
-// for this block (so retry accounting stays "attempts beyond the block's
-// first" across a lineage rebuild).
+// each until one succeeds; a read of any slot after the first — past a
+// lost replica or a failed one — is a failover. prior is the attempt
+// count already consumed for this block (so retry accounting stays
+// "attempts beyond the block's first" across a lineage rebuild).
 func (ex *Exchange) fetchReplicas(parent *trace.Span, id blockID, plan *faults.Plan, prior int64) ([]byte, Stats, error) {
 	var st Stats
 	reps, ok := ex.store.replicas(id)
@@ -200,14 +199,13 @@ func (ex *Exchange) fetchReplicas(parent *trace.Span, id blockID, plan *faults.P
 	}
 	src := fmt.Sprintf("%s/map-%d", id.exchange, id.mapTask)
 
-	live := 0
 	attempts := prior
 	var lastErr error
 	for ri, b := range reps {
 		if b == nil {
 			continue // lost replica
 		}
-		if live++; live > 1 {
+		if ri > 0 {
 			ex.reg().Counter("recovery_replica_failover_total").Add(1)
 			parent.Instant("recovery", "replica-failover", trace.Str("source", src),
 				trace.I64("replica", int64(ri)))

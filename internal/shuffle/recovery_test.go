@@ -51,6 +51,37 @@ func TestReplicaFailoverSurvivesReplicaLoss(t *testing.T) {
 	}
 }
 
+// A read that skips a lost first replica is a failover like one past a
+// failing replica: losing one of a block's two copies counts once, in
+// the counter and as an instant.
+func TestLostReplicaCountsAsFailover(t *testing.T) {
+	c := pairCompiled(t)
+	parts := encodeParts(t, c, 1, 8, 4)
+	tr := trace.New()
+	store := NewStore()
+	cfg := Config{Partitions: 1, Replicas: 2, Trace: tr, SpillDir: t.TempDir()}
+	ex, err := NewExchange(store, cfg, "test", c.Layouts, "Pair", "key", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAll(t, ex, parts)
+	if n := store.Drop("test", 0, 0, 1); n != 1 {
+		t.Fatalf("dropped %d replicas, want 1", n)
+	}
+	if _, err := ex.FetchAll(); err != nil {
+		t.Fatal(err)
+	}
+	instants := 0
+	for _, e := range tr.Events() {
+		if e.Name == "replica-failover" {
+			instants++
+		}
+	}
+	if n := tr.Registry().Counter("recovery_replica_failover_total").Value(); n != 1 || instants != 1 {
+		t.Errorf("replica failovers = %d, instants = %d, want 1 and 1", n, instants)
+	}
+}
+
 // A first replica that keeps failing its fetches is abandoned after the
 // retry budget (3 attempts) and the next replica takes over — the
 // failover counter records it.

@@ -345,8 +345,9 @@ func TestFetchRetryExhaustionFailsTheJob(t *testing.T) {
 }
 
 // The acceptance criterion made unit-sized: the baseline exchange decodes
-// every fetched record (one decode span + counter tick per record); the
-// gerenuk exchange decodes none.
+// every fetched record (the decode counter and the fetch spans' decodes
+// args each sum to the records fetched); the gerenuk exchange decodes
+// none.
 func TestBaselineDecodesPerRecordGerenukZero(t *testing.T) {
 	c := pairCompiled(t)
 	parts := encodeParts(t, c, 2, 25, 9)
@@ -377,19 +378,19 @@ func TestBaselineDecodesPerRecordGerenukZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		decodes := tr.Registry().Counter("shuffle_read_decodes_total").Value()
-		spans := 0
+		var spanDecodes int64
 		for _, e := range tr.Events() {
-			if e.Name == "shuffle-record-decode" {
-				spans++
+			if e.Name == "fetch" {
+				spanDecodes += e.Args["decodes"].(int64)
 			}
 		}
 		want := int64(0)
 		if mode == "baseline" {
 			want = total
 		}
-		if decodes != want || int64(spans) != want {
-			t.Errorf("%s: decode counter = %d, decode spans = %d, want %d",
-				mode, decodes, spans, want)
+		if decodes != want || spanDecodes != want {
+			t.Errorf("%s: decode counter = %d, fetch spans' decodes = %d, want %d",
+				mode, decodes, spanDecodes, want)
 		}
 		if got := tr.Registry().Counter("shuffle_records_fetched_total").Value(); got != total {
 			t.Errorf("%s: records fetched counter = %d, want %d", mode, got, total)

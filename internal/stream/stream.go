@@ -385,11 +385,17 @@ func (r *runner) exName(w int) string {
 func (r *runner) cursorKey() string {
 	return fmt.Sprintf("stream/%s/cursor", r.cfg.App.Name)
 }
+
+// windowKey prefixes every key of window w's open state; closing the
+// window drops them all.
+func (r *runner) windowKey(w int) string {
+	return fmt.Sprintf("stream/%s/w%d/", r.cfg.App.Name, w)
+}
 func (r *runner) segKey(w, m, b int) string {
-	return fmt.Sprintf("stream/%s/w%d/m%d/b%d", r.cfg.App.Name, w, m, b)
+	return r.windowKey(w) + fmt.Sprintf("m%d/b%d", m, b)
 }
 func (r *runner) metaKey(w int) string {
-	return fmt.Sprintf("stream/%s/w%d/meta", r.cfg.App.Name, w)
+	return r.windowKey(w) + "meta"
 }
 func (r *runner) outKey(w int) string {
 	return fmt.Sprintf("stream/%s/out/w%d", r.cfg.App.Name, w)
@@ -489,14 +495,9 @@ func (r *runner) closeWindow(w int) error {
 			return fmt.Errorf("stream: window %d: %w", w, err)
 		}
 		delete(r.open, w)
-		for m, segs := range st.segs {
-			for b := range segs {
-				r.ckpts.Drop(r.segKey(w, m, b))
-			}
-		}
 	}
 	// else: no record landed in this window — its output is empty.
-	r.ckpts.Drop(r.metaKey(w))
+	r.ckpts.DropPrefix(r.windowKey(w))
 	r.ckpts.Save(r.outKey(w), w, out)
 	r.res.Windows = append(r.res.Windows, out)
 	r.cfg.Trace.Registry().Counter("stream_windows_total").Add(1)

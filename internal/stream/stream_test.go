@@ -415,3 +415,30 @@ func TestResumeTornBatch(t *testing.T) {
 		}
 	}
 }
+
+// Closing a window drops every key under its prefix, from memory and
+// from disk — the whole-slot key an older layout wrote
+// (stream/<app>/w<w>/m<m>) too: after a full run the store holds only
+// the cursor and the window outputs.
+func TestClosedWindowDropsAllItsKeys(t *testing.T) {
+	const legacy = "stream/wordcount/w0/m0"
+	dir := t.TempDir()
+	store, err := recovery.OpenDiskCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Save(legacy, 1, []byte("whole-slot bytes"))
+	cfg := base(t, "wordcount", engine.Gerenuk)
+	cfg.Checkpoints = store
+	mustRun(t, cfg)
+	reopened, err := recovery.OpenDiskCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*recovery.CheckpointStore{"memory": store, "disk": reopened} {
+		if _, ok, _ := s.Load(legacy); ok || s.Len() != 1+cfg.Windows {
+			t.Errorf("%s: legacy key kept %v, %d checkpoints, want only the cursor and %d outputs",
+				name, ok, s.Len(), cfg.Windows)
+		}
+	}
+}

@@ -352,6 +352,19 @@ var structureRules = append([]rule{
 		},
 	},
 	{
+		// The binding is tracing's smallest unit: the engine opens one
+		// phase span per binding and closes it with the Env's serde
+		// totals, so the interpreter, which runs per record, never
+		// reaches a span.
+		name:  "tracing stops at the binding: internal/interp does not import internal/trace",
+		max:   0,
+		scope: under("internal/interp"),
+		match: func(s *srcFile, n ast.Node) bool {
+			im, ok := n.(*ast.ImportSpec)
+			return ok && im.Path.Value == strconv.Quote("repro/internal/trace")
+		},
+	},
+	{
 		// A job's cost is charged by internal/job alone (RunStage,
 		// ShuffleBy), under one rule: Total is summed busy time. A
 		// front-end timing its own work into Total would charge a second
